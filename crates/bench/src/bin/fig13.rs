@@ -12,11 +12,16 @@
 //! with the `A-Power`, `I-Power` and `I-Area` series of the corresponding
 //! sub-figure.
 
-use impact_bench::{figure13_series, paper_laxities, quick_laxities, BenchCli, DEFAULT_PASSES};
+use impact_bench::{
+    fail, figure13_series, paper_laxities, quick_laxities, BenchCli, DEFAULT_PASSES,
+};
 
 fn main() {
     let cli = BenchCli::parse();
-    let passes = cli.parsed("--passes").unwrap_or(DEFAULT_PASSES);
+    let passes = cli
+        .parsed("--passes")
+        .unwrap_or_else(|message| fail(&message))
+        .unwrap_or(DEFAULT_PASSES);
     let only = cli.value("--benchmark");
 
     let laxities = if cli.paper() {

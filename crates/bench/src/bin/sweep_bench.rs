@@ -1,50 +1,29 @@
-//! Headline benchmark of the sweep-session cache layer: runs the Figure 13
-//! laxity sweep of every example design cold (independent per-laxity runs,
-//! fresh caches — the historical sweep cost), then with one shared
-//! [`SweepSession`](impact_core::SweepSession) over the batch driver's worker
-//! pool, then replays it over two merged half-sweep shard sessions, and
-//! finally measures the persistence path: sweep, snapshot, reload into a
-//! fresh session, rerun warm. Reports must agree bit-for-bit across every
-//! variant and the warm rerun must answer every design-point lookup from the
-//! snapshot; the measurements go to `BENCH_sweep.json`.
+//! Warm-start benchmark of the persistence path: for every example design,
+//! runs the Figure 13 laxity sweep over a fresh
+//! [`SweepSession`](impact_core::SweepSession), snapshots the session,
+//! reloads the snapshot into a fresh session and reruns the sweep warm. The
+//! warm rerun must reproduce the cold reports bit-for-bit and answer every
+//! design-point lookup from the snapshot; the measurements go to
+//! `BENCH_sweep.json`.
 //!
-//! Usage: `sweep_bench [--smoke] [--paper] [--workers N] [--out PATH]
-//! [--snapshot-dir DIR] [--expect-resume]`
+//! Usage: `sweep_bench [--smoke] [--paper] [--out PATH] [--snapshot-dir DIR]
+//! [--expect-resume]`
 //!
 //! `--smoke` runs a reduced input set (fewer passes, smaller search effort,
 //! the coarse 5-point laxity grid) so CI can track the trajectory in seconds.
-//! `--paper` sweeps the full 11-point grid of the figure. With
-//! `--snapshot-dir` the warm-start snapshots round-trip through
-//! `DIR/<design>.impactcache` instead of staying in memory, and a second run
-//! against the same directory verifies cross-process byte identity;
-//! `--expect-resume` turns that verification into a hard gate. The process
-//! exits non-zero if any variant diverges from the cold runs or the warm
-//! rerun misses the point layer.
+//! `--paper` sweeps the full 11-point grid of the figure. Both sweeps use one
+//! batch worker per CPU. With `--snapshot-dir` the snapshots round-trip
+//! through `DIR/<design>.impactcache` instead of staying in memory, and a
+//! second run against the same directory verifies cross-process byte
+//! identity; `--expect-resume` turns that verification into a hard gate. The
+//! process exits non-zero if a warm rerun diverges from its cold run or
+//! misses the point layer.
 
 use impact_bench::{
     example_designs, fail_if, format_layer_stats, min_metric, paper_laxities, quick_laxities,
-    report_json, sweep_comparison, warm_start_comparison, write_report, BenchCli, SweepComparison,
-    WarmStartComparison, DEFAULT_EFFORT, DEFAULT_PASSES,
+    report_json, warm_start_comparison, write_report, BenchCli, WarmStartComparison,
+    DEFAULT_EFFORT, DEFAULT_PASSES,
 };
-
-fn design_object(r: &SweepComparison) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"cold_ms\": {:.3}, \"cold_parallel_ms\": {:.3}, \
-         \"shared_ms\": {:.3}, \"speedup\": {:.3}, \"cache_speedup\": {:.3}, \
-         \"identical\": {}, \"merged_identical\": {}, \
-         \"shared_hit_rate\": {:.4}, \"merged_hit_rate\": {:.4}}}",
-        r.benchmark,
-        r.cold_ms,
-        r.cold_parallel_ms,
-        r.shared_ms,
-        r.speedup(),
-        r.cache_speedup(),
-        r.identical,
-        r.merged_identical,
-        r.shared_cache.hit_rate(),
-        r.merged_cache.hit_rate(),
-    )
-}
 
 fn warm_object(r: &WarmStartComparison) -> String {
     let c = &r.warm_cache;
@@ -75,7 +54,6 @@ fn warm_object(r: &WarmStartComparison) -> String {
 
 fn main() {
     let cli = BenchCli::parse();
-    let workers = cli.parsed("--workers").unwrap_or(0usize);
     let out_path = cli.out_path("BENCH_sweep.json");
     let snapshot_dir = cli.value("--snapshot-dir").map(std::path::PathBuf::from);
     let expect_resume = cli.flag("--expect-resume");
@@ -98,45 +76,6 @@ fn main() {
         laxities.len(),
         1 + 2 * laxities.len(),
     );
-    println!(
-        "{:>10} {:>12} {:>13} {:>12} {:>9} {:>9} {:>10} {:>8} {:>13} {:>13}",
-        "design",
-        "cold (ms)",
-        "cold-par (ms)",
-        "shared (ms)",
-        "speedup",
-        "cache x",
-        "identical",
-        "merged",
-        "shared hit %",
-        "merged hit %"
-    );
-
-    let mut results = Vec::new();
-    for bench in example_designs() {
-        let result = sweep_comparison(&bench, &laxities, passes, effort, workers);
-        println!(
-            "{:>10} {:>12.1} {:>13.1} {:>12.1} {:>9.2} {:>9.2} {:>10} {:>8} {:>13.1} {:>13.1}",
-            result.benchmark,
-            result.cold_ms,
-            result.cold_parallel_ms,
-            result.shared_ms,
-            result.speedup(),
-            result.cache_speedup(),
-            result.identical,
-            result.merged_identical,
-            100.0 * result.shared_cache.hit_rate(),
-            100.0 * result.merged_cache.hit_rate(),
-        );
-        println!(
-            "{:>10} shared layers: {}",
-            "",
-            format_layer_stats(&result.shared_cache)
-        );
-        results.push(result);
-    }
-
-    println!();
     println!(
         "warm start (sweep → snapshot → reload → rerun{})",
         snapshot_dir
@@ -162,8 +101,7 @@ fn main() {
         let path = snapshot_dir
             .as_ref()
             .map(|dir| dir.join(format!("{}.impactcache", bench.name)));
-        let result =
-            warm_start_comparison(&bench, &laxities, passes, effort, workers, path.as_deref());
+        let result = warm_start_comparison(&bench, &laxities, passes, effort, path.as_deref());
         println!(
             "{:>10} {:>12.1} {:>12.1} {:>9.2} {:>10.2} {:>10.2} {:>10} {:>10} {:>12.1} {:>8}",
             result.benchmark,
@@ -185,16 +123,10 @@ fn main() {
         warm_results.push(result);
     }
 
-    let design_objects: Vec<String> = results.iter().map(design_object).collect();
     let warm_objects: Vec<String> = warm_results.iter().map(warm_object).collect();
     let headline = format!(
-        "{{\"min_speedup\": {:.3}, \"min_cache_speedup\": {:.3}, \"all_identical\": {}, \
-         \"min_warm_speedup\": {:.3}, \"all_warm_identical\": {}, \"all_fully_warm\": {}, \
+        "{{\"min_warm_speedup\": {:.3}, \"all_warm_identical\": {}, \"all_fully_warm\": {}, \
          \"all_resumed\": {}}}",
-        min_metric(&results, SweepComparison::speedup),
-        min_metric(&results, SweepComparison::cache_speedup),
-        results.iter().all(|r| r.identical && r.merged_identical)
-            && warm_results.iter().all(|r| r.identical),
         min_metric(&warm_results, WarmStartComparison::speedup),
         warm_results.iter().all(|r| r.identical),
         warm_results.iter().all(WarmStartComparison::fully_warm),
@@ -205,25 +137,18 @@ fn main() {
             ("mode", format!("\"{mode}\"")),
             ("laxity_points", laxities.len().to_string()),
         ],
-        &[("designs", &design_objects), ("warm", &warm_objects)],
+        &[("warm", &warm_objects)],
         &headline,
     );
     write_report(&out_path, &json);
 
     println!(
-        "headline: shared-session sweep is at least {:.2}x faster than the sequential cold \
-         sweep ({:.2}x at the same worker count), and a warm start from a snapshot is at \
-         least {:.2}x faster than cold, across {} designs",
-        min_metric(&results, SweepComparison::speedup),
-        min_metric(&results, SweepComparison::cache_speedup),
+        "headline: a warm rerun from a snapshot (save and load excluded) is at least {:.2}x \
+         faster than cold, across {} designs",
         min_metric(&warm_results, WarmStartComparison::speedup),
-        results.len()
+        warm_results.len()
     );
 
-    fail_if(
-        results.iter().any(|r| !r.identical || !r.merged_identical),
-        "shared-session or merged-shard sweep diverged from cold runs",
-    );
     fail_if(
         warm_results.iter().any(|r| !r.identical),
         "warm-started sweep diverged from its cold run",

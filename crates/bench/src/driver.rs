@@ -2,15 +2,14 @@
 //! scheduled over a scoped worker pool, optionally sharing one
 //! [`SweepSession`] — plus the CLI and report plumbing every bench binary
 //! shares ([`BenchCli`], [`example_designs`], [`report_json`],
-//! [`write_report`], [`min_metric`], [`fail_if`], [`TimedBatch`]).
+//! [`write_report`], [`min_metric`], [`fail`], [`fail_if`]).
 //!
-//! Every experiment driver that used to hand-roll its own timing loop
-//! (`engine_bench`, the Figure 13 sweep) now goes through [`run_batch`]: one
-//! place that claims jobs off a shared queue, times each synthesis, and
-//! returns results in submission order regardless of which worker finished
-//! first. Synthesis itself is deterministic under any worker or
-//! ranking-thread count, so parallel batches produce bit-identical reports to
-//! sequential ones — the pool only changes wall-clock.
+//! Every multi-run experiment goes through [`run_batch`]: one place that
+//! claims jobs off a shared queue, times each synthesis, and returns results
+//! in submission order regardless of which worker finished first. Synthesis
+//! itself is deterministic under any worker or ranking-thread count, so
+//! parallel batches produce bit-identical reports to sequential ones — the
+//! pool only changes wall-clock.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -190,26 +189,30 @@ impl BenchCli {
             .cloned()
     }
 
-    /// The operand following `key`, parsed; `None` when absent or malformed.
-    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.value(key).and_then(|v| v.parse().ok())
+    /// The operand following `key`, parsed: `Ok(None)` when the flag is
+    /// absent, and an error naming the flag when its operand is missing or
+    /// malformed — a typo must not silently run the default.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        if !self.flag(key) {
+            return Ok(None);
+        }
+        let operand = self
+            .value(key)
+            .ok_or_else(|| format!("`{key}` needs an operand"))?;
+        operand
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("`{key}` got malformed operand `{operand}`"))
     }
 
     /// The report path: `--out PATH` or the binary's default.
     pub fn out_path(&self, default: &str) -> String {
         self.value("--out").unwrap_or_else(|| default.to_string())
     }
-
-    /// `--ranking-threads N`: pin the engine's inner ranking parallelism
-    /// (`0`, the default, means one thread per available CPU). Shard workers
-    /// pass `1` so N worker processes don't each spawn a full ranking pool on
-    /// the same machine. Ranking is deterministic under any thread count.
-    pub fn ranking_threads(&self) -> usize {
-        self.parsed("--ranking-threads").unwrap_or(0)
-    }
 }
 
-/// The example designs the comparison benches run on, smallest first.
+/// The example designs the benches and differential tests run on, smallest
+/// first.
 pub fn example_designs() -> Vec<Benchmark> {
     vec![
         impact_benchmarks::gcd(),
@@ -270,79 +273,17 @@ pub fn min_metric<T>(results: &[T], metric: impl Fn(&T) -> f64) -> f64 {
     }
 }
 
+/// Exits non-zero with `FAIL: message`.
+pub fn fail(message: &str) -> ! {
+    eprintln!("FAIL: {message}");
+    std::process::exit(1);
+}
+
 /// Exits non-zero with `FAIL: message` when `diverged` holds, making a
 /// bench's equivalence check a hard gate wherever it runs.
 pub fn fail_if(diverged: bool, message: &str) {
     if diverged {
-        eprintln!("FAIL: {message}");
-        std::process::exit(1);
-    }
-}
-
-/// Best-of-N repeat runner for timing-sensitive comparisons: every `run`
-/// repeats the identical experiment (a fresh session per repeat when
-/// requested, so repeats stay cold) and the fastest repeat's results,
-/// wall-clock and session are kept. Taking the minimum of identical runs is
-/// the standard way to recover the stable floor under machine noise.
-pub struct TimedBatch {
-    results: Option<Vec<JobResult>>,
-    best_ms: f64,
-    session: Option<SweepSession>,
-}
-
-impl TimedBatch {
-    /// Creates an empty runner.
-    pub fn new() -> Self {
-        Self {
-            results: None,
-            best_ms: f64::INFINITY,
-            session: None,
-        }
-    }
-
-    /// Runs one repeat on a single worker and keeps it if it was fastest.
-    pub fn run(&mut self, jobs: &[SweepJob<'_>], with_session: bool) {
-        let session = with_session.then(SweepSession::new);
-        let started = Instant::now();
-        let results = run_batch(jobs, session.as_ref(), 1);
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        if ms < self.best_ms {
-            self.best_ms = ms;
-            self.results = Some(results);
-            self.session = session;
-        }
-    }
-
-    /// Fastest repeat's wall-clock, in milliseconds.
-    pub fn best_ms(&self) -> f64 {
-        self.best_ms
-    }
-
-    /// Fastest repeat's results.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no repeat ran.
-    pub fn into_results(self) -> Vec<JobResult> {
-        self.results.expect("at least one repeat runs")
-    }
-
-    /// Fastest repeat's results and (when sessions were requested) session.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no repeat ran.
-    pub fn into_parts(self) -> (Vec<JobResult>, Option<SweepSession>) {
-        (
-            self.results.expect("at least one repeat runs"),
-            self.session,
-        )
-    }
-}
-
-impl Default for TimedBatch {
-    fn default() -> Self {
-        Self::new()
+        fail(message);
     }
 }
 
@@ -378,6 +319,27 @@ mod tests {
             assert!(a.wall_ms > 0.0 && b.wall_ms > 0.0);
         }
         assert!(session.stats().hits > 0, "jobs share the session");
+    }
+
+    #[test]
+    fn malformed_operands_fail_instead_of_running_the_default() {
+        let cli = |args: &[&str]| BenchCli::from_args(args.iter().map(|a| a.to_string()).collect());
+        assert_eq!(cli(&[]).parsed::<usize>("--passes"), Ok(None));
+        assert_eq!(
+            cli(&["--passes", "12"]).parsed::<usize>("--passes"),
+            Ok(Some(12))
+        );
+        let malformed = cli(&["--passes", "4O"])
+            .parsed::<usize>("--passes")
+            .unwrap_err();
+        assert!(
+            malformed.contains("--passes") && malformed.contains("4O"),
+            "{malformed}"
+        );
+        let missing = cli(&["--smoke", "--passes"])
+            .parsed::<usize>("--passes")
+            .unwrap_err();
+        assert!(missing.contains("--passes"), "{missing}");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! paper. The binaries in `src/bin/` print the series; the Criterion benches
 //! in `benches/` time the underlying computations.
 //!
-//! Multi-run experiments (the Figure 13 laxity sweep, the engine comparison)
-//! are expressed as batches of [`SweepJob`]s over the [`run_batch`] driver,
-//! sharing one [`SweepSession`] where the runs cover the same workload.
+//! Multi-run experiments (the Figure 13 laxity sweep, the warm-start and
+//! search comparisons) are expressed as batches of [`SweepJob`]s over the
+//! [`run_batch`] driver, sharing one [`SweepSession`] where the runs cover
+//! the same workload.
 
 use std::path::Path;
 use std::time::Instant;
@@ -13,21 +14,16 @@ use impact_behsim::{simulate, ExecutionTrace};
 use impact_benchmarks::Benchmark;
 use impact_cdfg::Cdfg;
 use impact_core::{
-    CacheStats, EngineConfig, ExploreStats, ExplorerKind, Impact, SnapshotScope, SnapshotStats,
-    SweepSession, SynthesisConfig, SynthesisOutcome, SynthesisReport,
+    CacheStats, ExploreStats, ExplorerKind, Impact, SnapshotScope, SnapshotStats, SweepSession,
+    SynthesisConfig, SynthesisOutcome,
 };
 use impact_sched::{uniform_problem, BaselineScheduler, Scheduler, WaveScheduler};
 
 mod driver;
-pub mod shard;
 
 pub use driver::{
-    example_designs, fail_if, min_metric, report_json, run_batch, write_report, BenchCli,
-    JobResult, SweepJob, TimedBatch,
-};
-pub use shard::{
-    benchmark_by_name, decode_reports, run_shard_worker, run_sharded, shard_jobs, ShardSpec,
-    SweepShardApp,
+    example_designs, fail, fail_if, min_metric, report_json, run_batch, write_report, BenchCli,
+    JobResult, SweepJob,
 };
 
 /// Number of input passes used by the experiment drivers ("typical input
@@ -256,149 +252,13 @@ pub fn enc_comparison(bench: &Benchmark, passes: usize) -> EncComparison {
     }
 }
 
-/// Formats a normalized value the way the figures label them.
-pub fn fmt3(value: f64) -> String {
-    format!("{value:.3}")
-}
-
-/// One benchmark's sequential-vs-incremental engine comparison: wall-clock of
-/// both engine configurations on the same synthesis run, whether the reports
-/// agree bit-for-bit, and the incremental engine's cache counters.
-#[derive(Clone, Debug)]
-pub struct EngineComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// CDFG size (nodes), the rough proxy for design size.
-    pub nodes: usize,
-    /// Wall-clock of `Impact::synthesize` with the brute-force sequential
-    /// engine, in milliseconds.
-    pub sequential_ms: f64,
-    /// Wall-clock with the incremental (cached + parallel-ranking) engine, in
-    /// milliseconds.
-    pub incremental_ms: f64,
-    /// Whether both engines produced bit-identical synthesis reports.
-    pub identical: bool,
-    /// Evaluation-cache counters of the incremental run.
-    pub cache: CacheStats,
-}
-
-impl EngineComparison {
-    /// Sequential over incremental wall-clock.
-    pub fn speedup(&self) -> f64 {
-        if self.incremental_ms > 0.0 {
-            self.sequential_ms / self.incremental_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Exact (bit-for-bit) equality of two synthesis reports.
-pub fn reports_identical(a: &SynthesisReport, b: &SynthesisReport) -> bool {
-    a == b
-}
-
-/// Runs one benchmark through both engine configurations and times them via
-/// the batch driver (one worker, so per-job timing stays honest).
-/// `effort` is `(max_passes, max_sequence_length)`.
-pub fn engine_comparison(
-    bench: &Benchmark,
-    passes: usize,
-    effort: (usize, usize),
-    laxity: f64,
-) -> EngineComparison {
-    let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
-    let config = SynthesisConfig::power_optimized(laxity).with_effort(effort.0, effort.1);
-    let jobs = [
-        SweepJob::new(
-            "sequential",
-            &cdfg,
-            &trace,
-            config.clone().with_engine(EngineConfig::sequential()),
-        ),
-        SweepJob::new(
-            "incremental",
-            &cdfg,
-            &trace,
-            config.with_engine(EngineConfig::incremental()),
-        ),
-    ];
-    let results = run_batch(&jobs, None, 1);
-    let (sequential, incremental) = (&results[0], &results[1]);
-
-    EngineComparison {
-        benchmark: bench.name.to_string(),
-        nodes: cdfg.node_count(),
-        sequential_ms: sequential.wall_ms,
-        incremental_ms: incremental.wall_ms,
-        identical: reports_identical(&sequential.outcome.report, &incremental.outcome.report),
-        cache: incremental.outcome.cache_stats,
-    }
-}
-
-/// One benchmark's cold-vs-shared-session Figure 13 sweep comparison: the
-/// wall-clock of running every `(laxity, mode)` job independently (fresh
-/// per-run caches, one at a time — the historical sweep cost) against the
-/// batch driver with one shared [`SweepSession`], plus a sharded-search
-/// check: two half-sweeps populate independent sessions which are `merge`d
-/// and replayed over the full job list. A third measurement — the cold jobs
-/// over the *same* worker pool — separates what the pool contributes from
-/// what session sharing contributes.
-#[derive(Clone, Debug)]
-pub struct SweepComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of laxity points swept.
-    pub laxity_points: usize,
-    /// Wall-clock of the sequential cold sweep (the historical
-    /// `figure13_series` cost), in milliseconds.
-    pub cold_ms: f64,
-    /// Wall-clock of the cold sweep over the same worker pool as the
-    /// shared-session run (fresh per-run caches), in milliseconds.
-    pub cold_parallel_ms: f64,
-    /// Wall-clock of the shared-session sweep, in milliseconds.
-    pub shared_ms: f64,
-    /// Whether every job of the shared-session sweep reproduced the cold
-    /// run's report bit-for-bit.
-    pub identical: bool,
-    /// Whether replaying the sweep over the merged shard sessions reproduced
-    /// the cold reports bit-for-bit.
-    pub merged_identical: bool,
-    /// Cache counters of the shared session after its sweep.
-    pub shared_cache: CacheStats,
-    /// Cache counters of the merged session after its replay sweep.
-    pub merged_cache: CacheStats,
-}
-
-impl SweepComparison {
-    /// Sequential cold over shared-session wall-clock: the end-to-end win of
-    /// the batch driver plus session sharing versus the historical sweep.
-    pub fn speedup(&self) -> f64 {
-        if self.shared_ms > 0.0 {
-            self.cold_ms / self.shared_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Parallel cold over shared-session wall-clock: the contribution of
-    /// session sharing alone, with the worker pool held constant.
-    pub fn cache_speedup(&self) -> f64 {
-        if self.shared_ms > 0.0 {
-            self.cold_parallel_ms / self.shared_ms
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Whether two batch results carry bit-identical synthesis reports, job by
 /// job.
 pub fn batches_identical(a: &[JobResult], b: &[JobResult]) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
-            .all(|(x, y)| reports_identical(&x.outcome.report, &y.outcome.report))
+            .all(|(x, y)| x.outcome.report == y.outcome.report)
 }
 
 /// One-line rendering of the per-layer cache counters, for the bench
@@ -445,9 +305,9 @@ pub fn format_explore_stats(stats: &ExploreStats) -> String {
 }
 
 /// One-line rendering of the cumulative merge counters: `merge absorbed N
-/// dup N dropped N` (entries a session took in through `absorb` — shard
-/// exchanges, snapshot loads, session merges — vs duplicate-skipped and
-/// capacity-dropped offers).
+/// dup N dropped N` (entries a session took in through `absorb` — snapshot
+/// loads and session merges — vs duplicate-skipped and capacity-dropped
+/// offers).
 pub fn format_merge_stats(stats: &impact_core::AbsorbStats) -> String {
     format!(
         "merge absorbed {} dup {} dropped {}",
@@ -468,286 +328,6 @@ pub fn format_snapshot_stats(stats: &SnapshotStats) -> String {
         stats.rejected_digest,
         stats.rejected_truncated,
     )
-}
-
-/// One benchmark's three-way delta-evaluation comparison over the same
-/// laxity sweep:
-///
-/// * **cold** — the PR 2 evaluator: full-rebuild engine, one private cache
-///   per run (no cross-run sharing),
-/// * **shared** — the PR 3 path: full-rebuild engine over one shared
-///   [`SweepSession`],
-/// * **delta** — this PR: move-delta patched fingerprints/contexts plus
-///   schedule memoization over one shared session.
-///
-/// All three must produce bit-identical reports, job for job.
-#[derive(Clone, Debug)]
-pub struct DeltaComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of laxity points swept.
-    pub laxity_points: usize,
-    /// Wall-clock of the cold full-rebuild sweep (per-run caches), in ms.
-    pub cold_ms: f64,
-    /// Wall-clock of the shared-session full-rebuild sweep, in ms.
-    pub shared_ms: f64,
-    /// Wall-clock of the shared-session delta sweep, in ms.
-    pub delta_ms: f64,
-    /// Whether every job of all three sweeps reported bit-identically.
-    pub identical: bool,
-    /// Cache counters of the delta sweep's session.
-    pub delta_cache: CacheStats,
-}
-
-impl DeltaComparison {
-    /// Cold (PR 2) over delta wall-clock.
-    pub fn speedup_vs_cold(&self) -> f64 {
-        if self.delta_ms > 0.0 {
-            self.cold_ms / self.delta_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Shared-session (PR 3) over delta wall-clock: the contribution of
-    /// delta patching and schedule memoization alone.
-    pub fn speedup_vs_shared(&self) -> f64 {
-        if self.delta_ms > 0.0 {
-            self.shared_ms / self.delta_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Runs one benchmark's Figure 13 sweep through the three evaluator
-/// generations (cold rebuild, shared rebuild, shared delta) on a single
-/// worker (so per-sweep timing stays honest) and checks all three agree
-/// bit-for-bit. `effort` is `(max_passes, max_sequence_length)`.
-pub fn delta_comparison(
-    bench: &Benchmark,
-    laxities: &[f64],
-    passes: usize,
-    effort: (usize, usize),
-) -> DeltaComparison {
-    let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
-    let jobs_with = |engine: EngineConfig| -> Vec<SweepJob<'_>> {
-        figure13_jobs(&cdfg, &trace, laxities, effort)
-            .into_iter()
-            .map(|mut job| {
-                job.config = job.config.with_engine(engine);
-                job
-            })
-            .collect()
-    };
-
-    // PR 2 baseline: full rebuild, a fresh private cache per run.
-    let cold_jobs = jobs_with(EngineConfig::full_rebuild());
-    let started = Instant::now();
-    let cold = run_batch(&cold_jobs, None, 1);
-    let cold_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // PR 3 baseline: full rebuild over one shared session.
-    let shared_session = SweepSession::new();
-    let started = Instant::now();
-    let shared = run_batch(&cold_jobs, Some(&shared_session), 1);
-    let shared_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // This PR: delta-patched evaluation over one shared session.
-    let delta_jobs = jobs_with(EngineConfig::incremental());
-    let delta_session = SweepSession::new();
-    let started = Instant::now();
-    let delta = run_batch(&delta_jobs, Some(&delta_session), 1);
-    let delta_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    DeltaComparison {
-        benchmark: bench.name.to_string(),
-        laxity_points: laxities.len(),
-        cold_ms,
-        shared_ms,
-        delta_ms,
-        identical: batches_identical(&cold, &shared) && batches_identical(&cold, &delta),
-        delta_cache: delta_session.stats(),
-    }
-}
-
-/// One benchmark's three-way schedule-repair comparison over the same laxity
-/// sweep:
-///
-/// * **cold** — the PR 2 evaluator: full-rebuild engine, one private cache
-///   per run (no schedule memoization, no repair),
-/// * **memoized** — the PR 4 delta evaluator: delta patching and
-///   whole-schedule memoization over one shared [`SweepSession`], every memo
-///   miss paying a full hierarchical reschedule
-///   ([`EngineConfig::full_reschedule`]),
-/// * **repaired** — this PR: on a memo miss only the blocks the move touched
-///   are list-scheduled; untouched blocks splice from the parent schedule or
-///   the shared per-block layer.
-///
-/// All three must produce bit-identical reports, job for job.
-#[derive(Clone, Debug)]
-pub struct RepairComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of laxity points swept.
-    pub laxity_points: usize,
-    /// Wall-clock of the cold full-rebuild sweep (per-run caches), in ms.
-    pub cold_ms: f64,
-    /// Wall-clock of the shared-session full-reschedule (PR 4) sweep, in ms.
-    pub memoized_ms: f64,
-    /// Wall-clock of the shared-session repaired sweep, in ms.
-    pub repaired_ms: f64,
-    /// Whether every job of all three sweeps reported bit-identically.
-    pub identical: bool,
-    /// Cache counters of the repaired sweep's session.
-    pub repaired_cache: CacheStats,
-}
-
-impl RepairComparison {
-    /// Cold (PR 2) over repaired wall-clock.
-    pub fn speedup_vs_cold(&self) -> f64 {
-        if self.repaired_ms > 0.0 {
-            self.cold_ms / self.repaired_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Memoized (PR 4) over repaired wall-clock: the contribution of
-    /// block-granular repair alone, with delta patching and schedule
-    /// memoization held constant.
-    pub fn speedup_vs_memoized(&self) -> f64 {
-        if self.repaired_ms > 0.0 {
-            self.memoized_ms / self.repaired_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Timed sweeps per generation in [`repair_comparison`]; the fastest repeat
-/// is reported. The three generations differ only in the scheduling stage,
-/// so a single scheduler-level measurement is easily drowned by machine
-/// noise — taking the minimum of a few identical cold runs (each repeat gets
-/// a fresh session) is the standard way to recover the stable floor.
-const REPAIR_BENCH_REPEATS: usize = 7;
-
-/// Runs one benchmark's Figure 13 sweep through the cold, memoized (PR 4)
-/// and repaired evaluator generations on a single worker (so per-sweep
-/// timing stays honest) and checks all three agree bit-for-bit. `effort` is
-/// `(max_passes, max_sequence_length)`.
-pub fn repair_comparison(
-    bench: &Benchmark,
-    laxities: &[f64],
-    passes: usize,
-    effort: (usize, usize),
-) -> RepairComparison {
-    let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
-    let jobs_with = |engine: EngineConfig| -> Vec<SweepJob<'_>> {
-        figure13_jobs(&cdfg, &trace, laxities, effort)
-            .into_iter()
-            .map(|mut job| {
-                job.config = job.config.with_engine(engine);
-                job
-            })
-            .collect()
-    };
-    // Every repeat runs the identical cold experiment (fresh session each
-    // time); the fastest repeat per generation is the noise-free estimate.
-    // The generations are *interleaved* within each round so a slow machine
-    // phase degrades all three equally instead of biasing one.
-    //
-    // PR 2 baseline: full rebuild, a fresh private cache per run. PR 4
-    // baseline: the delta evaluator with repair disabled — every
-    // schedule-memo miss reschedules the whole CDFG. This PR: block-granular
-    // schedule repair over one shared session.
-    let cold_jobs = jobs_with(EngineConfig::full_rebuild());
-    let memo_jobs = jobs_with(EngineConfig::full_reschedule());
-    let repair_jobs = jobs_with(EngineConfig::incremental());
-    let (mut cold, mut memoized, mut repaired) =
-        (TimedBatch::new(), TimedBatch::new(), TimedBatch::new());
-    for _ in 0..REPAIR_BENCH_REPEATS {
-        cold.run(&cold_jobs, false);
-        memoized.run(&memo_jobs, true);
-        repaired.run(&repair_jobs, true);
-    }
-
-    let (cold_ms, memoized_ms, repaired_ms) =
-        (cold.best_ms(), memoized.best_ms(), repaired.best_ms());
-    let cold_results = cold.into_results();
-    let memo_results = memoized.into_results();
-    let (repair_results, repair_session) = repaired.into_parts();
-    RepairComparison {
-        benchmark: bench.name.to_string(),
-        laxity_points: laxities.len(),
-        cold_ms,
-        memoized_ms,
-        repaired_ms,
-        identical: batches_identical(&cold_results, &memo_results)
-            && batches_identical(&cold_results, &repair_results),
-        repaired_cache: repair_session
-            .expect("the repaired generation runs with a session")
-            .stats(),
-    }
-}
-
-/// Runs one benchmark's Figure 13 sweep cold, shared and merged-sharded, and
-/// checks all three agree. `effort` is `(max_passes, max_sequence_length)`;
-/// `workers` is the pool size of the shared-session runs (`0` = one per CPU).
-pub fn sweep_comparison(
-    bench: &Benchmark,
-    laxities: &[f64],
-    passes: usize,
-    effort: (usize, usize),
-    workers: usize,
-) -> SweepComparison {
-    let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
-    let jobs = figure13_jobs(&cdfg, &trace, laxities, effort);
-
-    // Cold: every job pays the full cost, sequentially (the pre-session
-    // behavior of `figure13_series`).
-    let started = Instant::now();
-    let cold = run_batch(&jobs, None, 1);
-    let cold_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // Cold over the same worker pool: isolates what the pool contributes so
-    // the session's share of the speedup is measured apples-to-apples.
-    let started = Instant::now();
-    let cold_parallel = run_batch(&jobs, None, workers);
-    let cold_parallel_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // Shared session over a worker pool.
-    let session = SweepSession::new();
-    let started = Instant::now();
-    let shared = run_batch(&jobs, Some(&session), workers);
-    let shared_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    // Sharded search: two independently populated half-sweep sessions,
-    // merged, then replayed over the full job list.
-    let (half_a, half_b) = laxities.split_at(laxities.len() / 2);
-    let merged = SweepSession::new();
-    for half in [half_a, half_b] {
-        let shard = SweepSession::new();
-        run_batch(
-            &figure13_jobs(&cdfg, &trace, half, effort),
-            Some(&shard),
-            workers,
-        );
-        merged.merge_from(&shard);
-    }
-    let replay = run_batch(&jobs, Some(&merged), workers);
-
-    SweepComparison {
-        benchmark: bench.name.to_string(),
-        laxity_points: laxities.len(),
-        cold_ms,
-        cold_parallel_ms,
-        shared_ms,
-        identical: batches_identical(&cold, &cold_parallel) && batches_identical(&cold, &shared),
-        merged_identical: batches_identical(&cold, &replay),
-        shared_cache: session.stats(),
-        merged_cache: merged.stats(),
-    }
 }
 
 /// One benchmark's cold-vs-warm-start comparison: a sweep over a fresh
@@ -813,7 +393,7 @@ impl WarmStartComparison {
 /// verified load) and `resumed` reports whether a pre-existing file from an
 /// earlier process was byte-identical to this run's save; without one the
 /// bytes stay in memory. `effort` is `(max_passes, max_sequence_length)`;
-/// `workers` sizes the pool of both sweeps (`0` = one per CPU).
+/// both sweeps run one batch worker per CPU.
 ///
 /// # Panics
 ///
@@ -825,7 +405,6 @@ pub fn warm_start_comparison(
     laxities: &[f64],
     passes: usize,
     effort: (usize, usize),
-    workers: usize,
     snapshot_path: Option<&Path>,
 ) -> WarmStartComparison {
     let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
@@ -833,7 +412,7 @@ pub fn warm_start_comparison(
 
     let cold_session = SweepSession::new();
     let started = Instant::now();
-    let cold = run_batch(&jobs, Some(&cold_session), workers);
+    let cold = run_batch(&jobs, Some(&cold_session), 0);
     let cold_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let started = Instant::now();
@@ -862,7 +441,7 @@ pub fn warm_start_comparison(
     let load_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let started = Instant::now();
-    let warm = run_batch(&jobs, Some(&warm_session), workers);
+    let warm = run_batch(&jobs, Some(&warm_session), 0);
     let warm_ms = started.elapsed().as_secs_f64() * 1e3;
 
     WarmStartComparison {
@@ -995,46 +574,6 @@ mod tests {
         assert!((paper[10] - 3.0).abs() < 1e-12);
         let quick = quick_laxities();
         assert_eq!(quick.len(), 5);
-    }
-
-    #[test]
-    fn engine_comparison_reports_identical_results_and_counts_cache_traffic() {
-        let cmp = engine_comparison(&impact_benchmarks::gcd(), 8, (1, 2), 2.0);
-        assert!(cmp.identical, "engines must agree bit-for-bit");
-        assert!(cmp.sequential_ms > 0.0 && cmp.incremental_ms > 0.0);
-        assert!(cmp.cache.hits + cmp.cache.misses > 0);
-        assert!(cmp.cache.hit_rate() > 0.0);
-        assert!(cmp.nodes > 0);
-        assert!(cmp.speedup() > 0.0);
-    }
-
-    #[test]
-    fn delta_comparison_reports_identical_results_across_generations() {
-        let cmp = delta_comparison(&impact_benchmarks::gcd(), &[1.0, 2.0], 8, (1, 2));
-        assert!(cmp.identical, "all three evaluator generations must agree");
-        assert!(cmp.cold_ms > 0.0 && cmp.shared_ms > 0.0 && cmp.delta_ms > 0.0);
-        assert!(cmp.speedup_vs_cold() > 0.0 && cmp.speedup_vs_shared() > 0.0);
-        assert_eq!(cmp.laxity_points, 2);
-        // The delta sweep exercised the schedule-memo layer, and the summary
-        // line renders every layer.
-        let line = format_layer_stats(&cmp.delta_cache);
-        assert!(cmp.delta_cache.schedule.hits + cmp.delta_cache.schedule.misses > 0);
-        for name in ["stats", "context", "schedule", "point", "scaled"] {
-            assert!(line.contains(name), "{line} must mention {name}");
-        }
-    }
-
-    #[test]
-    fn repair_comparison_reports_identical_results_across_generations() {
-        let cmp = repair_comparison(&impact_benchmarks::gcd(), &[1.0, 2.0], 8, (1, 2));
-        assert!(cmp.identical, "all three evaluator generations must agree");
-        assert!(cmp.cold_ms > 0.0 && cmp.memoized_ms > 0.0 && cmp.repaired_ms > 0.0);
-        assert!(cmp.speedup_vs_cold() > 0.0 && cmp.speedup_vs_memoized() > 0.0);
-        assert_eq!(cmp.laxity_points, 2);
-        // The repaired sweep exercised the block layer, and the summary line
-        // renders it.
-        assert!(cmp.repaired_cache.block.hits + cmp.repaired_cache.block.misses > 0);
-        assert!(format_layer_stats(&cmp.repaired_cache).contains("block"));
     }
 
     #[test]

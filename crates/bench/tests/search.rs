@@ -5,20 +5,15 @@
 //!   `impact_verify` design/schedule rules (not just the returned best),
 //! - `RestartExplorer`'s kick-and-revert machinery leaves a shared session
 //!   coherent: the run passes [`VerifyLevel::Full`]'s inline session audit,
-//!   and the session re-audits clean as data afterwards,
-//! - a sharded batch may mix strategies per job: workers honor each spec's
-//!   explorer and greedy jobs stay bit-identical to an in-process baseline.
+//!   and the session re-audits clean as data afterwards.
 
 #![allow(clippy::unwrap_used)]
 
-use impact_bench::{prepare, run_batch, shard_jobs, SweepJob, SweepShardApp, DEFAULT_SEED};
-use impact_codec::{decode_from_slice, encode_to_vec};
+use impact_bench::{prepare, DEFAULT_SEED};
 use impact_core::verify::audit_session;
 use impact_core::{
-    EngineConfig, Evaluator, ExplorerKind, Impact, SweepSession, SynthesisConfig, SynthesisReport,
-    VerifyLevel,
+    EngineConfig, Evaluator, ExplorerKind, Impact, SweepSession, SynthesisConfig, VerifyLevel,
 };
-use impact_shard::ShardApp;
 
 fn config_with(laxity: f64, explorer: ExplorerKind) -> SynthesisConfig {
     let config = SynthesisConfig::power_optimized(laxity).with_effort(2, 3);
@@ -72,54 +67,4 @@ fn restart_kicks_leave_a_shared_session_coherent() {
     }
     let violations = audit_session(&session);
     assert!(violations.is_empty(), "session audit found {violations:?}");
-}
-
-#[test]
-fn shard_workers_honor_mixed_strategy_job_lists() {
-    let bench = impact_benchmarks::gcd();
-    let (cdfg, trace) = prepare(&bench, 8, DEFAULT_SEED);
-
-    // Five jobs (base + two laxities x two modes), strategies assigned
-    // round-robin so all four explorers appear in one batch.
-    let mut jobs = shard_jobs(
-        &[impact_benchmarks::gcd()],
-        &[1.5, 2.0],
-        8,
-        DEFAULT_SEED,
-        (2, 3),
-        1,
-    );
-    let mixed = ExplorerKind::all();
-    for (job, &explorer) in jobs.iter_mut().zip(mixed.iter().cycle()) {
-        let mut spec: impact_bench::ShardSpec = decode_from_slice(&job.payload).unwrap();
-        spec.explorer = explorer;
-        job.payload = encode_to_vec(&spec);
-    }
-    let mut app = SweepShardApp::new();
-    let reports: Vec<SynthesisReport> = jobs
-        .iter()
-        .map(|job| decode_from_slice(&app.run(&job.payload)).unwrap())
-        .collect();
-
-    // Each worker result matches the in-process run of the same spec.
-    for (job, report) in jobs.iter().zip(&reports) {
-        let spec: impact_bench::ShardSpec = decode_from_slice(&job.payload).unwrap();
-        let baseline = run_batch(
-            &[SweepJob::new(
-                job.label.clone(),
-                &cdfg,
-                &trace,
-                spec.config(),
-            )],
-            None,
-            1,
-        );
-        assert_eq!(
-            &baseline[0].outcome.report,
-            report,
-            "{}: sharded {} diverged from in-process",
-            job.label,
-            spec.explorer.name()
-        );
-    }
 }

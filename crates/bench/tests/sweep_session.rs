@@ -1,14 +1,70 @@
-//! Equivalence guarantees of the sweep-session cache layer: a Figure 13
-//! sweep over one shared session (and over merged shard sessions) is
-//! bit-identical to independent cold runs, under any worker count.
+//! Equivalence guarantees of the engine and its sweep-session cache layer:
+//! every engine configuration reproduces the brute-force sequential engine on
+//! every example design, and a Figure 13 sweep over one shared session (and
+//! over merged, independently populated sessions) is bit-identical to
+//! independent cold runs, under any worker count.
 
 use impact_bench::{
-    assemble_fig13, batches_identical, figure13_jobs, paper_laxities, prepare, run_batch,
+    assemble_fig13, batches_identical, example_designs, figure13_jobs, format_layer_stats,
+    paper_laxities, prepare, run_batch, SweepJob, DEFAULT_SEED,
 };
-use impact_core::SweepSession;
+use impact_core::{EngineConfig, SweepSession};
 use proptest::prelude::*;
 
 const EFFORT: (usize, usize) = (2, 3);
+
+#[test]
+fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
+    // The oracle ladder: the full-rebuild, full-reschedule and incremental
+    // engines, cold and over a shared session, must all reproduce the
+    // brute-force sequential engine's sweep bit-for-bit.
+    let laxities = [1.2, 2.4];
+    let cases = [
+        ("full_rebuild cold", EngineConfig::full_rebuild(), false),
+        ("full_rebuild shared", EngineConfig::full_rebuild(), true),
+        (
+            "full_reschedule shared",
+            EngineConfig::full_reschedule(),
+            true,
+        ),
+        ("incremental cold", EngineConfig::incremental(), false),
+        ("incremental shared", EngineConfig::incremental(), true),
+    ];
+    for bench in example_designs() {
+        let (cdfg, trace) = prepare(&bench, 6, DEFAULT_SEED);
+        let jobs_with = |engine: EngineConfig| -> Vec<SweepJob<'_>> {
+            figure13_jobs(&cdfg, &trace, &laxities, (1, 2))
+                .into_iter()
+                .map(|mut job| {
+                    job.config = job.config.with_engine(engine);
+                    job
+                })
+                .collect()
+        };
+        let oracle = run_batch(&jobs_with(EngineConfig::sequential()), None, 0);
+        for (name, engine, shared) in cases {
+            let session = shared.then(SweepSession::new);
+            let results = run_batch(&jobs_with(engine), session.as_ref(), 0);
+            assert!(
+                batches_identical(&oracle, &results),
+                "{}: {name} diverged from the sequential oracle",
+                bench.name
+            );
+            // The fast paths were actually taken: a shared session answers
+            // from its layers, and the incremental engine reaches the
+            // schedule-memo and block layers.
+            let Some(session) = session else { continue };
+            let stats = session.stats();
+            assert!(stats.hit_rate() > 0.0, "{}: {name} {stats:?}", bench.name);
+            if engine == EngineConfig::incremental() {
+                let line = format_layer_stats(&stats);
+                for layer in [stats.schedule, stats.block] {
+                    assert!(layer.hits + layer.misses > 0, "{}: {line}", bench.name);
+                }
+            }
+        }
+    }
+}
 
 #[test]
 fn shared_session_figure13_sweep_matches_eleven_independent_cold_runs() {
@@ -42,8 +98,8 @@ fn shared_session_figure13_sweep_matches_eleven_independent_cold_runs() {
 
 #[test]
 fn merged_shard_sessions_rank_like_one_shared_cache() {
-    // Two half-sweeps populate independent shard sessions; their merge must
-    // answer a full sweep exactly like one session that saw everything.
+    // Two half-sweeps populate independent sessions; their merge must answer
+    // a full sweep exactly like one session that saw everything.
     let bench = impact_benchmarks::gcd();
     let laxities = [1.0, 1.4, 1.8, 2.2, 2.6, 3.0];
     let (cdfg, trace) = prepare(&bench, 8, 5);
@@ -54,21 +110,21 @@ fn merged_shard_sessions_rank_like_one_shared_cache() {
 
     let merged = SweepSession::new();
     for half in [&laxities[..3], &laxities[3..]] {
-        let shard = SweepSession::new();
-        run_batch(&figure13_jobs(&cdfg, &trace, half, EFFORT), Some(&shard), 0);
-        merged.merge_from(&shard);
+        let part = SweepSession::new();
+        run_batch(&figure13_jobs(&cdfg, &trace, half, EFFORT), Some(&part), 0);
+        merged.merge_from(&part);
     }
     let replayed = run_batch(&jobs, Some(&merged), 0);
 
     assert!(batches_identical(&reference, &replayed));
-    // Both shards fully covered the replay's needs: the merged session
+    // Both halves fully covered the replay's needs: the merged session
     // answers (almost) everything from its merged maps. The base job and the
-    // laxity-independent entries overlap between shards, so the replay must
+    // laxity-independent entries overlap between halves, so the replay must
     // be hit-dominated.
     let stats = merged.stats();
     assert!(
         stats.hit_rate() > 0.9,
-        "replay over merged shards must be hit-dominated ({stats:?})"
+        "replay over merged sessions must be hit-dominated ({stats:?})"
     );
 }
 
@@ -76,7 +132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Any laxity subset, any seed, any worker count: cold, shared-session
-    /// and merged-shard sweeps agree bit-for-bit.
+    /// and merged-session sweeps agree bit-for-bit.
     #[test]
     fn sweeps_agree_for_arbitrary_laxity_subsets(
         mask in 1u32..(1 << 6),
@@ -102,9 +158,9 @@ proptest! {
         let merged = SweepSession::new();
         let split = laxities.len() / 2;
         for half in [&laxities[..split], &laxities[split..]] {
-            let shard = SweepSession::new();
-            run_batch(&figure13_jobs(&cdfg, &trace, half, (1, 2)), Some(&shard), workers);
-            merged.merge_from(&shard);
+            let part = SweepSession::new();
+            run_batch(&figure13_jobs(&cdfg, &trace, half, (1, 2)), Some(&part), workers);
+            merged.merge_from(&part);
         }
         let replayed = run_batch(&jobs, Some(&merged), workers);
         prop_assert!(batches_identical(&cold, &replayed));

@@ -10,7 +10,7 @@ use impact_bench::{example_designs, warm_start_comparison};
 fn warm_start_replays_every_example_design_bit_identically() {
     let laxities = [1.2, 2.4];
     for bench in example_designs() {
-        let cmp = warm_start_comparison(&bench, &laxities, 6, (1, 2), 1, None);
+        let cmp = warm_start_comparison(&bench, &laxities, 6, (1, 2), None);
         assert!(
             cmp.identical,
             "{}: the warm rerun must reproduce the cold reports bit-for-bit",
@@ -39,7 +39,7 @@ fn warm_start_through_the_filesystem_resumes_on_the_second_run() {
     let bench = impact_benchmarks::gcd();
     let laxities = [1.2, 2.4];
 
-    let first = warm_start_comparison(&bench, &laxities, 6, (1, 2), 1, Some(&path));
+    let first = warm_start_comparison(&bench, &laxities, 6, (1, 2), Some(&path));
     assert!(first.identical && first.fully_warm());
     assert!(
         !first.resumed,
@@ -49,7 +49,7 @@ fn warm_start_through_the_filesystem_resumes_on_the_second_run() {
 
     // A second, independent run against the same directory must produce a
     // byte-identical snapshot (cross-process determinism) and report it.
-    let second = warm_start_comparison(&bench, &laxities, 6, (1, 2), 1, Some(&path));
+    let second = warm_start_comparison(&bench, &laxities, 6, (1, 2), Some(&path));
     assert!(second.identical && second.fully_warm());
     assert!(
         second.resumed,

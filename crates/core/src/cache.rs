@@ -16,8 +16,9 @@
 //!
 //! Storage lives behind the [`CacheBackend`] trait so sessions can swap the
 //! store: the in-process implementation is [`InMemoryCache`], an `Arc`-shared
-//! mutex-protected map set. Two backends populated independently (e.g. by
-//! sharded candidate searches) combine deterministically via
+//! mutex-protected map set. Two backends populated independently (a snapshot
+//! load, or [`SweepSession::merge_from`](crate::SweepSession::merge_from))
+//! combine deterministically via
 //! [`CacheBackend::export`] / [`CacheBackend::absorb`]: every entry is a pure
 //! function of its key, so when both sides hold the same key the values are
 //! identical and merge order cannot influence later lookups.
@@ -138,9 +139,9 @@ impl LayerStats {
 /// Because every cache entry is a pure function of its key, an incoming entry
 /// under a key the backend already holds carries an interchangeable value;
 /// the merge *skips* it (keeping the resident allocation) and counts it as a
-/// duplicate. These counters are what shard-exchange efficiency is reasoned
-/// about with: a healthy exchange absorbs mostly-new entries, while a high
-/// duplicate share means peers are re-sending work the receiver already has.
+/// duplicate. A load into a cold session absorbs only new entries, while a
+/// high duplicate share means the merged side held work the receiver
+/// already had.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct AbsorbStats {
     /// Entries newly inserted by the merge.
@@ -212,7 +213,7 @@ pub struct CacheStats {
     /// Snapshot save/load counters, including per-reason load rejections.
     pub snapshot: SnapshotStats,
     /// Cumulative merge counters over every `absorb` the backend performed
-    /// (shard merges, snapshot loads, session `merge_from`).
+    /// (snapshot loads, session `merge_from`).
     pub merge: AbsorbStats,
     /// Cumulative search-effort counters over every synthesis run recorded
     /// against the backend (probes, commits, reverts and the
@@ -316,7 +317,7 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
 /// Portable copy of a backend's entries, produced by
 /// [`CacheBackend::export`] and consumed by [`CacheBackend::absorb`]. Fields
 /// are public so external [`CacheBackend`] implementations (disk stores,
-/// remote shards) can build and consume snapshots; treat the values as
+/// tracing wrappers) can build and consume snapshots; treat the values as
 /// opaque — they are pure functions of their keys. Cloning is cheap: the
 /// values are `Arc`-shared, so a clone copies pointers, not payloads.
 #[derive(Clone, Debug, Default)]
@@ -562,12 +563,11 @@ impl CacheBackend for InMemoryCache {
         let mut stats = AbsorbStats::default();
         // Unlike a store, a merge never clears: incoming entries are added
         // until the capacity bound, and only the overflow is dropped (counted
-        // as one eviction per map) — two full shards must not annihilate each
-        // other. Which overflow entries are kept is not specified; entries
-        // are pure, so lookups stay correct either way. A key the backend
-        // already holds keeps its resident entry (interchangeable values) and
-        // counts as a duplicate — the signal shard-exchange efficiency is
-        // judged by.
+        // as one eviction per map) — two full sessions must not annihilate
+        // each other. Which overflow entries are kept is not specified;
+        // entries are pure, so lookups stay correct either way. A key the
+        // backend already holds keeps its resident entry (interchangeable
+        // values) and counts as a duplicate.
         macro_rules! merge_map {
             ($field:ident, $cap:expr) => {{
                 let mut dropped = false;
@@ -818,20 +818,20 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent_for_identical_pure_entries() {
-        let shard_a = InMemoryCache::new();
-        let shard_b = InMemoryCache::new();
+        let part_a = InMemoryCache::new();
+        let part_b = InMemoryCache::new();
         for tag in 0..8u64 {
-            shard_a.store_context(context_key(tag), sample_context());
+            part_a.store_context(context_key(tag), sample_context());
         }
         for tag in 4..12u64 {
-            shard_b.store_context(context_key(tag), sample_context());
+            part_b.store_context(context_key(tag), sample_context());
         }
         let ab = InMemoryCache::new();
-        ab.absorb(shard_a.export());
-        ab.absorb(shard_b.export());
+        ab.absorb(part_a.export());
+        ab.absorb(part_b.export());
         let ba = InMemoryCache::new();
-        ba.absorb(shard_b.export());
-        ba.absorb(shard_a.export());
+        ba.absorb(part_b.export());
+        ba.absorb(part_a.export());
         assert_eq!(ab.stats().contexts, 12);
         assert_eq!(ba.stats().contexts, 12);
         for tag in 0..12u64 {
@@ -867,7 +867,7 @@ mod tests {
 
     #[test]
     fn an_overflowing_merge_keeps_the_map_full_instead_of_clearing_it() {
-        // Two shards that together exceed the capacity bound: the merge must
+        // Two caches that together exceed the capacity bound: the merge must
         // retain a full map (existing entries plus incoming ones up to the
         // cap), never wipe the combined work.
         let target = InMemoryCache::new();

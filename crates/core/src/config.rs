@@ -113,9 +113,8 @@ impl EngineConfig {
     }
 
     /// The incremental engine with schedule *repair* disabled: every
-    /// schedule-memo miss pays a full hierarchical reschedule, exactly the
-    /// PR 4 delta evaluator. This is the oracle the repaired path is
-    /// differentially tested (and benchmarked) against.
+    /// schedule-memo miss pays a full hierarchical reschedule. This is the
+    /// oracle the repaired path is differentially tested against.
     pub fn full_reschedule() -> Self {
         Self {
             schedule_repair: false,
@@ -155,10 +154,10 @@ impl EngineConfig {
     }
 
     /// Returns a copy pinned to `threads` ranking workers (`0` = one per
-    /// available CPU). Shard workers use this to divide the machine between
-    /// processes — N shards each ranking on every CPU would oversubscribe
-    /// the cores. Ranking is deterministic under any thread count, so the
-    /// pin changes wall-clock, never results.
+    /// available CPU). `fig13bench` pins ranking to one thread so its
+    /// steady workloads measure the flow without rank fan-out. Ranking is
+    /// deterministic under any thread count, so the pin changes wall-clock,
+    /// never results.
     pub fn with_ranking_threads(mut self, threads: usize) -> Self {
         self.ranking_threads = threads;
         self

@@ -1741,10 +1741,10 @@ mod tests {
     #[test]
     fn merged_shard_sessions_answer_like_a_shared_one() {
         let (cdfg, trace, config) = gcd_setup(2.0);
-        let shard_a = SweepSession::new();
-        let shard_b = SweepSession::new();
-        let eval_a = Evaluator::with_session(&cdfg, &trace, config.clone(), &shard_a).unwrap();
-        let eval_b = Evaluator::with_session(&cdfg, &trace, config.clone(), &shard_b).unwrap();
+        let part_a = SweepSession::new();
+        let part_b = SweepSession::new();
+        let eval_a = Evaluator::with_session(&cdfg, &trace, config.clone(), &part_a).unwrap();
+        let eval_b = Evaluator::with_session(&cdfg, &trace, config.clone(), &part_b).unwrap();
         let design_a = RtlDesign::initial_parallel(&cdfg, eval_a.library());
         let mut design_b = design_a.clone();
         let adders = design_b.units_of_class(impact_cdfg::OpClass::AddSub);
@@ -1753,8 +1753,8 @@ mod tests {
         let point_b = eval_b.evaluate(&design_b).unwrap();
 
         let merged = SweepSession::new();
-        merged.merge_from(&shard_a);
-        merged.merge_from(&shard_b);
+        merged.merge_from(&part_a);
+        merged.merge_from(&part_b);
         let eval_m = Evaluator::with_session(&cdfg, &trace, config, &merged).unwrap();
         let hits_before = merged.stats().hits;
         assert_eq!(eval_m.evaluate(&design_a).unwrap(), point_a);

@@ -33,12 +33,10 @@
 //!
 //! All strategies run over the same [`Evaluator`] and therefore share one
 //! [`SweepSession`](crate::SweepSession) cache: exploring more of the move
-//! space amortizes the way sweeps and shard fleets already amortize
-//! evaluation.
+//! space amortizes the way laxity sweeps already amortize evaluation.
 
 use impact_cdfg::analysis::ExclusionInfo;
 use impact_cdfg::Cdfg;
-use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use impact_rtl::{DesignDelta, RtlDesign};
 use rand::prelude::*;
 
@@ -109,8 +107,7 @@ pub const DEFAULT_RESTART_SEED: u64 = 1998;
 
 /// Which search strategy the engine runs — the policy knob of
 /// [`EngineConfig`](crate::EngineConfig). `Copy`/`Eq` like the rest of the
-/// engine configuration, and wire-encodable so shard fleets can carry a
-/// strategy per job.
+/// engine configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExplorerKind {
     /// The paper's greedy variable-depth descent (the oracle).
@@ -209,57 +206,6 @@ impl ExplorerKind {
                 seed,
             }),
             ExplorerKind::Pareto => Box::new(ParetoSweep),
-        }
-    }
-}
-
-/// Version tag of [`ExplorerKind`]'s wire layout (shard job protocol).
-const TAG_EXPLORER_KIND: u8 = 0x5E;
-
-const KIND_GREEDY: u8 = 0;
-const KIND_BEAM: u8 = 1;
-const KIND_RESTART: u8 = 2;
-const KIND_PARETO: u8 = 3;
-
-impl Encode for ExplorerKind {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_EXPLORER_KIND);
-        match self {
-            ExplorerKind::Greedy => w.put_u8(KIND_GREEDY),
-            ExplorerKind::Beam { width } => {
-                w.put_u8(KIND_BEAM);
-                w.put_usize(*width);
-            }
-            ExplorerKind::Restart {
-                restarts,
-                kicks,
-                seed,
-            } => {
-                w.put_u8(KIND_RESTART);
-                w.put_usize(*restarts);
-                w.put_usize(*kicks);
-                w.put_u64(*seed);
-            }
-            ExplorerKind::Pareto => w.put_u8(KIND_PARETO),
-        }
-    }
-}
-
-impl Decode for ExplorerKind {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_EXPLORER_KIND)?;
-        match r.take_u8()? {
-            KIND_GREEDY => Ok(ExplorerKind::Greedy),
-            KIND_BEAM => Ok(ExplorerKind::Beam {
-                width: r.take_usize()?,
-            }),
-            KIND_RESTART => Ok(ExplorerKind::Restart {
-                restarts: r.take_usize()?,
-                kicks: r.take_usize()?,
-                seed: r.take_u64()?,
-            }),
-            KIND_PARETO => Ok(ExplorerKind::Pareto),
-            _ => Err(DecodeError::Invalid("unknown explorer kind")),
         }
     }
 }
@@ -1061,7 +1007,6 @@ pub fn pareto_front(mut points: Vec<DesignPoint>) -> (Vec<DesignPoint>, u64) {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use impact_codec::{decode_from_slice, encode_to_vec};
 
     #[test]
     fn explorer_kind_parses_cli_spellings() {
@@ -1096,21 +1041,6 @@ mod tests {
         assert_eq!(ExplorerKind::parse("beam:x"), None);
         assert_eq!(ExplorerKind::parse("annealing"), None);
         assert_eq!(ExplorerKind::parse("greedy:1"), None);
-    }
-
-    #[test]
-    fn explorer_kind_round_trips_through_the_codec() {
-        for kind in ExplorerKind::all() {
-            let decoded: ExplorerKind = decode_from_slice(&encode_to_vec(&kind)).unwrap();
-            assert_eq!(decoded, kind);
-        }
-        let custom = ExplorerKind::Restart {
-            restarts: 9,
-            kicks: 4,
-            seed: 0xDEAD_BEEF,
-        };
-        let decoded: ExplorerKind = decode_from_slice(&encode_to_vec(&custom)).unwrap();
-        assert_eq!(decoded, custom);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! Every key embeds the [`WorkloadId`] of the `(CDFG, trace, technology)`
 //! combination it was computed under, so one shared
 //! [`SweepSession`](crate::SweepSession) can serve jobs over *different*
-//! benchmarks without id collisions, and independently populated shard caches
-//! merge without ambiguity.
+//! benchmarks without id collisions, and independently populated caches
+//! (snapshot loads, `merge_from`) merge without ambiguity.
 
 use impact_cdfg::VarId;
 use impact_rtl::{DesignFingerprint, FingerprintHasher, FuId, MuxSite, RtlDesign, SignalKey};

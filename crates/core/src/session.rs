@@ -10,9 +10,10 @@
 //!
 //! Sessions are `Arc`-shared handles: cloning a session clones the handle,
 //! not the store, so scoped worker threads can synthesize concurrently
-//! against one cache. Independently populated sessions (e.g. shards of a
-//! distributed candidate search) combine with [`SweepSession::merge_from`],
-//! which is deterministic because every cache entry is a pure function of its
+//! against one cache. Independently populated sessions (e.g. two halves of
+//! a sweep, or a session and a snapshot loaded from disk) combine with
+//! [`SweepSession::merge_from`] and [`SweepSession::load_snapshot`], which
+//! are deterministic because every cache entry is a pure function of its
 //! key.
 //!
 //! ```
@@ -77,7 +78,8 @@ impl SweepSession {
     }
 
     /// Merges every entry of `other` into this session and returns the merge
-    /// counters (new entries absorbed vs duplicate-skipped). Deterministic:
+    /// counters (new entries absorbed vs duplicate-skipped), through the same
+    /// `absorb` path snapshot loads use. Deterministic:
     /// cache entries are pure functions of their keys, so overlapping keys
     /// carry interchangeable values and merge order cannot influence later
     /// lookups. `other` keeps its entries; traffic counters are not
@@ -93,8 +95,8 @@ impl SweepSession {
     }
 
     /// Verifies snapshot bytes under `scope` and merges the entries into the
-    /// session (through the same deterministic `absorb` path shard merges
-    /// use). Returns the merge counters.
+    /// session (through the same deterministic `absorb` path
+    /// [`merge_from`](Self::merge_from) uses). Returns the merge counters.
     ///
     /// # Errors
     ///

@@ -30,8 +30,9 @@
 //! byte, any single bit flip anywhere in a snapshot is detected.
 //!
 //! Loads merge through [`CacheBackend::absorb`], the same deterministic path
-//! shard merges use, so a warm-started session is bit-identical to a cold one
-//! — it just skips the recomputation.
+//! [`SweepSession::merge_from`](crate::SweepSession::merge_from) uses, so a
+//! warm-started session is bit-identical to a cold one — it just skips the
+//! recomputation.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;

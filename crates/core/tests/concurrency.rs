@@ -2,9 +2,9 @@
 
 //! Concurrency and algebra of the shared cache merge path: `export` racing
 //! `absorb` on one [`InMemoryCache`] never observes a torn snapshot, and
-//! `absorb` is idempotent and order-independent — the properties the
-//! sharded search relies on when worker deltas arrive in arbitrary order
-//! and possibly more than once.
+//! `absorb` is idempotent and order-independent — the properties snapshot
+//! loads and `SweepSession::merge_from` rely on when the same entries arrive
+//! in arbitrary order and possibly more than once.
 
 use std::sync::OnceLock;
 

@@ -10,7 +10,7 @@
 //! evaluate the same behavior on the same inputs.
 //!
 //! The digest is stable across processes (no random hasher state), which is
-//! what makes independently populated shard caches mergeable: the same
+//! what lets a snapshot written by one process warm-start another: the same
 //! `(workload, resource)` pair hashes to the same key everywhere.
 
 use impact_behsim::ExecutionTrace;

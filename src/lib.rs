@@ -36,8 +36,6 @@
 //! * [`trace`] — trace manipulation and switching statistics,
 //! * [`power`] — the RT-level power estimator and Vdd scaling,
 //! * [`core`] — the IMPACT iterative-improvement synthesis engine,
-//! * [`shard`] — sharded multi-process search (snapshot exchange, work
-//!   stealing, bit-identical merge),
 //! * [`benchmarks`] — the six paper benchmarks and their input generators.
 
 pub use impact_behsim as behsim;
@@ -49,7 +47,6 @@ pub use impact_modlib as modlib;
 pub use impact_power as power;
 pub use impact_rtl as rtl;
 pub use impact_sched as sched;
-pub use impact_shard as shard;
 pub use impact_stg as stg;
 pub use impact_trace as trace;
 
