@@ -565,6 +565,23 @@ pub fn search_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impact_core::EngineConfig;
+
+    /// Runs gcd's Figure 13 jobs at laxities 1.0 and 2.0 (8 passes, effort
+    /// (1, 2)) under `engine`, cold or over one fresh shared session.
+    fn gcd_sweep(engine: EngineConfig, shared: bool) -> (Vec<JobResult>, Option<SweepSession>) {
+        let (cdfg, trace) = prepare(&impact_benchmarks::gcd(), 8, DEFAULT_SEED);
+        let jobs: Vec<SweepJob<'_>> = figure13_jobs(&cdfg, &trace, &[1.0, 2.0], (1, 2))
+            .into_iter()
+            .map(|mut job| {
+                job.config = job.config.with_engine(engine);
+                job
+            })
+            .collect();
+        let session = shared.then(SweepSession::new);
+        let results = run_batch(&jobs, session.as_ref(), 1);
+        (results, session)
+    }
 
     #[test]
     fn laxity_grids_span_one_to_three() {
@@ -574,6 +591,66 @@ mod tests {
         assert!((paper[10] - 3.0).abs() < 1e-12);
         let quick = quick_laxities();
         assert_eq!(quick.len(), 5);
+    }
+
+    #[test]
+    fn engine_comparison_reports_identical_results_and_counts_cache_traffic() {
+        // The brute-force sequential engine and the cold incremental engine
+        // agree bit-for-bit, and each incremental run's private cache is used.
+        let (sequential, _) = gcd_sweep(EngineConfig::sequential(), false);
+        let (incremental, _) = gcd_sweep(EngineConfig::incremental(), false);
+        assert!(
+            batches_identical(&sequential, &incremental),
+            "engines must agree bit-for-bit"
+        );
+        for result in &incremental {
+            let cache = result.outcome.cache_stats;
+            assert!(cache.hits + cache.misses > 0, "{}", result.label);
+            assert!(cache.hit_rate() > 0.0, "{}: {cache:?}", result.label);
+        }
+    }
+
+    #[test]
+    fn delta_comparison_reports_identical_results_across_generations() {
+        // Full rebuild cold and over a shared session, and the delta-patched
+        // incremental engine over a shared session, agree bit-for-bit.
+        let (cold, _) = gcd_sweep(EngineConfig::full_rebuild(), false);
+        let (shared, _) = gcd_sweep(EngineConfig::full_rebuild(), true);
+        let (delta, session) = gcd_sweep(EngineConfig::incremental(), true);
+        assert!(
+            batches_identical(&cold, &shared) && batches_identical(&cold, &delta),
+            "all three evaluator generations must agree"
+        );
+        // The delta sweep exercised the schedule-memo layer, and the summary
+        // line renders every layer.
+        let stats = session
+            .expect("the delta sweep runs with a session")
+            .stats();
+        assert!(stats.schedule.hits + stats.schedule.misses > 0);
+        let line = format_layer_stats(&stats);
+        for name in ["stats", "context", "schedule", "point", "scaled"] {
+            assert!(line.contains(name), "{line} must mention {name}");
+        }
+    }
+
+    #[test]
+    fn repair_comparison_reports_identical_results_across_generations() {
+        // Full rebuild cold, whole-CDFG rescheduling over a shared session,
+        // and block-granular repair over a shared session agree bit-for-bit.
+        let (cold, _) = gcd_sweep(EngineConfig::full_rebuild(), false);
+        let (memoized, _) = gcd_sweep(EngineConfig::full_reschedule(), true);
+        let (repaired, session) = gcd_sweep(EngineConfig::incremental(), true);
+        assert!(
+            batches_identical(&cold, &memoized) && batches_identical(&cold, &repaired),
+            "all three evaluator generations must agree"
+        );
+        // The repaired sweep exercised the block layer, and the summary line
+        // renders it.
+        let stats = session
+            .expect("the repaired sweep runs with a session")
+            .stats();
+        assert!(stats.block.hits + stats.block.misses > 0);
+        assert!(format_layer_stats(&stats).contains("block"));
     }
 
     #[test]
