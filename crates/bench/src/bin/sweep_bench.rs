@@ -143,8 +143,8 @@ fn main() {
     write_report(&out_path, &json);
 
     println!(
-        "headline: a warm rerun from a snapshot (save and load excluded) is at least {:.2}x \
-         faster than cold, across {} designs",
+        "headline: a warm start from a snapshot (load and rerun; the save is excluded) is at \
+         least {:.2}x as fast as a cold sweep, across {} designs",
         min_metric(&warm_results, WarmStartComparison::speedup),
         warm_results.len()
     );

@@ -366,10 +366,13 @@ pub struct WarmStartComparison {
 }
 
 impl WarmStartComparison {
-    /// Cold over warm wall-clock.
+    /// Cold sweep over warm start wall-clock, where the warm start is the
+    /// snapshot load plus the rerun (the save is the cold run's to pay).
+    /// Below 1 a warm start loses to recomputing.
     pub fn speedup(&self) -> f64 {
-        if self.warm_ms > 0.0 {
-            self.cold_ms / self.warm_ms
+        let warm_start_ms = self.load_ms + self.warm_ms;
+        if warm_start_ms > 0.0 {
+            self.cold_ms / warm_start_ms
         } else {
             0.0
         }

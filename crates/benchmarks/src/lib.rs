@@ -5,11 +5,11 @@
 //! | Benchmark | Character | Paper source |
 //! |---|---|---|
 //! | [`loops`] | nested/concurrent loops and a conditional (Figure 1) | the paper's own example |
-//! | [`gcd`] | classic loop-and-branch Euclid GCD | HLSynth'95 repository [22] |
-//! | [`x25_send`] | send process of the X.25 protocol (structure-equivalent) | [9] |
-//! | [`dealer`] | Blackjack dealer decision process (structure-equivalent) | [10] |
-//! | [`cordic`] | iterative coordinate rotation | [2] |
-//! | [`paulin`] | differential-equation solver (data-dominated) | [23] |
+//! | [`gcd`] | classic loop-and-branch Euclid GCD | HLSynth'95 repository \[22\] |
+//! | [`x25_send`] | send process of the X.25 protocol (structure-equivalent) | \[9\] |
+//! | [`dealer`] | Blackjack dealer decision process (structure-equivalent) | \[10\] |
+//! | [`cordic`] | iterative coordinate rotation | \[2\] |
+//! | [`paulin`] | differential-equation solver (data-dominated) | \[23\] |
 //!
 //! The exact X.25 and Dealer sources of [9, 10] are not publicly available;
 //! the versions here preserve their control structure (nested loops around

@@ -144,7 +144,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`] (subset of `proptest::collection::SizeRange`).
+    /// Length bounds for [`vec()`] (subset of `proptest::collection::SizeRange`).
     pub struct SizeRange {
         lo: usize,
         hi_inclusive: usize,
@@ -179,7 +179,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -45,9 +45,8 @@ pub struct EngineConfig {
     /// Memoize evaluated design points, per-design contexts and trace
     /// statistics by structural fingerprint.
     pub cache: bool,
-    /// Rank candidate moves on scoped worker threads.
-    pub parallel_ranking: bool,
-    /// Worker threads used for ranking; `0` means one per available CPU.
+    /// Worker threads that rank candidate moves; `0` means one per
+    /// available CPU, `1` ranks on the calling thread.
     pub ranking_threads: usize,
     /// Cost candidates through their move's [`DesignDelta`]: the candidate's
     /// fingerprint is patched from the parent's and its evaluation context is
@@ -89,7 +88,6 @@ impl EngineConfig {
     pub fn incremental() -> Self {
         Self {
             cache: true,
-            parallel_ranking: true,
             ranking_threads: 0,
             delta_patching: true,
             schedule_memo: true,
@@ -127,8 +125,7 @@ impl EngineConfig {
     pub fn sequential() -> Self {
         Self {
             cache: false,
-            parallel_ranking: false,
-            ranking_threads: 0,
+            ranking_threads: 1,
             delta_patching: false,
             schedule_memo: false,
             schedule_repair: false,
@@ -323,7 +320,7 @@ mod tests {
     #[test]
     fn engine_presets_and_builder() {
         assert!(EngineConfig::default().cache);
-        assert!(EngineConfig::default().parallel_ranking);
+        assert_eq!(EngineConfig::default().ranking_threads, 0);
         assert!(EngineConfig::default().delta_patching);
         assert!(EngineConfig::default().schedule_memo);
         assert!(EngineConfig::default().schedule_repair);
@@ -334,7 +331,7 @@ mod tests {
         assert!(resched.cache && resched.delta_patching && resched.schedule_memo);
         assert!(!resched.schedule_repair);
         let seq = EngineConfig::sequential();
-        assert!(!seq.cache && !seq.parallel_ranking);
+        assert!(!seq.cache && seq.ranking_threads == 1);
         assert!(!seq.delta_patching && !seq.schedule_memo && !seq.schedule_repair);
         assert_eq!(seq.explorer, ExplorerKind::Greedy);
         let beam = EngineConfig::incremental().with_explorer(ExplorerKind::Beam { width: 3 });

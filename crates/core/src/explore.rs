@@ -472,9 +472,6 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
     /// Worker-thread count for one ranking stage.
     fn ranking_threads(&self, candidate_count: usize) -> usize {
         let engine = &self.config().engine;
-        if !engine.parallel_ranking {
-            return 1;
-        }
         let available = if engine.ranking_threads > 0 {
             engine.ranking_threads
         } else {

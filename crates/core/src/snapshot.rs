@@ -14,7 +14,7 @@
 //! workload digest (u128)                16 bytes   digest over the sorted
 //!                                                  distinct WorkloadIds
 //! section count (u32, = 8)               4 bytes
-//! 8 × section:
+//! 8 × section, one per cache layer in the order of the `cache_layers!` table:
 //!   tag (u8) | payload length (u64) | payload digest (u128) | payload
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
@@ -42,12 +42,16 @@ use std::fs;
 use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use impact_codec::{Decode, Decoder, Encode, Encoder};
 use impact_rtl::FingerprintHasher;
+use impact_sched::{BlockSchedule, SchedulingResult};
+use impact_trace::{FuStats, RegStats};
 
 use crate::cache::{
-    AbsorbStats, CacheBackend, CacheSnapshot, CacheStats, DesignContext, InMemoryCache, MuxEntry,
+    cache_layers, AbsorbStats, CacheBackend, CacheSnapshot, CacheStats, DesignContext,
+    InMemoryCache, MuxEntry,
 };
 use crate::evaluate::DesignPoint;
 use crate::fingerprint::{
@@ -61,19 +65,6 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
 pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// Number of sections (one per cache layer).
-const SECTION_COUNT: u32 = 8;
-
-/// Section tags, in file order.
-const SEC_POINTS: u8 = 1;
-const SEC_SCALED: u8 = 2;
-const SEC_CONTEXTS: u8 = 3;
-const SEC_SCHEDULES: u8 = 4;
-const SEC_BLOCKS: u8 = 5;
-const SEC_FU_STATS: u8 = 6;
-const SEC_REG_STATS: u8 = 7;
-const SEC_MUX_STATS: u8 = 8;
 
 /// Why a snapshot was rejected at load time. Every class degrades to a cache
 /// miss; the distinction only feeds the [`SnapshotStats`] counters and
@@ -208,25 +199,6 @@ fn workload_digest(workloads: &BTreeSet<u128>) -> u128 {
     h.finish().as_u128()
 }
 
-/// The sorted distinct workload ids across every entry of a snapshot.
-fn snapshot_workloads(snapshot: &CacheSnapshot) -> BTreeSet<u128> {
-    let mut workloads = BTreeSet::new();
-    workloads.extend(snapshot.points.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(snapshot.scaled.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(snapshot.contexts.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(snapshot.schedules.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(
-        snapshot
-            .block_schedules
-            .keys()
-            .map(|k| k.workload.as_u128()),
-    );
-    workloads.extend(snapshot.fu_stats.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(snapshot.reg_stats.keys().map(|k| k.workload.as_u128()));
-    workloads.extend(snapshot.mux_stats.keys().map(|k| k.workload.as_u128()));
-    workloads
-}
-
 fn encode_section<K, V>(out: &mut Encoder, tag: u8, map: &HashMap<K, V>)
 where
     K: Encode + Ord,
@@ -281,20 +253,43 @@ where
     Ok(map)
 }
 
+/// Row callback of `cache_layers!`: the snapshot's workload scan and its
+/// sections, one per layer under the row's tag, in row order.
+macro_rules! snapshot_sections {
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {
+        impl CacheSnapshot {
+            /// The sorted distinct workload ids across every entry.
+            fn workloads(&self) -> BTreeSet<u128> {
+                let mut workloads = BTreeSet::new();
+                $(workloads.extend(self.$field.keys().map(|k| k.workload.as_u128()));)*
+                workloads
+            }
+
+            /// Writes the section count, then every section.
+            fn encode_sections(&self, out: &mut Encoder) {
+                out.put_u32([$($tag),*].len() as u32);
+                $(encode_section(out, $tag, &self.$field);)*
+            }
+
+            /// Reads what [`Self::encode_sections`] wrote.
+            fn decode_sections(r: &mut Decoder<'_>) -> Result<Self, SnapshotRejection> {
+                let sections = r.take_u32().map_err(|_| SnapshotRejection::Truncated)?;
+                if sections as usize != [$($tag),*].len() {
+                    return Err(SnapshotRejection::Version);
+                }
+                Ok(Self { $($field: decode_section(r, $tag)?,)* })
+            }
+        }
+    };
+}
+cache_layers!(snapshot_sections);
+
 /// Serializes a [`CacheSnapshot`] into the versioned wire format.
 /// Deterministic: equal snapshot contents always produce identical bytes.
 pub fn encode_snapshot(snapshot: &CacheSnapshot) -> Vec<u8> {
     let mut sections = Encoder::new();
-    sections.put_u128(workload_digest(&snapshot_workloads(snapshot)));
-    sections.put_u32(SECTION_COUNT);
-    encode_section(&mut sections, SEC_POINTS, &snapshot.points);
-    encode_section(&mut sections, SEC_SCALED, &snapshot.scaled);
-    encode_section(&mut sections, SEC_CONTEXTS, &snapshot.contexts);
-    encode_section(&mut sections, SEC_SCHEDULES, &snapshot.schedules);
-    encode_section(&mut sections, SEC_BLOCKS, &snapshot.block_schedules);
-    encode_section(&mut sections, SEC_FU_STATS, &snapshot.fu_stats);
-    encode_section(&mut sections, SEC_REG_STATS, &snapshot.reg_stats);
-    encode_section(&mut sections, SEC_MUX_STATS, &snapshot.mux_stats);
+    sections.put_u128(workload_digest(&snapshot.workloads()));
+    snapshot.encode_sections(&mut sections);
     let mut out = Encoder::new();
     out.put_raw(&SNAPSHOT_MAGIC);
     out.put_u32(SNAPSHOT_VERSION);
@@ -347,31 +342,13 @@ pub fn decode_snapshot(
         return Err(SnapshotRejection::Digest);
     }
     let header_workloads = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
-    let sections = r.take_u32().map_err(|_| SnapshotRejection::Truncated)?;
-    if sections != SECTION_COUNT {
-        return Err(SnapshotRejection::Version);
-    }
-    let snapshot = CacheSnapshot {
-        points: decode_section::<PointKey, _>(&mut r, SEC_POINTS)?,
-        scaled: decode_section::<ScaledKey, Option<std::sync::Arc<DesignPoint>>>(
-            &mut r, SEC_SCALED,
-        )?,
-        contexts: decode_section::<ContextKey, std::sync::Arc<DesignContext>>(
-            &mut r,
-            SEC_CONTEXTS,
-        )?,
-        schedules: decode_section::<ScheduleKey, _>(&mut r, SEC_SCHEDULES)?,
-        block_schedules: decode_section::<BlockKey, _>(&mut r, SEC_BLOCKS)?,
-        fu_stats: decode_section::<FuStatsKey, _>(&mut r, SEC_FU_STATS)?,
-        reg_stats: decode_section::<RegStatsKey, _>(&mut r, SEC_REG_STATS)?,
-        mux_stats: decode_section::<MuxStatsKey, MuxEntry>(&mut r, SEC_MUX_STATS)?,
-    };
+    let snapshot = CacheSnapshot::decode_sections(&mut r)?;
     if !r.is_empty() {
         return Err(SnapshotRejection::Version);
     }
     // The header's workload digest must agree with the decoded keys, and the
     // decoded workloads must fit the requested scope.
-    let workloads = snapshot_workloads(&snapshot);
+    let workloads = snapshot.workloads();
     if workload_digest(&workloads) != header_workloads {
         return Err(SnapshotRejection::Digest);
     }
@@ -418,7 +395,6 @@ pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub struct DiskCache {
     inner: InMemoryCache,
     path: PathBuf,
-    scope: SnapshotScope,
 }
 
 impl DiskCache {
@@ -434,11 +410,10 @@ impl DiskCache {
         let cache = Self {
             inner: InMemoryCache::new(),
             path: path.into(),
-            scope,
         };
         match fs::read(&cache.path) {
             Ok(bytes) => {
-                let _ = cache.inner.load_snapshot(&bytes, cache.scope);
+                let _ = cache.inner.load_snapshot(&bytes, scope);
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
@@ -455,74 +430,25 @@ impl DiskCache {
     pub fn flush(&self) -> io::Result<()> {
         write_snapshot_bytes(&self.path, &self.inner.save_snapshot())
     }
+}
 
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
+/// Row callback of `cache_layers!`: lookup and store methods that forward to
+/// the wrapped [`InMemoryCache`].
+macro_rules! forward_to_inner {
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {$(
+        fn $lookup(&self, key: &$key) -> Option<$value> {
+            self.inner.$lookup(key)
+        }
 
-    /// The workload scope loads are verified against.
-    pub fn scope(&self) -> SnapshotScope {
-        self.scope
-    }
+        fn $store(&self, key: $key, value: $value) {
+            self.inner.$store(key, value);
+        }
+    )*};
 }
 
 impl CacheBackend for DiskCache {
-    fn lookup_point(&self, key: &PointKey) -> Option<std::sync::Arc<DesignPoint>> {
-        self.inner.lookup_point(key)
-    }
-    fn store_point(&self, key: PointKey, value: std::sync::Arc<DesignPoint>) {
-        self.inner.store_point(key, value);
-    }
-    fn lookup_scaled(&self, key: &ScaledKey) -> Option<Option<std::sync::Arc<DesignPoint>>> {
-        self.inner.lookup_scaled(key)
-    }
-    fn store_scaled(&self, key: ScaledKey, value: Option<std::sync::Arc<DesignPoint>>) {
-        self.inner.store_scaled(key, value);
-    }
-    fn lookup_context(&self, key: &ContextKey) -> Option<std::sync::Arc<DesignContext>> {
-        self.inner.lookup_context(key)
-    }
-    fn store_context(&self, key: ContextKey, value: std::sync::Arc<DesignContext>) {
-        self.inner.store_context(key, value);
-    }
-    fn lookup_schedule(
-        &self,
-        key: &ScheduleKey,
-    ) -> Option<std::sync::Arc<impact_sched::SchedulingResult>> {
-        self.inner.lookup_schedule(key)
-    }
-    fn store_schedule(
-        &self,
-        key: ScheduleKey,
-        value: std::sync::Arc<impact_sched::SchedulingResult>,
-    ) {
-        self.inner.store_schedule(key, value);
-    }
-    fn lookup_block(&self, key: &BlockKey) -> Option<std::sync::Arc<impact_sched::BlockSchedule>> {
-        self.inner.lookup_block(key)
-    }
-    fn store_block(&self, key: BlockKey, value: std::sync::Arc<impact_sched::BlockSchedule>) {
-        self.inner.store_block(key, value);
-    }
-    fn lookup_fu(&self, key: &FuStatsKey) -> Option<impact_trace::FuStats> {
-        self.inner.lookup_fu(key)
-    }
-    fn store_fu(&self, key: FuStatsKey, value: impact_trace::FuStats) {
-        self.inner.store_fu(key, value);
-    }
-    fn lookup_reg(&self, key: &RegStatsKey) -> Option<impact_trace::RegStats> {
-        self.inner.lookup_reg(key)
-    }
-    fn store_reg(&self, key: RegStatsKey, value: impact_trace::RegStats) {
-        self.inner.store_reg(key, value);
-    }
-    fn lookup_mux(&self, key: &MuxStatsKey) -> Option<MuxEntry> {
-        self.inner.lookup_mux(key)
-    }
-    fn store_mux(&self, key: MuxStatsKey, value: MuxEntry) {
-        self.inner.store_mux(key, value);
-    }
+    cache_layers!(forward_to_inner);
+
     fn stats(&self) -> CacheStats {
         self.inner.stats()
     }

@@ -1,6 +1,6 @@
 //! RT-level power and area estimation.
 //!
-//! This crate stands in for the RT-level estimator of [19] the paper plugs
+//! This crate stands in for the RT-level estimator of \[19\] the paper plugs
 //! its trace statistics into: average power is computed per RT-level unit
 //! from effective switched capacitance, supply voltage, switching activity
 //! and activation counts, and reported as a [`PowerBreakdown`] over

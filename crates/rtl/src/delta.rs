@@ -46,8 +46,11 @@ pub struct RegSlotChange {
     pub after: Option<Register>,
 }
 
-/// The exact change-set of one design mutation. See the [module
-/// documentation](self) for the three roles a delta plays.
+/// The exact change-set of one design mutation. It is a transaction log
+/// ([`RtlDesign::apply_delta`](crate::RtlDesign::apply_delta) and
+/// [`RtlDesign::revert_delta`](crate::RtlDesign::revert_delta)), the set of
+/// components a move touched, and a fingerprint patch
+/// ([`DesignDelta::patched_fingerprint`]).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct DesignDelta {
     /// Length of the functional-unit slot vector before the move (splits

@@ -8,7 +8,7 @@
 //!   the conventional CFG schedulers the paper compares against ([9, 17]):
 //!   no operation chaining, loops execute strictly sequentially, every loop
 //!   iteration re-evaluates its header in its own state.
-//! * [`WaveScheduler`] — the Wavesched-style scheduler IMPACT uses ([18]):
+//! * [`WaveScheduler`] — the Wavesched-style scheduler IMPACT uses (\[18\]):
 //!   operation chaining within the clock period, **concurrent loop
 //!   optimization** (independent sibling loops are scheduled together), and
 //!   **implicit loop unrolling** (the next iteration's header overlaps the
