@@ -547,7 +547,6 @@ impl CacheBackend for InMemoryCache {
     fn absorb(&self, snapshot: CacheSnapshot) -> AbsorbStats {
         let mut inner = self.lock();
         let mut stats = AbsorbStats::default();
-        // A merge counts one eviction per map that dropped overflow.
         let evictions = inner.maps.merge(snapshot, &mut stats);
         inner.evictions += evictions;
         inner.merge.accumulate(stats);
