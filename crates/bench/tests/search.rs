@@ -1,11 +1,11 @@
 //! Static audits of the search-policy layer, under the `verify` feature the
 //! bench crate turns on:
 //!
-//! - every member of a `ParetoSweep` front individually passes the
-//!   `impact_verify` design/schedule rules (not just the returned best),
-//! - `RestartExplorer`'s kick-and-revert machinery leaves a shared session
-//!   coherent: the run passes [`VerifyLevel::Full`]'s inline session audit,
-//!   and the session re-audits clean as data afterwards.
+//! - every member of an `ExplorerKind::Pareto` front individually passes
+//!   the `impact_verify` design/schedule rules (not just the returned best),
+//! - `ExplorerKind::Restart`'s kick-and-revert machinery leaves a shared
+//!   session coherent: the run passes [`VerifyLevel::Full`]'s inline session
+//!   audit, and the session re-audits clean as data afterwards.
 
 #![allow(clippy::unwrap_used)]
 

@@ -1,12 +1,12 @@
 //! Equivalence guarantees of the engine and its sweep-session cache layer:
 //! every engine configuration reproduces the brute-force sequential engine on
-//! every example design, and a Figure 13 sweep over one shared session (and
+//! every benchmark design, and a Figure 13 sweep over one shared session (and
 //! over merged, independently populated sessions) is bit-identical to
 //! independent cold runs, under any worker count.
 
 use impact_bench::{
-    assemble_fig13, batches_identical, example_designs, figure13_jobs, format_layer_stats,
-    paper_laxities, prepare, run_batch, SweepJob, DEFAULT_SEED,
+    assemble_fig13, batches_identical, figure13_jobs, format_layer_stats, paper_laxities, prepare,
+    run_batch, SweepJob, DEFAULT_SEED,
 };
 use impact_core::{EngineConfig, SweepSession};
 use proptest::prelude::*;
@@ -17,7 +17,8 @@ const EFFORT: (usize, usize) = (2, 3);
 fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
     // The oracle ladder: the full-rebuild, full-reschedule and incremental
     // engines, cold and over a shared session, must all reproduce the
-    // brute-force sequential engine's sweep bit-for-bit.
+    // brute-force sequential engine's sweep bit-for-bit, on all six designs
+    // the benchmark's expected files cover.
     let laxities = [1.2, 2.4];
     let cases = [
         ("full_rebuild cold", EngineConfig::full_rebuild(), false),
@@ -30,7 +31,7 @@ fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
         ("incremental cold", EngineConfig::incremental(), false),
         ("incremental shared", EngineConfig::incremental(), true),
     ];
-    for bench in example_designs() {
+    for bench in impact_benchmarks::all_benchmarks() {
         let (cdfg, trace) = prepare(&bench, 6, DEFAULT_SEED);
         let jobs_with = |engine: EngineConfig| -> Vec<SweepJob<'_>> {
             figure13_jobs(&cdfg, &trace, &laxities, (1, 2))

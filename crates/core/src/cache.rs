@@ -18,9 +18,10 @@
 //! row names the layer's [`CacheSnapshot`] field, key and value types,
 //! [`CacheBackend`] lookup/store pair, capacity bound and snapshot section
 //! tag. The snapshot struct, its merge, the traffic counters, the in-memory
-//! store, the snapshot sections and [`DiskCache`](crate::DiskCache)'s
-//! forwarding are generated from the table. A new layer is one new row, plus
-//! its two methods in the hand-written [`CacheBackend`] trait.
+//! store, the snapshot sections, [`DiskCache`](crate::DiskCache)'s
+//! forwarding and the key-to-layer mapping the evaluator's memo helper uses
+//! are generated from the table. A new layer is one new row, plus its two
+//! methods in the hand-written [`CacheBackend`] trait.
 //!
 //! Storage lives behind the [`CacheBackend`] trait so sessions can swap the
 //! store: the in-process implementation is [`InMemoryCache`], an `Arc`-shared
@@ -485,6 +486,35 @@ impl InMemoryCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
+
+/// A key of one cache layer: picks that layer's [`CacheBackend`]
+/// lookup/store pair, so one memo helper serves every layer.
+pub(crate) trait LayerKey: Sized {
+    /// The layer's value type.
+    type Value: Clone;
+    /// Fetches the entry under this key.
+    fn lookup(&self, backend: &dyn CacheBackend) -> Option<Self::Value>;
+    /// Stores an entry under this key.
+    fn store(self, backend: &dyn CacheBackend, value: Self::Value);
+}
+
+/// Row callback of `cache_layers!`: one [`LayerKey`] impl per key type.
+macro_rules! layer_keys {
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {$(
+        impl LayerKey for $key {
+            type Value = $value;
+
+            fn lookup(&self, backend: &dyn CacheBackend) -> Option<$value> {
+                backend.$lookup(self)
+            }
+
+            fn store(self, backend: &dyn CacheBackend, value: $value) {
+                backend.$store(self, value);
+            }
+        }
+    )*};
+}
+cache_layers!(layer_keys);
 
 /// Row callback of `cache_layers!`: [`InMemoryCache`]'s lookup and store
 /// methods, counting traffic and evictions.

@@ -34,43 +34,51 @@ pub enum VerifyLevel {
     Full,
 }
 
-/// Tuning of the incremental evaluation engine: memoization and parallel
-/// candidate ranking. The default is the fully incremental engine; the
-/// sequential configuration reproduces the brute-force evaluation loop
-/// (every candidate rescheduled and re-profiled from scratch) and exists for
-/// benchmarking and differential testing — both configurations produce
+/// Which evaluation engine costs candidate designs. The kinds are ordered:
+/// each keeps everything the kind before it memoizes and adds one layer, and
+/// all four synthesize bit-identical results. The first three are the
+/// oracles the layer of the next kind is differentially tested against.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum EvaluatorKind {
+    /// The brute-force reference: no session, so every probe rebuilds its
+    /// context and reschedules from scratch. It writes `fig13bench`'s
+    /// expected files.
+    Sequential,
+    /// A session memoizes trace statistics, per-design contexts, design
+    /// points and supply-search outcomes by structural fingerprint, but
+    /// every candidate's fingerprint and context are rebuilt from the whole
+    /// design and every point miss pays a full reschedule.
+    FullRebuild,
+    /// Adds delta patching: a candidate's fingerprint and context are
+    /// patched from its parent's through the move's [`DesignDelta`], and
+    /// whole schedules are memoized by a `(delays, binding, clock)` digest,
+    /// so designs differing only in power-irrelevant ways schedule once.
+    /// Every schedule-memo miss pays a full hierarchical reschedule.
+    ///
+    /// [`DesignDelta`]: impact_rtl::DesignDelta
+    FullReschedule,
+    /// Adds schedule repair: a schedule-memo miss is composed from a
+    /// per-block layer keyed by [`block_digest`](impact_sched::block_digest),
+    /// and when the parent's schedule is cached only the blocks the move
+    /// touched are list-scheduled; the rest are spliced from the parent.
+    Incremental,
+}
+
+/// Tuning of the evaluation engine: which evaluator costs candidates,
+/// parallel candidate ranking, auditing and the search strategy. The default
+/// is the fully incremental engine. The sequential configuration is the
+/// brute-force evaluation loop (every candidate rescheduled and re-profiled
+/// from scratch, ranked on one thread): it runs the same code with the
+/// session and threading off, exists for differential testing and writes
+/// the benchmark's expected files. Every configuration produces
 /// bit-identical synthesis results.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineConfig {
-    /// Memoize evaluated design points, per-design contexts and trace
-    /// statistics by structural fingerprint.
-    pub cache: bool,
+    /// Which evaluator costs candidates (see [`EvaluatorKind`]).
+    pub evaluator: EvaluatorKind,
     /// Worker threads that rank candidate moves; `0` means one per
     /// available CPU, `1` ranks on the calling thread.
     pub ranking_threads: usize,
-    /// Cost candidates through their move's [`DesignDelta`]: the candidate's
-    /// fingerprint is patched from the parent's and its evaluation context is
-    /// derived from the parent's by cloning only the touched entries, instead
-    /// of re-hashing and rebuilding from scratch. Requires `cache`; results
-    /// are bit-identical to the full rebuild (the oracle path, kept behind
-    /// this flag for differential testing).
-    ///
-    /// [`DesignDelta`]: impact_rtl::DesignDelta
-    pub delta_patching: bool,
-    /// Memoize hierarchical schedules by a `(delays, binding, clock)` digest,
-    /// so two designs differing only in power-irrelevant ways (module
-    /// capacitance, register grouping, probability reordering that keeps the
-    /// mux depths) share one schedule across the session. Requires `cache`.
-    pub schedule_memo: bool,
-    /// Repair schedules block by block instead of rescheduling the whole
-    /// CDFG: on a schedule-memo miss whose parent schedule is in the cache,
-    /// only the blocks the move touched are list-scheduled and the rest are
-    /// spliced from the parent; every block scheduled this way also flows
-    /// through a shared per-block cache layer keyed by
-    /// [`block_digest`](impact_sched::block_digest). Requires `cache`;
-    /// results are bit-identical to a full reschedule (the oracle path, kept
-    /// behind [`EngineConfig::full_reschedule`] for differential testing).
-    pub schedule_repair: bool,
     /// Static invariant auditing of evaluator outputs (requires the
     /// `verify` cargo feature to have any effect).
     pub verify: VerifyLevel,
@@ -82,55 +90,44 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The incremental engine: caching, delta patching, schedule memoization
-    /// and delta-aware schedule repair on, ranking parallelized over the
-    /// available CPUs.
+    /// The incremental engine ([`EvaluatorKind::Incremental`]), ranking
+    /// parallelized over the available CPUs.
     pub fn incremental() -> Self {
         Self {
-            cache: true,
+            evaluator: EvaluatorKind::Incremental,
             ranking_threads: 0,
-            delta_patching: true,
-            schedule_memo: true,
-            schedule_repair: true,
             verify: VerifyLevel::Off,
             explorer: ExplorerKind::Greedy,
         }
     }
 
-    /// The caching engine *without* move-delta shortcuts: every candidate's
-    /// fingerprint and context are rebuilt from the whole design (the oracle
-    /// path the delta engine is differentially tested against, and the
-    /// behavior of the engine before delta evaluation existed).
+    /// The caching engine *without* move-delta shortcuts
+    /// ([`EvaluatorKind::FullRebuild`]): the oracle the delta engine is
+    /// differentially tested against.
     pub fn full_rebuild() -> Self {
         Self {
-            delta_patching: false,
-            schedule_memo: false,
-            schedule_repair: false,
+            evaluator: EvaluatorKind::FullRebuild,
             ..Self::incremental()
         }
     }
 
-    /// The incremental engine with schedule *repair* disabled: every
-    /// schedule-memo miss pays a full hierarchical reschedule. This is the
-    /// oracle the repaired path is differentially tested against.
+    /// The incremental engine with schedule *repair* disabled
+    /// ([`EvaluatorKind::FullReschedule`]): the oracle the repaired path is
+    /// differentially tested against.
     pub fn full_reschedule() -> Self {
         Self {
-            schedule_repair: false,
+            evaluator: EvaluatorKind::FullReschedule,
             ..Self::incremental()
         }
     }
 
-    /// The brute-force reference engine: no memoization, single-threaded
-    /// ranking.
+    /// The brute-force reference engine ([`EvaluatorKind::Sequential`]):
+    /// no memoization, single-threaded ranking.
     pub fn sequential() -> Self {
         Self {
-            cache: false,
+            evaluator: EvaluatorKind::Sequential,
             ranking_threads: 1,
-            delta_patching: false,
-            schedule_memo: false,
-            schedule_repair: false,
-            verify: VerifyLevel::Off,
-            explorer: ExplorerKind::Greedy,
+            ..Self::incremental()
         }
     }
 
@@ -194,7 +191,8 @@ pub struct SynthesisConfig {
     pub vdd_scaling: bool,
     /// Power-estimator technology parameters.
     pub power: PowerConfig,
-    /// Evaluation-engine tuning (caching, parallel ranking).
+    /// Evaluation-engine tuning (evaluator, parallel ranking, auditing,
+    /// search strategy).
     pub engine: EngineConfig,
 }
 
@@ -319,21 +317,27 @@ mod tests {
 
     #[test]
     fn engine_presets_and_builder() {
-        assert!(EngineConfig::default().cache);
+        assert_eq!(
+            EngineConfig::default().evaluator,
+            EvaluatorKind::Incremental
+        );
         assert_eq!(EngineConfig::default().ranking_threads, 0);
-        assert!(EngineConfig::default().delta_patching);
-        assert!(EngineConfig::default().schedule_memo);
-        assert!(EngineConfig::default().schedule_repair);
-        let rebuild = EngineConfig::full_rebuild();
-        assert!(rebuild.cache && !rebuild.delta_patching && !rebuild.schedule_memo);
-        assert!(!rebuild.schedule_repair);
-        let resched = EngineConfig::full_reschedule();
-        assert!(resched.cache && resched.delta_patching && resched.schedule_memo);
-        assert!(!resched.schedule_repair);
+        assert_eq!(
+            EngineConfig::full_rebuild().evaluator,
+            EvaluatorKind::FullRebuild
+        );
+        assert_eq!(
+            EngineConfig::full_reschedule().evaluator,
+            EvaluatorKind::FullReschedule
+        );
         let seq = EngineConfig::sequential();
-        assert!(!seq.cache && seq.ranking_threads == 1);
-        assert!(!seq.delta_patching && !seq.schedule_memo && !seq.schedule_repair);
+        assert_eq!(seq.evaluator, EvaluatorKind::Sequential);
+        assert_eq!(seq.ranking_threads, 1);
         assert_eq!(seq.explorer, ExplorerKind::Greedy);
+        // Each kind adds one layer to the one before it.
+        assert!(EvaluatorKind::Sequential < EvaluatorKind::FullRebuild);
+        assert!(EvaluatorKind::FullRebuild < EvaluatorKind::FullReschedule);
+        assert!(EvaluatorKind::FullReschedule < EvaluatorKind::Incremental);
         let beam = EngineConfig::incremental().with_explorer(ExplorerKind::Beam { width: 3 });
         assert_eq!(beam.explorer, ExplorerKind::Beam { width: 3 });
         let c = SynthesisConfig::power_optimized(2.0).with_engine(seq);

@@ -1,11 +1,9 @@
 //! The IMPACT iterative-improvement engine (Figure 7 of the paper).
 //!
-//! The engine prepares the evaluator and the probe/commit
-//! [`SearchKernel`](crate::SearchKernel), dispatches to the configured
-//! [`Explorer`](crate::Explorer) strategy (see
-//! [`ExplorerKind`](crate::ExplorerKind) on [`EngineConfig`](crate::EngineConfig)),
-//! and assembles the report — the search policy itself lives in the
-//! `explore` module.
+//! The engine prepares the evaluator and the probe/commit search kernel,
+//! runs the strategy [`ExplorerKind`](crate::ExplorerKind) on
+//! [`EngineConfig`](crate::EngineConfig) selects, and assembles the report —
+//! the search policy itself lives in the `explore` module.
 
 use impact_behsim::ExecutionTrace;
 use impact_cdfg::Cdfg;
@@ -82,11 +80,12 @@ pub struct SynthesisOutcome {
     pub history: Vec<MoveRecord>,
     /// Non-dominated power/area/latency front of the probed design space.
     /// Empty for single-point strategies; filled by
-    /// [`ParetoSweep`](crate::ParetoSweep).
+    /// [`ExplorerKind::Pareto`](crate::ExplorerKind::Pareto).
     pub front: Vec<DesignPoint>,
-    /// Evaluation-cache counters of the session the run used (all zero for
-    /// the sequential engine configuration; cumulative over every run of the
-    /// session when synthesized with a shared [`SweepSession`]).
+    /// Evaluation-cache counters of the session the run used (only the
+    /// run's search counters for the sequential engine configuration, which
+    /// has no session; cumulative over every run of the session when
+    /// synthesized with a shared [`SweepSession`]).
     pub cache_stats: CacheStats,
 }
 
@@ -146,9 +145,9 @@ impl Impact {
     }
 
     /// Runs the configured explorer over a prepared evaluator: build the
-    /// probe/commit kernel, hand it (and the evaluated initial architecture)
-    /// to the strategy selected by `engine.explorer`, and assemble the
-    /// report from what the strategy returns.
+    /// probe/commit kernel, run the strategy selected by `engine.explorer`
+    /// from the evaluated initial architecture, and assemble the report
+    /// from what the strategy returns.
     fn run_with(
         &self,
         cdfg: &Cdfg,
@@ -156,12 +155,11 @@ impl Impact {
     ) -> Result<SynthesisOutcome, SynthesisError> {
         let mut kernel = SearchKernel::new(cdfg, &evaluator);
 
-        let initial = kernel.initial_point()?;
+        let initial = evaluator.initial_point()?;
         let initial_power_mw = initial.power_at_reference.total_mw();
         let initial_area = initial.area;
 
-        let explorer = self.config.engine.explorer.build();
-        let exploration = explorer.explore(&mut kernel, initial)?;
+        let exploration = self.config.engine.explorer.explore(&mut kernel, initial)?;
 
         // At the full auditing level the whole session is checked for cache
         // coherence before the outcome is handed out.
@@ -171,12 +169,8 @@ impl Impact {
         }
 
         // Explore counters ride the session backend like the cache layers,
-        // so sweep drivers report cumulative numbers; sessionless runs carry
-        // their own counters directly.
-        let explore_stats = kernel.stats();
-        if let Some(session) = evaluator.session() {
-            session.backend().record_explore(explore_stats);
-        }
+        // so sweep drivers report cumulative numbers.
+        let cache_stats = evaluator.record_explore(kernel.stats());
 
         let current = exploration.best;
         let report = SynthesisReport {
@@ -194,10 +188,6 @@ impl Impact {
             moves_applied: exploration.history.len(),
             passes: exploration.passes,
         };
-        let mut cache_stats = evaluator.cache_stats();
-        if evaluator.session().is_none() {
-            cache_stats.explore = explore_stats;
-        }
         Ok(SynthesisOutcome {
             design: current.design,
             schedule: (*current.schedule).clone(),

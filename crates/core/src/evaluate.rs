@@ -16,11 +16,11 @@
 //! supply search is keyed by the ENC budget, because the selected supply
 //! depends on it.
 //!
-//! With the cache disabled
-//! ([`EngineConfig::sequential`](crate::EngineConfig::sequential)) the same
-//! code path recomputes everything from scratch per call, which reproduces
-//! the brute-force loop bit-identically — the cache only memoizes pure
-//! functions.
+//! Every layer is reached through one memo helper. The sequential evaluator
+//! ([`EngineConfig::sequential`](crate::EngineConfig::sequential)) has no
+//! session, so the helper skips every lookup and drops every store: the same
+//! code recomputes everything per call, which reproduces the brute-force loop
+//! bit-identically — the cache only memoizes pure functions.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -39,9 +39,10 @@ use impact_sched::{
 };
 use impact_trace::RtTraces;
 
-use crate::cache::{CacheBackend, CacheStats, DesignContext, MuxEntry};
-use crate::config::{OptimizationMode, SynthesisConfig};
+use crate::cache::{CacheStats, DesignContext, LayerKey, MuxEntry};
+use crate::config::{EvaluatorKind, OptimizationMode, SynthesisConfig};
 use crate::error::SynthesisError;
+use crate::explore::ExploreStats;
 use crate::fingerprint::{
     BlockKey, ContextKey, FuStatsKey, MuxStatsKey, PointKey, RegStatsKey, ScaledKey, ScheduleKey,
     WorkloadId,
@@ -51,16 +52,16 @@ use crate::session::SweepSession;
 
 /// Feasibility tolerance on the ENC budget: a design whose ENC exceeds the
 /// budget by at most this much still passes. One shared constant keeps the
-/// cached read-time filter, the uncached computation-time check and the
-/// engine's tests from disagreeing at the boundary.
+/// evaluator's read-time budget filter and the engine's tests from
+/// disagreeing at the boundary.
 pub(crate) const ENC_EPS: f64 = 1e-9;
 
 /// Provenance of a candidate design inside move-aware evaluation: its parent
 /// design, the parent's structural fingerprint and the move's change-set.
-/// When delta patching is enabled this is what turns full rebuilds into
-/// patches — the candidate's fingerprint is XOR-patched from the parent's and
-/// its evaluation context is derived from the parent's context by cloning
-/// only the touched entries.
+/// From [`EvaluatorKind::FullReschedule`] on this is what turns full rebuilds
+/// into patches — the candidate's fingerprint is XOR-patched from the
+/// parent's and its evaluation context is derived from the parent's context
+/// by cloning only the touched entries.
 struct MoveLineage<'a> {
     parent: &'a RtlDesign,
     parent_fingerprint: DesignFingerprint,
@@ -136,6 +137,13 @@ impl impact_codec::Decode for DesignPoint {
 /// It owns the ENC budget derived from the laxity factor: `enc_limit =
 /// laxity × enc_min`, where `enc_min` is the ENC of the Wavesched schedule of
 /// the fully-parallel architecture with the fastest modules at 5 V.
+///
+/// Every evaluation entry point returns the cache's shared `Arc` allocation
+/// of the point; clone it for an owned point. Which layers the evaluator
+/// patches, memoizes and repairs is set by
+/// [`EngineConfig::evaluator`](crate::EngineConfig::evaluator); every
+/// [`EvaluatorKind`] runs this one code path and returns bit-identical
+/// points.
 #[derive(Clone, Debug)]
 pub struct Evaluator<'a> {
     cdfg: &'a Cdfg,
@@ -144,17 +152,17 @@ pub struct Evaluator<'a> {
     config: SynthesisConfig,
     enc_min: f64,
     enc_limit: f64,
-    /// Evaluation session; `None` reproduces the brute-force loop. Clones of
-    /// the evaluator (and every run handed the same external session) share
-    /// one store.
+    /// Evaluation session; `None` (the sequential evaluator) makes the memo
+    /// helper compute every value afresh. Clones of the evaluator (and every
+    /// run handed the same external session) share one store.
     session: Option<SweepSession>,
     /// Content digest scoping this evaluator's cache keys within the session.
     workload: WorkloadId,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator over a private session (or none, when the engine
-    /// configuration disables caching) and computes the ENC budget.
+    /// Creates an evaluator over a private session (or none, for
+    /// [`EvaluatorKind::Sequential`]) and computes the ENC budget.
     ///
     /// # Errors
     ///
@@ -165,15 +173,16 @@ impl<'a> Evaluator<'a> {
         trace: &'a ExecutionTrace,
         config: SynthesisConfig,
     ) -> Result<Self, SynthesisError> {
-        let session = config.engine.cache.then(SweepSession::new);
+        let session = (config.engine.evaluator > EvaluatorKind::Sequential).then(SweepSession::new);
         Self::build(cdfg, trace, config, session)
     }
 
     /// Creates an evaluator sharing an external [`SweepSession`]: later runs
     /// over the same workload reuse the contexts, trace statistics and design
     /// points of earlier ones, including runs at *different* laxity factors.
-    /// An external session implies caching regardless of
-    /// [`EngineConfig::cache`](crate::EngineConfig).
+    /// An external session implies caching: under
+    /// [`EvaluatorKind::Sequential`] the evaluator then runs like
+    /// [`EvaluatorKind::FullRebuild`].
     ///
     /// # Errors
     ///
@@ -199,11 +208,7 @@ impl<'a> Evaluator<'a> {
             });
         }
         let library = ModuleLibrary::standard();
-        let workload = if session.is_some() {
-            workload_id(cdfg, trace, &config)
-        } else {
-            WorkloadId::default()
-        };
+        let workload = workload_id(cdfg, trace, &config);
         let mut evaluator = Self {
             cdfg,
             trace,
@@ -226,17 +231,11 @@ impl<'a> Evaluator<'a> {
             }
         }
         let initial = RtlDesign::initial_parallel(cdfg, &evaluator.library);
-        // With a session the minimum-ENC schedule goes through the cached
-        // point path, so repeat runs of a sweep (and the subsequent
-        // `initial_point` of this run) reuse it; without one, schedule
-        // directly.
-        evaluator.enc_min = if evaluator.session.is_some() {
-            evaluator
-                .raw_point_at(&initial, initial.fingerprint(), VDD_REFERENCE, None)?
-                .enc()
-        } else {
-            evaluator.schedule(&initial, VDD_REFERENCE)?.enc
-        };
+        // The minimum-ENC schedule goes through the memoized point path, so
+        // repeat runs of a sweep (and this run's `initial_point`) reuse it.
+        evaluator.enc_min = evaluator
+            .raw_point_at(&initial, initial.fingerprint(), VDD_REFERENCE, None)?
+            .enc();
         evaluator.enc_limit = evaluator.enc_min * evaluator.config.laxity;
         Ok(evaluator)
     }
@@ -261,19 +260,43 @@ impl<'a> Evaluator<'a> {
         &self.config
     }
 
-    /// The evaluation session, when caching is active.
-    pub fn session(&self) -> Option<&SweepSession> {
-        self.session.as_ref()
-    }
-
     /// The workload digest scoping this evaluator's cache keys.
     pub fn workload(&self) -> WorkloadId {
         self.workload
     }
 
-    /// The cache backend, when caching is active.
-    fn backend(&self) -> Option<&Arc<dyn CacheBackend>> {
-        self.session.as_ref().map(SweepSession::backend)
+    /// The entry `key` maps to in its cache layer, if cached. Always `None`
+    /// without a session.
+    fn cached<K: LayerKey>(&self, key: &K) -> Option<K::Value> {
+        let session = self.session.as_ref()?;
+        key.lookup(&**session.backend())
+    }
+
+    /// The memo helper every layer goes through: the entry `key` maps to in
+    /// the layer its type names, or `compute`'s value, stored under `key`.
+    /// Without a session nothing is looked up or stored, so every call
+    /// computes — the brute-force loop.
+    fn try_memo<K: LayerKey, E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<K::Value, E>,
+    ) -> Result<K::Value, E> {
+        let Some(session) = &self.session else {
+            return compute();
+        };
+        let backend = &**session.backend();
+        if let Some(value) = key.lookup(backend) {
+            return Ok(value);
+        }
+        let value = compute()?;
+        key.store(backend, value.clone());
+        Ok(value)
+    }
+
+    /// [`Self::try_memo`] for computations that cannot fail.
+    fn memo<K: LayerKey>(&self, key: K, compute: impl FnOnce() -> K::Value) -> K::Value {
+        let Ok(value) = self.try_memo(key, || Ok::<_, std::convert::Infallible>(compute()));
+        value
     }
 
     /// Builds and evaluates the initial fully-parallel architecture.
@@ -285,6 +308,7 @@ impl<'a> Evaluator<'a> {
     pub fn initial_point(&self) -> Result<DesignPoint, SynthesisError> {
         let design = RtlDesign::initial_parallel(self.cdfg, &self.library);
         self.evaluate(&design)?
+            .map(Arc::unwrap_or_clone)
             .ok_or(SynthesisError::InfeasibleLaxity {
                 laxity: self.config.laxity,
             })
@@ -299,6 +323,22 @@ impl<'a> Evaluator<'a> {
             .unwrap_or_default()
     }
 
+    /// Records a finished run's search counters and returns the cache
+    /// counters that include them: accumulated into the session (so sweeps
+    /// report cumulative numbers), or the run's own without one.
+    pub(crate) fn record_explore(&self, explore: ExploreStats) -> CacheStats {
+        match &self.session {
+            Some(session) => {
+                session.backend().record_explore(explore);
+                session.stats()
+            }
+            None => CacheStats {
+                explore,
+                ..CacheStats::default()
+            },
+        }
+    }
+
     /// Fully evaluates a design: checks feasibility at the reference supply,
     /// then (when enabled) scales the supply down as far as the ENC budget
     /// allows. Returns `None` when the design violates the ENC budget even at
@@ -308,39 +348,27 @@ impl<'a> Evaluator<'a> {
     ///
     /// Propagates scheduler failures (which indicate malformed inputs, not
     /// infeasibility).
-    pub fn evaluate(&self, design: &RtlDesign) -> Result<Option<DesignPoint>, SynthesisError> {
-        Ok(self.evaluate_shared(design)?.map(|point| (*point).clone()))
+    pub fn evaluate(&self, design: &RtlDesign) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
+        self.evaluate_scaled(design, design.fingerprint(), None)
     }
 
-    /// [`Self::evaluate`] returning the cache's shared allocation, for
-    /// callers that only inspect the point.
-    pub(crate) fn evaluate_shared(
+    /// Evaluates a design at one fixed supply voltage (a single scheduling),
+    /// returning `None` when it violates the ENC budget there.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scheduler failures.
+    pub fn evaluate_at_vdd(
         &self,
         design: &RtlDesign,
+        vdd: f64,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        if let Some(backend) = self.backend() {
-            let fingerprint = design.fingerprint();
-            let key = ScaledKey::new(
-                self.workload,
-                fingerprint,
-                self.enc_limit,
-                self.config.vdd_scaling,
-            );
-            if let Some(cached) = backend.lookup_scaled(&key) {
-                return Ok(cached);
-            }
-            let result = self.evaluate_scaled(design, Some(fingerprint), None)?;
-            backend.store_scaled(key, result.clone());
-            Ok(result)
-        } else {
-            self.evaluate_scaled(design, None, None)
-        }
+        self.point_at(design, design.fingerprint(), vdd, None)
     }
 
     /// Applies `candidate` to a clone of `parent` and fully evaluates the
     /// result (supply search included). This is the move-aware entry point of
-    /// delta evaluation: with
-    /// [`delta_patching`](crate::EngineConfig::delta_patching) enabled the
+    /// delta evaluation: from [`EvaluatorKind::FullReschedule`] on the
     /// candidate's fingerprint is patched from the parent's and its
     /// evaluation context is derived from the parent's by cloning only the
     /// entries the move touched — bit-identical to the full rebuild.
@@ -355,10 +383,8 @@ impl<'a> Evaluator<'a> {
         &self,
         parent: &RtlDesign,
         candidate: &Move,
-    ) -> Result<Option<DesignPoint>, SynthesisError> {
-        Ok(self
-            .evaluate_move_shared(parent, None, candidate)?
-            .map(|point| (*point).clone()))
+    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
+        self.evaluate_candidate(parent, parent.fingerprint(), candidate, None)
     }
 
     /// [`Self::evaluate_move`] at one fixed supply voltage.
@@ -371,88 +397,46 @@ impl<'a> Evaluator<'a> {
         parent: &RtlDesign,
         candidate: &Move,
         vdd: f64,
-    ) -> Result<Option<DesignPoint>, SynthesisError> {
-        Ok(self
-            .evaluate_move_at_vdd_shared(parent, None, candidate, vdd)?
-            .map(|point| (*point).clone()))
+    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
+        self.evaluate_candidate(parent, parent.fingerprint(), candidate, Some(vdd))
     }
 
-    /// Move-aware full evaluation returning the cache's shared allocation.
-    /// `parent_fingerprint` lets the engine hash the working design once per
-    /// ranking stage instead of once per candidate; `None` computes it on
-    /// demand.
-    pub(crate) fn evaluate_move_shared(
+    /// Move-aware evaluation with the parent's fingerprint supplied, so the
+    /// search kernel hashes its working design once per step instead of once
+    /// per candidate: the full supply search when `vdd` is `None`, one level
+    /// otherwise.
+    pub(crate) fn evaluate_candidate(
         &self,
         parent: &RtlDesign,
-        parent_fingerprint: Option<DesignFingerprint>,
+        parent_fingerprint: DesignFingerprint,
         candidate: &Move,
+        vdd: Option<f64>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
         let mut mutated = parent.clone();
         let Ok(delta) = candidate.apply(self.cdfg, &self.library, &mut mutated) else {
             return Ok(None);
         };
-        let Some(backend) = self.backend() else {
-            return self.evaluate_scaled(&mutated, None, None);
-        };
-        let parent_fingerprint = parent_fingerprint.unwrap_or_else(|| parent.fingerprint());
         let lineage = MoveLineage {
             parent,
             parent_fingerprint,
             delta: &delta,
         };
         let fingerprint = self.candidate_fingerprint(&mutated, &lineage);
-        let key = ScaledKey::new(
-            self.workload,
-            fingerprint,
-            self.enc_limit,
-            self.config.vdd_scaling,
-        );
-        if let Some(cached) = backend.lookup_scaled(&key) {
-            return Ok(cached);
+        match vdd {
+            Some(vdd) => self.point_at(&mutated, fingerprint, vdd, Some(&lineage)),
+            None => self.evaluate_scaled(&mutated, fingerprint, Some(&lineage)),
         }
-        let result = self.evaluate_scaled(&mutated, Some(fingerprint), Some(&lineage))?;
-        backend.store_scaled(key, result.clone());
-        Ok(result)
-    }
-
-    /// Move-aware single-level evaluation returning the cache's shared
-    /// allocation (the ranking stage's fast path).
-    pub(crate) fn evaluate_move_at_vdd_shared(
-        &self,
-        parent: &RtlDesign,
-        parent_fingerprint: Option<DesignFingerprint>,
-        candidate: &Move,
-        vdd: f64,
-    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        let mut mutated = parent.clone();
-        let Ok(delta) = candidate.apply(self.cdfg, &self.library, &mut mutated) else {
-            return Ok(None);
-        };
-        if self.session.is_none() {
-            let context = self.build_context(&mutated);
-            return Ok(self
-                .evaluate_with_context(&context, &mutated, vdd)?
-                .map(Arc::new));
-        }
-        let parent_fingerprint = parent_fingerprint.unwrap_or_else(|| parent.fingerprint());
-        let lineage = MoveLineage {
-            parent,
-            parent_fingerprint,
-            delta: &delta,
-        };
-        let fingerprint = self.candidate_fingerprint(&mutated, &lineage);
-        self.point_at(&mutated, fingerprint, vdd, Some(&lineage))
     }
 
     /// The candidate's structural fingerprint: patched from the parent's
-    /// digest when delta patching is on, recomputed from the whole design
-    /// otherwise (the oracle path).
+    /// digest from [`EvaluatorKind::FullReschedule`] on, recomputed from the
+    /// whole design otherwise (the oracle path).
     fn candidate_fingerprint(
         &self,
         candidate: &RtlDesign,
         lineage: &MoveLineage<'_>,
     ) -> DesignFingerprint {
-        if self.config.engine.delta_patching {
+        if self.config.engine.evaluator >= EvaluatorKind::FullReschedule {
             let patched = RtlDesign::fingerprint_update(lineage.parent_fingerprint, lineage.delta);
             debug_assert_eq!(
                 patched,
@@ -465,73 +449,36 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The supply search. The design's fingerprint is computed once by the
-    /// caller and threaded through every probe (`None` when the cache is
-    /// off), as is the candidate's move lineage (`None` outside move-aware
-    /// evaluation or with delta patching disabled).
+    /// The supply search, memoized per ENC budget. The design's fingerprint
+    /// is computed once by the caller and threaded through every probe, as is
+    /// the candidate's move lineage (`None` outside move-aware evaluation).
     fn evaluate_scaled(
         &self,
         design: &RtlDesign,
-        fingerprint: Option<DesignFingerprint>,
+        fingerprint: DesignFingerprint,
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        let probe = |vdd: f64| -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-            match fingerprint {
-                Some(fingerprint) => self.point_at(design, fingerprint, vdd, lineage),
-                None => {
-                    let context = self.build_context(design);
-                    Ok(self
-                        .evaluate_with_context(&context, design, vdd)?
-                        .map(Arc::new))
-                }
+        let key = ScaledKey::new(
+            self.workload,
+            fingerprint,
+            self.enc_limit,
+            self.config.vdd_scaling,
+        );
+        self.try_memo(key, || {
+            let probe = |vdd: f64| self.point_at(design, fingerprint, vdd, lineage);
+            let Some(reference_point) = probe(VDD_REFERENCE)? else {
+                return Ok(None);
+            };
+            if !self.config.vdd_scaling {
+                return Ok(Some(reference_point));
             }
-        };
-        let Some(reference_point) = probe(VDD_REFERENCE)? else {
-            return Ok(None);
-        };
-        if !self.config.vdd_scaling {
-            return Ok(Some(reference_point));
-        }
-        let levels = self.library.vdd().levels().to_vec();
-        lowest_feasible_point(&levels, reference_point, probe).map(Some)
+            lowest_feasible_point(self.library.vdd().levels(), reference_point, probe).map(Some)
+        })
     }
 
-    /// Evaluates a design at one fixed supply voltage (a single scheduling),
-    /// returning `None` when it violates the ENC budget there.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler failures.
-    pub fn evaluate_at_vdd(
-        &self,
-        design: &RtlDesign,
-        vdd: f64,
-    ) -> Result<Option<DesignPoint>, SynthesisError> {
-        Ok(self
-            .evaluate_at_vdd_shared(design, vdd)?
-            .map(|point| (*point).clone()))
-    }
-
-    /// [`Self::evaluate_at_vdd`] returning the cache's shared allocation, for
-    /// callers (like the ranking stage) that only read the point.
-    pub(crate) fn evaluate_at_vdd_shared(
-        &self,
-        design: &RtlDesign,
-        vdd: f64,
-    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        if self.session.is_some() {
-            self.point_at(design, design.fingerprint(), vdd, None)
-        } else {
-            let context = self.build_context(design);
-            Ok(self
-                .evaluate_with_context(&context, design, vdd)?
-                .map(Arc::new))
-        }
-    }
-
-    /// Cache-enabled single-level evaluation with a precomputed fingerprint:
-    /// the memoized point (laxity-independent) passed through this
-    /// evaluator's ENC-budget filter.
+    /// Single-level evaluation with a precomputed fingerprint: the memoized
+    /// point (laxity-independent) passed through this evaluator's ENC-budget
+    /// filter.
     fn point_at(
         &self,
         design: &RtlDesign,
@@ -540,7 +487,7 @@ impl<'a> Evaluator<'a> {
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
         let point = self.raw_point_at(design, fingerprint, vdd, lineage)?;
-        Ok(self.within_budget(point))
+        Ok((point.enc() <= self.enc_limit + ENC_EPS).then_some(point))
     }
 
     /// Fetches (or computes and memoizes) the full evaluation of a design at
@@ -553,67 +500,28 @@ impl<'a> Evaluator<'a> {
         vdd: f64,
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Arc<DesignPoint>, SynthesisError> {
-        let backend = self
-            .backend()
-            .expect("raw_point_at is only reachable with a session");
-        let key = PointKey::new(self.workload, fingerprint, vdd);
-        if let Some(cached) = backend.lookup_point(&key) {
-            return Ok(cached);
-        }
-        let context = self.context_for(design, fingerprint, lineage);
-        let schedule = self.schedule_with_context(&context, vdd, lineage)?;
-        // The full point (power at both supplies, area, design clone) is
-        // built even when this evaluator's budget will reject it: a budget
-        // check here would make the entry depend on the laxity factor and
-        // kill cross-laxity sharing. The extra arithmetic is small next to
-        // the scheduling pass above, and a run at a looser budget gets the
-        // finished point for free.
-        let point = Arc::new(self.point_from_schedule(&context, design, vdd, schedule));
-        #[cfg(feature = "verify")]
-        self.audit_point(&context, design, Some(fingerprint), &point)?;
-        backend.store_point(key, point.clone());
-        Ok(point)
-    }
-
-    /// Static invariant audit of a freshly produced design point (the
-    /// `verify` cargo feature; see [`VerifyLevel`](crate::VerifyLevel)).
-    /// `fingerprint` is the possibly XOR-patched digest the point is keyed
-    /// by, when one exists — auditing it catches a patch that diverged from
-    /// a recompute.
-    #[cfg(feature = "verify")]
-    fn audit_point(
-        &self,
-        context: &DesignContext,
-        design: &RtlDesign,
-        fingerprint: Option<DesignFingerprint>,
-        point: &DesignPoint,
-    ) -> Result<(), SynthesisError> {
-        if self.config.engine.verify == crate::VerifyLevel::Off {
-            return Ok(());
-        }
-        let mut violations = impact_verify::verify_design(self.cdfg, design);
-        if let Some(expected) = fingerprint {
-            violations.extend(impact_verify::verify_fingerprint(design, expected));
-        }
-        violations.extend(impact_verify::verify_mux_sites(
-            self.cdfg,
-            design,
-            &context.sites,
-        ));
-        let factor = self.library.vdd().delay_factor(point.vdd);
-        let problem = self.problem_for(context, factor);
-        violations.extend(impact_verify::verify_schedule(
-            &problem,
-            &point.schedule,
-            None,
-        ));
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(SynthesisError::Verification(
-                violations.iter().map(ToString::to_string).collect(),
-            ))
-        }
+        self.try_memo(PointKey::new(self.workload, fingerprint, vdd), || {
+            let context = self.context_for(design, fingerprint, lineage);
+            let schedule = self.schedule_with_context(&context, vdd, lineage)?;
+            // The full point (power at both supplies, area, design clone) is
+            // built even when this evaluator's budget will reject it: a
+            // budget check here would make the entry depend on the laxity
+            // factor and kill cross-laxity sharing. The extra arithmetic is
+            // small next to the scheduling pass above, and a run at a looser
+            // budget gets the finished point for free.
+            let point = Arc::new(self.point_from_schedule(&context, design, vdd, schedule));
+            #[cfg(feature = "verify")]
+            if self.config.engine.verify != crate::VerifyLevel::Off {
+                let violations =
+                    self.audit(&context, design, fingerprint, vdd, &point.schedule, None);
+                if !violations.is_empty() {
+                    return Err(SynthesisError::Verification(
+                        violations.iter().map(ToString::to_string).collect(),
+                    ));
+                }
+            }
+            Ok(point)
+        })
     }
 
     /// Whole-session cache-coherence audit (the `verify` cargo feature; run
@@ -634,36 +542,22 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Full static audit of a finished synthesis outcome, as data: CDFG
-    /// well-formedness, design legality, fingerprint recompute, mux-site
-    /// consistency, and the final schedule against the scheduling problem
-    /// rebuilt at the selected supply — including the ENC budget the run was
-    /// constrained to. Pure: returns the findings instead of failing, so
-    /// drivers (the `impact-verify` binary, the true-negative tests) can
-    /// report them. Runs regardless of [`VerifyLevel`](crate::VerifyLevel).
+    /// well-formedness plus everything [`Self::audit_design_point`] checks,
+    /// against the ENC budget the run was constrained to. Pure: returns the
+    /// findings instead of failing, so drivers (the `impact-verify` binary,
+    /// the true-negative tests) can report them. Runs regardless of
+    /// [`VerifyLevel`](crate::VerifyLevel).
     #[cfg(feature = "verify")]
     pub fn audit_outcome(
         &self,
         outcome: &crate::SynthesisOutcome,
     ) -> Vec<impact_verify::Violation> {
-        let design = &outcome.design;
         let mut violations = impact_verify::verify_cdfg(self.cdfg);
-        violations.extend(impact_verify::verify_design(self.cdfg, design));
-        violations.extend(impact_verify::verify_fingerprint(
-            design,
-            design.fingerprint(),
-        ));
-        let context = self.context_for(design, design.fingerprint(), None);
-        violations.extend(impact_verify::verify_mux_sites(
-            self.cdfg,
-            design,
-            &context.sites,
-        ));
-        let factor = self.library.vdd().delay_factor(outcome.report.vdd);
-        let problem = self.problem_for(&context, factor);
-        violations.extend(impact_verify::verify_schedule(
-            &problem,
+        violations.extend(self.audit_recomputed(
+            &outcome.design,
+            outcome.report.vdd,
             &outcome.schedule,
-            Some(outcome.report.enc_limit),
+            outcome.report.enc_limit,
         ));
         violations
     }
@@ -677,56 +571,60 @@ impl<'a> Evaluator<'a> {
     /// [`VerifyLevel`](crate::VerifyLevel), like [`Self::audit_outcome`].
     #[cfg(feature = "verify")]
     pub fn audit_design_point(&self, point: &DesignPoint) -> Vec<impact_verify::Violation> {
-        let design = &point.design;
-        let mut violations = impact_verify::verify_design(self.cdfg, design);
-        violations.extend(impact_verify::verify_fingerprint(
+        self.audit_recomputed(&point.design, point.vdd, &point.schedule, self.enc_limit)
+    }
+
+    /// [`Self::audit`] of a finished design against its recomputed
+    /// fingerprint and context.
+    #[cfg(feature = "verify")]
+    fn audit_recomputed(
+        &self,
+        design: &RtlDesign,
+        vdd: f64,
+        schedule: &SchedulingResult,
+        enc_limit: f64,
+    ) -> Vec<impact_verify::Violation> {
+        let fingerprint = design.fingerprint();
+        let context = self.context_for(design, fingerprint, None);
+        self.audit(
+            &context,
             design,
-            design.fingerprint(),
-        ));
-        let context = self.context_for(design, design.fingerprint(), None);
+            fingerprint,
+            vdd,
+            schedule,
+            Some(enc_limit),
+        )
+    }
+
+    /// The static audit shared by the inline point audit (see
+    /// [`VerifyLevel`](crate::VerifyLevel)) and the public audits: design
+    /// legality, `fingerprint` against a recompute (the key the point is
+    /// stored under, so a patch that diverged is caught), mux-site
+    /// consistency of `context`, and `schedule` against the problem rebuilt
+    /// from `context` at `vdd`, under `enc_limit` when given.
+    #[cfg(feature = "verify")]
+    fn audit(
+        &self,
+        context: &DesignContext,
+        design: &RtlDesign,
+        fingerprint: DesignFingerprint,
+        vdd: f64,
+        schedule: &SchedulingResult,
+        enc_limit: Option<f64>,
+    ) -> Vec<impact_verify::Violation> {
+        let mut violations = impact_verify::verify_design(self.cdfg, design);
+        violations.extend(impact_verify::verify_fingerprint(design, fingerprint));
         violations.extend(impact_verify::verify_mux_sites(
             self.cdfg,
             design,
             &context.sites,
         ));
-        let factor = self.library.vdd().delay_factor(point.vdd);
-        let problem = self.problem_for(&context, factor);
+        let factor = self.library.vdd().delay_factor(vdd);
+        let problem = self.problem_for(context, factor);
         violations.extend(impact_verify::verify_schedule(
-            &problem,
-            &point.schedule,
-            Some(self.enc_limit),
+            &problem, schedule, enc_limit,
         ));
         violations
-    }
-
-    /// This evaluator's ENC-budget filter: the read-time counterpart of the
-    /// feasibility check the uncached path applies at computation time.
-    fn within_budget(&self, point: Arc<DesignPoint>) -> Option<Arc<DesignPoint>> {
-        if point.enc() > self.enc_limit + ENC_EPS {
-            None
-        } else {
-            Some(point)
-        }
-    }
-
-    /// The per-level evaluation of the uncached path: schedule from the
-    /// context's base delays, check the ENC budget, then derive power and
-    /// area from the context's supply-independent profile (pure arithmetic
-    /// per level).
-    fn evaluate_with_context(
-        &self,
-        context: &DesignContext,
-        design: &RtlDesign,
-        vdd: f64,
-    ) -> Result<Option<DesignPoint>, SynthesisError> {
-        let schedule = self.schedule_with_context(context, vdd, None)?;
-        if schedule.enc > self.enc_limit + ENC_EPS {
-            return Ok(None);
-        }
-        let point = self.point_from_schedule(context, design, vdd, schedule);
-        #[cfg(feature = "verify")]
-        self.audit_point(context, design, None, &point)?;
-        Ok(Some(point))
     }
 
     /// Derives the full design point from a schedule: power at the probed and
@@ -762,34 +660,29 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Fetches (or builds and memoizes) the reusable evaluation context of a
-    /// design. With a lineage and delta patching enabled, a cache miss is
-    /// served by patching the parent's context instead of rebuilding.
+    /// design. With a lineage, from [`EvaluatorKind::FullReschedule`] on, a
+    /// cache miss is served by patching the parent's context instead of
+    /// rebuilding.
     fn context_for(
         &self,
         design: &RtlDesign,
         fingerprint: DesignFingerprint,
         lineage: Option<&MoveLineage<'_>>,
     ) -> Arc<DesignContext> {
-        let Some(backend) = self.backend() else {
-            return Arc::new(self.build_context(design));
-        };
-        let key = ContextKey::new(self.workload, fingerprint);
-        if let Some(context) = backend.lookup_context(&key) {
-            return context;
-        }
-        let context = match lineage.filter(|_| self.config.engine.delta_patching) {
-            Some(lineage) => {
-                let parent = self.context_for(lineage.parent, lineage.parent_fingerprint, None);
-                Arc::new(self.patch_context(&parent, lineage.parent, design, lineage.delta))
-            }
-            None => Arc::new(self.build_context(design)),
-        };
-        backend.store_context(key, context.clone());
-        context
+        self.memo(ContextKey::new(self.workload, fingerprint), || {
+            let patches = self.config.engine.evaluator >= EvaluatorKind::FullReschedule;
+            Arc::new(match lineage.filter(|_| patches) {
+                Some(lineage) => {
+                    let parent = self.context_for(lineage.parent, lineage.parent_fingerprint, None);
+                    self.patch_context(&parent, lineage.parent, design, lineage.delta)
+                }
+                None => self.build_context(design),
+            })
+        })
     }
 
-    /// Per-unit trace statistics (memoized by content when a session is
-    /// active): mean input activity and activations per pass.
+    /// Per-unit trace statistics (memoized by content): mean input activity
+    /// and activations per pass.
     fn fu_stat_values(
         &self,
         rt: &RtTraces<'_>,
@@ -797,40 +690,16 @@ impl<'a> Evaluator<'a> {
         fu: FuId,
         unit: &FunctionalUnit,
     ) -> (f64, f64) {
-        let stats = match self.backend() {
-            Some(backend) => {
-                let key = FuStatsKey::of(self.workload, design, fu, unit.width);
-                match backend.lookup_fu(&key) {
-                    Some(stats) => stats,
-                    None => {
-                        let stats = rt.fu_stats(fu);
-                        backend.store_fu(key, stats);
-                        stats
-                    }
-                }
-            }
-            None => rt.fu_stats(fu),
-        };
+        let key = FuStatsKey::of(self.workload, design, fu, unit.width);
+        let stats = self.memo(key, || rt.fu_stats(fu));
         (stats.input_activity, stats.activations_per_pass)
     }
 
-    /// Per-register trace statistics (memoized by content when a session is
-    /// active): mean per-write activity and writes per pass.
+    /// Per-register trace statistics (memoized by content): mean per-write
+    /// activity and writes per pass.
     fn reg_stat_values(&self, rt: &RtTraces<'_>, reg: RegId, register: &Register) -> (f64, f64) {
-        let stats = match self.backend() {
-            Some(backend) => {
-                let key = RegStatsKey::of(self.workload, &register.variables, register.width);
-                match backend.lookup_reg(&key) {
-                    Some(stats) => stats,
-                    None => {
-                        let stats = rt.register_stats(reg);
-                        backend.store_reg(key, stats);
-                        stats
-                    }
-                }
-            }
-            None => rt.register_stats(reg),
-        };
+        let key = RegStatsKey::of(self.workload, &register.variables, register.width);
+        let stats = self.memo(key, || rt.register_stats(reg));
         (stats.activity, stats.writes_per_pass)
     }
 
@@ -894,11 +763,9 @@ impl<'a> Evaluator<'a> {
     /// Builds the evaluation context from scratch: enumerates the design's
     /// mux sites once and derives base delays, the scheduler binding, the
     /// supply-independent power profile and the patchable skeleton (resource
-    /// ids, sites, tree depths) from that single enumeration. With a
-    /// session, trace statistics are memoized by content, so contexts of
-    /// sibling candidate designs share almost all of the underlying trace
-    /// traversals; without one no keys are even constructed — the
-    /// brute-force baseline pays no cache overhead.
+    /// ids, sites, tree depths) from that single enumeration. Trace
+    /// statistics are memoized by content, so contexts of sibling candidate
+    /// designs share almost all of the underlying trace traversals.
     fn build_context(&self, design: &RtlDesign) -> DesignContext {
         let rt = RtTraces::new(self.cdfg, design, self.trace);
         let sites = self.candidate_sites(design);
@@ -1134,16 +1001,8 @@ impl<'a> Evaluator<'a> {
         site: &MuxSite,
         restructured: bool,
     ) -> MuxEntry {
-        let Some(backend) = self.backend() else {
-            return compute_mux_entry(rt, site, restructured);
-        };
         let key = MuxStatsKey::of(self.workload, design, site, restructured);
-        if let Some(entry) = backend.lookup_mux(&key) {
-            return entry;
-        }
-        let entry = compute_mux_entry(rt, site, restructured);
-        backend.store_mux(key, entry.clone());
-        entry
+        self.memo(key, || compute_mux_entry(rt, site, restructured))
     }
 
     /// The scheduling problem of a context at one supply level: base delays
@@ -1161,22 +1020,20 @@ impl<'a> Evaluator<'a> {
 
     /// Schedules from a prebuilt context: base delays are scaled by the
     /// supply-dependent factor, so no trace or mux analysis happens per
-    /// level. With schedule memoization enabled, the result is shared
+    /// level. From [`EvaluatorKind::FullReschedule`] on, the result is shared
     /// through the session by a `(delays, binding, clock)` digest, so two
     /// designs differing only in power-irrelevant ways (and any number of
     /// laxity factors) schedule once.
     ///
-    /// On a memo miss with schedule repair enabled, the schedule is composed
-    /// from the session's per-block layer — and when `lineage` (the move's
-    /// parentage) is given and the parent's schedule at this level is
+    /// On a memo miss under [`EvaluatorKind::Incremental`], the schedule is
+    /// composed from the session's per-block layer — and when `lineage` (the
+    /// move's parentage) is given and the parent's schedule at this level is
     /// cached, untouched blocks are spliced from it directly
     /// ([`impact_sched::repair_with_source`]), so only the blocks the move
     /// perturbed are list-scheduled. The parent's context is fetched only on
     /// that miss path (a cache hit — it was built when the parent was
     /// evaluated), never on a memo hit. Every path is bit-identical to the
-    /// full reschedule
-    /// ([`EngineConfig::full_reschedule`](crate::EngineConfig) keeps that
-    /// oracle selectable).
+    /// full reschedule.
     fn schedule_with_context(
         &self,
         context: &DesignContext,
@@ -1184,38 +1041,27 @@ impl<'a> Evaluator<'a> {
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Arc<SchedulingResult>, SynthesisError> {
         let factor = self.library.vdd().delay_factor(vdd);
-        let engine = &self.config.engine;
-        let Some(backend) = self.backend() else {
+        let kind = self.config.engine.evaluator;
+        if kind < EvaluatorKind::FullReschedule {
             let problem = self.problem_for(context, factor);
-            return WaveScheduler::new()
-                .schedule(&problem)
-                .map(Arc::new)
-                .map_err(SynthesisError::from);
-        };
+            return Ok(Arc::new(WaveScheduler::new().schedule(&problem)?));
+        }
         // The memo key is digested straight from the context (streamed), so
         // a hit never materializes the scheduling problem's vectors.
-        let memo_key = engine.schedule_memo.then(|| {
-            let config = ScheduleConfig::wavesched().with_clock(self.config.clock_ns);
-            ScheduleKey::new(
-                self.workload,
-                impact_sched::problem_digest(
-                    &config,
-                    context.base_delays.iter().map(|d| d * factor),
-                    context.binding.iter().copied(),
-                ),
-            )
-        });
-        if let Some(key) = &memo_key {
-            if let Some(cached) = backend.lookup_schedule(key) {
-                return Ok(cached);
+        let key = ScheduleKey::new(
+            self.workload,
+            impact_sched::problem_digest(
+                &ScheduleConfig::wavesched().with_clock(self.config.clock_ns),
+                context.base_delays.iter().map(|d| d * factor),
+                context.binding.iter().copied(),
+            ),
+        );
+        self.try_memo(key, || {
+            let problem = self.problem_for(context, factor);
+            if kind < EvaluatorKind::Incremental {
+                return Ok(Arc::new(WaveScheduler::new().schedule(&problem)?));
             }
-        }
-        let problem = self.problem_for(context, factor);
-        let result = if engine.schedule_repair {
-            let mut blocks = SessionBlocks {
-                backend: &**backend,
-                workload: self.workload,
-            };
+            let mut blocks = self;
             let repaired = lineage.and_then(|lineage| {
                 // The parent's schedule key and the touched-node set come
                 // straight from the cached context — the parent problem is
@@ -1232,7 +1078,7 @@ impl<'a> Evaluator<'a> {
                         parent_context.binding.iter().copied(),
                     ),
                 );
-                let parent_schedule = backend.lookup_schedule(&parent_key)?;
+                let parent_schedule = self.cached(&parent_key)?;
                 let touched = (0..problem.node_delays.len())
                     .map(|i| {
                         parent_context
@@ -1253,71 +1099,23 @@ impl<'a> Evaluator<'a> {
                     &mut blocks,
                 ))
             });
-            match repaired {
-                Some(result) => result.map_err(SynthesisError::from)?,
-                None => {
-                    impact_sched::compose(&problem, &mut blocks).map_err(SynthesisError::from)?
-                }
-            }
-        } else {
-            WaveScheduler::new()
-                .schedule(&problem)
-                .map_err(SynthesisError::from)?
-        };
-        let result = Arc::new(result);
-        if let Some(key) = memo_key {
-            backend.store_schedule(key, result.clone());
-        }
-        Ok(result)
+            let result = match repaired {
+                Some(result) => result?,
+                None => impact_sched::compose(&problem, &mut blocks)?,
+            };
+            Ok(Arc::new(result))
+        })
     }
 
-    /// Schedules a design at the given supply voltage with the Wavesched
-    /// scheduler, using effective per-node delays that include module delay,
-    /// interconnect (mux-tree) delay and supply-dependent slowdown. Builds
-    /// only what scheduling needs (no power profile).
-    fn schedule(&self, design: &RtlDesign, vdd: f64) -> Result<SchedulingResult, SynthesisError> {
-        let rt = RtTraces::new(self.cdfg, design, self.trace);
-        let factor = self.library.vdd().delay_factor(vdd);
-        let node_delays = self
-            .base_delays(design, &rt)
-            .into_iter()
-            .map(|d| d * factor)
-            .collect();
-        let problem = SchedulingProblem {
-            cdfg: self.cdfg,
-            node_delays,
-            node_fu: design.scheduler_binding(),
-            profile: self.trace.profile(),
-            config: ScheduleConfig::wavesched().with_clock(self.config.clock_ns),
-        };
-        WaveScheduler::new()
-            .schedule(&problem)
-            .map_err(SynthesisError::from)
-    }
-
-    /// Effective per-node delays at delay factor 1.0: module delay plus the
-    /// mux stages each operand traverses. Restructured trees use each
-    /// operand's actual depth in the activity-probability-ordered tree, which
-    /// is how restructuring can shorten the critical path of probable signals
-    /// (the Figure 9/10 example); balanced trees depend only on the fan-in,
-    /// so their depths need no trace statistics.
-    fn base_delays(&self, design: &RtlDesign, rt: &RtTraces<'_>) -> Vec<f64> {
-        let sites = self.candidate_sites(design);
-        let depths: Vec<Vec<usize>> = sites
-            .iter()
-            .map(|site| self.site_depths(rt, design, site, design.is_restructured(site.sink)))
-            .collect();
-        self.delays_from_sites(design, &sites, &depths)
-    }
-
-    /// Effective delay of every node at the given supply-dependent factor.
+    /// Effective delay of every node at the given supply-dependent factor:
+    /// module delay plus the mux stages each operand traverses, scaled.
     pub fn effective_node_delays(&self, design: &RtlDesign, delay_factor: f64) -> Vec<f64> {
-        let rt = RtTraces::new(self.cdfg, design, self.trace);
-        let mut delays = self.base_delays(design, &rt);
-        for d in delays.iter_mut() {
-            *d *= delay_factor;
-        }
-        delays
+        let context = self.context_for(design, design.fingerprint(), None);
+        context
+            .base_delays
+            .iter()
+            .map(|d| d * delay_factor)
+            .collect()
     }
 }
 
@@ -1325,12 +1123,7 @@ impl<'a> Evaluator<'a> {
 /// are fetched (or list-scheduled and stored) by `(workload, block digest)`,
 /// so repaired and fully composed schedules share per-block entries across
 /// designs, supply levels and sweep runs.
-struct SessionBlocks<'b> {
-    backend: &'b dyn CacheBackend,
-    workload: WorkloadId,
-}
-
-impl BlockSource for SessionBlocks<'_> {
+impl BlockSource for &Evaluator<'_> {
     fn block(
         &mut self,
         problem: &SchedulingProblem<'_>,
@@ -1338,12 +1131,9 @@ impl BlockSource for SessionBlocks<'_> {
         nodes: &[NodeId],
     ) -> Result<(u128, Arc<BlockSchedule>), impact_sched::SchedError> {
         let digest = impact_sched::block_digest(problem, nodes);
-        let key = BlockKey::new(self.workload, digest);
-        if let Some(block) = self.backend.lookup_block(&key) {
-            return Ok((digest, block));
-        }
-        let block = Arc::new(impact_sched::schedule_block(problem, nodes)?);
-        self.backend.store_block(key, block.clone());
+        let block = self.try_memo(BlockKey::new(self.workload, digest), || {
+            impact_sched::schedule_block(problem, nodes).map(Arc::new)
+        })?;
         Ok((digest, block))
     }
 }

@@ -1,43 +1,41 @@
-//! The search-policy layer: [`Explorer`] strategies over the probe/commit
-//! kernel.
+//! The search-policy layer: the strategies [`ExplorerKind`] selects, run over
+//! the probe/commit kernel.
 //!
-//! The paper's IMPACT loop is a greedy best-candidate-per-pass descent, and
-//! until this module existed that exact shape was hardwired into the engine.
-//! Delta evaluation and schedule repair made probing a candidate nearly free,
-//! so the search policy is now a first-class, swappable layer:
+//! The paper's IMPACT loop is a greedy best-candidate-per-pass descent.
+//! Delta evaluation and schedule repair made probing a candidate nearly
+//! free, so the search policy is a separate layer:
 //!
-//! * [`SearchKernel`] is the policy-free probe/commit kernel. It owns the
+//! * `SearchKernel` is the policy-free probe/commit kernel. It owns the
 //!   mechanics every strategy shares — candidate generation, the
 //!   fingerprint-once-per-step bookkeeping, cheap reference-supply ranking
 //!   with deterministic tie-breaks, the fall-through-on-infeasible walk of
 //!   the ranked list, and the [`ExploreStats`] counters.
-//! * [`Explorer`] is the policy: given the kernel and the initial design
-//!   point, decide which moves to probe, what to commit, and when to stop.
+//! * A strategy decides, given the kernel and the initial design point,
+//!   which moves to probe, what to commit, and when to stop. The engine runs
+//!   the one [`ExplorerKind`] on [`EngineConfig`](crate::EngineConfig)
+//!   selects, through one `match`:
 //!
-//! Four explorers ship with the engine, selected through
-//! [`ExplorerKind`](crate::ExplorerKind) on
-//! [`EngineConfig`](crate::EngineConfig):
-//!
-//! * [`GreedyExplorer`] — the paper's variable-depth descent, bit-identical
-//!   to the pre-refactor engine. It is the oracle every other strategy is
-//!   pinned against: none may return a worse design at the same laxity.
-//! * [`BeamExplorer`] — keeps the top-k move sequences alive per step
-//!   instead of one; `k = 1` reduces exactly to greedy.
-//! * [`RestartExplorer`] — best-of-n greedy descents from seeded
-//!   perturbation kicks, with the kicks rolled back through the
-//!   transactional [`DesignDelta`](impact_rtl::DesignDelta) exact-revert
-//!   path.
-//! * [`ParetoSweep`] — a greedy descent that keeps every feasible probe and
-//!   returns the non-dominated power/area/latency front for the laxity
-//!   instead of a single point.
+//!   * [`ExplorerKind::Greedy`] — the paper's variable-depth descent. It is
+//!     the oracle every other strategy is pinned against: none may return a
+//!     worse design at the same laxity.
+//!   * [`ExplorerKind::Beam`] — keeps the top-k move sequences alive per
+//!     step instead of one; `k = 1` reduces exactly to greedy.
+//!   * [`ExplorerKind::Restart`] — best-of-n greedy descents from seeded
+//!     perturbation kicks, with the kicks rolled back through the
+//!     transactional [`DesignDelta`] exact-revert path.
+//!   * [`ExplorerKind::Pareto`] — a greedy descent that keeps every feasible
+//!     probe and returns the non-dominated power/area/latency front for the
+//!     laxity alongside the greedy point.
 //!
 //! All strategies run over the same [`Evaluator`] and therefore share one
 //! [`SweepSession`](crate::SweepSession) cache: exploring more of the move
 //! space amortizes the way laxity sweeps already amortize evaluation.
 
+use std::sync::Arc;
+
 use impact_cdfg::analysis::ExclusionInfo;
 use impact_cdfg::Cdfg;
-use impact_rtl::{DesignDelta, RtlDesign};
+use impact_rtl::{DesignDelta, DesignFingerprint, RtlDesign};
 use rand::prelude::*;
 
 use crate::config::{OptimizationMode, SynthesisConfig};
@@ -98,37 +96,57 @@ impl ExploreStats {
 /// Default beam width of [`ExplorerKind::Beam`] when none is given.
 pub const DEFAULT_BEAM_WIDTH: usize = 3;
 /// Default restart count of [`ExplorerKind::Restart`].
-pub const DEFAULT_RESTARTS: usize = 4;
+const DEFAULT_RESTARTS: usize = 4;
 /// Default perturbation length (moves per kick) of
 /// [`ExplorerKind::Restart`].
-pub const DEFAULT_KICKS: usize = 2;
+const DEFAULT_KICKS: usize = 2;
 /// Default kick seed of [`ExplorerKind::Restart`].
-pub const DEFAULT_RESTART_SEED: u64 = 1998;
+const DEFAULT_RESTART_SEED: u64 = 1998;
 
 /// Which search strategy the engine runs — the policy knob of
 /// [`EngineConfig`](crate::EngineConfig). `Copy`/`Eq` like the rest of the
 /// engine configuration.
+///
+/// Contract every strategy honors (property-tested against
+/// [`ExplorerKind::Greedy`], the oracle): the reported design is feasible
+/// under the run's ENC budget and its cost is never worse than what the
+/// greedy descent reaches from the same initial point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExplorerKind {
-    /// The paper's greedy variable-depth descent (the oracle).
+    /// The paper's greedy variable-depth descent (the oracle), bit-identical
+    /// to the engine before the search-policy layer existed.
     #[default]
     Greedy,
-    /// Top-`width` beam over ranked move sequences (`width = 1` ≡ greedy).
+    /// Beam search over move sequences: each step expands every live
+    /// sequence by its top-`width` feasible candidates and keeps the best
+    /// `width` children overall, with deterministic tie-breaks (cumulative
+    /// gain, then parent beam position, then candidate rank). The best
+    /// prefix seen across the whole beam is committed per pass — with
+    /// `width = 1` this is exactly the greedy pass.
     Beam {
-        /// Number of move sequences kept alive per step.
+        /// Number of move sequences kept alive per step (minimum 1).
         width: usize,
     },
-    /// Best-of-n greedy descents from seeded perturbation kicks.
+    /// Best-of-n restarts: the unperturbed greedy descent first (so the
+    /// result is never worse than greedy's), then repeated kicks of the
+    /// incumbent by a few seeded random feasible moves, each followed by a
+    /// descent, keeping the strictly best outcome. Kicks are applied to a
+    /// scratch design through [`Move::apply`] and rolled back delta by delta
+    /// through the transactional exact-revert path, so the incumbent is
+    /// never mutated.
     Restart {
         /// Number of perturbation restarts after the base descent.
         restarts: usize,
         /// Moves per perturbation kick.
         kicks: usize,
-        /// Seed of the kick generator.
+        /// Seed of the kick generator (compat `rand` SplitMix64).
         seed: u64,
     },
-    /// Greedy descent that returns the whole non-dominated
-    /// power/area/latency front of the probed space.
+    /// Greedy descent with a sweep collector: every feasible fully
+    /// evaluated probe (and the initial point) is kept, and the
+    /// non-dominated power/area/latency front of the probed space is
+    /// returned alongside the greedy best point, which stays bit-identical
+    /// to [`ExplorerKind::Greedy`]'s.
     Pareto,
 }
 
@@ -191,21 +209,36 @@ impl ExplorerKind {
         parts.next().is_none().then_some(kind)
     }
 
-    /// Instantiates the strategy.
-    pub(crate) fn build(self) -> Box<dyn Explorer> {
+    /// Runs the strategy to completion from the evaluated initial design.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scheduler failures surfaced by the kernel's probes.
+    pub(crate) fn explore(
+        self,
+        kernel: &mut SearchKernel<'_, '_>,
+        initial: DesignPoint,
+    ) -> Result<Exploration, SynthesisError> {
         match self {
-            ExplorerKind::Greedy => Box::new(GreedyExplorer),
-            ExplorerKind::Beam { width } => Box::new(BeamExplorer { width }),
+            ExplorerKind::Greedy => greedy_descent(kernel, initial, "greedy"),
+            ExplorerKind::Beam { width } => descend(kernel, initial, "beam", |kernel, current| {
+                beam_pass(kernel, current, width.max(1))
+            }),
             ExplorerKind::Restart {
                 restarts,
                 kicks,
                 seed,
-            } => Box::new(RestartExplorer {
-                restarts,
-                kicks,
-                seed,
-            }),
-            ExplorerKind::Pareto => Box::new(ParetoSweep),
+            } => restart_search(kernel, initial, restarts, kicks, seed),
+            ExplorerKind::Pareto => {
+                kernel.collected = Some(vec![initial.clone()]);
+                let mut exploration = greedy_descent(kernel, initial, "pareto")?;
+                let collected = kernel.collected.take().unwrap_or_default();
+                let (front, dominated) = pareto_front(collected);
+                kernel.stats.pareto_kept += front.len() as u64;
+                kernel.stats.pareto_dominated += dominated;
+                exploration.front = front;
+                Ok(exploration)
+            }
         }
     }
 }
@@ -216,7 +249,7 @@ impl ExplorerKind {
 /// design point, and its gain relative to the working design it was probed
 /// from.
 #[derive(Clone, Debug)]
-pub struct RankedCandidate {
+pub(crate) struct RankedCandidate {
     /// The move.
     pub mv: Move,
     /// Fully evaluated (supply-scaled) result of applying it.
@@ -226,7 +259,7 @@ pub struct RankedCandidate {
     pub gain: f64,
 }
 
-/// The policy-free probe/commit kernel every [`Explorer`] runs on.
+/// The policy-free probe/commit kernel every strategy runs on.
 ///
 /// It bundles what used to be hardwired into the engine's improvement pass:
 /// candidate generation over the working design, the working design's
@@ -235,7 +268,7 @@ pub struct RankedCandidate {
 /// tie-break, and the fall-through walk that fully evaluates candidates in
 /// rank order until enough survive. The kernel also accumulates the
 /// [`ExploreStats`] the engine reports.
-pub struct SearchKernel<'e, 'a> {
+pub(crate) struct SearchKernel<'e, 'a> {
     cdfg: &'e Cdfg,
     evaluator: &'e Evaluator<'a>,
     exclusion: ExclusionInfo,
@@ -257,16 +290,6 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         }
     }
 
-    /// The CDFG under synthesis.
-    pub fn cdfg(&self) -> &Cdfg {
-        self.cdfg
-    }
-
-    /// The evaluator the kernel probes through.
-    pub fn evaluator(&self) -> &Evaluator<'a> {
-        self.evaluator
-    }
-
     /// The run's configuration.
     pub fn config(&self) -> &SynthesisConfig {
         self.evaluator.config()
@@ -275,17 +298,6 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
     /// Counters accumulated so far.
     pub fn stats(&self) -> ExploreStats {
         self.stats
-    }
-
-    /// The fully evaluated initial (fully parallel) architecture.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler failures.
-    pub fn initial_point(&mut self) -> Result<DesignPoint, SynthesisError> {
-        let point = self.evaluator.initial_point()?;
-        self.collect(&point);
-        Ok(point)
     }
 
     /// Candidate moves applicable to `design`, in generation (preference)
@@ -325,11 +337,7 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         // Fingerprint the working design once per step; every candidate's
         // digest and context are then patched from it through the move's
         // delta.
-        let parent_fingerprint = self
-            .evaluator
-            .session()
-            .is_some()
-            .then(|| working.design.fingerprint());
+        let parent_fingerprint = working.design.fingerprint();
         let ranked = self.rank_candidates(working, &candidates, parent_fingerprint)?;
         self.stats.rank_probes += candidates.len() as u64;
 
@@ -342,8 +350,13 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
                 probed += 1;
                 Ok(self
                     .evaluator
-                    .evaluate_move_shared(&working.design, parent_fingerprint, &candidates[index])?
-                    .map(|point| (*point).clone()))
+                    .evaluate_candidate(
+                        &working.design,
+                        parent_fingerprint,
+                        &candidates[index],
+                        None,
+                    )?
+                    .map(Arc::unwrap_or_clone))
             })?;
             self.stats.probes += probed;
             let Some((index, point)) = advanced else {
@@ -376,16 +389,11 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         working: &DesignPoint,
         mv: &Move,
     ) -> Result<Option<DesignPoint>, SynthesisError> {
-        let parent_fingerprint = self
-            .evaluator
-            .session()
-            .is_some()
-            .then(|| working.design.fingerprint());
         self.stats.probes += 1;
         let point = self
             .evaluator
-            .evaluate_move_shared(&working.design, parent_fingerprint, mv)?
-            .map(|point| (*point).clone());
+            .evaluate_candidate(&working.design, working.design.fingerprint(), mv, None)?
+            .map(Arc::unwrap_or_clone);
         if let Some(point) = &point {
             self.collect(point);
         }
@@ -405,17 +413,17 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         &self,
         working: &DesignPoint,
         candidates: &[Move],
-        parent_fingerprint: Option<impact_rtl::DesignFingerprint>,
+        parent_fingerprint: DesignFingerprint,
     ) -> Result<Vec<(usize, f64)>, SynthesisError> {
         let mode = self.config().mode;
         let evaluator = self.evaluator;
         let working_reference_cost = reference_cost(working, mode);
         let score = |index: usize| -> Result<Option<f64>, SynthesisError> {
-            let Some(point) = evaluator.evaluate_move_at_vdd_shared(
+            let Some(point) = evaluator.evaluate_candidate(
                 &working.design,
                 parent_fingerprint,
                 &candidates[index],
-                impact_modlib::VDD_REFERENCE,
+                Some(impact_modlib::VDD_REFERENCE),
             )?
             else {
                 return Ok(None);
@@ -482,36 +490,10 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         available.min(candidate_count).max(1)
     }
 
-    /// Starts collecting feasible probes (the Pareto strategy's sweep).
-    fn begin_collection(&mut self) {
-        self.collected = Some(Vec::new());
-    }
-
-    /// Drains the collected points.
-    fn take_collected(&mut self) -> Vec<DesignPoint> {
-        self.collected.take().unwrap_or_default()
-    }
-
     fn collect(&mut self, point: &DesignPoint) {
         if let Some(collected) = &mut self.collected {
             collected.push(point.clone());
         }
-    }
-
-    fn note_commits(&mut self, count: usize) {
-        self.stats.commits += count as u64;
-    }
-
-    fn note_revert(&mut self) {
-        self.stats.reverts += 1;
-    }
-
-    fn note_beam_width(&mut self, width: usize) {
-        self.stats.beam_width = self.stats.beam_width.max(width as u64);
-    }
-
-    fn note_restart(&mut self) {
-        self.stats.restarts += 1;
     }
 }
 
@@ -538,11 +520,11 @@ pub(crate) fn first_feasible<E>(
     Ok(None)
 }
 
-// ------------------------------------------------------------------- trait
+// --------------------------------------------------------------- strategies
 
-/// Result of one [`Explorer::explore`] run.
+/// Result of one strategy run.
 #[derive(Clone, Debug)]
-pub struct Exploration {
+pub(crate) struct Exploration {
     /// The best design point found (what the engine reports).
     pub best: DesignPoint,
     /// Committed moves leading to `best`, in application order.
@@ -550,57 +532,75 @@ pub struct Exploration {
     /// Improvement passes executed (of the descent that produced `best`).
     pub passes: usize,
     /// Non-dominated power/area/latency front of the probed space. Empty
-    /// for single-point strategies; [`ParetoSweep`] fills it.
+    /// for single-point strategies; [`ExplorerKind::Pareto`] fills it.
     pub front: Vec<DesignPoint>,
 }
 
-/// A search strategy over the probe/commit kernel: given the kernel (which
-/// wraps the [`Evaluator`] and the candidate generator) and the evaluated
-/// initial design, decide which moves to probe, what to commit, and when to
-/// stop.
-///
-/// Contract every implementation must honor (property-tested against
-/// [`GreedyExplorer`], the oracle): the returned `best` is feasible under
-/// the run's ENC budget and its cost is never worse than what the greedy
-/// descent reaches from the same initial point.
-pub trait Explorer {
-    /// Short stable name, recorded into each committed move's
-    /// [`MoveRecord::strategy`].
-    fn name(&self) -> &'static str;
+/// A move sequence under construction: each move with the point it reached
+/// and its gain.
+type Sequence = Vec<(Move, DesignPoint, f64)>;
 
-    /// Runs the strategy to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler failures surfaced by the kernel's probes.
-    fn explore(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
-    ) -> Result<Exploration, SynthesisError>;
+/// Improvement passes until one commits nothing (or the pass limit). A pass
+/// returns the move sequence it commits, empty for none; `strategy` is
+/// recorded into every committed move.
+fn descend(
+    kernel: &mut SearchKernel<'_, '_>,
+    start: DesignPoint,
+    strategy: &'static str,
+    mut pass_moves: impl FnMut(
+        &mut SearchKernel<'_, '_>,
+        &DesignPoint,
+    ) -> Result<Sequence, SynthesisError>,
+) -> Result<Exploration, SynthesisError> {
+    let mut current = start;
+    let mut history: Vec<MoveRecord> = Vec::new();
+    let mut passes = 0usize;
+    for pass in 0..kernel.config().max_passes {
+        passes = pass + 1;
+        let sequence = pass_moves(kernel, &current)?;
+        let Some((_, last, _)) = sequence.last() else {
+            break;
+        };
+        current = last.clone();
+        kernel.stats.commits += sequence.len() as u64;
+        history.extend(sequence.into_iter().map(|(mv, _, gain)| MoveRecord {
+            applied: mv,
+            gain,
+            pass,
+            strategy,
+        }));
+    }
+    Ok(Exploration {
+        best: current,
+        history,
+        passes,
+        front: Vec::new(),
+    })
 }
 
-// ---------------------------------------------------------- greedy descent
+/// The full classic descent (Figure 7 of the paper). Shared by the greedy,
+/// restart and Pareto strategies so the point they all descend to is
+/// computed by one code path.
+fn greedy_descent(
+    kernel: &mut SearchKernel<'_, '_>,
+    start: DesignPoint,
+    strategy: &'static str,
+) -> Result<Exploration, SynthesisError> {
+    descend(kernel, start, strategy, greedy_pass)
+}
 
-/// One variable-depth improvement pass of the classic descent (Figure 7 of
-/// the paper): build a sequence of locally best moves, then commit the
-/// prefix with the best cumulative gain. Returns `true` when at least one
-/// move was committed.
+/// One variable-depth improvement pass: build a sequence of locally best
+/// moves, then keep the prefix with the best cumulative gain.
 fn greedy_pass(
     kernel: &mut SearchKernel<'_, '_>,
-    current: &mut DesignPoint,
-    pass: usize,
-    strategy: &'static str,
-    history: &mut Vec<MoveRecord>,
-) -> Result<bool, SynthesisError> {
-    let max_sequence_length = kernel.config().max_sequence_length;
+    current: &DesignPoint,
+) -> Result<Sequence, SynthesisError> {
     let mut working = current.clone();
-    let mut sequence: Vec<(Move, DesignPoint, f64)> = Vec::new();
+    let mut sequence: Sequence = Vec::new();
     let mut cumulative_gain = 0.0;
     let mut best_gain = 0.0;
     let mut best_prefix = 0usize;
-
-    for _ in 0..max_sequence_length {
+    for _ in 0..kernel.config().max_sequence_length {
         let mut step = kernel.ranked_step(&working, 1)?;
         let Some(chosen) = step.pop() else { break };
         cumulative_gain += chosen.gain;
@@ -611,355 +611,182 @@ fn greedy_pass(
             best_prefix = sequence.len();
         }
     }
-
-    if best_prefix == 0 {
-        return Ok(false);
-    }
-    // Commit the prefix with the best cumulative gain.
-    kernel.note_commits(best_prefix);
-    for (mv, _, gain) in sequence.iter().take(best_prefix) {
-        history.push(MoveRecord {
-            applied: mv.clone(),
-            gain: *gain,
-            pass,
-            strategy,
-        });
-    }
-    *current = sequence[best_prefix - 1].1.clone();
-    Ok(true)
-}
-
-/// The full classic descent: improvement passes until one commits nothing
-/// (or the pass limit). Shared by the greedy, restart and Pareto strategies
-/// so the point they all descend to is computed by one code path.
-fn greedy_descent(
-    kernel: &mut SearchKernel<'_, '_>,
-    start: DesignPoint,
-    strategy: &'static str,
-) -> Result<Exploration, SynthesisError> {
-    let max_passes = kernel.config().max_passes;
-    let mut current = start;
-    let mut history: Vec<MoveRecord> = Vec::new();
-    let mut passes = 0usize;
-    for pass in 0..max_passes {
-        passes = pass + 1;
-        if !greedy_pass(kernel, &mut current, pass, strategy, &mut history)? {
-            break;
-        }
-    }
-    Ok(Exploration {
-        best: current,
-        history,
-        passes,
-        front: Vec::new(),
-    })
-}
-
-// --------------------------------------------------------------- explorers
-
-/// The paper's greedy variable-depth descent — the oracle strategy,
-/// bit-identical to the engine before the search-policy layer existed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreedyExplorer;
-
-impl Explorer for GreedyExplorer {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn explore(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
-    ) -> Result<Exploration, SynthesisError> {
-        greedy_descent(kernel, initial, "greedy")
-    }
-}
-
-/// Beam search over move sequences: each step expands every live sequence
-/// by its top-`width` feasible candidates and keeps the best `width`
-/// children overall, with deterministic tie-breaks (cumulative gain, then
-/// parent beam position, then candidate rank). The best prefix seen across
-/// the whole beam is committed per pass — with `width = 1` this is exactly
-/// the greedy pass.
-#[derive(Clone, Copy, Debug)]
-pub struct BeamExplorer {
-    /// Number of move sequences kept alive per step (minimum 1).
-    pub width: usize,
+    sequence.truncate(best_prefix);
+    Ok(sequence)
 }
 
 /// One live sequence of a beam pass.
 struct BeamNode {
-    seq: Vec<(Move, DesignPoint, f64)>,
+    seq: Sequence,
     cumulative_gain: f64,
 }
 
-impl BeamExplorer {
-    fn beam_pass(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        current: &mut DesignPoint,
-        pass: usize,
-        history: &mut Vec<MoveRecord>,
-    ) -> Result<bool, SynthesisError> {
-        let width = self.width.max(1);
-        let max_sequence_length = kernel.config().max_sequence_length;
-        let root = current.clone();
-        let mut beam = vec![BeamNode {
-            seq: Vec::new(),
-            cumulative_gain: 0.0,
-        }];
-        let mut best_gain = 0.0;
-        let mut best_seq: Vec<(Move, DesignPoint, f64)> = Vec::new();
+/// One beam pass (see [`ExplorerKind::Beam`]): returns the best sequence
+/// seen across the whole beam.
+fn beam_pass(
+    kernel: &mut SearchKernel<'_, '_>,
+    root: &DesignPoint,
+    width: usize,
+) -> Result<Sequence, SynthesisError> {
+    let mut beam = vec![BeamNode {
+        seq: Vec::new(),
+        cumulative_gain: 0.0,
+    }];
+    let mut best_gain = 0.0;
+    let mut best_seq: Sequence = Vec::new();
 
-        for _ in 0..max_sequence_length {
-            // Expand every live sequence by its top-`width` feasible
-            // candidates; (parent position, candidate rank) ride along as
-            // the deterministic tie-break.
-            let mut children: Vec<(usize, usize, BeamNode)> = Vec::new();
-            for (parent, node) in beam.iter().enumerate() {
-                let working = node.seq.last().map_or(&root, |(_, point, _)| point).clone();
-                let expansions = kernel.ranked_step(&working, width)?;
-                for (rank, candidate) in expansions.into_iter().enumerate() {
-                    let mut seq = node.seq.clone();
-                    let child_gain = node.cumulative_gain + candidate.gain;
-                    seq.push((candidate.mv, candidate.point, candidate.gain));
-                    children.push((
-                        parent,
-                        rank,
-                        BeamNode {
-                            seq,
-                            cumulative_gain: child_gain,
-                        },
-                    ));
-                }
+    for _ in 0..kernel.config().max_sequence_length {
+        // Expand every live sequence by its top-`width` feasible
+        // candidates; (parent position, candidate rank) ride along as the
+        // deterministic tie-break.
+        let mut children: Vec<(usize, usize, BeamNode)> = Vec::new();
+        for (parent, node) in beam.iter().enumerate() {
+            let working = node.seq.last().map_or(root, |(_, point, _)| point).clone();
+            let expansions = kernel.ranked_step(&working, width)?;
+            for (rank, candidate) in expansions.into_iter().enumerate() {
+                let mut seq = node.seq.clone();
+                let child_gain = node.cumulative_gain + candidate.gain;
+                seq.push((candidate.mv, candidate.point, candidate.gain));
+                children.push((
+                    parent,
+                    rank,
+                    BeamNode {
+                        seq,
+                        cumulative_gain: child_gain,
+                    },
+                ));
             }
-            if children.is_empty() {
-                break;
+        }
+        if children.is_empty() {
+            break;
+        }
+        children.sort_by(|a, b| {
+            b.2.cumulative_gain
+                .total_cmp(&a.2.cumulative_gain)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
+        children.truncate(width);
+        kernel.stats.beam_width = kernel.stats.beam_width.max(children.len() as u64);
+        // First-strictly-greater in sorted order, so ties keep the earlier
+        // (better-ranked) sequence — with width 1 this is the greedy pass's
+        // best-prefix update.
+        for (_, _, node) in &children {
+            if node.cumulative_gain > best_gain + GAIN_EPS {
+                best_gain = node.cumulative_gain;
+                best_seq = node.seq.clone();
             }
-            children.sort_by(|a, b| {
-                b.2.cumulative_gain
-                    .total_cmp(&a.2.cumulative_gain)
-                    .then(a.0.cmp(&b.0))
-                    .then(a.1.cmp(&b.1))
-            });
-            children.truncate(width);
-            kernel.note_beam_width(children.len());
-            // First-strictly-greater in sorted order, so ties keep the
-            // earlier (better-ranked) sequence — with width 1 this is the
-            // greedy pass's best-prefix update.
-            for (_, _, node) in &children {
-                if node.cumulative_gain > best_gain + GAIN_EPS {
-                    best_gain = node.cumulative_gain;
-                    best_seq = node.seq.clone();
-                }
-            }
-            beam = children.into_iter().map(|(_, _, node)| node).collect();
         }
-
-        if best_seq.is_empty() {
-            return Ok(false);
-        }
-        kernel.note_commits(best_seq.len());
-        for (mv, _, gain) in &best_seq {
-            history.push(MoveRecord {
-                applied: mv.clone(),
-                gain: *gain,
-                pass,
-                strategy: "beam",
-            });
-        }
-        *current = best_seq[best_seq.len() - 1].1.clone();
-        Ok(true)
+        beam = children.into_iter().map(|(_, _, node)| node).collect();
     }
-}
-
-impl Explorer for BeamExplorer {
-    fn name(&self) -> &'static str {
-        "beam"
-    }
-
-    fn explore(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
-    ) -> Result<Exploration, SynthesisError> {
-        let mut current = initial;
-        let mut history: Vec<MoveRecord> = Vec::new();
-        let mut passes = 0usize;
-        for pass in 0..kernel.config().max_passes {
-            passes = pass + 1;
-            if !self.beam_pass(kernel, &mut current, pass, &mut history)? {
-                break;
-            }
-        }
-        Ok(Exploration {
-            best: current,
-            history,
-            passes,
-            front: Vec::new(),
-        })
-    }
-}
-
-/// Best-of-n restarts: run the unperturbed greedy descent first (so the
-/// result is never worse than greedy's), then repeatedly kick the incumbent
-/// with a few seeded random feasible moves and descend again, keeping the
-/// strictly best outcome. Kicks are applied to a scratch design through
-/// [`Move::apply`] and rolled back delta by delta through the transactional
-/// exact-revert path, so the incumbent is never mutated.
-#[derive(Clone, Copy, Debug)]
-pub struct RestartExplorer {
-    /// Perturbation restarts after the base descent.
-    pub restarts: usize,
-    /// Moves per perturbation kick.
-    pub kicks: usize,
-    /// Seed of the kick generator (compat `rand` SplitMix64).
-    pub seed: u64,
+    Ok(best_seq)
 }
 
 /// Random-candidate draws attempted per kick move before giving up on the
 /// kick step (an infeasible draw is retried with the next random index).
 const KICK_ATTEMPTS: usize = 8;
 
-impl RestartExplorer {
-    /// Perturbs `from` by up to `self.kicks` random feasible moves. Returns
-    /// the kicked design point and the kick's history records, or `None`
-    /// when no feasible perturbation was found. The scratch design the kick
-    /// mutates is rolled back through [`RtlDesign::revert_delta`] before
-    /// returning, which (debug-)asserts the exact pre-kick state is
-    /// restored.
-    fn kick(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        from: &DesignPoint,
-        rng: &mut StdRng,
-    ) -> Result<Option<(DesignPoint, Vec<MoveRecord>)>, SynthesisError> {
-        let mode = kernel.config().mode;
-        let mut scratch = from.design.clone();
-        let before = scratch.fingerprint();
-        let mut deltas: Vec<DesignDelta> = Vec::new();
-        let mut records: Vec<MoveRecord> = Vec::new();
-        let mut point = from.clone();
-
-        for _ in 0..self.kicks {
-            let candidates = kernel.candidates(&scratch);
-            if candidates.is_empty() {
-                break;
-            }
-            let mut advanced = None;
-            for _ in 0..KICK_ATTEMPTS {
-                let pick = rng.random_range(0..candidates.len());
-                if let Some(next) = kernel.probe_move(&point, &candidates[pick])? {
-                    advanced = Some((candidates[pick].clone(), next));
-                    break;
-                }
-            }
-            let Some((mv, next)) = advanced else { break };
-            let Ok(delta) = mv.apply(kernel.cdfg(), kernel.evaluator().library(), &mut scratch)
-            else {
-                break;
-            };
-            deltas.push(delta);
-            records.push(MoveRecord {
-                applied: mv,
-                gain: point.cost(mode) - next.cost(mode),
-                pass: 0,
-                strategy: "restart-kick",
-            });
-            point = next;
-        }
-
-        // Roll the scratch design back move by move — the transactional
-        // exact-revert path the deltas exist for.
-        for delta in deltas.iter().rev() {
-            scratch.revert_delta(delta);
-            kernel.note_revert();
-        }
-        debug_assert_eq!(
-            scratch.fingerprint(),
-            before,
-            "reverting a kick must restore the exact pre-kick design"
-        );
-
-        if records.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some((point, records)))
+/// The restart strategy (see [`ExplorerKind::Restart`]).
+fn restart_search(
+    kernel: &mut SearchKernel<'_, '_>,
+    initial: DesignPoint,
+    restarts: usize,
+    kicks: usize,
+    seed: u64,
+) -> Result<Exploration, SynthesisError> {
+    let mode = kernel.config().mode;
+    // Run 0 is the unperturbed descent: the restart strategy can only ever
+    // improve on the greedy result.
+    let mut best = greedy_descent(kernel, initial, "restart")?;
+    if kernel.config().max_passes == 0 || kicks == 0 {
+        return Ok(best);
     }
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..restarts {
+        kernel.stats.restarts += 1;
+        let Some((kicked, kick_records)) = kick(kernel, &best.best, kicks, &mut rng)? else {
+            continue;
+        };
+        let descent = greedy_descent(kernel, kicked, "restart")?;
+        if descent.best.cost(mode) < best.best.cost(mode) - GAIN_EPS {
+            // The winning restart's history is the kick that escaped the
+            // basin plus the descent that followed it.
+            kernel.stats.commits += kick_records.len() as u64;
+            let mut history = kick_records;
+            history.extend(descent.history);
+            best = Exploration {
+                best: descent.best,
+                history,
+                passes: descent.passes,
+                front: Vec::new(),
+            };
+        }
+    }
+    Ok(best)
 }
 
-impl Explorer for RestartExplorer {
-    fn name(&self) -> &'static str {
-        "restart"
-    }
+/// Perturbs `from` by up to `kicks` random feasible moves. Returns the
+/// kicked design point and the kick's history records, or `None` when no
+/// feasible perturbation was found. The scratch design the kick mutates is
+/// rolled back through [`RtlDesign::revert_delta`] before returning, which
+/// (debug-)asserts the exact pre-kick state is restored.
+fn kick(
+    kernel: &mut SearchKernel<'_, '_>,
+    from: &DesignPoint,
+    kicks: usize,
+    rng: &mut StdRng,
+) -> Result<Option<(DesignPoint, Vec<MoveRecord>)>, SynthesisError> {
+    let mode = kernel.config().mode;
+    let mut scratch = from.design.clone();
+    let before = scratch.fingerprint();
+    let mut deltas: Vec<DesignDelta> = Vec::new();
+    let mut records: Vec<MoveRecord> = Vec::new();
+    let mut point = from.clone();
 
-    fn explore(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
-    ) -> Result<Exploration, SynthesisError> {
-        let mode = kernel.config().mode;
-        // Run 0 is the unperturbed descent: the restart strategy can only
-        // ever improve on the greedy result.
-        let mut best = greedy_descent(kernel, initial, "restart")?;
-        if kernel.config().max_passes == 0 || self.kicks == 0 {
-            return Ok(best);
+    for _ in 0..kicks {
+        let candidates = kernel.candidates(&scratch);
+        if candidates.is_empty() {
+            break;
         }
-
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..self.restarts {
-            kernel.note_restart();
-            let Some((kicked, kick_records)) = self.kick(kernel, &best.best, &mut rng)? else {
-                continue;
-            };
-            let descent = greedy_descent(kernel, kicked, "restart")?;
-            if descent.best.cost(mode) < best.best.cost(mode) - GAIN_EPS {
-                // The winning restart's history is the kick that escaped the
-                // basin plus the descent that followed it.
-                kernel.note_commits(kick_records.len());
-                let mut history = kick_records;
-                history.extend(descent.history);
-                best = Exploration {
-                    best: descent.best,
-                    history,
-                    passes: descent.passes,
-                    front: Vec::new(),
-                };
+        let mut advanced = None;
+        for _ in 0..KICK_ATTEMPTS {
+            let pick = rng.random_range(0..candidates.len());
+            if let Some(next) = kernel.probe_move(&point, &candidates[pick])? {
+                advanced = Some((candidates[pick].clone(), next));
+                break;
             }
         }
-        Ok(best)
-    }
-}
-
-/// Greedy descent with a sweep collector: every feasible fully evaluated
-/// probe (and the initial point) is kept, and the non-dominated
-/// power/area/latency front is returned alongside the greedy best point.
-/// The reported design is bit-identical to [`GreedyExplorer`]'s; the front
-/// is the extra product.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParetoSweep;
-
-impl Explorer for ParetoSweep {
-    fn name(&self) -> &'static str {
-        "pareto"
+        let Some((mv, next)) = advanced else { break };
+        let Ok(delta) = mv.apply(kernel.cdfg, kernel.evaluator.library(), &mut scratch) else {
+            break;
+        };
+        deltas.push(delta);
+        records.push(MoveRecord {
+            applied: mv,
+            gain: point.cost(mode) - next.cost(mode),
+            pass: 0,
+            strategy: "restart-kick",
+        });
+        point = next;
     }
 
-    fn explore(
-        &self,
-        kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
-    ) -> Result<Exploration, SynthesisError> {
-        kernel.begin_collection();
-        kernel.collect(&initial);
-        let mut exploration = greedy_descent(kernel, initial, "pareto")?;
-        let collected = kernel.take_collected();
-        let (front, dominated) = pareto_front(collected);
-        kernel.stats.pareto_kept += front.len() as u64;
-        kernel.stats.pareto_dominated += dominated;
-        exploration.front = front;
-        Ok(exploration)
+    // Roll the scratch design back move by move — the transactional
+    // exact-revert path the deltas exist for.
+    for delta in deltas.iter().rev() {
+        scratch.revert_delta(delta);
+        kernel.stats.reverts += 1;
     }
+    debug_assert_eq!(
+        scratch.fingerprint(),
+        before,
+        "reverting a kick must restore the exact pre-kick design"
+    );
+
+    if records.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some((point, records)))
 }
 
 /// Whether `a` dominates `b` on the (power, area, ENC) objectives: no worse

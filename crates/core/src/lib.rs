@@ -51,15 +51,11 @@ pub use cache::{
     AbsorbStats, CacheBackend, CacheSnapshot, CacheStats, DesignContext, InMemoryCache, LayerStats,
     MuxEntry,
 };
-pub use config::{EngineConfig, OptimizationMode, SynthesisConfig, VerifyLevel};
+pub use config::{EngineConfig, EvaluatorKind, OptimizationMode, SynthesisConfig, VerifyLevel};
 pub use engine::{Impact, MoveRecord, SynthesisOutcome, SynthesisReport};
 pub use error::SynthesisError;
 pub use evaluate::{DesignPoint, Evaluator};
-pub use explore::{
-    pareto_front, BeamExplorer, Exploration, ExploreStats, Explorer, ExplorerKind, GreedyExplorer,
-    ParetoSweep, RankedCandidate, RestartExplorer, SearchKernel, DEFAULT_BEAM_WIDTH, DEFAULT_KICKS,
-    DEFAULT_RESTARTS, DEFAULT_RESTART_SEED,
-};
+pub use explore::{pareto_front, ExploreStats, ExplorerKind, DEFAULT_BEAM_WIDTH};
 pub use fingerprint::{
     BlockKey, ContextKey, FuStatsKey, MuxStatsKey, PointKey, RegStatsKey, ScaledKey, ScheduleKey,
     WorkloadId,

@@ -2,20 +2,20 @@
 
 //! The explorer-layer contract, pinned from the outside:
 //!
-//! - `GreedyExplorer` is **bit-identical** to the pre-refactor monolithic
-//!   engine. The pins below are `f64::to_bits` values captured from the
-//!   engine as it stood before the search-policy extraction; any drift in
-//!   power, area, supply, ENC, or the committed-move/pass counts is a
-//!   regression in the kernel or the greedy policy, not noise.
-//! - `BeamExplorer` with width 1 degenerates to greedy, bit for bit.
-//! - `RestartExplorer` never does worse than greedy and is deterministic
-//!   for a fixed seed.
-//! - Every member of a `ParetoSweep` front is non-dominated and the front
-//!   contains the greedy optimum.
+//! - `ExplorerKind::Greedy` is **bit-identical** to the pre-refactor
+//!   monolithic engine. The pins below are `f64::to_bits` values captured
+//!   from the engine as it stood before the search-policy extraction; any
+//!   drift in power, area, supply, ENC, or the committed-move/pass counts is
+//!   a regression in the kernel or the greedy policy, not noise.
+//! - `ExplorerKind::Beam` with width 1 degenerates to greedy, bit for bit.
+//! - `ExplorerKind::Restart` never does worse than greedy and is
+//!   deterministic for a fixed seed.
+//! - Every member of an `ExplorerKind::Pareto` front is non-dominated and
+//!   the front contains the greedy optimum.
 
 use impact_behsim::simulate;
 use impact_cdfg::Cdfg;
-use impact_core::{BeamExplorer, ExplorerKind, Impact, SynthesisConfig, SynthesisOutcome};
+use impact_core::{ExplorerKind, Impact, SynthesisConfig, SynthesisOutcome};
 use proptest::prelude::*;
 
 /// One pinned run: benchmark, laxity, then `f64::to_bits` of the final
@@ -215,16 +215,11 @@ proptest! {
 
 #[test]
 fn beam_explorer_width_defaults_are_exposed() {
-    let beam = BeamExplorer {
+    let beam = ExplorerKind::Beam {
         width: impact_core::DEFAULT_BEAM_WIDTH,
     };
-    assert_eq!(beam.width, 3);
-    assert_eq!(
-        ExplorerKind::parse("beam").unwrap(),
-        ExplorerKind::Beam {
-            width: impact_core::DEFAULT_BEAM_WIDTH
-        }
-    );
+    assert_eq!(beam, ExplorerKind::Beam { width: 3 });
+    assert_eq!(ExplorerKind::parse("beam").unwrap(), beam);
 }
 
 #[test]

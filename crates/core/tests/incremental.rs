@@ -5,6 +5,8 @@
 //! and uncached evaluation are bit-identical, and the sequential and
 //! incremental engine configurations synthesize identical results.
 
+use std::sync::Arc;
+
 use impact_behsim::simulate;
 use impact_cdfg::{Cdfg, OpClass};
 use impact_core::{DesignPoint, EngineConfig, Evaluator, Impact, SynthesisConfig};
@@ -62,7 +64,7 @@ fn mutated_design(cdfg: &Cdfg, evaluator: &Evaluator<'_>, seed: u64) -> RtlDesig
 
 /// The exhaustive reference implementation of the supply search: scan the
 /// grid bottom-up and take the first feasible level.
-fn linear_scan(evaluator: &Evaluator<'_>, design: &RtlDesign) -> Option<DesignPoint> {
+fn linear_scan(evaluator: &Evaluator<'_>, design: &RtlDesign) -> Option<Arc<DesignPoint>> {
     evaluator
         .evaluate_at_vdd(design, impact_modlib::VDD_REFERENCE)
         .unwrap()?;

@@ -236,15 +236,25 @@ impl<'src> Lexer<'src> {
         };
 
         if c.is_ascii_digit() {
-            let mut value: i64 = 0;
-            while let Some(d) = self.peek() {
-                if !d.is_ascii_digit() {
-                    break;
-                }
-                value = value * 10 + i64::from(d as u8 - b'0');
+            let start = self.pos;
+            let mut value = Some(0i64);
+            while let Some(d) = self.peek().filter(char::is_ascii_digit) {
+                let digit = i64::from(d as u8 - b'0');
+                value = value.and_then(|v| v.checked_mul(10)?.checked_add(digit));
                 self.bump();
             }
-            return Ok(make(TokenKind::Int(value)));
+            return match value {
+                Some(value) => Ok(make(TokenKind::Int(value))),
+                None => Err(HdlError::Parse {
+                    line,
+                    column,
+                    expected: format!("an integer literal of at most {}", i64::MAX),
+                    found: format!(
+                        "`{}`",
+                        self.chars[start..self.pos].iter().collect::<String>()
+                    ),
+                }),
+            };
         }
 
         if c.is_ascii_alphabetic() || c == '_' {
@@ -421,6 +431,30 @@ mod tests {
             }
             other => panic!("expected lex error, found {other:?}"),
         }
+    }
+
+    #[test]
+    fn integer_literals_above_i64_max_are_an_error() {
+        assert_eq!(
+            kinds("9223372036854775807"),
+            vec![TokenKind::Int(i64::MAX), TokenKind::Eof]
+        );
+        let err = Lexer::new("y = a + 99999999999999999999;")
+            .tokenize()
+            .unwrap_err();
+        match err {
+            HdlError::Parse {
+                line,
+                column,
+                found,
+                ..
+            } => assert_eq!(
+                (line, column, found.as_str()),
+                (1, 9, "`99999999999999999999`")
+            ),
+            other => panic!("expected a literal error, found {other:?}"),
+        }
+        assert!(Lexer::new("9223372036854775808").tokenize().is_err());
     }
 
     #[test]

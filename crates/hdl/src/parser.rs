@@ -14,24 +14,44 @@
 //! block       := "{" stmt* "}"
 //! expr        := or-expr (binary operators with C-like precedence)
 //! ```
+//!
+//! Nesting is bounded by [`MAX_NESTING`] so that hostile input is an error,
+//! not a stack overflow, in the parser and in every recursive walk of the
+//! tree after it (lowering, drop).
 
 use crate::ast::{BinaryOp, Design, Expr, PortDecl, Stmt, UnaryOp, VarDecl};
 use crate::error::HdlError;
 use crate::lexer::{Lexer, Token, TokenKind};
 
+/// Deepest nesting the parser accepts along any path of the syntax tree:
+/// every compound statement, parenthesis, unary operator and binary
+/// operator adds one level. The shipped benchmark designs stay far below it.
+/// The deepest shape at the bound, nested `if` blocks, compiles within
+/// 512 KiB of stack in a debug build.
+const MAX_NESTING: usize = 64;
+
 /// Parses behavioral source text into an AST.
 ///
 /// # Errors
 ///
-/// Returns [`HdlError::Lex`] or [`HdlError::Parse`] on malformed input.
+/// Returns [`HdlError::Lex`] or [`HdlError::Parse`] on malformed input,
+/// including tokens after the design's closing brace and nesting deeper
+/// than 64 levels.
 pub fn parse(source: &str) -> Result<Design, HdlError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, pos: 0 }.design()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .design()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -71,6 +91,27 @@ impl Parser {
             true
         } else {
             false
+        }
+    }
+
+    /// Opens one nesting level, failing beyond [`MAX_NESTING`]. Every
+    /// recursive descent goes through here, which bounds the recursion.
+    fn enter(&mut self) -> Result<(), HdlError> {
+        self.depth += 1;
+        self.within_bound(0).map(drop)
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// `height` if an expression node of that height fits below the open
+    /// levels, so the finished tree is at most [`MAX_NESTING`] deep.
+    fn within_bound(&self, height: usize) -> Result<usize, HdlError> {
+        if self.depth + height <= MAX_NESTING {
+            Ok(height)
+        } else {
+            self.error(&format!("at most {MAX_NESTING} levels of nesting"))
         }
     }
 
@@ -134,6 +175,9 @@ impl Parser {
             design.body.push(self.statement()?);
         }
         self.expect(TokenKind::RBrace, "`}`")?;
+        if self.peek().kind != TokenKind::Eof {
+            return self.error("end of input after the design");
+        }
         Ok(design)
     }
 
@@ -186,60 +230,68 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, HdlError> {
-        match self.peek().kind.clone() {
-            TokenKind::If => {
-                self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
-                let condition = self.expression()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                let then_body = self.block()?;
-                let else_body = if self.eat(&TokenKind::Else) {
-                    if self.peek().kind == TokenKind::If {
-                        vec![self.statement()?]
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    condition,
-                    then_body,
-                    else_body,
-                })
-            }
-            TokenKind::While => {
-                self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
-                let condition = self.expression()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                let body = self.block()?;
-                Ok(Stmt::While { condition, body })
-            }
-            TokenKind::For => {
-                self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
-                let init = self.assignment()?;
-                self.expect(TokenKind::Semicolon, "`;` after the for-initializer")?;
-                let condition = self.expression()?;
-                self.expect(TokenKind::Semicolon, "`;` after the for-condition")?;
-                let update = self.assignment()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                let body = self.block()?;
-                Ok(Stmt::For {
-                    init: Box::new(init),
-                    condition,
-                    update: Box::new(update),
-                    body,
-                })
-            }
+        // Each compound statement is its own function, so a nesting level
+        // costs only that statement's stack frame.
+        let parse: fn(&mut Self) -> Result<Stmt, HdlError> = match self.peek().kind {
             TokenKind::Ident(_) => {
                 let stmt = self.assignment()?;
                 self.expect(TokenKind::Semicolon, "`;` after the assignment")?;
-                Ok(stmt)
+                return Ok(stmt);
             }
-            _ => self.error("a statement"),
-        }
+            TokenKind::If => Self::if_statement,
+            TokenKind::While => Self::while_statement,
+            TokenKind::For => Self::for_statement,
+            _ => return self.error("a statement"),
+        };
+        self.bump();
+        self.enter()?;
+        let stmt = parse(self)?;
+        self.leave();
+        Ok(stmt)
+    }
+
+    fn if_statement(&mut self) -> Result<Stmt, HdlError> {
+        self.expect(TokenKind::LParen, "`(`")?;
+        let condition = self.expression()?;
+        self.expect(TokenKind::RParen, "`)`")?;
+        let then_body = self.block()?;
+        let else_body = if !self.eat(&TokenKind::Else) {
+            Vec::new()
+        } else if self.peek().kind == TokenKind::If {
+            vec![self.statement()?]
+        } else {
+            self.block()?
+        };
+        Ok(Stmt::If {
+            condition,
+            then_body,
+            else_body,
+        })
+    }
+
+    fn while_statement(&mut self) -> Result<Stmt, HdlError> {
+        self.expect(TokenKind::LParen, "`(`")?;
+        let condition = self.expression()?;
+        self.expect(TokenKind::RParen, "`)`")?;
+        let body = self.block()?;
+        Ok(Stmt::While { condition, body })
+    }
+
+    fn for_statement(&mut self) -> Result<Stmt, HdlError> {
+        self.expect(TokenKind::LParen, "`(`")?;
+        let init = self.assignment()?;
+        self.expect(TokenKind::Semicolon, "`;` after the for-initializer")?;
+        let condition = self.expression()?;
+        self.expect(TokenKind::Semicolon, "`;` after the for-condition")?;
+        let update = self.assignment()?;
+        self.expect(TokenKind::RParen, "`)`")?;
+        let body = self.block()?;
+        Ok(Stmt::For {
+            init: Box::new(init),
+            condition,
+            update: Box::new(update),
+            body,
+        })
     }
 
     fn assignment(&mut self) -> Result<Stmt, HdlError> {
@@ -249,171 +301,86 @@ impl Parser {
         Ok(Stmt::Assign { target, value })
     }
 
-    // Expression parsing with C-like precedence (lowest first).
     fn expression(&mut self) -> Result<Expr, HdlError> {
-        self.or_expr()
+        Ok(self.binary(0)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::binary(BinaryOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.bitor_expr()?;
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.bitor_expr()?;
-            lhs = Expr::binary(BinaryOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitor_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.bitxor_expr()?;
-        while self.eat(&TokenKind::Pipe) {
-            let rhs = self.bitxor_expr()?;
-            lhs = Expr::binary(BinaryOp::BitOr, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.bitand_expr()?;
-        while self.eat(&TokenKind::Caret) {
-            let rhs = self.bitand_expr()?;
-            lhs = Expr::binary(BinaryOp::BitXor, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn bitand_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat(&TokenKind::Amp) {
-            let rhs = self.equality_expr()?;
-            lhs = Expr::binary(BinaryOp::BitAnd, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::EqEq => BinaryOp::Eq,
-                TokenKind::NotEq => BinaryOp::Ne,
-                _ => break,
-            };
+    /// Precedence climbing: a binary expression whose operators all bind at
+    /// least as tightly as `min_prec`, with its height in operators.
+    fn binary(&mut self, min_prec: u8) -> Result<(Expr, usize), HdlError> {
+        let (mut lhs, mut height) = self.unary()?;
+        while let Some((op, prec)) = binary_op(&self.peek().kind).filter(|&(_, p)| p >= min_prec) {
             self.bump();
-            let rhs = self.relational_expr()?;
+            self.enter()?;
+            let (rhs, rhs_height) = self.binary(prec + 1)?;
+            self.leave();
+            height = self.within_bound(1 + height.max(rhs_height))?;
             lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn relational_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.shift_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Lt => BinaryOp::Lt,
-                TokenKind::Le => BinaryOp::Le,
-                TokenKind::Gt => BinaryOp::Gt,
-                TokenKind::Ge => BinaryOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.shift_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
+    fn unary(&mut self) -> Result<(Expr, usize), HdlError> {
+        let op = match self.peek().kind {
+            TokenKind::Minus => UnaryOp::Neg,
+            TokenKind::Bang => UnaryOp::Not,
+            _ => return self.primary(),
+        };
+        self.bump();
+        self.enter()?;
+        let (operand, height) = self.unary()?;
+        self.leave();
+        let operand = Box::new(operand);
+        Ok((Expr::Unary { op, operand }, height + 1))
     }
 
-    fn shift_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Shl => BinaryOp::Shl,
-                TokenKind::Shr => BinaryOp::Shr,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.additive_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinaryOp::Add,
-                TokenKind::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr, HdlError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinaryOp::Mul,
-                TokenKind::Slash => BinaryOp::Div,
-                TokenKind::Percent => BinaryOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, HdlError> {
-        if self.eat(&TokenKind::Minus) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                operand: Box::new(operand),
-            });
-        }
-        if self.eat(&TokenKind::Bang) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                operand: Box::new(operand),
-            });
-        }
-        self.primary_expr()
-    }
-
-    fn primary_expr(&mut self) -> Result<Expr, HdlError> {
+    fn primary(&mut self) -> Result<(Expr, usize), HdlError> {
         match self.peek().kind.clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::Literal(v))
+                Ok((Expr::Literal(v), 0))
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(Expr::Variable(name))
+                Ok((Expr::Variable(name), 0))
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expression()?;
+                self.enter()?;
+                let inner = self.binary(0)?;
                 self.expect(TokenKind::RParen, "`)`")?;
-                Ok(e)
+                self.leave();
+                Ok(inner)
             }
             _ => self.error("an expression"),
         }
     }
+}
+
+/// The binary operator a token spells, with its precedence: higher binds
+/// tighter, and every operator associates to the left (C-like).
+fn binary_op(kind: &TokenKind) -> Option<(BinaryOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinaryOp::Or, 1),
+        TokenKind::AndAnd => (BinaryOp::And, 2),
+        TokenKind::Pipe => (BinaryOp::BitOr, 3),
+        TokenKind::Caret => (BinaryOp::BitXor, 4),
+        TokenKind::Amp => (BinaryOp::BitAnd, 5),
+        TokenKind::EqEq => (BinaryOp::Eq, 6),
+        TokenKind::NotEq => (BinaryOp::Ne, 6),
+        TokenKind::Lt => (BinaryOp::Lt, 7),
+        TokenKind::Le => (BinaryOp::Le, 7),
+        TokenKind::Gt => (BinaryOp::Gt, 7),
+        TokenKind::Ge => (BinaryOp::Ge, 7),
+        TokenKind::Shl => (BinaryOp::Shl, 8),
+        TokenKind::Shr => (BinaryOp::Shr, 8),
+        TokenKind::Plus => (BinaryOp::Add, 9),
+        TokenKind::Minus => (BinaryOp::Sub, 9),
+        TokenKind::Star => (BinaryOp::Mul, 10),
+        TokenKind::Slash => (BinaryOp::Div, 10),
+        TokenKind::Percent => (BinaryOp::Rem, 10),
+        _ => return None,
+    })
 }
 
 fn clamp_width(width: i64) -> u8 {
@@ -532,6 +499,54 @@ mod tests {
         let d = parse("design p { input a: 200; var x: 0; x = a; }").unwrap();
         assert_eq!(d.inputs[0].width, 64);
         assert_eq!(d.variables[0].width, 1);
+    }
+
+    #[test]
+    fn tokens_after_the_design_are_rejected() {
+        let err = parse("design d { output y: 8; y = 1; } }}} garbage").unwrap_err();
+        match err {
+            HdlError::Parse {
+                line,
+                column,
+                expected,
+                ..
+            } => {
+                assert_eq!((line, column), (1, 34));
+                assert!(expected.contains("end of input"), "{expected}");
+            }
+            other => panic!("expected parse error, found {other:?}"),
+        }
+    }
+
+    /// The four deep shapes: nested parentheses, nested `if` blocks, unary
+    /// minuses and a left-deep `a + a + …` chain, `n` levels deep.
+    fn deep_designs(n: usize) -> [String; 4] {
+        let design = |body: String| format!("design d {{ input a: 8; output y: 8; {body} }}");
+        [
+            design(format!("y = {}a{};", "(".repeat(n), ")".repeat(n))),
+            design(format!("{}y = 1;{}", "if (a) { ".repeat(n), " }".repeat(n))),
+            design(format!("y = {}a;", "-".repeat(n))),
+            design(format!("y = a{};", " + a".repeat(n))),
+        ]
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for source in deep_designs(10_000) {
+            match crate::compile(&source).unwrap_err() {
+                HdlError::Parse { expected, .. } => {
+                    assert!(expected.contains("levels of nesting"), "{expected}")
+                }
+                other => panic!("expected a nesting error, found {other:?}"),
+            }
+        }
+        for source in deep_designs(MAX_NESTING + 1) {
+            assert!(crate::compile(&source).is_err());
+        }
+        // The bound itself compiles and lowers on a test thread's stack.
+        for source in deep_designs(MAX_NESTING) {
+            crate::compile(&source).unwrap();
+        }
     }
 
     #[test]
