@@ -7,8 +7,8 @@
 //! simulation: it interprets a [`Cdfg`](impact_cdfg::Cdfg) through its region
 //! tree over a sequence of input passes and records
 //!
-//! * one [`OpEvent`] per executed operation (the per-operation traces
-//!   `TR(op_i)` of the paper),
+//! * one [`NodeTrace`] per operation, a row per execution stored as
+//!   columns (the per-operation traces `TR(op_i)` of the paper),
 //! * the sequence of values written to every variable (register traces),
 //! * branch-taken statistics (the probabilities of propagation `p_i`),
 //! * loop iteration statistics (expected trip counts for ENC computation),
@@ -40,6 +40,6 @@ mod profile;
 mod sim;
 
 pub use error::SimError;
-pub use event::{ExecutionTrace, OpEvent};
+pub use event::{Event, ExecutionTrace, NodeTrace};
 pub use profile::{branch_count, BranchStats, ControlProfile, LoopStats};
 pub use sim::{simulate, Simulator};

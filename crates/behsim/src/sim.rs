@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use impact_cdfg::{Cdfg, EdgeId, NodeId, Operation, Region, ValueRef, VarId};
 
 use crate::error::SimError;
-use crate::event::{ExecutionTrace, OpEvent};
+use crate::event::{ExecutionTrace, NodeTrace};
 use crate::profile::ControlProfile;
 
 /// Simulates `cdfg` over `inputs`, where every inner vector provides one value
@@ -27,13 +27,16 @@ pub struct Simulator<'a> {
 }
 
 struct RunState {
-    env: HashMap<VarId, i64>,
-    events: Vec<OpEvent>,
-    var_writes: HashMap<VarId, Vec<i64>>,
+    /// Current value of every variable, indexed by variable (0 when unset).
+    env: Vec<i64>,
+    nodes: Vec<NodeTrace>,
+    pass_starts: Vec<u32>,
+    /// Operand buffer reused by every executed node.
+    operands: Vec<i64>,
+    var_writes: Vec<Vec<i64>>,
     profile: ControlProfile,
     outputs: Vec<HashMap<VarId, i64>>,
     current_outputs: HashMap<VarId, i64>,
-    pass: u32,
     sequence: u32,
 }
 
@@ -54,15 +57,16 @@ impl<'a> Simulator<'a> {
         }
         let primary_inputs = self.cdfg.primary_inputs();
         let mut state = RunState {
-            env: HashMap::new(),
-            events: Vec::new(),
-            var_writes: HashMap::new(),
+            env: vec![0; self.cdfg.variable_count()],
+            nodes: vec![NodeTrace::default(); self.cdfg.node_count()],
+            pass_starts: Vec::with_capacity(inputs.len()),
+            operands: Vec::new(),
+            var_writes: vec![Vec::new(); self.cdfg.variable_count()],
             profile: ControlProfile::with_branches(crate::profile::branch_count(
                 self.cdfg.regions(),
             )),
             outputs: Vec::new(),
             current_outputs: HashMap::new(),
-            pass: 0,
             sequence: 0,
         };
 
@@ -74,17 +78,17 @@ impl<'a> Simulator<'a> {
                     found: pass_values.len(),
                 });
             }
-            state.pass = pass_index as u32;
-            state.env.clear();
+            state.pass_starts.push(state.sequence);
+            state.env.fill(0);
             state.current_outputs.clear();
             // Primary inputs and declared initial values define the pass state.
             for (&var, &value) in primary_inputs.iter().zip(pass_values.iter()) {
-                state.env.insert(var, value);
-                state.var_writes.entry(var).or_default().push(value);
+                state.env[var.index()] = value;
+                state.var_writes[var.index()].push(value);
             }
             for (var, decl) in self.cdfg.variables() {
                 if let Some(init) = decl.initial {
-                    state.env.insert(var, init);
+                    state.env[var.index()] = init;
                 }
             }
             self.exec_regions(self.cdfg.regions(), 0, &mut state)?;
@@ -94,7 +98,8 @@ impl<'a> Simulator<'a> {
         }
 
         Ok(ExecutionTrace::new(
-            state.events,
+            state.nodes,
+            state.pass_starts,
             state.var_writes,
             state.profile,
             state.outputs,
@@ -102,14 +107,14 @@ impl<'a> Simulator<'a> {
         ))
     }
 
-    fn resolve(&self, value: ValueRef, env: &HashMap<VarId, i64>) -> i64 {
+    fn resolve(&self, value: ValueRef, env: &[i64]) -> i64 {
         match value {
             ValueRef::Const(c) => c,
-            ValueRef::Var(v) => env.get(&v).copied().unwrap_or(0),
+            ValueRef::Var(v) => env.get(v.index()).copied().unwrap_or(0),
         }
     }
 
-    fn edge_value(&self, edge: EdgeId, env: &HashMap<VarId, i64>) -> i64 {
+    fn edge_value(&self, edge: EdgeId, env: &[i64]) -> i64 {
         self.resolve(self.cdfg.edge(edge).value, env)
     }
 
@@ -193,7 +198,7 @@ impl<'a> Simulator<'a> {
         node_id: NodeId,
         taken: bool,
         cond_value: i64,
-        snapshot: &HashMap<VarId, i64>,
+        snapshot: &[i64],
         state: &mut RunState,
     ) {
         let node = self.cdfg.node(node_id);
@@ -217,23 +222,21 @@ impl<'a> Simulator<'a> {
         let output = if taken { then_value } else { else_value };
         self.record_event(
             node_id,
-            vec![then_value, else_value, cond_value],
+            &[then_value, else_value, cond_value],
             output,
             state,
         );
         if let Some(var) = node.defines {
-            state.env.insert(var, output);
-            state.var_writes.entry(var).or_default().push(output);
+            state.env[var.index()] = output;
+            state.var_writes[var.index()].push(output);
         }
     }
 
     fn exec_node(&self, node_id: NodeId, state: &mut RunState) {
         let node = self.cdfg.node(node_id);
-        let inputs: Vec<i64> = node
-            .inputs
-            .iter()
-            .map(|&e| self.edge_value(e, &state.env))
-            .collect();
+        let mut inputs = std::mem::take(&mut state.operands);
+        inputs.clear();
+        inputs.extend(node.inputs.iter().map(|&e| self.edge_value(e, &state.env)));
         let output = match node.operation {
             // Structural pass-through nodes simply forward their first input.
             Operation::EndLoop | Operation::Mov | Operation::Output => {
@@ -255,24 +258,19 @@ impl<'a> Simulator<'a> {
             }
             op => op.evaluate(&inputs),
         };
-        self.record_event(node_id, inputs, output, state);
+        self.record_event(node_id, &inputs, output, state);
+        state.operands = inputs;
         if let Some(var) = node.defines {
-            state.env.insert(var, output);
-            state.var_writes.entry(var).or_default().push(output);
+            state.env[var.index()] = output;
+            state.var_writes[var.index()].push(output);
             if node.operation == Operation::Output {
                 state.current_outputs.insert(var, output);
             }
         }
     }
 
-    fn record_event(&self, node: NodeId, inputs: Vec<i64>, output: i64, state: &mut RunState) {
-        state.events.push(OpEvent {
-            node,
-            inputs,
-            output,
-            pass: state.pass,
-            sequence: state.sequence,
-        });
+    fn record_event(&self, node: NodeId, inputs: &[i64], output: i64, state: &mut RunState) {
+        state.nodes[node.index()].push(state.sequence, inputs, output);
         state.sequence = state.sequence.wrapping_add(1);
     }
 }
@@ -378,12 +376,12 @@ mod tests {
             .find(|(_, n)| n.operation == Operation::Select)
             .map(|(id, _)| id)
             .unwrap();
-        let events = t.events_for(sel);
+        let events = t.node_trace(sel);
         assert_eq!(events.len(), 2);
         // Pass 0: condition true, z becomes 1; pass 1: condition false, z stays 5.
-        assert_eq!(events[0].output, 1);
-        assert_eq!(events[1].output, 5);
-        assert_eq!(events[0].inputs.len(), 3);
+        assert_eq!(events.outputs()[0], 1);
+        assert_eq!(events.outputs()[1], 5);
+        assert_eq!(events.ports(), 3);
         assert_eq!(out(&g, &t, 0, "y"), 1);
         assert_eq!(out(&g, &t, 1, "y"), 5);
     }

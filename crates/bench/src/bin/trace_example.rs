@@ -39,7 +39,7 @@ fn main() {
     println!();
 
     let rt = RtTraces::new(&cdfg, &design, &trace);
-    let merged = rt.merged_fu_events(adders[0]);
+    let merged: Vec<_> = rt.merged_fu_events(adders[0]).collect();
     println!("Merged adder trace TR(A1) obtained by trace manipulation (no re-simulation):");
     println!(
         "{:>5} {:>6} {:>6} {:>6}   operation",
@@ -50,8 +50,8 @@ fn main() {
         println!(
             "{:>5} {:>6} {:>6} {:>6}   {}",
             event.pass,
-            event.inputs.first().copied().unwrap_or(0),
-            event.inputs.get(1).copied().unwrap_or(0),
+            event.input(0),
+            event.input(1),
             event.output,
             node.display_label()
         );
@@ -63,6 +63,6 @@ fn main() {
     println!("matching the merged-trace table of Section 2.3.");
     println!(
         "Adder input switching activity on the merged trace: {:.3}",
-        rt.fu_input_activity(adders[0])
+        rt.fu_stats(adders[0]).input_activity
     );
 }

@@ -1,6 +1,5 @@
 //! Experiment drivers regenerating the tables and figures of the IMPACT
-//! paper. The binaries in `src/bin/` print the series; the Criterion benches
-//! in `benches/` time the underlying computations.
+//! paper. The binaries in `src/bin/` print the series.
 //!
 //! Multi-run experiments (the Figure 13 laxity sweep, the warm-start and
 //! search comparisons) are expressed as batches of [`SweepJob`]s over the

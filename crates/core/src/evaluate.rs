@@ -31,13 +31,13 @@ use impact_modlib::{ModuleLibrary, VDD_REFERENCE};
 use impact_power::{PowerBreakdown, PowerEstimator, PowerProfile};
 use impact_rtl::{
     DesignDelta, DesignFingerprint, FingerprintHasher, FuId, FunctionalUnit, MuxSite, MuxTree,
-    RegId, Register, RtlDesign,
+    RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
     BlockSchedule, BlockSource, ScheduleConfig, ScheduleDeltaProblem, Scheduler, SchedulingProblem,
     SchedulingResult, WaveScheduler,
 };
-use impact_trace::RtTraces;
+use impact_trace::{FuStats, RegStats, RtTraces};
 
 use crate::cache::{CacheStats, DesignContext, LayerKey, MuxEntry};
 use crate::config::{EvaluatorKind, OptimizationMode, SynthesisConfig};
@@ -690,17 +690,45 @@ impl<'a> Evaluator<'a> {
         fu: FuId,
         unit: &FunctionalUnit,
     ) -> (f64, f64) {
-        let key = FuStatsKey::of(self.workload, design, fu, unit.width);
-        let stats = self.memo(key, || rt.fu_stats(fu));
+        let stats = self.fu_stats(rt, design, fu, unit.width);
         (stats.input_activity, stats.activations_per_pass)
     }
 
     /// Per-register trace statistics (memoized by content): mean per-write
     /// activity and writes per pass.
     fn reg_stat_values(&self, rt: &RtTraces<'_>, reg: RegId, register: &Register) -> (f64, f64) {
-        let key = RegStatsKey::of(self.workload, &register.variables, register.width);
-        let stats = self.memo(key, || rt.register_stats(reg));
+        let stats = self.reg_stats(rt, reg, register);
         (stats.activity, stats.writes_per_pass)
+    }
+
+    fn fu_stats(&self, rt: &RtTraces<'_>, design: &RtlDesign, fu: FuId, width: u8) -> FuStats {
+        let key = FuStatsKey::of(self.workload, design, fu, width);
+        self.memo(key, || rt.fu_stats(fu))
+    }
+
+    fn reg_stats(&self, rt: &RtTraces<'_>, reg: RegId, register: &Register) -> RegStats {
+        let key = RegStatsKey::of(self.workload, &register.variables, register.width);
+        self.memo(key, || rt.register_stats(reg))
+    }
+
+    /// Activity of a mux source signal, read from the memoized unit and
+    /// register statistics: [`RtTraces::signal_activity`] without merging
+    /// the source's trace again.
+    fn signal_activity(&self, rt: &RtTraces<'_>, design: &RtlDesign, key: SignalKey) -> f64 {
+        match key {
+            SignalKey::Register(reg) => {
+                if let Ok(register) = design.register(reg) {
+                    return self.reg_stats(rt, reg, register).activity;
+                }
+            }
+            SignalKey::FuOutput(fu) => {
+                if let Ok(unit) = design.functional_unit(fu) {
+                    return self.fu_stats(rt, design, fu, unit.width).output_activity;
+                }
+            }
+            SignalKey::Constant(_) => {}
+        }
+        rt.signal_activity(key)
     }
 
     /// The design's mux sites with fan-in ≥ 2 in enumeration order — the
@@ -847,9 +875,9 @@ impl<'a> Evaluator<'a> {
         let parent_site_index = parent.site_index();
         let sources_untouched = |site: &MuxSite| {
             site.sources.iter().all(|source| match source.key {
-                impact_rtl::SignalKey::Register(reg) => !touched_regs.contains(&reg),
-                impact_rtl::SignalKey::FuOutput(fu) => !touched_fus.contains(&fu),
-                impact_rtl::SignalKey::Constant(_) => true,
+                SignalKey::Register(reg) => !touched_regs.contains(&reg),
+                SignalKey::FuOutput(fu) => !touched_fus.contains(&fu),
+                SignalKey::Constant(_) => true,
             })
         };
         let reused_parent_site: Vec<Option<usize>> = sites
@@ -1002,7 +1030,11 @@ impl<'a> Evaluator<'a> {
         restructured: bool,
     ) -> MuxEntry {
         let key = MuxStatsKey::of(self.workload, design, site, restructured);
-        self.memo(key, || compute_mux_entry(rt, site, restructured))
+        self.memo(key, || {
+            compute_mux_entry(rt, site, restructured, |source| {
+                self.signal_activity(rt, design, source)
+            })
+        })
     }
 
     /// The scheduling problem of a context at one supply level: base delays
@@ -1154,9 +1186,15 @@ fn workload_id(cdfg: &Cdfg, trace: &ExecutionTrace, config: &SynthesisConfig) ->
 }
 
 /// Statistics of one mux site: the tree's switching activity, every source's
-/// depth in the tree, and the selection rate.
-fn compute_mux_entry(rt: &RtTraces<'_>, site: &MuxSite, restructured: bool) -> MuxEntry {
-    let sources = rt.mux_source_stats(site);
+/// depth in the tree, and the selection rate. `activity` supplies each
+/// source signal's activity.
+fn compute_mux_entry(
+    rt: &RtTraces<'_>,
+    site: &MuxSite,
+    restructured: bool,
+    activity: impl FnMut(SignalKey) -> f64,
+) -> MuxEntry {
+    let sources = rt.mux_source_stats_with(site, activity);
     let tree = if restructured {
         MuxTree::huffman(sources)
     } else {

@@ -440,26 +440,29 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
                 *slot = score(index)?;
             }
         } else {
-            // Scoped worker threads strided over the candidate set; results
-            // land in per-index slots, so scheduling order cannot influence
-            // the outcome.
+            // Strides of the candidate set: the calling thread scores stride 0
+            // while scoped workers score the others. Results land in
+            // per-index slots, so scheduling order cannot influence the
+            // outcome, and errors surface in stride order.
             type ScoredChunk = Result<Vec<(usize, Option<f64>)>, SynthesisError>;
             let chunks: Vec<ScoredChunk> = std::thread::scope(|scope| {
                 let score = &score;
-                let handles: Vec<_> = (0..threads)
-                    .map(|offset| {
-                        scope.spawn(move || {
-                            (offset..candidates.len())
-                                .step_by(threads)
-                                .map(|index| Ok((index, score(index)?)))
-                                .collect()
-                        })
-                    })
+                let stride = move |offset: usize| -> ScoredChunk {
+                    (offset..candidates.len())
+                        .step_by(threads)
+                        .map(|index| Ok((index, score(index)?)))
+                        .collect()
+                };
+                let workers: Vec<_> = (1..threads)
+                    .map(|offset| scope.spawn(move || stride(offset)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("ranking worker panicked"))
-                    .collect()
+                let mut chunks = vec![stride(0)];
+                chunks.extend(
+                    workers
+                        .into_iter()
+                        .map(|worker| worker.join().expect("ranking worker panicked")),
+                );
+                chunks
             });
             for chunk in chunks {
                 for (index, gain) in chunk? {

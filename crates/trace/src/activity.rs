@@ -35,11 +35,54 @@ pub fn toggle_count(values: &[i64], width: u8) -> u64 {
 /// assert_eq!(sequence_activity(&[0, 255, 0], 8), 1.0);
 /// ```
 pub fn sequence_activity(values: &[i64], width: u8) -> f64 {
-    if values.len() < 2 || width == 0 {
+    activity_of(toggle_count(values, width), values.len(), width)
+}
+
+fn activity_of(toggles: u64, values: usize, width: u8) -> f64 {
+    if values < 2 || width == 0 {
         return 0.0;
     }
-    let toggles = toggle_count(values, width) as f64;
-    toggles / ((values.len() - 1) as f64 * f64::from(width))
+    toggles as f64 / ((values - 1) as f64 * f64::from(width))
+}
+
+/// [`sequence_activity`] of a sequence observed a few values at a time.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Toggles {
+    last: i64,
+    toggles: u64,
+    values: usize,
+}
+
+impl Toggles {
+    /// Appends `values` to the sequence.
+    pub(crate) fn extend(&mut self, values: &[i64], width: u8) {
+        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
+            return;
+        };
+        if self.values > 0 {
+            self.toggles += u64::from(hamming_distance(self.last, first, width));
+        }
+        self.toggles += toggle_count(values, width);
+        self.last = last;
+        self.values += values.len();
+    }
+
+    /// Appends `count` zeros to the sequence.
+    pub(crate) fn extend_zeros(&mut self, count: usize, width: u8) {
+        if count > 0 {
+            self.extend(&[0], width);
+            self.values += count - 1;
+        }
+    }
+
+    /// Number of values appended so far.
+    pub(crate) fn values(&self) -> usize {
+        self.values
+    }
+
+    pub(crate) fn activity(&self, width: u8) -> f64 {
+        activity_of(self.toggles, self.values, width)
+    }
 }
 
 #[cfg(test)]

@@ -7,12 +7,13 @@
 //! appropriately when a synthesis task (resource sharing, module selection)
 //! is executed, without the need for re-simulation."
 //!
-//! The behavioral simulation of `impact-behsim` records one trace row per
-//! executed operation in dynamic order. For any RT-level design (allocation +
-//! binding) over the same CDFG, this crate derives
+//! The behavioral simulation of `impact-behsim` records, for every operation,
+//! one trace row per execution in dynamic order, stored as columns. For any
+//! RT-level design (allocation + binding) over the same CDFG, this crate
+//! derives
 //!
-//! * the trace of every **functional unit** by merging the traces of the
-//!   operations bound to it, in dynamic execution order (exactly the
+//! * the trace of every **functional unit** by a k-way merge of the traces
+//!   of the operations bound to it, in dynamic execution order (exactly the
 //!   `TR(A1|e8)` merge of the paper's three-addition example),
 //! * the value sequence and switching activity of every **register**,
 //! * the per-source activity (`a_i`) and probability of propagation (`p_i`)
@@ -25,6 +26,7 @@
 //! exercised by the recorded inputs (the paper's criterion for re-simulating).
 
 mod activity;
+mod merge;
 mod rt;
 mod workload;
 

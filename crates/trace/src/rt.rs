@@ -1,10 +1,11 @@
 //! RT-level unit traces derived by trace manipulation.
 
-use impact_behsim::{ExecutionTrace, OpEvent};
+use impact_behsim::{Event, ExecutionTrace, NodeTrace};
 use impact_cdfg::{Cdfg, NodeId, VariableKind};
 use impact_rtl::{FuId, MuxSite, MuxSource, RegId, RtlDesign, SignalKey};
 
-use crate::activity::sequence_activity;
+use crate::activity::Toggles;
+use crate::merge::Merge;
 
 /// View over one behavioral [`ExecutionTrace`] through the lens of one
 /// RT-level design: per-unit merged traces, register value sequences and
@@ -16,9 +17,8 @@ pub struct RtTraces<'a> {
     trace: &'a ExecutionTrace,
 }
 
-/// Activity statistics of one functional unit, derived from a single merge of
-/// its trace (cheaper than querying each metric separately, which re-merges
-/// the event streams every time).
+/// Activity statistics of one functional unit, counted along a single merge
+/// of its operations' traces.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FuStats {
     /// Mean input switching activity along the merged trace.
@@ -29,8 +29,8 @@ pub struct FuStats {
     pub activations_per_pass: f64,
 }
 
-/// Activity statistics of one register, derived from a single reconstruction
-/// of its value sequence.
+/// Activity statistics of one register, counted along a single merge of its
+/// value sequence.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RegStats {
     /// Mean per-write switching activity.
@@ -59,72 +59,66 @@ impl<'a> RtTraces<'a> {
 
     /// The merged trace of a functional unit: the events of every operation
     /// bound to it, in dynamic execution order (the paper's `TR(Du)`).
-    pub fn merged_fu_events(&self, fu: FuId) -> Vec<&OpEvent> {
+    pub fn merged_fu_events(&self, fu: FuId) -> impl Iterator<Item = Event<'a>> + 'a {
+        let trace = self.trace;
         let ops = self.design.ops_on(fu);
-        let mut events: Vec<&OpEvent> = ops
-            .iter()
-            .flat_map(|&op| self.trace.events_for(op))
-            .collect();
-        events.sort_by_key(|e| e.sequence);
-        events
+        let merge = Merge::new(
+            ops.iter()
+                .map(|&op| trace.node_trace(op).sequences())
+                .collect(),
+        );
+        merge.flat_map(move |(stream, rows)| {
+            let op = ops[stream];
+            rows.map(move |row| trace.event(op, row))
+        })
     }
 
-    /// Average number of activations of the unit per input pass.
-    pub fn fu_activations_per_pass(&self, fu: FuId) -> f64 {
-        self.merged_fu_events(fu).len() as f64 / f64::from(self.trace.passes().max(1))
-    }
-
-    /// Mean input switching activity of the unit: the per-bit toggle rate of
-    /// each input port along the merged trace, averaged over ports.
-    pub fn fu_input_activity(&self, fu: FuId) -> f64 {
-        self.input_activity_of(fu, &self.merged_fu_events(fu))
-    }
-
-    /// Mean output switching activity of the unit along its merged trace.
-    pub fn fu_output_activity(&self, fu: FuId) -> f64 {
-        self.output_activity_of(fu, &self.merged_fu_events(fu))
-    }
-
-    /// Every per-unit statistic from one merge of the unit's event streams.
+    /// Every per-unit statistic from one merge of the unit's operation
+    /// traces, counting output and per-port toggles as it goes.
     pub fn fu_stats(&self, fu: FuId) -> FuStats {
-        let events = self.merged_fu_events(fu);
-        FuStats {
-            input_activity: self.input_activity_of(fu, &events),
-            output_activity: self.output_activity_of(fu, &events),
-            activations_per_pass: events.len() as f64 / f64::from(self.trace.passes().max(1)),
-        }
-    }
-
-    fn fu_width(&self, fu: FuId) -> u8 {
-        self.design
+        let width = self
+            .design
             .functional_unit(fu)
             .map(|f| f.width)
-            .unwrap_or(8)
-    }
-
-    fn input_activity_of(&self, fu: FuId, events: &[&OpEvent]) -> f64 {
-        if events.len() < 2 {
-            return 0.0;
+            .unwrap_or(8);
+        let ops: Vec<&NodeTrace> = self
+            .design
+            .ops_on_iter(fu)
+            .map(|op| self.trace.node_trace(op))
+            .collect();
+        // The unit has as many input ports as its widest executed operation;
+        // a narrower operation reads 0 on the ports it lacks.
+        let ports = ops
+            .iter()
+            .filter(|op| !op.is_empty())
+            .map(|op| op.ports())
+            .max()
+            .unwrap_or(0);
+        let mut output = Toggles::default();
+        let mut inputs = vec![Toggles::default(); ports];
+        for (stream, rows) in Merge::new(ops.iter().map(|op| op.sequences()).collect()) {
+            let op = ops[stream];
+            output.extend(&op.outputs()[rows.clone()], width);
+            for (port, toggles) in inputs.iter_mut().enumerate() {
+                match op.inputs(port).get(rows.clone()) {
+                    Some(values) => toggles.extend(values, width),
+                    None => toggles.extend_zeros(rows.len(), width),
+                }
+            }
         }
-        let width = self.fu_width(fu);
-        let ports = events.iter().map(|e| e.inputs.len()).max().unwrap_or(0);
-        if ports == 0 {
-            return 0.0;
+        let events = output.values();
+        let mut input_activity = 0.0;
+        if events >= 2 && ports > 0 {
+            for toggles in &inputs {
+                input_activity += toggles.activity(width);
+            }
+            input_activity /= ports as f64;
         }
-        let mut total = 0.0;
-        for port in 0..ports {
-            let values: Vec<i64> = events
-                .iter()
-                .map(|e| e.inputs.get(port).copied().unwrap_or(0))
-                .collect();
-            total += sequence_activity(&values, width);
+        FuStats {
+            input_activity,
+            output_activity: output.activity(width),
+            activations_per_pass: events as f64 / f64::from(self.trace.passes().max(1)),
         }
-        total / ports as f64
-    }
-
-    fn output_activity_of(&self, fu: FuId, events: &[&OpEvent]) -> f64 {
-        let values: Vec<i64> = events.iter().map(|e| e.output).collect();
-        sequence_activity(&values, self.fu_width(fu))
     }
 
     // ------------------------------------------------------------ registers
@@ -133,57 +127,80 @@ impl<'a> RtTraces<'a> {
     /// defining one of its variables, in dynamic order. Primary-input
     /// variables contribute their per-pass values.
     pub fn register_values(&self, reg: RegId) -> Vec<i64> {
-        let Ok(register) = self.design.register(reg) else {
-            return Vec::new();
-        };
-        // Writes carry unique global sequence numbers, so gathering them per
-        // variable (through the graph's definer index) instead of scanning
-        // every node leaves the sorted sequence unchanged.
-        let mut writes: Vec<(u32, i64)> = Vec::new();
-        for &var in &register.variables {
-            for &node_id in self.cdfg.definers_of(var) {
-                for event in self.trace.events_for(node_id) {
-                    writes.push((event.sequence, event.output));
-                }
-            }
-        }
-        // Primary inputs are loaded at the start of each pass, before any
-        // recorded event of that pass.
-        let first_seqs = self.trace.first_sequences();
-        for &var in &register.variables {
-            if self.cdfg.variable(var).kind == VariableKind::Input {
-                let values = self.trace.variable_writes(var);
-                // Interleave them at the beginning of each pass by giving
-                // them the sequence number of the pass's first event.
-                for (pass, &value) in values.iter().enumerate() {
-                    let first_seq = first_seqs.get(pass).copied().unwrap_or(0);
-                    writes.push((first_seq.saturating_sub(1), value));
-                }
-            }
-        }
-        writes.sort_by_key(|&(seq, _)| seq);
-        writes.into_iter().map(|(_, v)| v).collect()
+        let mut values = Vec::new();
+        self.visit_register_values(reg, |run| values.extend_from_slice(run));
+        values
     }
 
-    /// Mean per-write switching activity of a register.
-    pub fn register_activity(&self, reg: RegId) -> f64 {
-        let width = self.design.register(reg).map(|r| r.width).unwrap_or(8);
-        sequence_activity(&self.register_values(reg), width)
-    }
-
-    /// Average number of writes into the register per input pass.
-    pub fn register_writes_per_pass(&self, reg: RegId) -> f64 {
-        self.register_values(reg).len() as f64 / f64::from(self.trace.passes().max(1))
-    }
-
-    /// Every per-register statistic from one reconstruction of the register's
-    /// value sequence.
+    /// Every per-register statistic from one merge of the register's value
+    /// sequence.
     pub fn register_stats(&self, reg: RegId) -> RegStats {
         let width = self.design.register(reg).map(|r| r.width).unwrap_or(8);
-        let values = self.register_values(reg);
+        let mut toggles = Toggles::default();
+        self.visit_register_values(reg, |run| toggles.extend(run, width));
         RegStats {
-            activity: sequence_activity(&values, width),
-            writes_per_pass: values.len() as f64 / f64::from(self.trace.passes().max(1)),
+            activity: toggles.activity(width),
+            writes_per_pass: toggles.values() as f64 / f64::from(self.trace.passes().max(1)),
+        }
+    }
+
+    /// Feeds [`Self::register_values`] to `visit`, a run at a time: a k-way
+    /// merge of the output columns of the register's definers and of the
+    /// loads of its primary-input variables.
+    fn visit_register_values(&self, reg: RegId, mut visit: impl FnMut(&[i64])) {
+        let Ok(register) = self.design.register(reg) else {
+            return;
+        };
+        let mut keys: Vec<&[u32]> = Vec::new();
+        let mut values: Vec<&[i64]> = Vec::new();
+        for &var in &register.variables {
+            for &node in self.cdfg.definers_of(var) {
+                let definer = self.trace.node_trace(node);
+                keys.push(definer.sequences());
+                values.push(definer.outputs());
+            }
+        }
+        // Primary inputs are loaded at the start of each pass: a load is keyed
+        // by the sequence number of its pass's first event, less one. Each
+        // input variable's loads form one stream, in pass order — which is
+        // key order unless a pass recorded no event (its first sequence reads
+        // 0) or the variable was also assigned; a stable sort then keeps
+        // equal keys in write order.
+        let first_seqs = self.trace.first_sequences();
+        let loads: Vec<(Vec<u32>, Vec<i64>)> = register
+            .variables
+            .iter()
+            .filter(|&&var| self.cdfg.variable(var).kind == VariableKind::Input)
+            .map(|&var| {
+                let mut loads: Vec<(u32, i64)> = self
+                    .trace
+                    .variable_writes(var)
+                    .iter()
+                    .enumerate()
+                    .map(|(pass, &value)| {
+                        let first_seq = first_seqs.get(pass).copied().unwrap_or(0);
+                        (first_seq.saturating_sub(1), value)
+                    })
+                    .collect();
+                if !loads.is_sorted_by_key(|&(key, _)| key) {
+                    loads.sort_by_key(|&(key, _)| key);
+                }
+                loads.into_iter().unzip()
+            })
+            .collect();
+        // Tie rule: load streams come after every definer, so a load whose key
+        // equals a write's sequence number follows that write. For pass
+        // p ≥ 1 that write is the last event of pass p − 1, which did come
+        // first. For pass 0 the key is 0, the sequence number of the trace's
+        // first event, so pass 0's load follows that event instead of
+        // preceding it: a known defect, kept until the benchmark's expected
+        // reports can be regenerated.
+        for (load_keys, load_values) in &loads {
+            keys.push(load_keys);
+            values.push(load_values);
+        }
+        for (stream, rows) in Merge::new(keys) {
+            visit(&values[stream][rows]);
         }
     }
 
@@ -193,8 +210,8 @@ impl<'a> RtTraces<'a> {
     /// or constant).
     pub fn signal_activity(&self, key: SignalKey) -> f64 {
         match key {
-            SignalKey::Register(reg) => self.register_activity(reg),
-            SignalKey::FuOutput(fu) => self.fu_output_activity(fu),
+            SignalKey::Register(reg) => self.register_stats(reg).activity,
+            SignalKey::FuOutput(fu) => self.fu_stats(fu).output_activity,
             SignalKey::Constant(_) => 0.0,
         }
     }
@@ -204,6 +221,18 @@ impl<'a> RtTraces<'a> {
     /// (the fraction of the site's traffic routed through it), ready for
     /// [`impact_rtl::MuxTree`] construction.
     pub fn mux_source_stats(&self, site: &MuxSite) -> Vec<MuxSource> {
+        self.mux_source_stats_with(site, |key| self.signal_activity(key))
+    }
+
+    /// [`Self::mux_source_stats`] with each source's activity `a_i` supplied
+    /// by `activity`, called once per source in order. Memoized
+    /// [`RegStats::activity`] and [`FuStats::output_activity`] values are
+    /// exactly what [`Self::signal_activity`] would derive.
+    pub fn mux_source_stats_with(
+        &self,
+        site: &MuxSite,
+        mut activity: impl FnMut(SignalKey) -> f64,
+    ) -> Vec<MuxSource> {
         let counts: Vec<f64> = site
             .sources
             .iter()
@@ -224,11 +253,7 @@ impl<'a> RtTraces<'a> {
                 } else {
                     1.0 / site.sources.len() as f64
                 };
-                MuxSource::new(
-                    &signal_label(src.key),
-                    self.signal_activity(src.key),
-                    probability,
-                )
+                MuxSource::new(&signal_label(src.key), activity(src.key), probability)
             })
             .collect()
     }
@@ -325,6 +350,7 @@ impl Decode for RegStats {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::sequence_activity;
     use impact_behsim::simulate;
     use impact_cdfg::{OpClass, Operation};
     use impact_hdl::compile;
@@ -365,7 +391,7 @@ mod tests {
         design.share_fus(adders[0], adders[2]).unwrap();
 
         let rt = RtTraces::new(&cdfg, &design, &trace);
-        let merged = rt.merged_fu_events(adders[0]);
+        let merged: Vec<Event<'_>> = rt.merged_fu_events(adders[0]).collect();
         // Two additions execute per pass (the unconditional one plus the
         // taken branch's addition): 8 events over 4 passes.
         assert_eq!(merged.len(), 8);
@@ -406,13 +432,13 @@ mod tests {
             .map(|&f| {
                 RtTraces::new(&cdfg, &design, &trace)
                     .merged_fu_events(f)
-                    .len()
+                    .count()
             })
             .sum();
         design.share_fus(adders[0], adders[1]).unwrap();
         design.share_fus(adders[0], adders[2]).unwrap();
         let rt = RtTraces::new(&cdfg, &design, &trace);
-        assert_eq!(rt.merged_fu_events(adders[0]).len(), parallel_total);
+        assert_eq!(rt.merged_fu_events(adders[0]).count(), parallel_total);
     }
 
     #[test]
@@ -432,11 +458,11 @@ mod tests {
         let adders = design.units_of_class(OpClass::AddSub);
         let rt_parallel_activity = {
             let rt = RtTraces::new(&cdfg, &design, &trace);
-            (rt.fu_input_activity(adders[0]) + rt.fu_input_activity(adders[1])) / 2.0
+            (rt.fu_stats(adders[0]).input_activity + rt.fu_stats(adders[1]).input_activity) / 2.0
         };
         design.share_fus(adders[0], adders[1]).unwrap();
         let rt = RtTraces::new(&cdfg, &design, &trace);
-        let shared_activity = rt.fu_input_activity(adders[0]);
+        let shared_activity = rt.fu_stats(adders[0]).input_activity;
         assert!(
             shared_activity > rt_parallel_activity,
             "sharing increases per-activation switching ({rt_parallel_activity:.3} -> {shared_activity:.3})"
@@ -458,8 +484,9 @@ mod tests {
         let acc = cdfg.variable_by_name("acc").unwrap();
         let values = rt.register_values(design.register_of(acc));
         assert_eq!(values, vec![1, 2, 3, 4]);
-        assert!(rt.register_activity(design.register_of(acc)) > 0.0);
-        assert!((rt.register_writes_per_pass(design.register_of(acc)) - 4.0).abs() < 1e-12);
+        let stats = rt.register_stats(design.register_of(acc));
+        assert!(stats.activity > 0.0);
+        assert!((stats.writes_per_pass - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -511,16 +538,33 @@ mod tests {
         let adders = design.units_of_class(OpClass::AddSub);
         design.share_fus(adders[0], adders[1]).unwrap();
         let rt = RtTraces::new(&cdfg, &design, &trace);
-        for (fu, _) in design.functional_units() {
+        let passes = f64::from(trace.passes());
+        // The individual metrics, from the materialized merged trace.
+        for (fu, unit) in design.functional_units() {
             let stats = rt.fu_stats(fu);
-            assert_eq!(stats.input_activity, rt.fu_input_activity(fu));
-            assert_eq!(stats.output_activity, rt.fu_output_activity(fu));
-            assert_eq!(stats.activations_per_pass, rt.fu_activations_per_pass(fu));
+            let events: Vec<Event<'_>> = rt.merged_fu_events(fu).collect();
+            let ports = events.iter().map(Event::ports).max().unwrap_or(0);
+            let mut input_activity = 0.0;
+            if events.len() >= 2 && ports > 0 {
+                for port in 0..ports {
+                    let values: Vec<i64> = events.iter().map(|e| e.input(port)).collect();
+                    input_activity += sequence_activity(&values, unit.width);
+                }
+                input_activity /= ports as f64;
+            }
+            let outputs: Vec<i64> = events.iter().map(|e| e.output).collect();
+            assert_eq!(stats.input_activity, input_activity);
+            assert_eq!(
+                stats.output_activity,
+                sequence_activity(&outputs, unit.width)
+            );
+            assert_eq!(stats.activations_per_pass, events.len() as f64 / passes);
         }
-        for (reg, _) in design.registers() {
+        for (reg, register) in design.registers() {
             let stats = rt.register_stats(reg);
-            assert_eq!(stats.activity, rt.register_activity(reg));
-            assert_eq!(stats.writes_per_pass, rt.register_writes_per_pass(reg));
+            let values = rt.register_values(reg);
+            assert_eq!(stats.activity, sequence_activity(&values, register.width));
+            assert_eq!(stats.writes_per_pass, values.len() as f64 / passes);
         }
     }
 
