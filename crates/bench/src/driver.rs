@@ -2,7 +2,7 @@
 //! scheduled over a scoped worker pool, optionally sharing one
 //! [`SweepSession`] — plus the CLI and report plumbing every bench binary
 //! shares ([`BenchCli`], [`example_designs`], [`report_json`],
-//! [`write_report`], [`min_metric`], [`fail`], [`fail_if`]).
+//! [`write_report`], [`fail`], [`fail_if`]).
 //!
 //! Every multi-run experiment goes through [`run_batch`]: one place that
 //! claims jobs off a shared queue, times each synthesis, and returns results
@@ -260,17 +260,6 @@ pub fn write_report(path: &str, json: &str) {
     file.write_all(json.as_bytes())
         .expect("bench output writes");
     println!("wrote {path}");
-}
-
-/// The smallest value of `metric` across `results` (`0.0` for an empty
-/// slice) — the conservative summary the bench headlines report.
-pub fn min_metric<T>(results: &[T], metric: impl Fn(&T) -> f64) -> f64 {
-    let min = results.iter().map(metric).fold(f64::INFINITY, f64::min);
-    if min.is_finite() {
-        min
-    } else {
-        0.0
-    }
 }
 
 /// Exits non-zero with `FAIL: message`.

@@ -7,7 +7,6 @@
 //! the same workload.
 
 use std::path::Path;
-use std::time::Instant;
 
 use impact_behsim::{simulate, ExecutionTrace};
 use impact_benchmarks::Benchmark;
@@ -21,8 +20,8 @@ use impact_sched::{uniform_problem, BaselineScheduler, Scheduler, WaveScheduler}
 mod driver;
 
 pub use driver::{
-    example_designs, fail, fail_if, min_metric, report_json, run_batch, write_report, BenchCli,
-    JobResult, SweepJob,
+    example_designs, fail, fail_if, report_json, run_batch, write_report, BenchCli, JobResult,
+    SweepJob,
 };
 
 /// Number of input passes used by the experiment drivers ("typical input
@@ -340,14 +339,6 @@ pub struct WarmStartComparison {
     pub benchmark: String,
     /// Number of laxity points swept.
     pub laxity_points: usize,
-    /// Wall-clock of the cold sweep, in milliseconds.
-    pub cold_ms: f64,
-    /// Wall-clock of the warm rerun, in milliseconds.
-    pub warm_ms: f64,
-    /// Wall-clock of encoding the snapshot, in milliseconds.
-    pub save_ms: f64,
-    /// Wall-clock of verifying + absorbing the snapshot, in milliseconds.
-    pub load_ms: f64,
     /// Size of the encoded snapshot, in bytes.
     pub snapshot_bytes: usize,
     /// Entries the warm session absorbed from the snapshot.
@@ -365,18 +356,6 @@ pub struct WarmStartComparison {
 }
 
 impl WarmStartComparison {
-    /// Cold sweep over warm start wall-clock, where the warm start is the
-    /// snapshot load plus the rerun (the save is the cold run's to pay).
-    /// Below 1 a warm start loses to recomputing.
-    pub fn speedup(&self) -> f64 {
-        let warm_start_ms = self.load_ms + self.warm_ms;
-        if warm_start_ms > 0.0 {
-            self.cold_ms / warm_start_ms
-        } else {
-            0.0
-        }
-    }
-
     /// Point-layer hit rate of the warm rerun.
     pub fn point_hit_rate(&self) -> f64 {
         self.warm_cache.point.hit_rate()
@@ -413,13 +392,8 @@ pub fn warm_start_comparison(
     let jobs = figure13_jobs(&cdfg, &trace, laxities, effort);
 
     let cold_session = SweepSession::new();
-    let started = Instant::now();
     let cold = run_batch(&jobs, Some(&cold_session), 0);
-    let cold_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
     let bytes = cold_session.save_snapshot();
-    let save_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Cross-process determinism check: a file left by a previous run must
     // byte-match this run's save before we replace it.
@@ -431,7 +405,6 @@ pub fn warm_start_comparison(
     }
 
     let warm_session = SweepSession::new();
-    let started = Instant::now();
     let merged = match snapshot_path {
         Some(path) => warm_session
             .load_from_file(path, SnapshotScope::Any)
@@ -440,19 +413,11 @@ pub fn warm_start_comparison(
             .load_snapshot(&bytes, SnapshotScope::Any)
             .expect("a snapshot this run just saved verifies and loads"),
     };
-    let load_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
     let warm = run_batch(&jobs, Some(&warm_session), 0);
-    let warm_ms = started.elapsed().as_secs_f64() * 1e3;
 
     WarmStartComparison {
         benchmark: bench.name.to_string(),
         laxity_points: laxities.len(),
-        cold_ms,
-        warm_ms,
-        save_ms,
-        load_ms,
         snapshot_bytes: bytes.len(),
         absorbed: merged.absorbed as usize,
         identical: batches_identical(&cold, &warm),

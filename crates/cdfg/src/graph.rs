@@ -136,6 +136,8 @@ pub struct Cdfg {
     /// Lazily built [`Self::definers_of`] index; cleared by the (builder-only)
     /// mutating accessors, so it can never go stale.
     definers: std::sync::OnceLock<Vec<Vec<NodeId>>>,
+    /// Lazily built [`Self::readers_of`] index, cleared like `definers`.
+    readers: std::sync::OnceLock<Vec<Vec<NodeId>>>,
 }
 
 impl Cdfg {
@@ -148,6 +150,7 @@ impl Cdfg {
             var_by_name: HashMap::new(),
             regions: Vec::new(),
             definers: std::sync::OnceLock::new(),
+            readers: std::sync::OnceLock::new(),
         }
     }
 
@@ -288,6 +291,30 @@ impl Cdfg {
                 }
             }
             definers
+        });
+        index.get(var.index()).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Nodes reading `var` on a data input, in node order, each listed once.
+    /// Lazily indexed like [`Self::definers_of`]: a design delta that moves a
+    /// variable to another register finds the mux sites routing it from
+    /// here instead of scanning every node.
+    pub fn readers_of(&self, var: VarId) -> &[NodeId] {
+        let index = self.readers.get_or_init(|| {
+            let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); self.variables.len()];
+            for (id, node) in self.nodes() {
+                for &edge in &node.inputs {
+                    let ValueRef::Var(read) = self.edge(edge).value else {
+                        continue;
+                    };
+                    if let Some(list) = readers.get_mut(read.index()) {
+                        if list.last() != Some(&id) {
+                            list.push(id);
+                        }
+                    }
+                }
+            }
+            readers
         });
         index.get(var.index()).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -492,12 +519,14 @@ impl Cdfg {
 
     pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
         self.definers.take();
+        self.readers.take();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(node);
         id
     }
 
     pub(crate) fn push_edge(&mut self, edge: Edge) -> EdgeId {
+        self.readers.take();
         let id = EdgeId::new(self.edges.len());
         self.edges.push(edge);
         id
@@ -517,10 +546,12 @@ impl Cdfg {
 
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
         self.definers.take();
+        self.readers.take();
         &mut self.nodes[id.index()]
     }
 
     pub(crate) fn edges_mut(&mut self) -> &mut Vec<Edge> {
+        self.readers.take();
         &mut self.edges
     }
 
@@ -593,6 +624,23 @@ mod tests {
         assert_eq!(g.data_predecessors(n1), vec![n0]);
         assert_eq!(g.data_successors(n0), vec![n1]);
         assert!(g.data_predecessors(n0).is_empty());
+    }
+
+    #[test]
+    fn readers_list_each_reading_node_once_in_node_order() {
+        let mut b = CdfgBuilder::new("square");
+        let a = b.input("a", 8);
+        let sq = b
+            .binary(Operation::Mul, ValueRef::Var(a), ValueRef::Var(a), "sq")
+            .unwrap();
+        let _sum = b
+            .binary(Operation::Add, ValueRef::Var(sq), ValueRef::Var(a), "sum")
+            .unwrap();
+        let g = b.finish().unwrap();
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(g.readers_of(a), &[n0, n1]);
+        assert_eq!(g.readers_of(sq), &[n1]);
+        assert!(g.readers_of(g.variable_by_name("sum").unwrap()).is_empty());
     }
 
     #[test]

@@ -110,7 +110,9 @@ const MAX_STATS: usize = 65_536;
 /// active resource ids behind each profile position and every mux site with
 /// its tree depths — which is what lets
 /// [`patch_context`](crate::Evaluator) derive a candidate's context from its
-/// parent's by cloning only the entries the move touched.
+/// parent's, recomputing only the entries the move touched. Sites and depth
+/// lists sit behind shared pointers, so a patched context shares every site
+/// the move left alone with its parent instead of copying it.
 #[derive(Clone, Debug)]
 pub struct DesignContext {
     /// Effective per-node delays at delay factor 1.0 (module + interconnect).
@@ -125,28 +127,11 @@ pub struct DesignContext {
     pub(crate) reg_ids: Vec<impact_rtl::RegId>,
     /// Every mux site with fan-in ≥ 2, in enumeration order (one per
     /// `profile.muxes` entry).
-    pub(crate) sites: Vec<MuxSite>,
+    pub(crate) sites: Vec<Arc<MuxSite>>,
     /// Whether each site's tree was restructured, parallel to `sites`.
     pub(crate) site_restructured: Vec<bool>,
     /// Depth of every source in each site's tree, parallel to `sites`.
-    pub(crate) site_depths: Vec<Vec<usize>>,
-    /// Lazily built index of `sites` by sink. One parent context serves a
-    /// whole ranking stage of candidate patches; building the map per patch
-    /// was a measurable share of context derivation.
-    pub(crate) site_index: std::sync::OnceLock<HashMap<impact_rtl::MuxSink, usize>>,
-}
-
-impl DesignContext {
-    /// The memoized sink → site-position index of this context's sites.
-    pub(crate) fn site_index(&self) -> &HashMap<impact_rtl::MuxSink, usize> {
-        self.site_index.get_or_init(|| {
-            self.sites
-                .iter()
-                .enumerate()
-                .map(|(index, site)| (site.sink, index))
-                .collect()
-        })
-    }
+    pub(crate) site_depths: Vec<Arc<Vec<usize>>>,
 }
 
 /// Memoized statistics of one mux site: the tree's switching activity, the
@@ -648,8 +633,6 @@ impl Encode for DesignContext {
         self.sites.encode(w);
         self.site_restructured.encode(w);
         self.site_depths.encode(w);
-        // The sink → position index is a lazily built derivation of `sites`;
-        // a decoded context rebuilds it on first use.
     }
 }
 
@@ -665,7 +648,6 @@ impl Decode for DesignContext {
             sites: Decode::decode(r)?,
             site_restructured: Decode::decode(r)?,
             site_depths: Decode::decode(r)?,
-            site_index: std::sync::OnceLock::new(),
         })
     }
 }
@@ -699,7 +681,6 @@ mod tests {
             sites: Vec::new(),
             site_restructured: Vec::new(),
             site_depths: Vec::new(),
-            site_index: std::sync::OnceLock::new(),
         })
     }
 

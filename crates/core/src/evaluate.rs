@@ -22,16 +22,17 @@
 //! code recomputes everything per call, which reproduces the brute-force loop
 //! bit-identically — the cache only memoizes pure functions.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use impact_behsim::ExecutionTrace;
 use impact_cdfg::{Cdfg, NodeId};
 use impact_modlib::{ModuleLibrary, VDD_REFERENCE};
-use impact_power::{PowerBreakdown, PowerEstimator, PowerProfile};
+use impact_power::{
+    FuPowerProfile, MuxPowerProfile, PowerBreakdown, PowerEstimator, PowerProfile, RegPowerProfile,
+};
 use impact_rtl::{
-    DesignDelta, DesignFingerprint, FingerprintHasher, FuId, FunctionalUnit, MuxSite, MuxTree,
-    RegId, Register, RtlDesign, SignalKey,
+    DerivedSite, DesignDelta, DesignFingerprint, FingerprintHasher, FuId, FunctionalUnit, MuxSite,
+    MuxTree, RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
     BlockSchedule, BlockSource, ScheduleConfig, ScheduleDeltaProblem, Scheduler, SchedulingProblem,
@@ -60,8 +61,10 @@ pub(crate) const ENC_EPS: f64 = 1e-9;
 /// design, the parent's structural fingerprint and the move's change-set.
 /// From [`EvaluatorKind::FullReschedule`] on this is what turns full rebuilds
 /// into patches — the candidate's fingerprint is XOR-patched from the
-/// parent's and its evaluation context is derived from the parent's context
-/// by cloning only the touched entries.
+/// parent's, and its evaluation context is derived from the parent's
+/// context: the mux sites the move touched are enumerated again, every other
+/// site is shared with the parent by pointer, and only the touched profile
+/// entries are recomputed.
 struct MoveLineage<'a> {
     parent: &'a RtlDesign,
     parent_fingerprint: DesignFingerprint,
@@ -370,7 +373,7 @@ impl<'a> Evaluator<'a> {
     /// result (supply search included). This is the move-aware entry point of
     /// delta evaluation: from [`EvaluatorKind::FullReschedule`] on the
     /// candidate's fingerprint is patched from the parent's and its
-    /// evaluation context is derived from the parent's by cloning only the
+    /// evaluation context is derived from the parent's, recomputing only the
     /// entries the move touched — bit-identical to the full rebuild.
     ///
     /// Returns `None` when the move is inapplicable to `parent` or the
@@ -750,42 +753,56 @@ impl<'a> Evaluator<'a> {
         design: &RtlDesign,
         site: &MuxSite,
         restructured: bool,
-    ) -> Vec<usize> {
+    ) -> Arc<Vec<usize>> {
         if restructured {
-            self.mux_entry(rt, design, site, true).depths
-        } else {
-            let tree = MuxTree::balanced(
-                site.sources
-                    .iter()
-                    .map(|_| impact_rtl::MuxSource::new("s", 0.0, 0.0))
-                    .collect::<Vec<_>>(),
-            );
+            return Arc::new(self.mux_entry(rt, design, site, true).depths);
+        }
+        let tree = MuxTree::balanced(
+            site.sources
+                .iter()
+                .map(|_| impact_rtl::MuxSource::new("s", 0.0, 0.0))
+                .collect::<Vec<_>>(),
+        );
+        Arc::new(
             (0..site.sources.len())
                 .map(|i| tree.depth_of(i).unwrap_or(0))
-                .collect()
-        }
+                .collect(),
+        )
     }
 
-    /// Effective per-node delays at delay factor 1.0 from the context
-    /// skeleton: module delays plus the mux stages each operand traverses,
-    /// added in site-enumeration order.
-    fn delays_from_sites(
+    /// Per-site trace statistics (memoized by content): tree activity and
+    /// selections per pass under the given tree construction.
+    fn mux_stat_values(
         &self,
+        rt: &RtTraces<'_>,
         design: &RtlDesign,
-        sites: &[MuxSite],
-        depths: &[Vec<usize>],
-    ) -> Vec<f64> {
-        let mut delays = design.node_module_delays(self.cdfg, &self.library);
+        site: &MuxSite,
+        restructured: bool,
+    ) -> (f64, f64) {
+        let entry = self.mux_entry(rt, design, site, restructured);
+        (entry.tree_activity, entry.selections_per_pass)
+    }
+
+    /// Adds the mux stages each operand traverses to `delays`, in
+    /// site-enumeration order, for the nodes `include` selects.
+    fn add_site_delays(
+        &self,
+        delays: &mut [f64],
+        sites: &[Arc<MuxSite>],
+        depths: &[Arc<Vec<usize>>],
+        include: impl Fn(NodeId) -> bool,
+    ) {
         let mux_delay = self.library.mux2().delay_ns;
         for (site, depth_of) in sites.iter().zip(depths) {
-            for (index, source) in site.sources.iter().enumerate() {
-                let extra = depth_of[index] as f64 * mux_delay;
+            for (source, &depth) in site.sources.iter().zip(depth_of.iter()) {
+                let extra = depth as f64 * mux_delay;
                 for &op in &source.ops {
-                    delays[op.index()] += extra;
+                    if include(op) {
+                        delays[op.index()] += extra;
+                    }
                 }
             }
         }
-        delays
     }
 
     /// Builds the evaluation context from scratch: enumerates the design's
@@ -796,27 +813,29 @@ impl<'a> Evaluator<'a> {
     /// designs share almost all of the underlying trace traversals.
     fn build_context(&self, design: &RtlDesign) -> DesignContext {
         let rt = RtTraces::new(self.cdfg, design, self.trace);
-        let sites = self.candidate_sites(design);
+        let sites: Vec<Arc<MuxSite>> = self
+            .candidate_sites(design)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         let site_restructured: Vec<bool> = sites
             .iter()
             .map(|site| design.is_restructured(site.sink))
             .collect();
-        let site_depths: Vec<Vec<usize>> = sites
+        let site_depths: Vec<Arc<Vec<usize>>> = sites
             .iter()
             .zip(&site_restructured)
             .map(|(site, &restructured)| self.site_depths(&rt, design, site, restructured))
             .collect();
-        let base_delays = self.delays_from_sites(design, &sites, &site_depths);
+        let mut base_delays = design.node_module_delays(self.cdfg, &self.library);
+        self.add_site_delays(&mut base_delays, &sites, &site_depths, |_| true);
         let profile = PowerProfile::assemble_with_sites(
             &self.library,
             design,
             &sites,
             |fu, unit| self.fu_stat_values(&rt, design, fu, unit),
             |reg, register| self.reg_stat_values(&rt, reg, register),
-            |site, restructured| {
-                let entry = self.mux_entry(&rt, design, site, restructured);
-                (entry.tree_activity, entry.selections_per_pass)
-            },
+            |site, restructured| self.mux_stat_values(&rt, design, site, restructured),
         );
         DesignContext {
             base_delays,
@@ -827,17 +846,19 @@ impl<'a> Evaluator<'a> {
             sites,
             site_restructured,
             site_depths,
-            site_index: std::sync::OnceLock::new(),
         }
     }
 
-    /// Derives a candidate's evaluation context from its parent's by cloning
-    /// only the entries the move touched. Bit-identical to
-    /// [`Self::build_context`] on the candidate: untouched entries are pure
-    /// values copied verbatim, touched entries are recomputed through the
-    /// exact same code paths (and the same memoized statistics) the full
-    /// rebuild uses, and per-node delay sums are replayed in the same
-    /// site-enumeration order.
+    /// Derives a candidate's evaluation context from its parent's in
+    /// O(move). Bit-identical to [`Self::build_context`] on the candidate:
+    /// only the mux sites of the resources the move touched are enumerated
+    /// again ([`RtlDesign::derive_mux_sites`]); every other site, and its
+    /// depth list when its statistics are untouched, is shared with the
+    /// parent by pointer. Untouched profile entries are pure values copied
+    /// verbatim, touched entries are recomputed through the exact same code
+    /// paths (and the same memoized statistics) the full rebuild uses, and
+    /// per-node delay sums and profile totals are replayed in the full
+    /// build's order.
     fn patch_context(
         &self,
         parent: &DesignContext,
@@ -846,33 +867,16 @@ impl<'a> Evaluator<'a> {
         delta: &DesignDelta,
     ) -> DesignContext {
         let rt = RtTraces::new(self.cdfg, design, self.trace);
+        let touched_fus = delta.changed_fus();
+        let touched_regs = delta.changed_registers();
 
-        // Units whose evaluation-relevant content changed: touched slots
-        // (module, width, removal, creation) plus any unit that gained or
-        // lost operations — a rebinding changes the unit's merged trace even
-        // when its slot content is untouched (a split's source unit).
-        // Registers always appear as touched slots, because a register's
-        // slot content includes its variable list.
-        let mut touched_fus: HashSet<FuId> = delta.touched_fus().collect();
-        for &(_, before, after) in &delta.op_bindings {
-            touched_fus.extend(before);
-            touched_fus.extend(after);
-        }
-        let touched_regs: HashSet<RegId> = delta.touched_registers().collect();
-
-        // Candidate skeleton and the site-level diff: a candidate site
-        // reuses a parent site's depths/profile entry iff the parent had a
-        // site at the same sink with identical sources, width and tree
-        // construction, *and* none of its sources reads a touched resource —
-        // a source's signal key survives a move (it carries ids), but the
-        // statistics behind it follow the resource's content (a merged
-        // register switches differently even though its id is unchanged).
-        let sites = self.candidate_sites(design);
-        let site_restructured: Vec<bool> = sites
-            .iter()
-            .map(|site| design.is_restructured(site.sink))
-            .collect();
-        let parent_site_index = parent.site_index();
+        // Candidate sites and the site-level diff: a candidate site reuses
+        // the parent's depths and profile entry iff the parent had an equal
+        // site at the same sink with the same tree construction, *and* none
+        // of its sources reads a touched resource — a source's signal key
+        // survives a move (it carries ids), but the statistics behind it
+        // follow the resource's content (a merged register switches
+        // differently even though its id is unchanged).
         let sources_untouched = |site: &MuxSite| {
             site.sources.iter().all(|source| match source.key {
                 SignalKey::Register(reg) => !touched_regs.contains(&reg),
@@ -880,23 +884,53 @@ impl<'a> Evaluator<'a> {
                 SignalKey::Constant(_) => true,
             })
         };
-        let reused_parent_site: Vec<Option<usize>> = sites
+        let derived = design.derive_mux_sites(self.cdfg, &parent.sites, delta);
+        let mut sites = Vec::with_capacity(derived.len());
+        let mut site_restructured = Vec::with_capacity(derived.len());
+        let mut reused: Vec<Option<usize>> = Vec::with_capacity(derived.len());
+        let mut parent_reused = vec![false; parent.sites.len()];
+        for entry in derived {
+            let (site, same_as_parent) = match entry {
+                DerivedSite::Kept(pi) => (Arc::clone(&parent.sites[pi]), Some(pi)),
+                DerivedSite::Fresh {
+                    site,
+                    parent: Some(pi),
+                } if *parent.sites[pi] == site => (Arc::clone(&parent.sites[pi]), Some(pi)),
+                DerivedSite::Fresh { site, .. } => (Arc::new(site), None),
+            };
+            // A kept site's flag changes only with an annotation the move
+            // itself set or cleared.
+            let annotated = delta
+                .restructured
+                .iter()
+                .any(|&(sink, ..)| sink == site.sink);
+            let restructured = match same_as_parent {
+                Some(pi) if !annotated => parent.site_restructured[pi],
+                _ => design.is_restructured(site.sink),
+            };
+            let reuse = same_as_parent.filter(|&pi| {
+                parent.site_restructured[pi] == restructured && sources_untouched(&site)
+            });
+            if let Some(pi) = reuse {
+                parent_reused[pi] = true;
+            }
+            sites.push(site);
+            site_restructured.push(restructured);
+            reused.push(reuse);
+        }
+        debug_assert!(
+            sites
+                .iter()
+                .map(|site| &**site)
+                .eq(&self.candidate_sites(design)),
+            "derived mux sites must equal the full enumeration"
+        );
+        let site_depths: Vec<Arc<Vec<usize>>> = sites
             .iter()
             .zip(&site_restructured)
-            .map(|(site, &restructured)| {
-                parent_site_index.get(&site.sink).copied().filter(|&pi| {
-                    parent.sites[pi] == *site
-                        && parent.site_restructured[pi] == restructured
-                        && sources_untouched(site)
-                })
-            })
-            .collect();
-        let site_depths: Vec<Vec<usize>> = sites
-            .iter()
-            .zip(&site_restructured)
-            .zip(&reused_parent_site)
+            .zip(&reused)
             .map(|((site, &restructured), reused)| match reused {
-                Some(pi) => parent.site_depths[*pi].clone(),
+                Some(pi) => Arc::clone(&parent.site_depths[*pi]),
                 None => self.site_depths(&rt, design, site, restructured),
             })
             .collect();
@@ -909,29 +943,25 @@ impl<'a> Evaluator<'a> {
             touched_node[node.index()] = true;
         }
         for &fu in &touched_fus {
-            for op in parent_design.ops_on(fu) {
-                touched_node[op.index()] = true;
-            }
-            for op in design.ops_on(fu) {
+            for op in parent_design.ops_on_iter(fu).chain(design.ops_on_iter(fu)) {
                 touched_node[op.index()] = true;
             }
         }
-        let reused_sites: HashSet<usize> = reused_parent_site.iter().flatten().copied().collect();
-        for (pi, site) in parent.sites.iter().enumerate() {
-            if !reused_sites.contains(&pi) {
-                for source in &site.sources {
-                    for &op in &source.ops {
-                        touched_node[op.index()] = true;
-                    }
-                }
-            }
-        }
-        for (site, reused) in sites.iter().zip(&reused_parent_site) {
-            if reused.is_none() {
-                for source in &site.sources {
-                    for &op in &source.ops {
-                        touched_node[op.index()] = true;
-                    }
+        let changed_parent_sites = parent
+            .sites
+            .iter()
+            .zip(&parent_reused)
+            .filter(|(_, &reused)| !reused)
+            .map(|(site, _)| site);
+        let changed_sites = sites
+            .iter()
+            .zip(&reused)
+            .filter(|(_, reused)| reused.is_none())
+            .map(|(site, _)| site);
+        for site in changed_parent_sites.chain(changed_sites) {
+            for source in &site.sources {
+                for &op in &source.ops {
+                    touched_node[op.index()] = true;
                 }
             }
         }
@@ -940,23 +970,15 @@ impl<'a> Evaluator<'a> {
         // nodes are recomputed from scratch in fresh-build order (module
         // delay, then site extras in enumeration order).
         let mut base_delays = parent.base_delays.clone();
-        let mux_delay = self.library.mux2().delay_ns;
         for (index, touched) in touched_node.iter().enumerate() {
             if *touched {
                 base_delays[index] =
                     design.node_module_delay(self.cdfg, &self.library, NodeId::new(index));
             }
         }
-        for (site, depth_of) in sites.iter().zip(&site_depths) {
-            for (index, source) in site.sources.iter().enumerate() {
-                let extra = depth_of[index] as f64 * mux_delay;
-                for &op in &source.ops {
-                    if touched_node[op.index()] {
-                        base_delays[op.index()] += extra;
-                    }
-                }
-            }
-        }
+        self.add_site_delays(&mut base_delays, &sites, &site_depths, |op| {
+            touched_node[op.index()]
+        });
 
         // Scheduler binding: patched entry-wise from the delta.
         let mut binding = parent.binding.clone();
@@ -964,59 +986,68 @@ impl<'a> Evaluator<'a> {
             binding[node.index()] = after.map(FuId::index);
         }
 
-        // Power profile: the assembly skeleton comes from the candidate, but
-        // the statistics closures serve untouched resources from the
-        // parent's entries (stored activities are already floored, and the
-        // floor is idempotent) and recompute touched ones through the
-        // memoized statistics.
-        // `assemble_with_sites` visits `sites` in order, one mux-stats call
-        // per site (every candidate site has fan-in >= 2), so the site's
-        // position is a running counter — no per-patch index map.
-        let next_site = std::cell::Cell::new(0usize);
-        let profile = PowerProfile::assemble_with_sites(
-            &self.library,
-            design,
-            &sites,
-            |fu, unit| match parent.fu_ids.binary_search(&fu) {
-                Ok(pos) if !touched_fus.contains(&fu) => {
-                    let entry = &parent.profile.fus[pos];
-                    (entry.activity, entry.activations_per_pass)
-                }
-                _ => self.fu_stat_values(&rt, design, fu, unit),
-            },
-            |reg, register| match parent.reg_ids.binary_search(&reg) {
-                Ok(pos) if !touched_regs.contains(&reg) => {
-                    let entry = &parent.profile.regs[pos];
-                    (entry.activity, entry.writes_per_pass)
-                }
-                _ => self.reg_stat_values(&rt, reg, register),
-            },
-            |site, restructured| {
-                let index = next_site.get();
-                next_site.set(index + 1);
-                debug_assert_eq!(sites[index].sink, site.sink, "sites visited in order");
-                match reused_parent_site[index] {
-                    Some(pi) => {
-                        let entry = &parent.profile.muxes[pi];
-                        (entry.tree_activity, entry.selections_per_pass)
-                    }
-                    None => {
-                        let entry = self.mux_entry(&rt, design, site, restructured);
-                        (entry.tree_activity, entry.selections_per_pass)
-                    }
-                }
-            },
-        );
+        // Power profile: the parent's and the candidate's resources are
+        // walked in step (both id lists ascend). Untouched entries are copied
+        // (stored activities are already floored, and the floor is
+        // idempotent); touched and new ones are recomputed through the
+        // memoized statistics, in the full build's order.
+        let fu_ids: Vec<FuId> = design.functional_units().map(|(id, _)| id).collect();
+        let reg_ids: Vec<RegId> = design.registers().map(|(id, _)| id).collect();
+        let mut parent_fus = ParentEntries {
+            ids: &parent.fu_ids,
+            entries: &parent.profile.fus,
+            touched: &touched_fus,
+        };
+        let fus = design
+            .functional_units()
+            .map(|(fu, unit)| match parent_fus.untouched(fu) {
+                Some(entry) => *entry,
+                None => FuPowerProfile::new(
+                    &self.library,
+                    unit,
+                    self.fu_stat_values(&rt, design, fu, unit),
+                ),
+            })
+            .collect();
+        let mut parent_regs = ParentEntries {
+            ids: &parent.reg_ids,
+            entries: &parent.profile.regs,
+            touched: &touched_regs,
+        };
+        let regs = design
+            .registers()
+            .map(|(reg, register)| match parent_regs.untouched(reg) {
+                Some(entry) => *entry,
+                None => RegPowerProfile::new(
+                    &self.library,
+                    register,
+                    self.reg_stat_values(&rt, reg, register),
+                ),
+            })
+            .collect();
+        let muxes = sites
+            .iter()
+            .zip(&site_restructured)
+            .zip(&reused)
+            .map(|((site, &restructured), reused)| match reused {
+                Some(pi) => parent.profile.muxes[*pi],
+                None => MuxPowerProfile::new(
+                    &self.library,
+                    site,
+                    self.mux_stat_values(&rt, design, site, restructured),
+                ),
+            })
+            .collect();
+        let profile = PowerProfile::from_entries(&self.library, design, &sites, fus, regs, muxes);
         DesignContext {
             base_delays,
             binding,
             profile,
-            fu_ids: design.functional_units().map(|(id, _)| id).collect(),
-            reg_ids: design.registers().map(|(id, _)| id).collect(),
+            fu_ids,
+            reg_ids,
             sites,
             site_restructured,
             site_depths,
-            site_index: std::sync::OnceLock::new(),
         }
     }
 
@@ -1185,6 +1216,33 @@ fn workload_id(cdfg: &Cdfg, trace: &ExecutionTrace, config: &SynthesisConfig) ->
     WorkloadId(hasher.finish().as_u128())
 }
 
+/// A parent context's per-resource profile entries, walked in step with a
+/// candidate's resources: both id lists ascend, and so does the move's
+/// touched list, so each list is walked once per patch.
+struct ParentEntries<'p, I, E> {
+    ids: &'p [I],
+    entries: &'p [E],
+    touched: &'p [I],
+}
+
+impl<'p, I: Copy + Ord, E> ParentEntries<'p, I, E> {
+    /// The parent's entry for resource `id` when the parent had one and the
+    /// move left it untouched. Ids must be asked for in ascending order.
+    fn untouched(&mut self, id: I) -> Option<&'p E> {
+        while self.ids.first().is_some_and(|&parent| parent < id) {
+            self.ids = &self.ids[1..];
+            self.entries = &self.entries[1..];
+        }
+        while self.touched.first().is_some_and(|&touched| touched < id) {
+            self.touched = &self.touched[1..];
+        }
+        if self.ids.first() != Some(&id) || self.touched.first() == Some(&id) {
+            return None;
+        }
+        self.entries.first()
+    }
+}
+
 /// Statistics of one mux site: the tree's switching activity, every source's
 /// depth in the tree, and the selection rate. `activity` supplies each
 /// source signal's activity.
@@ -1325,6 +1383,122 @@ mod tests {
         match evaluator.evaluate(&design).unwrap() {
             None => {}
             Some(point) => assert!(point.enc() <= evaluator.enc_limit() + ENC_EPS),
+        }
+    }
+
+    /// Every move applicable to `design`, across all six move families.
+    fn every_move(cdfg: &Cdfg, library: &ModuleLibrary, design: &RtlDesign) -> Vec<Move> {
+        let mut moves = Vec::new();
+        for site in design.mux_sites(cdfg) {
+            if site.fan_in() >= 2 && !design.is_restructured(site.sink) {
+                moves.push(Move::RestructureMux { sink: site.sink });
+            }
+        }
+        let units: Vec<_> = design.functional_units().collect();
+        for (i, &(fu, unit)) in units.iter().enumerate() {
+            for module in library.variants_for(unit.class) {
+                if module != unit.module {
+                    moves.push(Move::SubstituteModule { fu, module });
+                }
+            }
+            for &(remove, other) in &units[i + 1..] {
+                if other.class == unit.class {
+                    moves.push(Move::ShareFus { keep: fu, remove });
+                }
+            }
+            if let [_, .., op] = design.ops_on(fu)[..] {
+                moves.push(Move::SplitFu { fu, op });
+            }
+        }
+        let registers: Vec<_> = design.registers().collect();
+        for (i, &(reg, register)) in registers.iter().enumerate() {
+            for &(remove, _) in &registers[i + 1..] {
+                moves.push(Move::ShareRegisters { keep: reg, remove });
+            }
+            if let [_, .., var] = register.variables[..] {
+                moves.push(Move::SplitRegister { reg, var });
+            }
+        }
+        moves
+    }
+
+    /// Every `f64` of a power profile, as bits.
+    fn profile_bits(profile: &PowerProfile) -> Vec<u64> {
+        let mut bits = vec![profile.register_bits, profile.datapath_area];
+        for fu in &profile.fus {
+            bits.extend([fu.capacitance_pf, fu.activity, fu.activations_per_pass]);
+        }
+        for reg in &profile.regs {
+            bits.extend([reg.capacitance_pf, reg.activity, reg.writes_per_pass]);
+        }
+        for mux in &profile.muxes {
+            bits.extend([
+                mux.capacitance_pf,
+                mux.tree_activity,
+                mux.selections_per_pass,
+            ]);
+        }
+        bits.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn patched_contexts_equal_the_full_rebuild_field_by_field() {
+        for bench in impact_benchmarks::all_benchmarks() {
+            let cdfg = bench.compile().unwrap();
+            let trace = simulate(&cdfg, &bench.input_sequences(6, 3)).unwrap();
+            let config = SynthesisConfig::power_optimized(2.0);
+            let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
+            let library = evaluator.library();
+            // Parents: the initial architecture, then after every few seeded
+            // moves, so later parents carry shared resources and annotations.
+            let mut parent = RtlDesign::initial_parallel(&cdfg, library);
+            let mut seed = 1998usize;
+            for _ in 0..3 {
+                let parent_context = evaluator.build_context(&parent);
+                let moves = every_move(&cdfg, library, &parent);
+                for mv in &moves {
+                    let mut candidate = parent.clone();
+                    let Ok(delta) = mv.apply(&cdfg, library, &mut candidate) else {
+                        continue;
+                    };
+                    let patched =
+                        evaluator.patch_context(&parent_context, &parent, &candidate, &delta);
+                    let rebuilt = evaluator.build_context(&candidate);
+                    let what = format!("{}: {mv}", bench.name);
+                    assert_eq!(patched.sites, rebuilt.sites, "{what}: sites");
+                    assert_eq!(
+                        patched.site_restructured, rebuilt.site_restructured,
+                        "{what}: restructured flags"
+                    );
+                    assert_eq!(patched.site_depths, rebuilt.site_depths, "{what}: depths");
+                    assert_eq!(
+                        profile_bits(&patched.profile),
+                        profile_bits(&rebuilt.profile),
+                        "{what}: profile"
+                    );
+                    assert_eq!(
+                        patched
+                            .base_delays
+                            .iter()
+                            .map(|d| d.to_bits())
+                            .collect::<Vec<_>>(),
+                        rebuilt
+                            .base_delays
+                            .iter()
+                            .map(|d| d.to_bits())
+                            .collect::<Vec<_>>(),
+                        "{what}: base delays"
+                    );
+                    assert_eq!(patched.binding, rebuilt.binding, "{what}: binding");
+                    assert_eq!(patched.fu_ids, rebuilt.fu_ids, "{what}: unit ids");
+                    assert_eq!(patched.reg_ids, rebuilt.reg_ids, "{what}: register ids");
+                }
+                for _ in 0..4 {
+                    let moves = every_move(&cdfg, library, &parent);
+                    let _ = moves[seed % moves.len()].apply(&cdfg, library, &mut parent);
+                    seed = seed.wrapping_mul(31).wrapping_add(7);
+                }
+            }
         }
     }
 

@@ -196,9 +196,9 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
 }
 
 /// Internal shape invariants of one evaluation context: parallel vectors
-/// agree in length, resource id lists are strictly increasing (binary
-/// search relies on it), the binding points into the active units, and
-/// every stored site is an actual multi-source site.
+/// agree in length, resource id lists are strictly increasing (a patch
+/// walks them in step with the candidate's), the binding points into the
+/// active units, and every stored site is an actual multi-source site.
 fn context_internal_violations(context: &DesignContext) -> Vec<Violation> {
     let mut violations = Vec::new();
     if context.base_delays.len() != context.binding.len() {

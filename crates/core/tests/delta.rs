@@ -13,12 +13,18 @@ use impact_modlib::ModuleLibrary;
 use impact_rtl::RtlDesign;
 use proptest::prelude::*;
 
-fn gcd_setup(passes: usize) -> (Cdfg, impact_behsim::ExecutionTrace) {
-    let bench = impact_benchmarks::gcd();
+fn setup(
+    bench: &impact_benchmarks::Benchmark,
+    passes: usize,
+) -> (Cdfg, impact_behsim::ExecutionTrace) {
     let cdfg = bench.compile().unwrap();
     let inputs = bench.input_sequences(passes, 13);
     let trace = simulate(&cdfg, &inputs).unwrap();
     (cdfg, trace)
+}
+
+fn gcd_setup(passes: usize) -> (Cdfg, impact_behsim::ExecutionTrace) {
+    setup(&impact_benchmarks::gcd(), passes)
 }
 
 /// Every move applicable to `design`, across all six move families (the
@@ -139,6 +145,8 @@ proptest! {
         prop_assert_eq!(design.fingerprint(), original.fingerprint());
     }
 
+    /// On every benchmark design: dealer and x25_send are the wide-mux
+    /// ones, whose site deltas a move on gcd never exercises.
     #[test]
     fn delta_patched_evaluation_matches_oracle_and_brute_force(
         seed in 0u64..1_000_000,
@@ -147,50 +155,54 @@ proptest! {
         laxity_steps in 0u32..11,
     ) {
         let laxity = 1.0 + 0.2 * f64::from(laxity_steps);
-        let (cdfg, trace) = gcd_setup(8);
-        let config = SynthesisConfig::power_optimized(laxity);
-        let delta_eval = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
-        let oracle = Evaluator::new(
-            &cdfg,
-            &trace,
-            config.clone().with_engine(EngineConfig::full_rebuild()),
-        )
-        .unwrap();
-        let brute = Evaluator::new(
-            &cdfg,
-            &trace,
-            config.with_engine(EngineConfig::sequential()),
-        )
-        .unwrap();
-        // An arbitrary parent: the initial architecture after a seed-selected
-        // move sequence.
-        let mut parent = RtlDesign::initial_parallel(&cdfg, delta_eval.library());
-        apply_sequence(&cdfg, delta_eval.library(), &mut parent, seed, depth);
-        let levels = delta_eval.library().vdd().levels().to_vec();
-        let vdd = levels[level_index % levels.len()];
-        // Every candidate move off this parent is costed identically by the
-        // three paths, at a fixed level and under the full supply search.
-        let moves = candidate_moves(&cdfg, delta_eval.library(), &parent);
-        let mut probe = seed;
-        for _ in 0..4 {
-            let mv = &moves[(probe as usize) % moves.len()];
-            probe = next_seed(probe);
-            let patched = delta_eval.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
-            let rebuilt = oracle.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
-            let cold = brute.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
-            prop_assert_eq!(&patched, &rebuilt, "patched vs oracle at {}", vdd);
-            prop_assert_eq!(&patched, &cold, "patched vs brute force at {}", vdd);
-            let patched_full = delta_eval.evaluate_move(&parent, mv).unwrap();
-            let rebuilt_full = oracle.evaluate_move(&parent, mv).unwrap();
-            let cold_full = brute.evaluate_move(&parent, mv).unwrap();
-            prop_assert_eq!(&patched_full, &rebuilt_full);
-            prop_assert_eq!(&patched_full, &cold_full);
+        for bench in impact_benchmarks::all_benchmarks() {
+            let (cdfg, trace) = setup(&bench, 8);
+            let config = SynthesisConfig::power_optimized(laxity);
+            let delta_eval = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
+            let oracle = Evaluator::new(
+                &cdfg,
+                &trace,
+                config.clone().with_engine(EngineConfig::full_rebuild()),
+            )
+            .unwrap();
+            let brute = Evaluator::new(
+                &cdfg,
+                &trace,
+                config.with_engine(EngineConfig::sequential()),
+            )
+            .unwrap();
+            // An arbitrary parent: the initial architecture after a
+            // seed-selected move sequence.
+            let mut parent = RtlDesign::initial_parallel(&cdfg, delta_eval.library());
+            apply_sequence(&cdfg, delta_eval.library(), &mut parent, seed, depth);
+            let levels = delta_eval.library().vdd().levels().to_vec();
+            let vdd = levels[level_index % levels.len()];
+            // Every candidate move off this parent is costed identically by
+            // the three paths, at a fixed level and under the full supply
+            // search.
+            let moves = candidate_moves(&cdfg, delta_eval.library(), &parent);
+            let mut probe = seed;
+            for _ in 0..4 {
+                let mv = &moves[(probe as usize) % moves.len()];
+                probe = next_seed(probe);
+                let patched = delta_eval.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
+                let rebuilt = oracle.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
+                let cold = brute.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
+                let at = format!("{} at {vdd}", bench.name);
+                prop_assert_eq!(&patched, &rebuilt, "patched vs oracle: {}", at);
+                prop_assert_eq!(&patched, &cold, "patched vs brute force: {}", at);
+                let patched_full = delta_eval.evaluate_move(&parent, mv).unwrap();
+                let rebuilt_full = oracle.evaluate_move(&parent, mv).unwrap();
+                let cold_full = brute.evaluate_move(&parent, mv).unwrap();
+                prop_assert_eq!(&patched_full, &rebuilt_full, "{}", bench.name);
+                prop_assert_eq!(&patched_full, &cold_full, "{}", bench.name);
+            }
+            // The parent itself evaluates identically too (cache replay path).
+            prop_assert_eq!(
+                delta_eval.evaluate(&parent).unwrap(),
+                brute.evaluate(&parent).unwrap()
+            );
         }
-        // The parent itself evaluates identically too (cache replay path).
-        prop_assert_eq!(
-            delta_eval.evaluate(&parent).unwrap(),
-            brute.evaluate(&parent).unwrap()
-        );
     }
 }
 

@@ -1,5 +1,7 @@
 //! The RT-level power and area estimator.
 
+use std::borrow::Borrow;
+
 use impact_cdfg::Cdfg;
 use impact_modlib::{ModuleLibrary, VDD_REFERENCE};
 use impact_rtl::{FuId, FunctionalUnit, MuxSite, MuxTree, RegId, Register, RtlDesign};
@@ -232,48 +234,50 @@ impl PowerProfile {
     /// be (a filtering of) `design.mux_sites(cdfg)` in enumeration order;
     /// sites with fan-in below two are skipped either way, so a pre-filtered
     /// list produces a bit-identical profile.
-    pub fn assemble_with_sites(
+    pub fn assemble_with_sites<S: Borrow<MuxSite>>(
         library: &ModuleLibrary,
         design: &RtlDesign,
-        sites: &[MuxSite],
+        sites: &[S],
         mut fu_stats: impl FnMut(FuId, &FunctionalUnit) -> (f64, f64),
         mut reg_stats: impl FnMut(RegId, &Register) -> (f64, f64),
         mut mux_stats: impl FnMut(&MuxSite, bool) -> (f64, f64),
     ) -> Self {
-        let mut fus = Vec::new();
-        for (fu_id, unit) in design.functional_units() {
-            let (activity, activations_per_pass) = fu_stats(fu_id, unit);
-            fus.push(FuPowerProfile {
-                capacitance_pf: library
-                    .variant(unit.module)
-                    .capacitance_for_width(unit.width),
-                activity: activity.max(0.01),
-                activations_per_pass,
-            });
-        }
-        let mut regs = Vec::new();
+        let fus = design
+            .functional_units()
+            .map(|(fu_id, unit)| FuPowerProfile::new(library, unit, fu_stats(fu_id, unit)))
+            .collect();
+        let regs = design
+            .registers()
+            .map(|(reg_id, reg)| RegPowerProfile::new(library, reg, reg_stats(reg_id, reg)))
+            .collect();
+        let muxes = sites
+            .iter()
+            .map(Borrow::borrow)
+            .filter(|site| site.fan_in() >= 2)
+            .map(|site| {
+                let restructured = design.is_restructured(site.sink);
+                MuxPowerProfile::new(library, site, mux_stats(site, restructured))
+            })
+            .collect();
+        Self::from_entries(library, design, sites, fus, regs, muxes)
+    }
+
+    /// A profile from entries built elsewhere (a patched context copies the
+    /// untouched ones from its parent's profile): one entry per active unit,
+    /// per active register and per site of `sites` with fan-in of at least
+    /// two. The totals are summed afresh, never adjusted, so the profile is
+    /// bit-identical to [`Self::assemble_with_sites`]'s.
+    pub fn from_entries<S: Borrow<MuxSite>>(
+        library: &ModuleLibrary,
+        design: &RtlDesign,
+        sites: &[S],
+        fus: Vec<FuPowerProfile>,
+        regs: Vec<RegPowerProfile>,
+        muxes: Vec<MuxPowerProfile>,
+    ) -> Self {
         let mut register_bits = 0.0;
-        for (reg_id, reg) in design.registers() {
-            let (activity, writes_per_pass) = reg_stats(reg_id, reg);
-            regs.push(RegPowerProfile {
-                capacitance_pf: library.register().capacitance_for_width(reg.width),
-                activity: activity.max(0.01),
-                writes_per_pass,
-            });
+        for (_, reg) in design.registers() {
             register_bits += f64::from(reg.width);
-        }
-        let mut muxes = Vec::new();
-        for site in sites {
-            if site.fan_in() < 2 {
-                continue;
-            }
-            let restructured = design.is_restructured(site.sink);
-            let (tree_activity, selections_per_pass) = mux_stats(site, restructured);
-            muxes.push(MuxPowerProfile {
-                capacitance_pf: library.mux2().capacitance_for_width(site.width),
-                tree_activity,
-                selections_per_pass,
-            });
         }
         Self {
             fus,
@@ -281,6 +285,46 @@ impl PowerProfile {
             register_bits,
             muxes,
             datapath_area: design.datapath_area_with_sites(library, sites),
+        }
+    }
+}
+
+impl FuPowerProfile {
+    /// The entry of `unit` from its `(input_activity, activations_per_pass)`
+    /// statistics.
+    pub fn new(library: &ModuleLibrary, unit: &FunctionalUnit, stats: (f64, f64)) -> Self {
+        let (activity, activations_per_pass) = stats;
+        Self {
+            capacitance_pf: library
+                .variant(unit.module)
+                .capacitance_for_width(unit.width),
+            activity: activity.max(0.01),
+            activations_per_pass,
+        }
+    }
+}
+
+impl RegPowerProfile {
+    /// The entry of `reg` from its `(activity, writes_per_pass)` statistics.
+    pub fn new(library: &ModuleLibrary, reg: &Register, stats: (f64, f64)) -> Self {
+        let (activity, writes_per_pass) = stats;
+        Self {
+            capacitance_pf: library.register().capacitance_for_width(reg.width),
+            activity: activity.max(0.01),
+            writes_per_pass,
+        }
+    }
+}
+
+impl MuxPowerProfile {
+    /// The entry of `site` from its `(tree_activity, selections_per_pass)`
+    /// statistics.
+    pub fn new(library: &ModuleLibrary, site: &MuxSite, stats: (f64, f64)) -> Self {
+        let (tree_activity, selections_per_pass) = stats;
+        Self {
+            capacitance_pf: library.mux2().capacitance_for_width(site.width),
+            tree_activity,
+            selections_per_pass,
         }
     }
 }

@@ -7,20 +7,23 @@
 //! * a **transaction log** — [`RtlDesign::apply_delta`] replays it onto a
 //!   design in the pre-move state and [`RtlDesign::revert_delta`] restores
 //!   the exact pre-move design (including allocation-vector lengths),
-//! * a **touched-set** — evaluators patch per-design caches by cloning only
-//!   the entries of the functional units, registers and mux sites a move
-//!   actually changed instead of rebuilding whole contexts,
+//! * a **touched-set** — evaluators patch per-design caches by recomputing
+//!   only the entries of the functional units, registers and mux sites a
+//!   move actually changed instead of rebuilding whole contexts
+//!   ([`RtlDesign::derive_mux_sites`] enumerates again only the mux sites a
+//!   move can change),
 //! * a **fingerprint patch** — the structural digest is an XOR of independent
 //!   per-component digests, so [`DesignDelta::patched_fingerprint`] turns a
 //!   parent's digest into the candidate's by XOR-ing the changed components
 //!   out and in, without re-hashing the rest of the design.
 //!
 //! [`RtlDesign::apply_delta`]: crate::RtlDesign::apply_delta
+//! [`RtlDesign::derive_mux_sites`]: crate::RtlDesign::derive_mux_sites
 //! [`RtlDesign::revert_delta`]: crate::RtlDesign::revert_delta
 
-use impact_cdfg::{NodeId, VarId};
+use impact_cdfg::{Cdfg, NodeId, VarId};
 
-use crate::design::{FuId, FunctionalUnit, MuxSink, RegId, Register};
+use crate::design::{FuId, FunctionalUnit, MuxSink, RegId, Register, RtlDesign};
 use crate::{DesignFingerprint, FingerprintHasher};
 
 /// Before/after value of one functional-unit allocation slot (`None` means
@@ -109,15 +112,69 @@ impl DesignDelta {
             .map(|c| c.id)
     }
 
-    /// Ids of every functional unit the move touched (changed, removed or
-    /// created).
-    pub fn touched_fus(&self) -> impl Iterator<Item = FuId> + '_ {
-        self.fus.iter().map(|c| c.id)
+    /// Every functional unit whose evaluation-relevant content the move
+    /// changed, ascending: touched slots (module, width, removal, creation)
+    /// plus both sides of every operation rebinding. A rebinding changes a
+    /// unit's merged trace even when its slot is untouched (a split's source
+    /// unit).
+    pub fn changed_fus(&self) -> Vec<FuId> {
+        let mut fus: Vec<FuId> = self.fus.iter().map(|c| c.id).collect();
+        for &(_, before, after) in &self.op_bindings {
+            fus.extend(before);
+            fus.extend(after);
+        }
+        fus.sort_unstable();
+        fus.dedup();
+        fus
     }
 
-    /// Ids of every register the move touched.
-    pub fn touched_registers(&self) -> impl Iterator<Item = RegId> + '_ {
-        self.registers.iter().map(|c| c.id)
+    /// Every register the move touched, ascending. A register's slot holds
+    /// its variable list, so a variable rebinding touches both sides' slots.
+    pub fn changed_registers(&self) -> Vec<RegId> {
+        let mut registers: Vec<RegId> = self.registers.iter().map(|c| c.id).collect();
+        registers.sort_unstable();
+        registers.dedup();
+        registers
+    }
+
+    /// The resources whose mux sites the move may have changed, on
+    /// `design`, the post-move design. A site's sources follow the
+    /// operations bound to its unit (or writing its register), the register
+    /// every operand lives in, and the unit behind every register write, so
+    /// a site outside the scope equals the parent's site at the same sink:
+    ///
+    /// 1. every site of a unit in [`Self::changed_fus`];
+    /// 2. the input site of every touched register;
+    /// 3. the input site of the register each rebound operation writes (its
+    ///    `FuOutput` source changed);
+    /// 4. for every variable that moved to another register, the port sites
+    ///    of the units that read it, and the input sites of the registers
+    ///    its unbound (structural) readers write.
+    pub(crate) fn site_scope(&self, cdfg: &Cdfg, design: &RtlDesign) -> SiteScope {
+        let mut fus = self.changed_fus();
+        let mut registers = self.changed_registers();
+        for &(node, _, _) in &self.op_bindings {
+            if let Some(var) = cdfg.node(node).defines {
+                registers.push(design.register_of(var));
+            }
+        }
+        for &(var, _, _) in &self.var_bindings {
+            for &reader in cdfg.readers_of(var) {
+                match design.fu_of(reader) {
+                    Some(fu) => fus.push(fu),
+                    None => registers.extend(
+                        cdfg.node(reader)
+                            .defines
+                            .map(|written| design.register_of(written)),
+                    ),
+                }
+            }
+        }
+        fus.sort_unstable();
+        fus.dedup();
+        registers.sort_unstable();
+        registers.dedup();
+        SiteScope { fus, registers }
     }
 
     /// Patches a parent design's structural digest into the post-move
@@ -161,6 +218,27 @@ impl DesignDelta {
             }
         }
         DesignFingerprint::from_u128(bits)
+    }
+}
+
+/// The resources whose mux sites a move may have changed
+/// ([`DesignDelta::site_scope`]): every other site of the post-move design
+/// equals the pre-move design's site at the same sink.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub(crate) struct SiteScope {
+    /// Units whose port sites are enumerated again, ascending.
+    pub(crate) fus: Vec<FuId>,
+    /// Registers whose input site is enumerated again, ascending.
+    pub(crate) registers: Vec<RegId>,
+}
+
+impl SiteScope {
+    /// Whether the site at `sink` is enumerated again.
+    pub(crate) fn contains(&self, sink: MuxSink) -> bool {
+        match sink {
+            MuxSink::FuInput { fu, .. } => self.fus.binary_search(&fu).is_ok(),
+            MuxSink::RegisterInput { reg } => self.registers.binary_search(&reg).is_ok(),
+        }
     }
 }
 

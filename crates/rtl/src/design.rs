@@ -1,6 +1,7 @@
 //! Allocation, binding and module selection: the mutable RT-level design the
 //! IMPACT moves operate on.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -135,6 +136,23 @@ impl MuxSite {
     pub fn mux_count(&self) -> usize {
         self.fan_in().saturating_sub(1)
     }
+}
+
+/// One entry of a candidate's mux-site list as
+/// [`RtlDesign::derive_mux_sites`] derives it from the parent's list.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum DerivedSite {
+    /// The parent's site at this position of the parent's list, which the
+    /// move cannot have changed.
+    Kept(usize),
+    /// A site enumerated again, with the position of the parent's site at
+    /// the same sink, if the parent had one (the two may still be equal).
+    Fresh {
+        /// The candidate's site.
+        site: MuxSite,
+        /// Position of the parent's site at the same sink.
+        parent: Option<usize>,
+    },
 }
 
 /// Errors reported by [`RtlDesign`] mutations.
@@ -783,10 +801,8 @@ impl RtlDesign {
 
     /// Enumerates every multiplexer site of the datapath: one per
     /// functional-unit data input port and one per register written from more
-    /// than one distinct source.
+    /// than one distinct source. Sites come in [`MuxSink`] order.
     pub fn mux_sites(&self, cdfg: &Cdfg) -> Vec<MuxSite> {
-        let mut sites = Vec::new();
-
         // Group the bindings once: the per-unit (and per-register) scans over
         // the whole design were quadratic, and site enumeration runs once per
         // evaluated candidate. Grouping in node order reproduces the scans'
@@ -803,77 +819,146 @@ impl RtlDesign {
                 writers_per_reg[self.register_of(defined).index()].push(node_id);
             }
         }
-
-        // Functional-unit input ports.
+        let mut sites = Vec::new();
         for (fu_id, unit) in self.functional_units() {
-            let ops = &ops_per_fu[fu_id.index()];
-            let max_ports = ops
-                .iter()
-                .map(|&n| cdfg.node(n).operation.arity())
-                .max()
-                .unwrap_or(0);
-            for port in 0..max_ports {
-                let mut by_key: BTreeMap<SignalKey, Vec<NodeId>> = BTreeMap::new();
-                for &op in ops {
-                    let node = cdfg.node(op);
-                    let Some(&edge_id) = node.inputs.get(port) else {
-                        continue;
-                    };
-                    let key = self.signal_key(cdfg, cdfg.edge(edge_id).value);
-                    by_key.entry(key).or_default().push(op);
-                }
-                if by_key.is_empty() {
-                    continue;
-                }
-                sites.push(MuxSite {
-                    sink: MuxSink::FuInput {
-                        fu: fu_id,
-                        port: port as u8,
-                    },
-                    sources: by_key
-                        .into_iter()
-                        .map(|(key, ops)| SignalSource { key, ops })
-                        .collect(),
-                    width: unit.width,
+            self.push_fu_sites(cdfg, fu_id, unit, &ops_per_fu[fu_id.index()], &mut sites);
+        }
+        for (reg_id, reg) in self.registers() {
+            sites.extend(self.register_site(cdfg, reg_id, reg, &writers_per_reg[reg_id.index()]));
+        }
+        sites
+    }
+
+    /// The candidate's multi-source mux sites (fan-in ≥ 2, in [`MuxSink`]
+    /// order) derived from its parent's: `parent` is the pre-move design's
+    /// site list filtered the same way, and `delta` the move that turned
+    /// that design into `self`. Only the sites of the resources whose sites
+    /// the move may have changed are enumerated again (the rule is
+    /// `DesignDelta::site_scope`); every other parent site is kept by
+    /// position. Equal to filtering [`Self::mux_sites`].
+    pub fn derive_mux_sites<S: Borrow<MuxSite>>(
+        &self,
+        cdfg: &Cdfg,
+        parent: &[S],
+        delta: &DesignDelta,
+    ) -> Vec<DerivedSite> {
+        let scope = delta.site_scope(cdfg, self);
+        let mut fresh = Vec::new();
+        for &fu in &scope.fus {
+            if let Ok(unit) = self.functional_unit(fu) {
+                let ops: Vec<NodeId> = self.ops_on_iter(fu).collect();
+                self.push_fu_sites(cdfg, fu, unit, &ops, &mut fresh);
+            }
+        }
+        for &reg in &scope.registers {
+            if let Ok(register) = self.register(reg) {
+                let mut writers: Vec<NodeId> = register
+                    .variables
+                    .iter()
+                    .flat_map(|&var| cdfg.definers_of(var))
+                    .copied()
+                    .collect();
+                writers.sort_unstable();
+                fresh.extend(self.register_site(cdfg, reg, register, &writers));
+            }
+        }
+        let mut fresh = fresh
+            .into_iter()
+            .filter(|site| site.fan_in() >= 2)
+            .peekable();
+        let mut derived = Vec::with_capacity(parent.len() + 1);
+        for (index, site) in parent.iter().enumerate() {
+            let sink = site.borrow().sink;
+            while let Some(site) = fresh.next_if(|f| f.sink < sink) {
+                derived.push(DerivedSite::Fresh { site, parent: None });
+            }
+            if !scope.contains(sink) {
+                derived.push(DerivedSite::Kept(index));
+            } else if let Some(site) = fresh.next_if(|f| f.sink == sink) {
+                derived.push(DerivedSite::Fresh {
+                    site,
+                    parent: Some(index),
                 });
             }
         }
+        derived.extend(fresh.map(|site| DerivedSite::Fresh { site, parent: None }));
+        derived
+    }
 
-        // Register inputs.
-        for (reg_id, reg) in self.registers() {
+    /// Appends the sites in front of one unit's data ports, in port order.
+    /// `ops` are the operations bound to the unit, in node order.
+    fn push_fu_sites(
+        &self,
+        cdfg: &Cdfg,
+        fu: FuId,
+        unit: &FunctionalUnit,
+        ops: &[NodeId],
+        sites: &mut Vec<MuxSite>,
+    ) {
+        let max_ports = ops
+            .iter()
+            .map(|&n| cdfg.node(n).operation.arity())
+            .max()
+            .unwrap_or(0);
+        for port in 0..max_ports {
             let mut by_key: BTreeMap<SignalKey, Vec<NodeId>> = BTreeMap::new();
-            for &node_id in &writers_per_reg[reg_id.index()] {
-                let node = cdfg.node(node_id);
-                match self.fu_of(node_id) {
-                    Some(fu) => {
-                        by_key
-                            .entry(SignalKey::FuOutput(fu))
-                            .or_default()
-                            .push(node_id);
-                    }
-                    None => {
-                        // Structural writers route existing signals: take the
-                        // source(s) of their data inputs.
-                        for &edge in &node.inputs {
-                            let key = self.signal_key(cdfg, cdfg.edge(edge).value);
-                            by_key.entry(key).or_default().push(node_id);
-                        }
-                    }
-                }
+            for &op in ops {
+                let node = cdfg.node(op);
+                let Some(&edge_id) = node.inputs.get(port) else {
+                    continue;
+                };
+                let key = self.signal_key(cdfg, cdfg.edge(edge_id).value);
+                by_key.entry(key).or_default().push(op);
             }
-            if by_key.len() < 2 {
+            if by_key.is_empty() {
                 continue;
             }
             sites.push(MuxSite {
-                sink: MuxSink::RegisterInput { reg: reg_id },
-                sources: by_key
-                    .into_iter()
-                    .map(|(key, ops)| SignalSource { key, ops })
-                    .collect(),
-                width: reg.width,
+                sink: MuxSink::FuInput {
+                    fu,
+                    port: port as u8,
+                },
+                sources: into_sources(by_key),
+                width: unit.width,
             });
         }
-        sites
+    }
+
+    /// The site in front of one register's data input, when more than one
+    /// distinct source writes it. `writers` are the nodes defining the
+    /// register's variables, in node order.
+    fn register_site(
+        &self,
+        cdfg: &Cdfg,
+        reg: RegId,
+        register: &Register,
+        writers: &[NodeId],
+    ) -> Option<MuxSite> {
+        let mut by_key: BTreeMap<SignalKey, Vec<NodeId>> = BTreeMap::new();
+        for &node_id in writers {
+            let node = cdfg.node(node_id);
+            match self.fu_of(node_id) {
+                Some(fu) => {
+                    by_key
+                        .entry(SignalKey::FuOutput(fu))
+                        .or_default()
+                        .push(node_id);
+                }
+                None => {
+                    // Structural writers route existing signals: take the
+                    // source(s) of their data inputs.
+                    for &edge in &node.inputs {
+                        let key = self.signal_key(cdfg, cdfg.edge(edge).value);
+                        by_key.entry(key).or_default().push(node_id);
+                    }
+                }
+            }
+        }
+        (by_key.len() >= 2).then(|| MuxSite {
+            sink: MuxSink::RegisterInput { reg },
+            sources: into_sources(by_key),
+            width: register.width,
+        })
     }
 
     fn signal_key(&self, _cdfg: &Cdfg, value: ValueRef) -> SignalKey {
@@ -895,7 +980,11 @@ impl RtlDesign {
     /// delta patching) do not enumerate them again. Sites with fan-in below
     /// two contribute zero mux area, so passing a list filtered to fan-in ≥ 2
     /// yields a bit-identical total.
-    pub fn datapath_area_with_sites(&self, library: &ModuleLibrary, sites: &[MuxSite]) -> f64 {
+    pub fn datapath_area_with_sites<S: Borrow<MuxSite>>(
+        &self,
+        library: &ModuleLibrary,
+        sites: &[S],
+    ) -> f64 {
         let fu_area: f64 = self
             .functional_units()
             .map(|(_, f)| library.variant(f.module).area_for_width(f.width))
@@ -906,10 +995,21 @@ impl RtlDesign {
             .sum();
         let mux_area: f64 = sites
             .iter()
-            .map(|site| site.mux_count() as f64 * library.mux2().area_for_width(site.width))
+            .map(Borrow::borrow)
+            .map(|site: &MuxSite| {
+                site.mux_count() as f64 * library.mux2().area_for_width(site.width)
+            })
             .sum();
         fu_area + reg_area + mux_area
     }
+}
+
+/// A site's sources from its signal-key grouping, in key order.
+fn into_sources(by_key: BTreeMap<SignalKey, Vec<NodeId>>) -> Vec<SignalSource> {
+    by_key
+        .into_iter()
+        .map(|(key, ops)| SignalSource { key, ops })
+        .collect()
 }
 
 // ---------------------------------------------------------------- snapshot codec

@@ -41,8 +41,8 @@ mod mux;
 
 pub use delta::DesignDelta;
 pub use design::{
-    FuId, FunctionalUnit, MuxSink, MuxSite, RegId, Register, RtlDesign, RtlError, SignalKey,
-    SignalSource,
+    DerivedSite, FuId, FunctionalUnit, MuxSink, MuxSite, RegId, Register, RtlDesign, RtlError,
+    SignalKey, SignalSource,
 };
 /// A design's structural digest is the shared 128-bit content digest of
 /// [`impact_cdfg::fingerprint`]; the hasher is re-exported alongside it so

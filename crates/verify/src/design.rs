@@ -1,9 +1,10 @@
 //! RTL design legality rules.
 
-use std::collections::HashSet;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 
 use impact_cdfg::Cdfg;
-use impact_rtl::{DesignFingerprint, MuxSink, MuxSite, RtlDesign};
+use impact_rtl::{DesignFingerprint, MuxSink, MuxSite, RtlDesign, SignalKey};
 
 use crate::{rules, Violation};
 
@@ -152,10 +153,17 @@ pub fn verify_design(cdfg: &Cdfg, design: &RtlDesign) -> Vec<Violation> {
 
 /// Audits a stored mux-site list (e.g. from a cached evaluation context)
 /// for consistency with the CDFG definers and the design's binding
-/// ([`rules::CDFG_MUX_CONSISTENT`]).
-pub fn verify_mux_sites(cdfg: &Cdfg, design: &RtlDesign, sites: &[MuxSite]) -> Vec<Violation> {
+/// ([`rules::CDFG_MUX_CONSISTENT`]). Each stored site is checked on its own,
+/// and the whole list against the design's enumeration filtered to fan-in
+/// ≥ 2, which is what a context stores: a missing, extra, stale or
+/// misordered site is reported even when every site is plausible alone.
+pub fn verify_mux_sites<S: Borrow<MuxSite>>(
+    cdfg: &Cdfg,
+    design: &RtlDesign,
+    sites: &[S],
+) -> Vec<Violation> {
     let mut violations = Vec::new();
-    for site in sites {
+    for site in sites.iter().map(Borrow::borrow) {
         let location = site.sink.to_string();
         if site.sources.is_empty() {
             violations.push(Violation::error(
@@ -225,6 +233,86 @@ pub fn verify_mux_sites(cdfg: &Cdfg, design: &RtlDesign, sites: &[MuxSite]) -> V
                 }
             }
         }
+    }
+    violations.extend(site_list_violations(cdfg, design, sites));
+    violations
+}
+
+/// Differences between a stored site list and the design's own multi-source
+/// sites in enumeration order: sites missing, extra, stored twice or out of
+/// order, and stored sites whose width or sources are stale.
+fn site_list_violations<S: Borrow<MuxSite>>(
+    cdfg: &Cdfg,
+    design: &RtlDesign,
+    sites: &[S],
+) -> Vec<Violation> {
+    let expected: Vec<MuxSite> = design
+        .mux_sites(cdfg)
+        .into_iter()
+        .filter(|site| site.fan_in() >= 2)
+        .collect();
+    let position: HashMap<MuxSink, usize> = expected
+        .iter()
+        .enumerate()
+        .map(|(index, site)| (site.sink, index))
+        .collect();
+    let error = |sink: MuxSink, message: String| {
+        Violation::error(rules::CDFG_MUX_CONSISTENT, sink.to_string(), message)
+    };
+    let keys = |site: &MuxSite| -> Vec<SignalKey> { site.sources.iter().map(|s| s.key).collect() };
+    let mut violations = Vec::new();
+    let mut stored = vec![false; expected.len()];
+    let mut previous: Option<usize> = None;
+    for site in sites.iter().map(Borrow::borrow) {
+        let Some(&index) = position.get(&site.sink) else {
+            violations.push(error(
+                site.sink,
+                "stored site is not a multi-source site of the design".into(),
+            ));
+            continue;
+        };
+        if std::mem::replace(&mut stored[index], true) {
+            violations.push(error(site.sink, "site is stored twice".into()));
+            continue;
+        }
+        if previous.is_some_and(|previous| index < previous) {
+            violations.push(error(
+                site.sink,
+                "site is stored out of enumeration order".into(),
+            ));
+        }
+        previous = Some(index);
+        let actual = &expected[index];
+        if site.width != actual.width {
+            violations.push(error(
+                site.sink,
+                format!(
+                    "stored width {} but the design's site is {} bits wide",
+                    site.width, actual.width
+                ),
+            ));
+        }
+        if keys(site) != keys(actual) {
+            violations.push(error(
+                site.sink,
+                format!(
+                    "stored source keys {:?} differ from the design's {:?}",
+                    keys(site),
+                    keys(actual)
+                ),
+            ));
+        } else if site.sources != actual.sources {
+            violations.push(error(
+                site.sink,
+                "stored sources route other operations than the design's".into(),
+            ));
+        }
+    }
+    for (site, _) in expected.iter().zip(&stored).filter(|(_, stored)| !**stored) {
+        violations.push(error(
+            site.sink,
+            "multi-source site of the design is missing from the stored list".into(),
+        ));
     }
     violations
 }

@@ -148,7 +148,9 @@ pub mod rules {
     pub const CDFG_OPERAND_DEFINED: &str = "cdfg-operand-defined";
     /// A multiplexer site disagrees with the CDFG definers / RTL binding
     /// that induce it (a source op not bound to the sink unit, a register
-    /// source op that does not write the register, duplicate signal keys).
+    /// source op that does not write the register, duplicate signal keys),
+    /// or a stored site list differs from the design's multi-source sites
+    /// (a site missing, extra or out of order, a stale width or source).
     pub const CDFG_MUX_CONSISTENT: &str = "cdfg-mux-consistent";
 
     /// Operation ↔ functional-unit binding is inconsistent: an operation

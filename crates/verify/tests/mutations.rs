@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use impact_cdfg::{Cdfg, CdfgBuilder, CdfgError, NodeId, Operation, ValueRef, VarId};
 use impact_modlib::ModuleLibrary;
-use impact_rtl::{DesignDelta, MuxSite, RtlDesign};
+use impact_rtl::{DesignDelta, MuxSite, RtlDesign, SignalKey};
 use impact_sched::{uniform_problem, Scheduler, SchedulingResult, WaveScheduler};
 use impact_verify::{
     has_errors, rules, structure_violation, verify_acyclic, verify_cdfg, verify_design,
@@ -222,42 +222,87 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn corrupted_mux_site_lists_trip_the_consistency_rule(
-        pick in 0usize..1000,
-        variant in 0usize..4,
-    ) {
+    fn corrupted_mux_site_lists_trip_the_consistency_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
         let design = parallel_design(&cdfg);
-        let mut sites = multi_sites(&cdfg, &design);
-        prop_assert!(!sites.is_empty());
-        let index = pick % sites.len();
-        match variant {
-            0 => {
-                // Duplicate signal key among the sources.
-                let duplicate = sites[index].sources[0].clone();
-                sites[index].sources.push(duplicate);
+        let clean = multi_sites(&cdfg, &design);
+        prop_assert!(clean.len() >= 2);
+        let index = pick % clean.len();
+        // Variants 4 and up are what a wrong site delta produces: each site
+        // is plausible on its own, only the list as a whole is wrong.
+        for variant in 0..9 {
+            let mut sites = clean.clone();
+            match variant {
+                0 => {
+                    // Duplicate signal key among the sources.
+                    let duplicate = sites[index].sources[0].clone();
+                    sites[index].sources.push(duplicate);
+                }
+                1 => {
+                    // A routed op that is foreign to the sink (no unit
+                    // binding, defines nothing).
+                    let foreign = cdfg
+                        .nodes()
+                        .find(|&(id, node)| {
+                            design.fu_of(id).is_none() && node.defines.is_none()
+                        })
+                        .map(|(id, _)| id)
+                        .unwrap();
+                    sites[index].sources[0].ops.push(foreign);
+                }
+                2 => {
+                    // A source that routes nothing.
+                    sites[index].sources[0].ops.clear();
+                }
+                3 => {
+                    // A site with no sources at all.
+                    sites[index].sources.clear();
+                }
+                4 => {
+                    // A site missing from the list.
+                    sites.remove(index);
+                }
+                5 => {
+                    // An extra site: a single-source sink of the design.
+                    let lone = design
+                        .mux_sites(&cdfg)
+                        .into_iter()
+                        .find(|site| site.fan_in() < 2)
+                        .unwrap();
+                    sites.push(lone);
+                }
+                6 => {
+                    // A stale source key: an operand's variable moved to
+                    // another register after the list was built.
+                    let stale = sites
+                        .iter_mut()
+                        .flat_map(|site| site.sources.iter_mut())
+                        .find(|source| matches!(source.key, SignalKey::Register(_)))
+                        .unwrap();
+                    let moved = design
+                        .registers()
+                        .map(|(id, _)| SignalKey::Register(id))
+                        .find(|&key| key != stale.key)
+                        .unwrap();
+                    stale.key = moved;
+                }
+                7 => {
+                    // A stale width.
+                    sites[index].width += 1;
+                }
+                _ => {
+                    // Two sites swapped out of enumeration order.
+                    sites.swap(index, (index + 1) % clean.len());
+                }
             }
-            1 => {
-                // A routed op that is foreign to the sink (no unit binding,
-                // defines nothing).
-                let foreign = cdfg
-                    .nodes()
-                    .find(|&(id, node)| design.fu_of(id).is_none() && node.defines.is_none())
-                    .map(|(id, _)| id)
-                    .unwrap();
-                sites[index].sources[0].ops.push(foreign);
-            }
-            2 => {
-                // A source that routes nothing.
-                sites[index].sources[0].ops.clear();
-            }
-            _ => {
-                // A site with no sources at all.
-                sites[index].sources.clear();
-            }
+            let violations = verify_mux_sites(&cdfg, &design, &sites);
+            prop_assert!(
+                fired(&violations, rules::CDFG_MUX_CONSISTENT),
+                "variant {}: {:?}",
+                variant,
+                violations
+            );
         }
-        let violations = verify_mux_sites(&cdfg, &design, &sites);
-        prop_assert!(fired(&violations, rules::CDFG_MUX_CONSISTENT), "{violations:?}");
     }
 }
 
