@@ -1,5 +1,7 @@
 //! The workspace's binary snapshot codec: trait-driven encoding and decoding
-//! of every value the evaluation caches hold.
+//! of the values the evaluation caches hold. (The snapshot layer in
+//! `impact_core` lays out the values that cache entries share — design
+//! points, contexts, hierarchical schedules — itself, from these parts.)
 //!
 //! The format is deliberately boring — SBOR-style trait derivation written by
 //! hand — so any crate can implement it for its own types without a proc
@@ -94,6 +96,19 @@ impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty encoder that can take `capacity` bytes without
+    /// reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Discards every byte written after the first `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 
     /// The bytes written so far.

@@ -599,8 +599,6 @@ use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 
 /// Version tag of [`MuxEntry`]'s wire layout.
 const TAG_MUX_ENTRY: u8 = 0x40;
-/// Version tag of [`DesignContext`]'s wire layout.
-const TAG_DESIGN_CONTEXT: u8 = 0x41;
 
 impl Encode for MuxEntry {
     fn encode(&self, w: &mut Encoder) {
@@ -618,36 +616,6 @@ impl Decode for MuxEntry {
             tree_activity: r.take_f64()?,
             depths: Decode::decode(r)?,
             selections_per_pass: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for DesignContext {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_DESIGN_CONTEXT);
-        self.base_delays.encode(w);
-        self.binding.encode(w);
-        self.profile.encode(w);
-        self.fu_ids.encode(w);
-        self.reg_ids.encode(w);
-        self.sites.encode(w);
-        self.site_restructured.encode(w);
-        self.site_depths.encode(w);
-    }
-}
-
-impl Decode for DesignContext {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_DESIGN_CONTEXT)?;
-        Ok(Self {
-            base_delays: Decode::decode(r)?,
-            binding: Decode::decode(r)?,
-            profile: Decode::decode(r)?,
-            fu_ids: Decode::decode(r)?,
-            reg_ids: Decode::decode(r)?,
-            sites: Decode::decode(r)?,
-            site_restructured: Decode::decode(r)?,
-            site_depths: Decode::decode(r)?,
         })
     }
 }
@@ -853,8 +821,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v1_is_pinned() {
-        // A reordered layer, a changed section tag or a new per-type layout
+    fn snapshot_wire_format_v2_is_pinned() {
+        // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
         // and the trailer digest of a fixed snapshot catch it here.
@@ -866,10 +834,10 @@ mod tests {
             .scaled
             .insert(ScaledKey::new(workload, design.finish(), 2.5, true), None);
         snapshot.contexts.insert(context_key(1), sample_context());
-        snapshot.block_schedules.insert(
-            BlockKey::new(workload, 42),
-            Arc::new(BlockSchedule::default()),
-        );
+        let block = Arc::new(BlockSchedule::default());
+        snapshot
+            .block_schedules
+            .insert(BlockKey::new(workload, 42), Arc::clone(&block));
         snapshot.fu_stats.insert(
             FuStatsKey {
                 workload,
@@ -902,6 +870,40 @@ mod tests {
                 selections_per_pass: 1.5,
             },
         );
+        // One schedule that the schedule layer and a design point both
+        // refer to: the bytes hold its STG once.
+        let schedule = Arc::new(SchedulingResult {
+            stg: impact_stg::Stg::new("pinned-stg", 10.0),
+            enc: 3.0,
+            min_cycles: 2,
+            max_cycles: 4,
+            blocks: vec![impact_sched::BlockOutcome {
+                nodes: Vec::new(),
+                digest: 42,
+                schedule: block,
+            }],
+        });
+        snapshot
+            .schedules
+            .insert(ScheduleKey::new(workload, 7), Arc::clone(&schedule));
+        let mut cdfg = impact_cdfg::CdfgBuilder::new("pin");
+        let input = cdfg.input("a", 8);
+        cdfg.assign(impact_cdfg::ValueRef::Var(input), "y").unwrap();
+        let point = DesignPoint {
+            design: impact_rtl::RtlDesign::initial_parallel(
+                &cdfg.finish().unwrap(),
+                &impact_modlib::ModuleLibrary::standard(),
+            ),
+            schedule,
+            vdd: 3.3,
+            power: impact_power::PowerBreakdown::default(),
+            power_at_reference: impact_power::PowerBreakdown::default(),
+            area: 100.0,
+        };
+        snapshot.points.insert(
+            PointKey::new(workload, design.finish(), 3.3),
+            Arc::new(point),
+        );
         let bytes = snapshot::encode_snapshot(&snapshot);
         let (_, trailer) = bytes.split_at(bytes.len() - 16);
         assert_eq!(
@@ -909,10 +911,19 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (754, 0x402a_59ab_b176_2ad1_896b_c9ec_76eb_7059)
+            (966, 0x8bd4_aa13_e7ff_8056_688d_74e6_bfa5_c9e2)
+        );
+        let name = b"pinned-stg";
+        assert_eq!(
+            bytes.windows(name.len()).filter(|w| w == name).count(),
+            1,
+            "the shared schedule is written once"
         );
         let decoded = snapshot::decode_snapshot(&bytes, SnapshotScope::Any).unwrap();
-        assert_eq!(decoded.len(), 6);
+        assert_eq!(decoded.len(), 8);
+        let shared = decoded.schedules.values().next().unwrap();
+        let point = decoded.points.values().next().unwrap();
+        assert!(Arc::ptr_eq(&point.schedule, shared), "and decoded shared");
         assert_eq!(snapshot::encode_snapshot(&decoded), bytes);
     }
 

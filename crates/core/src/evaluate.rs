@@ -106,35 +106,6 @@ impl DesignPoint {
     }
 }
 
-/// Version tag of [`DesignPoint`]'s snapshot wire layout.
-const TAG_DESIGN_POINT: u8 = 0x42;
-
-impl impact_codec::Encode for DesignPoint {
-    fn encode(&self, w: &mut impact_codec::Encoder) {
-        w.put_tag(TAG_DESIGN_POINT);
-        self.design.encode(w);
-        self.schedule.encode(w);
-        w.put_f64(self.vdd);
-        self.power.encode(w);
-        self.power_at_reference.encode(w);
-        w.put_f64(self.area);
-    }
-}
-
-impl impact_codec::Decode for DesignPoint {
-    fn decode(r: &mut impact_codec::Decoder<'_>) -> Result<Self, impact_codec::DecodeError> {
-        r.expect_tag(TAG_DESIGN_POINT)?;
-        Ok(Self {
-            design: impact_codec::Decode::decode(r)?,
-            schedule: impact_codec::Decode::decode(r)?,
-            vdd: r.take_f64()?,
-            power: impact_codec::Decode::decode(r)?,
-            power_at_reference: impact_codec::Decode::decode(r)?,
-            area: r.take_f64()?,
-        })
-    }
-}
-
 /// Evaluator bound to one design (CDFG + behavioral trace + configuration).
 ///
 /// It owns the ENC budget derived from the laxity factor: `enc_limit =

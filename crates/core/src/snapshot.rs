@@ -13,21 +13,34 @@
 //!                                                  from corruption
 //! workload digest (u128)                16 bytes   digest over the sorted
 //!                                                  distinct WorkloadIds
-//! section count (u32, = 8)               4 bytes
+//! 5 × table of shared values, in dependency order — block schedules, mux
+//! sites, site depth lists, hierarchical schedules, design points:
+//!   tag (u8) | entry count (u64) | entries, back to back
 //! 8 × section, one per cache layer in the order of the `cache_layers!` table:
-//!   tag (u8) | payload length (u64) | payload digest (u128) | payload
+//!   tag (u8) | entry count (u64) | (key, value) pairs sorted by key
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
 //!
-//! Each section holds one cache layer's entries as length-prefixed
-//! `(key, value)` pairs sorted by key, so equal cache contents always
-//! serialize to identical bytes (the property the warm-start benches assert
-//! across processes). Rejections are classified three ways — wrong
-//! magic/version/shape ([`SnapshotRejection::Version`]), any digest mismatch
-//! including wrong-workload scope ([`SnapshotRejection::Digest`]), and inputs
-//! that end early ([`SnapshotRejection::Truncated`]) — and surface in
+//! Values that the cache shares by pointer are written once, into their
+//! table, and named everywhere else by their `u32` index: a schedule refers
+//! to its block schedules, a design point to its schedule, a context (in its
+//! section) to its mux sites and depth lists, and the point, scaled,
+//! schedule and block layers to their values. Tables are interned by
+//! *content*, not by pointer, so equal cache contents always serialize to
+//! identical bytes however their values happen to share memory (the property
+//! the warm-start benches assert across processes): each table is numbered in
+//! order of first appearance while the sections are written, walking the
+//! layers in row order with each layer's keys sorted. Decoding builds one
+//! `Arc` per table entry, so every value that refers to an entry shares it.
+//!
+//! Rejections are classified three ways — wrong magic/version/shape,
+//! including a reference to a table entry that was not decoded
+//! ([`SnapshotRejection::Version`]), a digest mismatch including
+//! wrong-workload scope ([`SnapshotRejection::Digest`]), and inputs that end
+//! early ([`SnapshotRejection::Truncated`]) — and surface in
 //! [`SnapshotStats`]. Because the whole-file digest covers every preceding
-//! byte, any single bit flip anywhere in a snapshot is detected.
+//! byte, any single bit flip anywhere in a snapshot is detected; saving and
+//! loading each digest every byte exactly once.
 //!
 //! Loads merge through [`CacheBackend::absorb`], the same deterministic path
 //! [`SweepSession::merge_from`](crate::SweepSession::merge_from) uses, so a
@@ -39,14 +52,15 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use impact_codec::{Decode, Decoder, Encode, Encoder};
-use impact_rtl::FingerprintHasher;
-use impact_sched::{BlockSchedule, SchedulingResult};
+use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
+use impact_rtl::{FingerprintHasher, MuxSite};
+use impact_sched::{BlockOutcome, BlockSchedule, SchedulingResult};
 use impact_trace::{FuStats, RegStats};
 
 use crate::cache::{
@@ -64,7 +78,26 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Tags of the shared-value tables, in the order they are written.
+const TABLE_BLOCKS: u8 = 0x81;
+const TABLE_SITES: u8 = 0x82;
+const TABLE_DEPTHS: u8 = 0x83;
+const TABLE_SCHEDULES: u8 = 0x84;
+const TABLE_POINTS: u8 = 0x85;
+
+/// Version tags of the bodies whose layout this module owns.
+const TAG_SCHEDULE: u8 = 0x2C;
+const TAG_POINT: u8 = 0x43;
+const TAG_CONTEXT: u8 = 0x44;
+
+/// Bytes of the fixed prelude: magic, version and total length.
+const PRELUDE_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8;
+
+/// Every section key starts with a workload id and a 128-bit digest, so an
+/// entry takes at least this many bytes.
+const MIN_ENTRY_LEN: usize = 32;
 
 /// Why a snapshot was rejected at load time. Every class degrades to a cache
 /// miss; the distinction only feeds the [`SnapshotStats`] counters and
@@ -72,10 +105,11 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotRejection {
     /// Wrong magic, unknown format version, or a shape the current reader
-    /// does not understand (section tags, per-type version tags).
+    /// does not understand (table and section tags, per-type version tags,
+    /// references to table entries that were not decoded).
     Version,
-    /// A content digest did not match: section payload, whole-file trailer,
-    /// or the workload scope the loader required.
+    /// A content digest did not match: the whole-file trailer, or the
+    /// workload scope the loader required.
     Digest,
     /// The input ended before the declared structure was complete.
     Truncated,
@@ -199,57 +233,424 @@ fn workload_digest(workloads: &BTreeSet<u128>) -> u128 {
     h.finish().as_u128()
 }
 
-fn encode_section<K, V>(out: &mut Encoder, tag: u8, map: &HashMap<K, V>)
-where
-    K: Encode + Ord,
-    V: Encode,
-{
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    let mut payload = Encoder::new();
-    payload.put_usize(entries.len());
-    for (key, value) in entries {
-        key.encode(&mut payload);
-        value.encode(&mut payload);
-    }
-    let bytes = payload.into_bytes();
-    out.put_u8(tag);
-    out.put_u64(bytes.len() as u64);
-    out.put_u128(digest_bytes(&bytes));
-    out.put_raw(&bytes);
+/// One table of shared values being written: every distinct body once, back
+/// to back, in order of first appearance.
+struct Table<T> {
+    tag: u8,
+    bodies: Encoder,
+    /// Where each entry's body ends in `bodies`; it starts where the
+    /// previous entry's ends.
+    ends: Vec<usize>,
+    /// Entries by the address of a value already interned. Every interned
+    /// value is borrowed from the snapshot being encoded, so an address
+    /// cannot be reused for other contents meanwhile.
+    by_address: HashMap<*const T, u32>,
+    /// The newest entry per hash of its body; `same_hash[i]` is the entry
+    /// before `i` with the same hash. The hash only narrows the search: a
+    /// match is confirmed by comparing the bytes.
+    by_hash: HashMap<u64, u32>,
+    same_hash: Vec<Option<u32>>,
 }
 
-fn decode_section<K, V>(r: &mut Decoder<'_>, tag: u8) -> Result<HashMap<K, V>, SnapshotRejection>
+impl<T> Table<T> {
+    fn new(tag: u8) -> Self {
+        Self {
+            tag,
+            bodies: Encoder::new(),
+            ends: Vec::new(),
+            by_address: HashMap::new(),
+            by_hash: HashMap::new(),
+            same_hash: Vec::new(),
+        }
+    }
+
+    fn body(&self, index: u32) -> &[u8] {
+        let index = index as usize;
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |previous| self.ends[previous]);
+        &self.bodies.as_bytes()[start..self.ends[index]]
+    }
+
+    /// The entry of a value interned before under the same address.
+    fn known(&self, value: &Arc<T>) -> Option<u32> {
+        self.by_address.get(&Arc::as_ptr(value)).copied()
+    }
+
+    /// The index of `value`'s entry: found by address, else by the body
+    /// `write` appends, else that body becomes a new entry.
+    fn intern(&mut self, value: &Arc<T>, write: impl FnOnce(&mut Encoder)) -> u32 {
+        if let Some(index) = self.known(value) {
+            return index;
+        }
+        let start = self.bodies.len();
+        write(&mut self.bodies);
+        let hash = self
+            .by_hash
+            .hasher()
+            .hash_one(&self.bodies.as_bytes()[start..]);
+        let mut candidate = self.by_hash.get(&hash).copied();
+        let index = loop {
+            match candidate {
+                Some(index) if self.body(index) == &self.bodies.as_bytes()[start..] => {
+                    self.bodies.truncate(start);
+                    break index;
+                }
+                Some(index) => candidate = self.same_hash[index as usize],
+                None => {
+                    let index =
+                        u32::try_from(self.ends.len()).expect("fewer than 2^32 shared values");
+                    self.ends.push(self.bodies.len());
+                    self.same_hash.push(self.by_hash.insert(hash, index));
+                    break index;
+                }
+            }
+        };
+        self.by_address.insert(Arc::as_ptr(value), index);
+        index
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + 8 + self.bodies.len()
+    }
+
+    fn write(&self, out: &mut Encoder) {
+        out.put_u8(self.tag);
+        out.put_usize(self.ends.len());
+        out.put_raw(self.bodies.as_bytes());
+    }
+}
+
+/// The shared-value tables of a snapshot being written.
+struct Interner {
+    blocks: Table<BlockSchedule>,
+    sites: Table<MuxSite>,
+    depths: Table<Vec<usize>>,
+    schedules: Table<SchedulingResult>,
+    points: Table<DesignPoint>,
+}
+
+impl Interner {
+    fn new() -> Self {
+        Self {
+            blocks: Table::new(TABLE_BLOCKS),
+            sites: Table::new(TABLE_SITES),
+            depths: Table::new(TABLE_DEPTHS),
+            schedules: Table::new(TABLE_SCHEDULES),
+            points: Table::new(TABLE_POINTS),
+        }
+    }
+
+    fn block(&mut self, block: &Arc<BlockSchedule>) -> u32 {
+        self.blocks.intern(block, |w| block.encode(w))
+    }
+
+    fn site(&mut self, site: &Arc<MuxSite>) -> u32 {
+        self.sites.intern(site, |w| site.encode(w))
+    }
+
+    fn depth_list(&mut self, depths: &Arc<Vec<usize>>) -> u32 {
+        self.depths.intern(depths, |w| depths.encode(w))
+    }
+
+    fn schedule(&mut self, schedule: &Arc<SchedulingResult>) -> u32 {
+        if let Some(index) = self.schedules.known(schedule) {
+            return index;
+        }
+        let blocks: Vec<u32> = schedule
+            .blocks
+            .iter()
+            .map(|outcome| self.block(&outcome.schedule))
+            .collect();
+        self.schedules.intern(schedule, |w| {
+            w.put_tag(TAG_SCHEDULE);
+            schedule.stg.encode(w);
+            w.put_f64(schedule.enc);
+            w.put_u32(schedule.min_cycles);
+            w.put_u32(schedule.max_cycles);
+            w.put_usize(blocks.len());
+            for (outcome, block) in schedule.blocks.iter().zip(blocks) {
+                outcome.nodes.encode(w);
+                w.put_u128(outcome.digest);
+                w.put_u32(block);
+            }
+        })
+    }
+
+    fn point(&mut self, point: &Arc<DesignPoint>) -> u32 {
+        if let Some(index) = self.points.known(point) {
+            return index;
+        }
+        let schedule = self.schedule(&point.schedule);
+        self.points.intern(point, |w| {
+            w.put_tag(TAG_POINT);
+            point.design.encode(w);
+            w.put_u32(schedule);
+            w.put_f64(point.vdd);
+            point.power.encode(w);
+            point.power_at_reference.encode(w);
+            w.put_f64(point.area);
+        })
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.blocks.encoded_len()
+            + self.sites.encoded_len()
+            + self.depths.encoded_len()
+            + self.schedules.encoded_len()
+            + self.points.encoded_len()
+    }
+
+    /// Writes the tables in dependency order: an entry refers only to
+    /// tables written before its own.
+    fn write(&self, out: &mut Encoder) {
+        self.blocks.write(out);
+        self.sites.write(out);
+        self.depths.write(out);
+        self.schedules.write(out);
+        self.points.write(out);
+    }
+}
+
+/// The shared values of a snapshot being read: one `Arc` per table entry.
+struct Shared {
+    blocks: Vec<Arc<BlockSchedule>>,
+    sites: Vec<Arc<MuxSite>>,
+    depths: Vec<Arc<Vec<usize>>>,
+    schedules: Vec<Arc<SchedulingResult>>,
+    points: Vec<Arc<DesignPoint>>,
+}
+
+/// Reads one table: its tag, an entry count bounded by the bytes that
+/// remain, and that many bodies.
+fn take_table<T>(
+    r: &mut Decoder<'_>,
+    tag: u8,
+    mut body: impl FnMut(&mut Decoder<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<Arc<T>>, DecodeError> {
+    r.expect_tag(tag)?;
+    let count = r.take_len(1)?;
+    (0..count).map(|_| body(r).map(Arc::new)).collect()
+}
+
+/// Reads a reference into `table`, which holds only the entries decoded so
+/// far: a forward or out-of-range reference is an error, never a panic.
+fn take_ref<T>(r: &mut Decoder<'_>, table: &[Arc<T>]) -> Result<Arc<T>, DecodeError> {
+    let index = r.take_u32()?;
+    table
+        .get(index as usize)
+        .cloned()
+        .ok_or(DecodeError::Invalid(
+            "reference to a table entry not decoded",
+        ))
+}
+
+impl Shared {
+    /// Reads what [`Interner::write`] wrote.
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let blocks = take_table(r, TABLE_BLOCKS, BlockSchedule::decode)?;
+        let sites = take_table(r, TABLE_SITES, MuxSite::decode)?;
+        let depths = take_table(r, TABLE_DEPTHS, Vec::<usize>::decode)?;
+        let schedules = take_table(r, TABLE_SCHEDULES, |r| {
+            r.expect_tag(TAG_SCHEDULE)?;
+            let stg = Decode::decode(r)?;
+            let enc = r.take_f64()?;
+            let min_cycles = r.take_u32()?;
+            let max_cycles = r.take_u32()?;
+            let count = r.take_len(1)?;
+            let blocks = (0..count)
+                .map(|_| {
+                    Ok(BlockOutcome {
+                        nodes: Decode::decode(r)?,
+                        digest: r.take_u128()?,
+                        schedule: take_ref(r, &blocks)?,
+                    })
+                })
+                .collect::<Result<_, DecodeError>>()?;
+            Ok(SchedulingResult {
+                stg,
+                enc,
+                min_cycles,
+                max_cycles,
+                blocks,
+            })
+        })?;
+        let points = take_table(r, TABLE_POINTS, |r| {
+            r.expect_tag(TAG_POINT)?;
+            Ok(DesignPoint {
+                design: Decode::decode(r)?,
+                schedule: take_ref(r, &schedules)?,
+                vdd: r.take_f64()?,
+                power: Decode::decode(r)?,
+                power_at_reference: Decode::decode(r)?,
+                area: r.take_f64()?,
+            })
+        })?;
+        Ok(Self {
+            blocks,
+            sites,
+            depths,
+            schedules,
+            points,
+        })
+    }
+}
+
+/// A cache layer's value as its section holds it: shared values by
+/// reference into their table, everything else inline.
+trait LayerValue: Sized {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder);
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError>;
+}
+
+impl LayerValue for Arc<DesignPoint> {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
+        w.put_u32(tables.point(self));
+    }
+
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+        take_ref(r, &shared.points)
+    }
+}
+
+impl LayerValue for Option<Arc<DesignPoint>> {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
+        w.put_bool(self.is_some());
+        if let Some(point) = self {
+            point.put(tables, w);
+        }
+    }
+
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+        match r.take_bool()? {
+            true => Ok(Some(LayerValue::take(r, shared)?)),
+            false => Ok(None),
+        }
+    }
+}
+
+impl LayerValue for Arc<SchedulingResult> {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
+        w.put_u32(tables.schedule(self));
+    }
+
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+        take_ref(r, &shared.schedules)
+    }
+}
+
+impl LayerValue for Arc<BlockSchedule> {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
+        w.put_u32(tables.block(self));
+    }
+
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+        take_ref(r, &shared.blocks)
+    }
+}
+
+/// A context is written inline; its parallel site lists become one run of
+/// `(site, restructured, depth list)` triples.
+impl LayerValue for Arc<DesignContext> {
+    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
+        w.put_tag(TAG_CONTEXT);
+        self.base_delays.encode(w);
+        self.binding.encode(w);
+        self.profile.encode(w);
+        self.fu_ids.encode(w);
+        self.reg_ids.encode(w);
+        debug_assert_eq!(self.site_restructured.len(), self.sites.len());
+        debug_assert_eq!(self.site_depths.len(), self.sites.len());
+        w.put_usize(self.sites.len());
+        let triples = self
+            .sites
+            .iter()
+            .zip(&self.site_restructured)
+            .zip(&self.site_depths);
+        for ((site, &restructured), depths) in triples {
+            w.put_u32(tables.site(site));
+            w.put_bool(restructured);
+            w.put_u32(tables.depth_list(depths));
+        }
+    }
+
+    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+        r.expect_tag(TAG_CONTEXT)?;
+        let base_delays = Decode::decode(r)?;
+        let binding = Decode::decode(r)?;
+        let profile = Decode::decode(r)?;
+        let fu_ids = Decode::decode(r)?;
+        let reg_ids = Decode::decode(r)?;
+        // A triple is two 4-byte references and a flag byte.
+        let count = r.take_len(9)?;
+        let mut sites = Vec::with_capacity(count);
+        let mut site_restructured = Vec::with_capacity(count);
+        let mut site_depths = Vec::with_capacity(count);
+        for _ in 0..count {
+            sites.push(take_ref(r, &shared.sites)?);
+            site_restructured.push(r.take_bool()?);
+            site_depths.push(take_ref(r, &shared.depths)?);
+        }
+        Ok(Arc::new(DesignContext {
+            base_delays,
+            binding,
+            profile,
+            fu_ids,
+            reg_ids,
+            sites,
+            site_restructured,
+            site_depths,
+        }))
+    }
+}
+
+/// Values no other entry shares are written inline with their own codec.
+macro_rules! inline_layer_values {
+    ($($value:ty),*) => {$(
+        impl LayerValue for $value {
+            fn put(&self, _: &mut Interner, w: &mut Encoder) {
+                self.encode(w);
+            }
+
+            fn take(r: &mut Decoder<'_>, _: &Shared) -> Result<Self, DecodeError> {
+                Decode::decode(r)
+            }
+        }
+    )*};
+}
+inline_layer_values!(FuStats, RegStats, MuxEntry);
+
+fn encode_section<K, V>(out: &mut Encoder, tag: u8, map: &HashMap<K, V>, tables: &mut Interner)
+where
+    K: Encode + Ord,
+    V: LayerValue,
+{
+    let mut entries: Vec<(&K, &V)> = map.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    out.put_u8(tag);
+    out.put_usize(entries.len());
+    for (key, value) in entries {
+        key.encode(out);
+        value.put(tables, out);
+    }
+}
+
+fn decode_section<K, V>(
+    r: &mut Decoder<'_>,
+    tag: u8,
+    shared: &Shared,
+) -> Result<HashMap<K, V>, DecodeError>
 where
     K: Decode + Eq + Hash,
-    V: Decode,
+    V: LayerValue,
 {
-    let found = r.take_u8().map_err(|_| SnapshotRejection::Truncated)?;
-    if found != tag {
-        return Err(SnapshotRejection::Version);
-    }
-    let len = r.take_u64().map_err(|_| SnapshotRejection::Truncated)?;
-    let len = usize::try_from(len).map_err(|_| SnapshotRejection::Truncated)?;
-    let declared = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
-    if len > r.remaining() {
-        return Err(SnapshotRejection::Truncated);
-    }
-    let payload = r.take_raw(len).map_err(|_| SnapshotRejection::Truncated)?;
-    if digest_bytes(payload) != declared {
-        return Err(SnapshotRejection::Digest);
-    }
-    // The payload's bytes are digest-verified from here on: a decode failure
-    // means the writer's layout differs from ours under the same container
-    // version — a versioning problem, not corruption.
-    let mut pr = Decoder::new(payload);
-    let count = pr.take_len(1).map_err(|_| SnapshotRejection::Version)?;
+    r.expect_tag(tag)?;
+    let count = r.take_len(MIN_ENTRY_LEN)?;
     let mut map = HashMap::with_capacity(count);
     for _ in 0..count {
-        let key = K::decode(&mut pr).map_err(|_| SnapshotRejection::Version)?;
-        let value = V::decode(&mut pr).map_err(|_| SnapshotRejection::Version)?;
-        map.insert(key, value);
+        let key = K::decode(r)?;
+        map.insert(key, V::take(r, shared)?);
     }
-    pr.finish().map_err(|_| SnapshotRejection::Version)?;
     Ok(map)
 }
 
@@ -265,19 +666,15 @@ macro_rules! snapshot_sections {
                 workloads
             }
 
-            /// Writes the section count, then every section.
-            fn encode_sections(&self, out: &mut Encoder) {
-                out.put_u32([$($tag),*].len() as u32);
-                $(encode_section(out, $tag, &self.$field);)*
+            /// Writes every section, interning shared values into `tables`
+            /// in the order they first appear.
+            fn encode_sections(&self, tables: &mut Interner, out: &mut Encoder) {
+                $(encode_section(out, $tag, &self.$field, tables);)*
             }
 
             /// Reads what [`Self::encode_sections`] wrote.
-            fn decode_sections(r: &mut Decoder<'_>) -> Result<Self, SnapshotRejection> {
-                let sections = r.take_u32().map_err(|_| SnapshotRejection::Truncated)?;
-                if sections as usize != [$($tag),*].len() {
-                    return Err(SnapshotRejection::Version);
-                }
-                Ok(Self { $($field: decode_section(r, $tag)?,)* })
+            fn decode_sections(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
+                Ok(Self { $($field: decode_section(r, $tag, shared)?,)* })
             }
         }
     };
@@ -285,24 +682,41 @@ macro_rules! snapshot_sections {
 cache_layers!(snapshot_sections);
 
 /// Serializes a [`CacheSnapshot`] into the versioned wire format.
-/// Deterministic: equal snapshot contents always produce identical bytes.
+/// Deterministic: equal snapshot contents always produce identical bytes,
+/// whichever of their values share memory.
 pub fn encode_snapshot(snapshot: &CacheSnapshot) -> Vec<u8> {
+    let mut tables = Interner::new();
     let mut sections = Encoder::new();
-    sections.put_u128(workload_digest(&snapshot.workloads()));
-    snapshot.encode_sections(&mut sections);
-    let mut out = Encoder::new();
+    snapshot.encode_sections(&mut tables, &mut sections);
+    // Prelude, workload digest, tables, sections and the 16-byte trailer.
+    let len = PRELUDE_LEN + 16 + tables.encoded_len() + sections.len() + 16;
+    let mut out = Encoder::with_capacity(len);
     out.put_raw(&SNAPSHOT_MAGIC);
     out.put_u32(SNAPSHOT_VERSION);
-    // magic + version + length field + sections + 16-byte trailer.
-    out.put_u64((SNAPSHOT_MAGIC.len() + 4 + 8 + sections.len() + 16) as u64);
+    out.put_u64(len as u64);
+    out.put_u128(workload_digest(&snapshot.workloads()));
+    tables.write(&mut out);
+    // The bodies are in `out` now; free them before the sections follow.
+    drop(tables);
     out.put_raw(sections.as_bytes());
     let trailer = digest_bytes(out.as_bytes());
     out.put_u128(trailer);
+    debug_assert_eq!(out.len(), len);
     out.into_bytes()
 }
 
-/// Decodes snapshot bytes, verifying magic, version, every digest and the
-/// workload scope.
+/// Reads the workload digest, the tables and the sections: everything after
+/// the prelude and before the trailer.
+fn decode_body(r: &mut Decoder<'_>) -> Result<(u128, CacheSnapshot), DecodeError> {
+    let workloads = r.take_u128()?;
+    let shared = Shared::decode(r)?;
+    let snapshot = CacheSnapshot::decode_sections(r, &shared)?;
+    r.finish()?;
+    Ok((workloads, snapshot))
+}
+
+/// Decodes snapshot bytes, verifying magic, version, the trailer digest and
+/// the workload scope.
 ///
 /// # Errors
 ///
@@ -312,8 +726,7 @@ pub fn decode_snapshot(
     bytes: &[u8],
     scope: SnapshotScope,
 ) -> Result<CacheSnapshot, SnapshotRejection> {
-    // Fixed prelude (magic + version + declared length) and trailer.
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + 8 + 16 {
+    if bytes.len() < PRELUDE_LEN + 16 {
         return Err(SnapshotRejection::Truncated);
     }
     if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
@@ -334,18 +747,17 @@ pub fn decode_snapshot(
         Err(_) => return Err(SnapshotRejection::Version),
     }
     // The trailer covers every preceding byte, so from here on ANY bit flip
-    // in the file — header fields and section digests included — is caught.
-    // (A flip in the length field itself misclassifies as truncation or
-    // trailing junk, but is still rejected.)
+    // in the file is caught. (A flip in the length field itself
+    // misclassifies as truncation or trailing junk, but is still rejected.)
     let declared_trailer = u128::from_le_bytes(trailer.try_into().expect("16-byte trailer"));
     if digest_bytes(body) != declared_trailer {
         return Err(SnapshotRejection::Digest);
     }
-    let header_workloads = r.take_u128().map_err(|_| SnapshotRejection::Truncated)?;
-    let snapshot = CacheSnapshot::decode_sections(&mut r)?;
-    if !r.is_empty() {
-        return Err(SnapshotRejection::Version);
-    }
+    // Every byte is digest-verified from here on: a decode failure means the
+    // writer's layout differs from ours under the same container version — a
+    // versioning problem, not corruption.
+    let (header_workloads, snapshot) =
+        decode_body(&mut r).map_err(|_| SnapshotRejection::Version)?;
     // The header's workload digest must agree with the decoded keys, and the
     // decoded workloads must fit the requested scope.
     let workloads = snapshot.workloads();
@@ -359,6 +771,10 @@ pub fn decode_snapshot(
     }
     Ok(snapshot)
 }
+
+/// Numbers the temporary files of this process, so that concurrent saves to
+/// one path never write into the same temporary file.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
 
 /// Writes snapshot bytes to `path` atomically: the bytes land in a sibling
 /// temporary file which is then renamed over the target, so readers only ever
@@ -375,7 +791,8 @@ pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     }
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    let serial = TEMP_FILES.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp.{}.{serial}", std::process::id()));
     let tmp = PathBuf::from(tmp);
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path).inspect_err(|_| {
@@ -470,5 +887,239 @@ impl CacheBackend for DiskCache {
         scope: SnapshotScope,
     ) -> Result<AbsorbStats, SnapshotRejection> {
         self.inner.load_snapshot(bytes, scope)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::{Impact, SweepSession, SynthesisConfig};
+    use impact_codec::encode_to_vec;
+    use rand::{Rng, SeedableRng, StdRng};
+
+    /// The contents of a real gcd session.
+    fn gcd_snapshot() -> CacheSnapshot {
+        let bench = impact_benchmarks::gcd();
+        let cdfg = bench.compile().unwrap();
+        let trace = impact_behsim::simulate(&cdfg, &bench.input_sequences(10, 7)).unwrap();
+        let session = SweepSession::new();
+        Impact::new(SynthesisConfig::power_optimized(1.6).with_effort(2, 3))
+            .synthesize_with_session(&cdfg, &trace, &session)
+            .unwrap();
+        session.backend().export()
+    }
+
+    fn fresh_schedule(schedule: &SchedulingResult) -> Arc<SchedulingResult> {
+        let blocks = schedule
+            .blocks
+            .iter()
+            .map(|outcome| BlockOutcome {
+                schedule: Arc::new((*outcome.schedule).clone()),
+                ..outcome.clone()
+            })
+            .collect();
+        Arc::new(SchedulingResult {
+            blocks,
+            ..schedule.clone()
+        })
+    }
+
+    fn fresh_point(point: &DesignPoint) -> Arc<DesignPoint> {
+        Arc::new(DesignPoint {
+            schedule: fresh_schedule(&point.schedule),
+            ..point.clone()
+        })
+    }
+
+    /// A copy of `snapshot` in which no two values share an allocation.
+    fn deep_copy(snapshot: &CacheSnapshot) -> CacheSnapshot {
+        let contexts = snapshot.contexts.iter().map(|(key, context)| {
+            let copy = DesignContext {
+                sites: context
+                    .sites
+                    .iter()
+                    .map(|site| Arc::new((**site).clone()))
+                    .collect(),
+                site_depths: context
+                    .site_depths
+                    .iter()
+                    .map(|depths| Arc::new((**depths).clone()))
+                    .collect(),
+                ..(**context).clone()
+            };
+            (*key, Arc::new(copy))
+        });
+        CacheSnapshot {
+            points: (snapshot.points.iter())
+                .map(|(key, point)| (*key, fresh_point(point)))
+                .collect(),
+            scaled: (snapshot.scaled.iter())
+                .map(|(key, point)| (*key, point.as_deref().map(fresh_point)))
+                .collect(),
+            contexts: contexts.collect(),
+            schedules: (snapshot.schedules.iter())
+                .map(|(key, schedule)| (*key, fresh_schedule(schedule)))
+                .collect(),
+            block_schedules: (snapshot.block_schedules.iter())
+                .map(|(key, block)| (*key, Arc::new((**block).clone())))
+                .collect(),
+            ..snapshot.clone()
+        }
+    }
+
+    #[test]
+    fn bytes_ignore_in_memory_sharing_and_decode_shares_equal_values() {
+        let snapshot = gcd_snapshot();
+        let bytes = encode_snapshot(&snapshot);
+        assert_eq!(encode_snapshot(&deep_copy(&snapshot)), bytes);
+
+        let decoded = decode_snapshot(&bytes, SnapshotScope::Any).unwrap();
+        // Every point's schedule is the schedule-layer entry of equal content.
+        let mut schedules: HashMap<u64, Vec<&Arc<SchedulingResult>>> = HashMap::new();
+        for schedule in decoded.schedules.values() {
+            schedules
+                .entry(schedule.enc.to_bits())
+                .or_default()
+                .push(schedule);
+        }
+        let mut linked = 0;
+        for point in decoded.points.values() {
+            let candidates = schedules.get(&point.schedule.enc.to_bits());
+            for &schedule in candidates.into_iter().flatten() {
+                if **schedule == *point.schedule {
+                    assert!(Arc::ptr_eq(schedule, &point.schedule));
+                    linked += 1;
+                }
+            }
+        }
+        assert!(linked > 0, "some point's schedule is in the schedule layer");
+        // Every supply-search outcome is the point-layer entry of equal
+        // content.
+        let mut points: HashMap<u64, Vec<&Arc<DesignPoint>>> = HashMap::new();
+        for point in decoded.points.values() {
+            points.entry(point.vdd.to_bits()).or_default().push(point);
+        }
+        let mut aliased = 0;
+        for outcome in decoded.scaled.values().flatten() {
+            for &point in points.get(&outcome.vdd.to_bits()).into_iter().flatten() {
+                if **point == **outcome {
+                    assert!(Arc::ptr_eq(point, outcome));
+                    aliased += 1;
+                }
+            }
+        }
+        assert!(aliased > 0, "some outcome is also a point-layer entry");
+        // Equal sites and equal depth lists are one allocation across every
+        // context.
+        let mut sites: HashMap<Vec<u8>, &Arc<MuxSite>> = HashMap::new();
+        let mut depth_lists: HashMap<&Vec<usize>, &Arc<Vec<usize>>> = HashMap::new();
+        let mut references = 0;
+        for context in decoded.contexts.values() {
+            for site in &context.sites {
+                let first = *sites.entry(encode_to_vec(&**site)).or_insert(site);
+                assert!(Arc::ptr_eq(first, site));
+                references += 1;
+            }
+            for depths in &context.site_depths {
+                let first = *depth_lists.entry(&**depths).or_insert(depths);
+                assert!(Arc::ptr_eq(first, depths));
+            }
+        }
+        assert!(sites.len() < references, "contexts share sites");
+    }
+
+    /// Recomputes the trailer, so a mutated body passes the digest and
+    /// reaches the decoder proper.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 16;
+        let digest = digest_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    /// Overwrites the four bytes at `at` with `value` and reseals.
+    fn patched(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut patched = bytes.to_vec();
+        patched[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut patched);
+        patched
+    }
+
+    /// Where `needle` first occurs in `bytes`.
+    fn find(bytes: &[u8], needle: &[u8]) -> usize {
+        bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap()
+    }
+
+    #[test]
+    fn resealed_random_mutations_decode_or_are_rejected_without_panicking() {
+        let bytes = encode_snapshot(&gcd_snapshot());
+        let mut rng = StdRng::seed_from_u64(0x5eed_0002);
+        // Each mutant costs two digest passes and a decode: about 20 ms in a
+        // debug build.
+        let mutants = 160;
+        let mut decoded = 0;
+        for _ in 0..mutants {
+            let mut mutant = bytes.clone();
+            for _ in 0..rng.random_range(1..=4usize) {
+                // Past the prelude and before the trailer, which reseal
+                // rewrites anyway.
+                let at = rng.random_range(PRELUDE_LEN..bytes.len() - 20);
+                match rng.random_range(0..3u32) {
+                    0 => mutant[at] ^= 1 << rng.random_range(0..8u32),
+                    1 => mutant[at] = rng.random_range(0..=255u8),
+                    // A small integer: a plausible count or table reference.
+                    _ => mutant[at..at + 4]
+                        .copy_from_slice(&rng.random_range(0..64u32).to_le_bytes()),
+                }
+            }
+            reseal(&mut mutant);
+            decoded += usize::from(decode_snapshot(&mutant, SnapshotScope::Any).is_ok());
+        }
+        assert!(decoded < mutants, "mutations are rejected");
+    }
+
+    #[test]
+    fn dangling_references_and_oversized_tables_are_version_rejections() {
+        let bytes = encode_snapshot(&gcd_snapshot());
+        let body = &bytes[PRELUDE_LEN..bytes.len() - 16];
+        let mut r = Decoder::new(body);
+        r.take_u128().unwrap();
+        let shared = Shared::decode(&mut r).unwrap();
+        let reject = |mutant: &[u8]| decode_snapshot(mutant, SnapshotScope::Any).err();
+        let mut resealed = bytes.clone();
+        reseal(&mut resealed);
+        assert_eq!(resealed, bytes, "resealing keeps a valid trailer");
+
+        // The smallest point key's entry: its reference equals the table's
+        // length.
+        let snapshot = decode_snapshot(&bytes, SnapshotScope::Any).unwrap();
+        let key = encode_to_vec(snapshot.points.keys().min().unwrap());
+        let at = find(&bytes, &key) + key.len();
+        let past_end = u32::try_from(shared.points.len()).unwrap();
+        assert_eq!(
+            reject(&patched(&bytes, at, past_end)),
+            Some(SnapshotRejection::Version)
+        );
+
+        // The block table's count, the first field after the workload digest
+        // and the table tag, claims more entries than bytes remain.
+        let count_at = PRELUDE_LEN + 16 + 1;
+        let mut oversized = bytes.clone();
+        oversized[count_at..count_at + 8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        reseal(&mut oversized);
+        assert_eq!(reject(&oversized), Some(SnapshotRejection::Version));
+
+        // The first schedule's first block outcome names the first block
+        // index past the decoded block table.
+        let digest = shared.schedules[0].blocks[0].digest;
+        let at = find(&bytes, &digest.to_le_bytes()) + 16;
+        let undecoded = u32::try_from(shared.blocks.len()).unwrap();
+        assert_eq!(
+            reject(&patched(&bytes, at, undecoded)),
+            Some(SnapshotRejection::Version)
+        );
     }
 }

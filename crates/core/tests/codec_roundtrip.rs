@@ -3,12 +3,18 @@
 //! Round-trip tests for every domain codec impl, driven by real synthesis
 //! artifacts: for each cache layer's key and value type, `decode ∘ encode`
 //! is the identity and re-encoding the decoded value reproduces the original
-//! bytes (so snapshots of snapshots are stable).
+//! bytes (so snapshots of snapshots are stable). Design points, contexts and
+//! hierarchical schedules have no codec of their own — the snapshot format
+//! writes them as shared table entries — so they round trip through
+//! `encode_snapshot` and `decode_snapshot`.
 
 use impact_behsim::simulate;
 use impact_cdfg::{Cdfg, OpClass};
 use impact_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
-use impact_core::{Evaluator, Impact, SweepSession, SynthesisConfig};
+use impact_core::{
+    decode_snapshot, encode_snapshot, CacheSnapshot, Evaluator, Impact, SnapshotScope,
+    SweepSession, SynthesisConfig,
+};
 use impact_rtl::RtlDesign;
 use proptest::prelude::*;
 
@@ -19,8 +25,7 @@ fn gcd_setup(passes: usize) -> (Cdfg, impact_behsim::ExecutionTrace) {
     (cdfg, trace)
 }
 
-/// Byte-level identity: works for every codec impl, including types without
-/// `PartialEq` (e.g. `DesignContext`, whose lazy index is rebuilt on decode).
+/// Byte-level identity: `decode ∘ encode` reproduces the original bytes.
 fn assert_bytes_roundtrip<T: Encode + Decode>(value: &T, what: &str) {
     let bytes = encode_to_vec(value);
     let back: T = decode_from_slice(&bytes)
@@ -40,6 +45,21 @@ where
     let back: T = decode_from_slice(&encode_to_vec(value)).unwrap();
     assert_eq!(&back, value, "{what}: decode ∘ encode must be the identity");
     assert_bytes_roundtrip(value, what);
+}
+
+/// Round-trips a whole snapshot through the wire format. The decoded
+/// snapshot re-encodes to the original bytes, which covers the types without
+/// `PartialEq` (`DesignContext`).
+fn snapshot_roundtrip(snapshot: &CacheSnapshot) -> CacheSnapshot {
+    let bytes = encode_snapshot(snapshot);
+    let back = decode_snapshot(&bytes, SnapshotScope::Any)
+        .unwrap_or_else(|e| panic!("decoding a fresh snapshot encoding failed: {e:?}"));
+    assert_eq!(
+        encode_snapshot(&back),
+        bytes,
+        "snapshot: decode ∘ encode must reproduce the original bytes"
+    );
+    back
 }
 
 /// Derives a design from the initial parallel architecture by applying a
@@ -83,16 +103,30 @@ proptest! {
     #[test]
     fn evaluated_points_round_trip(seed in 0u64..16) {
         let (cdfg, trace) = gcd_setup(8);
-        let evaluator =
-            Evaluator::new(&cdfg, &trace, SynthesisConfig::power_optimized(1.5)).unwrap();
+        let session = SweepSession::new();
+        let evaluator = Evaluator::with_session(
+            &cdfg,
+            &trace,
+            SynthesisConfig::power_optimized(1.5),
+            &session,
+        )
+        .unwrap();
         let design = mutated_design(&cdfg, &evaluator, seed);
         let point = evaluator
             .evaluate(&design)
             .unwrap()
             .expect("gcd at laxity 1.5 is feasible");
-        assert_value_roundtrip(&point, "DesignPoint");
+        let back = snapshot_roundtrip(&session.backend().export());
+        let points = back.points.values().chain(back.scaled.values().flatten());
+        prop_assert!(
+            points.clone().any(|p| **p == *point),
+            "DesignPoint: decode ∘ encode must be the identity"
+        );
+        prop_assert!(
+            points.map(|p| &p.schedule).any(|s| **s == *point.schedule),
+            "SchedulingResult: decode ∘ encode must be the identity"
+        );
         assert_value_roundtrip(&point.design, "RtlDesign");
-        assert_value_roundtrip(&point.schedule, "SchedulingResult");
         assert_value_roundtrip(&point.schedule.stg, "Stg");
         assert_value_roundtrip(&point.power, "PowerBreakdown");
     }
@@ -108,25 +142,28 @@ fn every_cache_layer_round_trips_keys_and_values() {
         .unwrap();
     let export = session.backend().export();
 
+    // The shared value types round trip inside the snapshot.
+    let back = snapshot_roundtrip(&export);
+
     assert!(!export.points.is_empty());
     for (k, v) in &export.points {
         assert_value_roundtrip(k, "PointKey");
-        assert_value_roundtrip(v, "Arc<DesignPoint>");
+        assert_eq!(&back.points[k], v, "Arc<DesignPoint>");
     }
     assert!(!export.scaled.is_empty());
     for (k, v) in &export.scaled {
         assert_value_roundtrip(k, "ScaledKey");
-        assert_value_roundtrip(v, "Option<Arc<DesignPoint>>");
+        assert_eq!(&back.scaled[k], v, "Option<Arc<DesignPoint>>");
     }
     assert!(!export.contexts.is_empty());
-    for (k, v) in &export.contexts {
+    for k in export.contexts.keys() {
         assert_value_roundtrip(k, "ContextKey");
-        assert_bytes_roundtrip(v, "Arc<DesignContext>");
+        assert!(back.contexts.contains_key(k), "Arc<DesignContext>");
     }
     assert!(!export.schedules.is_empty());
     for (k, v) in &export.schedules {
         assert_value_roundtrip(k, "ScheduleKey");
-        assert_value_roundtrip(v, "Arc<SchedulingResult>");
+        assert_eq!(&back.schedules[k], v, "Arc<SchedulingResult>");
     }
     assert!(!export.block_schedules.is_empty());
     for (k, v) in &export.block_schedules {

@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use impact_behsim::simulate;
 use impact_core::{
-    CacheBackend, DiskCache, Evaluator, Impact, SnapshotRejection, SnapshotScope, SweepSession,
-    SynthesisConfig, SynthesisOutcome, SNAPSHOT_MAGIC,
+    write_snapshot_bytes, CacheBackend, DiskCache, Evaluator, Impact, SnapshotRejection,
+    SnapshotScope, SweepSession, SynthesisConfig, SynthesisOutcome, SNAPSHOT_MAGIC,
 };
 
 fn gcd_job() -> (
@@ -241,5 +241,58 @@ fn disk_cache_persists_across_opens_and_degrades_corrupt_files_to_cold() {
     let healed = DiskCache::open(&path, SnapshotScope::Any).unwrap();
     assert_eq!(healed.stats().snapshot.loads, 1);
 
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn concurrent_saves_to_one_path_never_expose_a_torn_file() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    // Four threads each write their own payload to one path while a reader
+    // polls it: every write must succeed, and every read must see one
+    // complete payload (or no file yet).
+    let path = std::env::temp_dir().join(format!(
+        "impact_concurrent_saves_{}.snapshot",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let payloads: Vec<Vec<u8>> = (0..4u8)
+        .map(|writer| {
+            (0..1 << 20)
+                .map(|i: u32| writer.wrapping_mul(61) ^ (i % 251) as u8)
+                .collect()
+        })
+        .collect();
+    let writing = AtomicUsize::new(payloads.len());
+    let failed_writes = AtomicUsize::new(0);
+    let start = Barrier::new(payloads.len() + 1);
+    let (reads, torn) = std::thread::scope(|scope| {
+        for payload in &payloads {
+            let (path, start) = (&path, &start);
+            let (writing, failed_writes) = (&writing, &failed_writes);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..40 {
+                    if write_snapshot_bytes(path, payload).is_err() {
+                        failed_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                writing.fetch_sub(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        let (mut reads, mut torn) = (0, 0);
+        while writing.load(Ordering::Acquire) > 0 {
+            if let Ok(bytes) = std::fs::read(&path) {
+                reads += 1;
+                torn += usize::from(!payloads.contains(&bytes));
+            }
+        }
+        (reads, torn)
+    });
+    assert_eq!(failed_writes.into_inner(), 0, "every save succeeds");
+    assert_eq!(torn, 0, "{torn} of {reads} reads saw a torn snapshot");
+    assert!(payloads.contains(&std::fs::read(&path).unwrap()));
     let _ = std::fs::remove_file(&path);
 }

@@ -320,8 +320,6 @@ use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 const TAG_PLACED_OP: u8 = 0x28;
 /// Version tag of [`BlockSchedule`]'s wire layout.
 const TAG_BLOCK_SCHEDULE: u8 = 0x29;
-/// Version tag of [`BlockOutcome`]'s wire layout.
-const TAG_BLOCK_OUTCOME: u8 = 0x2A;
 
 impl Encode for PlacedOp {
     fn encode(&self, w: &mut Encoder) {
@@ -363,26 +361,6 @@ impl Decode for BlockSchedule {
         Ok(Self {
             ops: Decode::decode(r)?,
             state_count: r.take_usize()?,
-        })
-    }
-}
-
-impl Encode for BlockOutcome {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_BLOCK_OUTCOME);
-        self.nodes.encode(w);
-        w.put_u128(self.digest);
-        self.schedule.encode(w);
-    }
-}
-
-impl Decode for BlockOutcome {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_BLOCK_OUTCOME)?;
-        Ok(Self {
-            nodes: Decode::decode(r)?,
-            digest: r.take_u128()?,
-            schedule: Decode::decode(r)?,
         })
     }
 }

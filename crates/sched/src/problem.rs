@@ -193,37 +193,6 @@ pub fn uniform_problem<'a>(cdfg: &'a Cdfg, profile: &'a ControlProfile) -> Sched
     }
 }
 
-// ---------------------------------------------------------------- snapshot codec
-
-use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-
-/// Version tag of [`SchedulingResult`]'s wire layout.
-const TAG_SCHEDULING_RESULT: u8 = 0x2B;
-
-impl Encode for SchedulingResult {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_SCHEDULING_RESULT);
-        self.stg.encode(w);
-        w.put_f64(self.enc);
-        w.put_u32(self.min_cycles);
-        w.put_u32(self.max_cycles);
-        self.blocks.encode(w);
-    }
-}
-
-impl Decode for SchedulingResult {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_SCHEDULING_RESULT)?;
-        Ok(Self {
-            stg: Decode::decode(r)?,
-            enc: r.take_f64()?,
-            min_cycles: r.take_u32()?,
-            max_cycles: r.take_u32()?,
-            blocks: Decode::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
