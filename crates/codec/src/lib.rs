@@ -422,12 +422,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Encoder) {
         w.put_usize(self.len());
         for item in self {
             item.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Encoder) {
+        self.as_slice().encode(w);
     }
 }
 
@@ -453,6 +459,14 @@ impl<T: Encode + ?Sized> Encode for Arc<T> {
 impl<T: Decode> Decode for Arc<T> {
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(Arc::new(T::decode(r)?))
+    }
+}
+
+/// A shared slice has the wire layout of a `Vec` (length, then elements);
+/// the decoded elements move into one shared allocation.
+impl<T: Decode> Decode for Arc<[T]> {
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Vec::<T>::decode(r)?.into())
     }
 }
 
@@ -535,6 +549,11 @@ mod tests {
         let label: Arc<str> = Arc::from("loop0");
         let back: Arc<str> = decode_from_slice(&encode_to_vec(&*label)).unwrap();
         assert_eq!(&*back, &*label);
+        // A shared slice writes the same bytes as the `Vec` it came from.
+        let shared: Arc<[u64]> = Arc::from(vec![3u64, 1, 4]);
+        assert_eq!(encode_to_vec(&shared), encode_to_vec(&vec![3u64, 1, 4]));
+        let back: Arc<[u64]> = decode_from_slice(&encode_to_vec(&shared)).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

@@ -378,7 +378,8 @@ impl<'a> Evaluator<'a> {
     /// Move-aware evaluation with the parent's fingerprint supplied, so the
     /// search kernel hashes its working design once per step instead of once
     /// per candidate: the full supply search when `vdd` is `None`, one level
-    /// otherwise.
+    /// otherwise. Probes a copy of `parent` through
+    /// [`Self::evaluate_candidate_in`].
     pub(crate) fn evaluate_candidate(
         &self,
         parent: &RtlDesign,
@@ -386,8 +387,27 @@ impl<'a> Evaluator<'a> {
         candidate: &Move,
         vdd: Option<f64>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        let mut mutated = parent.clone();
-        let Ok(delta) = candidate.apply(self.cdfg, &self.library, &mut mutated) else {
+        let mut scratch = parent.clone();
+        self.evaluate_candidate_in(parent, parent_fingerprint, &mut scratch, candidate, vdd)
+    }
+
+    /// [`Self::evaluate_candidate`] on a caller's scratch copy of `parent`:
+    /// the move is applied to `scratch` in place, the candidate is looked up
+    /// (or evaluated) by its fingerprint, and the move is reverted before
+    /// the result is returned, on every path. `scratch` must equal `parent`
+    /// on entry and equals it again on return, so the search kernel copies
+    /// its working design once per stride of probes instead of once per
+    /// probe; a design is copied only into a point that is computed.
+    pub(crate) fn evaluate_candidate_in(
+        &self,
+        parent: &RtlDesign,
+        parent_fingerprint: DesignFingerprint,
+        scratch: &mut RtlDesign,
+        candidate: &Move,
+        vdd: Option<f64>,
+    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
+        // A move that fails to apply leaves the design untouched.
+        let Ok(delta) = candidate.apply(self.cdfg, &self.library, scratch) else {
             return Ok(None);
         };
         let lineage = MoveLineage {
@@ -395,11 +415,13 @@ impl<'a> Evaluator<'a> {
             parent_fingerprint,
             delta: &delta,
         };
-        let fingerprint = self.candidate_fingerprint(&mutated, &lineage);
-        match vdd {
-            Some(vdd) => self.point_at(&mutated, fingerprint, vdd, Some(&lineage)),
-            None => self.evaluate_scaled(&mutated, fingerprint, Some(&lineage)),
-        }
+        let fingerprint = self.candidate_fingerprint(scratch, &lineage);
+        let result = match vdd {
+            Some(vdd) => self.point_at(scratch, fingerprint, vdd, Some(&lineage)),
+            None => self.evaluate_scaled(scratch, fingerprint, Some(&lineage)),
+        };
+        scratch.revert_delta(&delta);
+        result
     }
 
     /// The candidate's structural fingerprint: patched from the parent's
@@ -728,17 +750,7 @@ impl<'a> Evaluator<'a> {
         if restructured {
             return Arc::new(self.mux_entry(rt, design, site, true).depths);
         }
-        let tree = MuxTree::balanced(
-            site.sources
-                .iter()
-                .map(|_| impact_rtl::MuxSource::new("s", 0.0, 0.0))
-                .collect::<Vec<_>>(),
-        );
-        Arc::new(
-            (0..site.sources.len())
-                .map(|i| tree.depth_of(i).unwrap_or(0))
-                .collect(),
-        )
+        Arc::new(MuxTree::balanced_depths(site.sources.len()))
     }
 
     /// Per-site trace statistics (memoized by content): tree activity and

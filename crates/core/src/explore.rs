@@ -344,15 +344,18 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         let mode = self.config().mode;
         let mut chosen: Vec<RankedCandidate> = Vec::new();
         let mut rest: &[(usize, f64)] = &ranked;
+        // The walk probes in place on one copy of the working design.
+        let mut scratch = working.design.clone();
         while chosen.len() < width && !rest.is_empty() {
             let mut probed = 0u64;
             let advanced = first_feasible(rest, |index| -> Result<_, SynthesisError> {
                 probed += 1;
                 Ok(self
                     .evaluator
-                    .evaluate_candidate(
+                    .evaluate_candidate_in(
                         &working.design,
                         parent_fingerprint,
+                        &mut scratch,
                         &candidates[index],
                         None,
                     )?
@@ -374,6 +377,10 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
                 point,
             });
         }
+        debug_assert_eq!(
+            scratch, working.design,
+            "every probe of the walk must revert its move"
+        );
         Ok(chosen)
     }
 
@@ -418,56 +425,60 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         let mode = self.config().mode;
         let evaluator = self.evaluator;
         let working_reference_cost = reference_cost(working, mode);
-        let score = |index: usize| -> Result<Option<f64>, SynthesisError> {
-            let Some(point) = evaluator.evaluate_candidate(
-                &working.design,
-                parent_fingerprint,
-                &candidates[index],
-                Some(impact_modlib::VDD_REFERENCE),
-            )?
-            else {
-                return Ok(None);
-            };
-            Ok(Some(
-                working_reference_cost - reference_cost(point.as_ref(), mode),
-            ))
-        };
-
-        let threads = self.ranking_threads(candidates.len());
-        let mut gains: Vec<Option<f64>> = vec![None; candidates.len()];
-        if threads <= 1 {
-            for (index, slot) in gains.iter_mut().enumerate() {
-                *slot = score(index)?;
-            }
-        } else {
-            // Strides of the candidate set: the calling thread scores stride 0
-            // while scoped workers score the others. Results land in
-            // per-index slots, so scheduling order cannot influence the
-            // outcome, and errors surface in stride order.
-            type ScoredChunk = Result<Vec<(usize, Option<f64>)>, SynthesisError>;
-            let chunks: Vec<ScoredChunk> = std::thread::scope(|scope| {
-                let score = &score;
-                let stride = move |offset: usize| -> ScoredChunk {
-                    (offset..candidates.len())
-                        .step_by(threads)
-                        .map(|index| Ok((index, score(index)?)))
-                        .collect()
+        let score =
+            |scratch: &mut RtlDesign, index: usize| -> Result<Option<f64>, SynthesisError> {
+                let Some(point) = evaluator.evaluate_candidate_in(
+                    &working.design,
+                    parent_fingerprint,
+                    scratch,
+                    &candidates[index],
+                    Some(impact_modlib::VDD_REFERENCE),
+                )?
+                else {
+                    return Ok(None);
                 };
-                let workers: Vec<_> = (1..threads)
-                    .map(|offset| scope.spawn(move || stride(offset)))
-                    .collect();
-                let mut chunks = vec![stride(0)];
-                chunks.extend(
-                    workers
-                        .into_iter()
-                        .map(|worker| worker.join().expect("ranking worker panicked")),
-                );
-                chunks
-            });
-            for chunk in chunks {
-                for (index, gain) in chunk? {
-                    gains[index] = gain;
-                }
+                Ok(Some(
+                    working_reference_cost - reference_cost(point.as_ref(), mode),
+                ))
+            };
+
+        // Strides of the candidate set: the calling thread scores stride 0
+        // while scoped workers score the others (with one thread nothing is
+        // spawned). Each stride probes in place on its own copy of the
+        // working design. Results land in per-index slots, so scheduling
+        // order cannot influence the outcome, and errors surface in stride
+        // order.
+        let threads = self.ranking_threads(candidates.len());
+        type ScoredChunk = Result<Vec<(usize, Option<f64>)>, SynthesisError>;
+        let stride = |offset: usize| -> ScoredChunk {
+            let mut scratch = working.design.clone();
+            let mut scored = Vec::with_capacity(candidates.len().div_ceil(threads));
+            for index in (offset..candidates.len()).step_by(threads) {
+                scored.push((index, score(&mut scratch, index)?));
+            }
+            debug_assert_eq!(
+                scratch, working.design,
+                "every probe of a stride must revert its move"
+            );
+            Ok(scored)
+        };
+        let chunks: Vec<ScoredChunk> = std::thread::scope(|scope| {
+            let stride = &stride;
+            let workers: Vec<_> = (1..threads)
+                .map(|offset| scope.spawn(move || stride(offset)))
+                .collect();
+            let mut chunks = vec![stride(0)];
+            chunks.extend(
+                workers
+                    .into_iter()
+                    .map(|worker| worker.join().expect("ranking worker panicked")),
+            );
+            chunks
+        });
+        let mut gains: Vec<Option<f64>> = vec![None; candidates.len()];
+        for chunk in chunks {
+            for (index, gain) in chunk? {
+                gains[index] = gain;
             }
         }
 

@@ -192,7 +192,7 @@ fn write_signal_content(hasher: &mut FingerprintHasher, design: &RtlDesign, key:
                 Ok(r) => {
                     hasher.write_u64(u64::from(r.width));
                     hasher.write_u64(r.variables.len() as u64);
-                    for &var in &r.variables {
+                    for &var in r.variables.iter() {
                         hasher.write_u64(var.index() as u64);
                     }
                 }

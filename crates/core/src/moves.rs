@@ -193,6 +193,8 @@ pub fn generate(
     }
 
     if config.resource_sharing {
+        // Each unit's operations, listed once per call.
+        let ops_by_unit = design.ops_by_unit();
         let mut pairs: Vec<(FuId, FuId, bool)> = Vec::new();
         let units: Vec<(FuId, impact_cdfg::OpClass)> = design
             .functional_units()
@@ -203,9 +205,8 @@ pub fn generate(
                 if class_a != class_b {
                     continue;
                 }
-                let exclusive = design.ops_on(a).iter().all(|&oa| {
-                    design
-                        .ops_on(b)
+                let exclusive = ops_by_unit[a.index()].iter().all(|&oa| {
+                    ops_by_unit[b.index()]
                         .iter()
                         .all(|&ob| exclusion.mutually_exclusive(oa, ob))
                 });
@@ -217,13 +218,9 @@ pub fn generate(
         for (a, b, _) in pairs.into_iter().take(MAX_PAIR_CANDIDATES) {
             moves.push(Move::ShareFus { keep: a, remove: b });
         }
-        for (fu, _) in design.functional_units() {
-            let ops = design.ops_on(fu);
-            if ops.len() >= 2 {
-                moves.push(Move::SplitFu {
-                    fu,
-                    op: ops[ops.len() - 1],
-                });
+        for &(fu, _) in &units {
+            if let [_, .., op] = ops_by_unit[fu.index()][..] {
+                moves.push(Move::SplitFu { fu, op });
             }
         }
     }

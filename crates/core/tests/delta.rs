@@ -113,6 +113,115 @@ fn apply_sequence(
     applied
 }
 
+/// Moves that must fail on `design`: self-sharing, sharing across classes,
+/// a module of another class, splits that would leave a side empty, and
+/// moves naming a unit the seeded moves removed from `initial`.
+fn failing_moves(initial: &RtlDesign, design: &RtlDesign) -> Vec<Move> {
+    let mut moves = Vec::new();
+    let units: Vec<_> = design
+        .functional_units()
+        .map(|(id, u)| (id, u.clone()))
+        .collect();
+    let ops_by_unit = design.ops_by_unit();
+    for (fu, unit) in &units {
+        moves.push(Move::ShareFus {
+            keep: *fu,
+            remove: *fu,
+        });
+        if let Some((other, other_unit)) = units.iter().find(|(_, u)| u.class != unit.class) {
+            moves.push(Move::ShareFus {
+                keep: *fu,
+                remove: *other,
+            });
+            moves.push(Move::SubstituteModule {
+                fu: *fu,
+                module: other_unit.module,
+            });
+            if let Some(&op) = ops_by_unit[other.index()].first() {
+                moves.push(Move::SplitFu { fu: *fu, op });
+            }
+        }
+        if let [op] = ops_by_unit[fu.index()][..] {
+            moves.push(Move::SplitFu { fu: *fu, op });
+        }
+    }
+    for (removed, _) in initial.functional_units() {
+        if design.functional_unit(removed).is_err() {
+            moves.push(Move::SubstituteModule {
+                fu: removed,
+                module: units[0].1.module,
+            });
+            moves.push(Move::ShareFus {
+                keep: units[0].0,
+                remove: removed,
+            });
+        }
+    }
+    for (reg, register) in design.registers() {
+        moves.push(Move::ShareRegisters {
+            keep: reg,
+            remove: reg,
+        });
+        if let [var] = register.variables[..] {
+            moves.push(Move::SplitRegister { reg, var });
+        }
+    }
+    moves
+}
+
+/// In-place probing depends on this: on every benchmark design, from the
+/// initial architecture and after seeded move sequences, every candidate of
+/// all six move families applied to a copy and reverted leaves the copy
+/// equal to the original, fingerprint included; a move that fails to apply
+/// leaves the copy untouched.
+#[test]
+fn every_move_reverts_to_the_exact_design_on_every_benchmark() {
+    let library = ModuleLibrary::standard();
+    for bench in impact_benchmarks::all_benchmarks() {
+        let cdfg = bench.compile().unwrap();
+        let initial = RtlDesign::initial_parallel(&cdfg, &library);
+        let mut families = std::collections::BTreeMap::new();
+        let mut failures = 0;
+        for (seed, steps) in [(0u64, 0), (7, 6), (1998, 20), (42, 40)] {
+            let mut parent = initial.clone();
+            let mut pick = seed;
+            for _ in 0..steps {
+                let moves = candidate_moves(&cdfg, &library, &parent);
+                let _ = moves[(pick as usize) % moves.len()].apply(&cdfg, &library, &mut parent);
+                pick = next_seed(pick);
+            }
+            let fingerprint = parent.fingerprint();
+            let mut copy = parent.clone();
+            for mv in candidate_moves(&cdfg, &library, &parent) {
+                let what = format!("{} (seed {seed}): {mv}", bench.name);
+                match mv.apply(&cdfg, &library, &mut copy) {
+                    Ok(delta) => {
+                        assert_ne!(copy, parent, "{what}: the move changes the design");
+                        copy.revert_delta(&delta);
+                        *families.entry(mv.kind()).or_insert(0) += 1;
+                    }
+                    Err(_) => failures += 1,
+                }
+                assert_eq!(copy, parent, "{what}");
+                assert_eq!(copy.fingerprint(), fingerprint, "{what}");
+            }
+            for mv in failing_moves(&initial, &parent) {
+                let what = format!("{} (seed {seed}): {mv}", bench.name);
+                assert!(mv.apply(&cdfg, &library, &mut copy).is_err(), "{what}");
+                assert_eq!(copy, parent, "{what}: a failed move changes nothing");
+                failures += 1;
+            }
+        }
+        assert_eq!(
+            families.len(),
+            6,
+            "{}: every move family applies ({families:?})",
+            bench.name
+        );
+        assert!(failures > 0, "{}: failing moves are checked", bench.name);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

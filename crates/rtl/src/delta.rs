@@ -277,7 +277,7 @@ pub(crate) fn reg_component(index: usize, reg: &Register) -> u128 {
     h.write_u64(index as u64);
     h.write_u64(u64::from(reg.width));
     h.write_u64(reg.variables.len() as u64);
-    for &var in &reg.variables {
+    for &var in reg.variables.iter() {
         h.write_u64(var.index() as u64);
     }
     h.finish().as_u128()

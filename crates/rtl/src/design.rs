@@ -5,6 +5,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use impact_cdfg::{Cdfg, NodeId, OpClass, Operation, ValueRef, VarId};
 use impact_modlib::{ModuleId, ModuleLibrary};
@@ -62,8 +63,11 @@ pub struct FunctionalUnit {
 /// One register instance, possibly shared by several variables.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Register {
-    /// Variables stored in this register.
-    pub variables: Vec<VarId>,
+    /// Variables stored in this register. The list is immutable and shared:
+    /// cloning a register (and so a design, a delta or a cached point) bumps
+    /// a reference count instead of copying it, and a move that changes a
+    /// register builds the register's new list.
+    pub variables: Arc<[VarId]>,
     /// Bit width (the widest variable stored).
     pub width: u8,
 }
@@ -244,7 +248,7 @@ impl RtlDesign {
         for (_, var) in cdfg.variables() {
             var_binding.push(RegId(registers.len()));
             registers.push(Some(Register {
-                variables: vec![VarId::new(var_binding.len() - 1)],
+                variables: Arc::from([VarId::new(var_binding.len() - 1)]),
                 width: var.width,
             }));
         }
@@ -337,6 +341,19 @@ impl RtlDesign {
             .enumerate()
             .filter(move |&(_, b)| *b == Some(fu))
             .map(|(i, _)| NodeId::new(i))
+    }
+
+    /// The operations bound to every unit slot, in node order, indexed by
+    /// [`FuId::index`] (removed slots get an empty list): one pass over the
+    /// bindings instead of one [`Self::ops_on`] scan per unit.
+    pub fn ops_by_unit(&self) -> Vec<Vec<NodeId>> {
+        let mut ops = vec![Vec::new(); self.fus.len()];
+        for (index, binding) in self.op_binding.iter().enumerate() {
+            if let Some(fu) = binding {
+                ops[fu.index()].push(NodeId::new(index));
+            }
+        }
+        ops
     }
 
     /// Active units of a given class.
@@ -480,7 +497,7 @@ impl RtlDesign {
             .copied()
             .filter(|&n| self.fu_of(n) == Some(fu))
             .collect();
-        let staying = self.ops_on(fu).len() - moving.len();
+        let staying = self.ops_on_iter(fu).count() - moving.len();
         if moving.is_empty() || staying == 0 {
             return Err(RtlError::EmptySplit);
         }
@@ -567,9 +584,15 @@ impl RtlDesign {
                 delta.var_bindings.push((VarId::new(index), remove, keep));
             }
         }
-        let mut merged = kept.clone();
-        merged.variables.extend(removed.variables.iter().copied());
-        merged.width = merged.width.max(removed.width);
+        let merged = Register {
+            variables: kept
+                .variables
+                .iter()
+                .chain(&*removed.variables)
+                .copied()
+                .collect(),
+            width: kept.width.max(removed.width),
+        };
         delta.registers.push(RegSlotChange {
             id: keep,
             before: Some(kept),
@@ -617,8 +640,15 @@ impl RtlDesign {
         for &v in &moving {
             delta.var_bindings.push((v, reg, new_id));
         }
-        let mut remaining = current.clone();
-        remaining.variables.retain(|v| !moving.contains(v));
+        let remaining = Register {
+            variables: current
+                .variables
+                .iter()
+                .copied()
+                .filter(|v| !moving.contains(v))
+                .collect(),
+            width: current.width,
+        };
         delta.registers.push(RegSlotChange {
             id: reg,
             before: Some(current),
@@ -628,7 +658,7 @@ impl RtlDesign {
             id: new_id,
             before: None,
             after: Some(Register {
-                variables: moving,
+                variables: moving.into(),
                 width,
             }),
         });
@@ -807,12 +837,7 @@ impl RtlDesign {
         // the whole design were quadratic, and site enumeration runs once per
         // evaluated candidate. Grouping in node order reproduces the scans'
         // enumeration order exactly.
-        let mut ops_per_fu: Vec<Vec<NodeId>> = vec![Vec::new(); self.fus.len()];
-        for (index, binding) in self.op_binding.iter().enumerate() {
-            if let Some(fu) = binding {
-                ops_per_fu[fu.index()].push(NodeId::new(index));
-            }
-        }
+        let ops_per_fu = self.ops_by_unit();
         let mut writers_per_reg: Vec<Vec<NodeId>> = vec![Vec::new(); self.registers.len()];
         for (node_id, node) in cdfg.nodes() {
             if let Some(defined) = node.defines {
@@ -1362,7 +1387,7 @@ mod tests {
             .created_register()
             .expect("the split created a register");
         assert_eq!(design.register_of(y), new_reg);
-        assert_eq!(design.register(rx).unwrap().variables, vec![x]);
+        assert_eq!(*design.register(rx).unwrap().variables, [x]);
     }
 
     #[test]

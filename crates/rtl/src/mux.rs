@@ -126,6 +126,29 @@ impl MuxTree {
         Self { sources, root }
     }
 
+    /// The depth of every source in the balanced tree over `n` sources, in
+    /// source order: what [`Self::balanced`] followed by [`Self::depth_of`]
+    /// gives, without building the tree. The depths depend only on `n`. On
+    /// level `k` leaf `i` sits at node `i >> k`, and every node pairs with
+    /// its neighbour under one 2-to-1 mux except the odd last node of a
+    /// level, which moves up unpaired.
+    pub fn balanced_depths(n: usize) -> Vec<usize> {
+        let mut depths = vec![0; n];
+        let mut width = n;
+        let mut level = 0;
+        while width > 1 {
+            let unpaired = (width % 2 == 1).then_some(width - 1);
+            for (leaf, depth) in depths.iter_mut().enumerate() {
+                if Some(leaf >> level) != unpaired {
+                    *depth += 1;
+                }
+            }
+            width = width.div_ceil(2);
+            level += 1;
+        }
+        depths
+    }
+
     /// Builds the restructured tree of the `RESTRUCTURE_MUX` /
     /// `HUFFMAN_CONSTRUCT` heuristic (Figure 12): signals are ordered by
     /// increasing activity-probability product and repeatedly combined two at
@@ -310,6 +333,15 @@ mod tests {
         ]);
         assert_eq!(tree.mux_count(), 1);
         assert!((tree.switching_activity() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn balanced_depths_match_the_built_tree() {
+        for n in 0..=64 {
+            let tree = MuxTree::balanced(vec![MuxSource::new("s", 0.5, 0.5); n]);
+            let built: Vec<usize> = (0..n).map(|i| tree.depth_of(i).unwrap_or(0)).collect();
+            assert_eq!(MuxTree::balanced_depths(n), built, "{n} sources");
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl<'a> RtTraces<'a> {
         };
         let mut keys: Vec<&[u32]> = Vec::new();
         let mut values: Vec<&[i64]> = Vec::new();
-        for &var in &register.variables {
+        for &var in register.variables.iter() {
             for &node in self.cdfg.definers_of(var) {
                 let definer = self.trace.node_trace(node);
                 keys.push(definer.sequences());

@@ -105,7 +105,7 @@ pub fn verify_design(cdfg: &Cdfg, design: &RtlDesign) -> Vec<Violation> {
             ));
         }
         let mut seen = HashSet::new();
-        for &var in &register.variables {
+        for &var in register.variables.iter() {
             if var.index() >= cdfg.variable_count() {
                 violations.push(Violation::error(
                     rules::RTL_REG_BINDING,

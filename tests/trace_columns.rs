@@ -65,7 +65,7 @@ mod reference {
             return Vec::new();
         };
         let mut writes: Vec<(u32, i64)> = Vec::new();
-        for &var in &register.variables {
+        for &var in register.variables.iter() {
             for &node in cdfg.definers_of(var) {
                 let node = trace.node_trace(node);
                 writes.extend(
@@ -77,7 +77,7 @@ mod reference {
             }
         }
         let first_seqs = trace.first_sequences();
-        for &var in &register.variables {
+        for &var in register.variables.iter() {
             if cdfg.variable(var).kind == VariableKind::Input {
                 for (pass, &value) in trace.variable_writes(var).iter().enumerate() {
                     let first_seq = first_seqs.get(pass).copied().unwrap_or(0);
