@@ -7,7 +7,7 @@
 //! Every multi-run experiment goes through [`run_batch`]: one place that
 //! claims jobs off a shared queue, times each synthesis, and returns results
 //! in submission order regardless of which worker finished first. Synthesis
-//! itself is deterministic under any worker or ranking-thread count, so
+//! itself is deterministic and runs on the worker that claimed the job, so
 //! parallel batches produce bit-identical reports to sequential ones — the
 //! pool only changes wall-clock.
 

@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating the tables and figures of the IMPACT
 //! paper. The binaries in `src/bin/` print the series.
 //!
-//! Multi-run experiments (the Figure 13 laxity sweep, the warm-start and
-//! search comparisons) are expressed as batches of [`SweepJob`]s over the
+//! Multi-run experiments (the Figure 13 laxity sweep and the warm-start
+//! comparison) are expressed as batches of [`SweepJob`]s over the
 //! [`run_batch`] driver, sharing one [`SweepSession`] where the runs cover
 //! the same workload.
 
@@ -12,8 +12,8 @@ use impact_behsim::{simulate, ExecutionTrace};
 use impact_benchmarks::Benchmark;
 use impact_cdfg::Cdfg;
 use impact_core::{
-    CacheStats, ExploreStats, ExplorerKind, Impact, SnapshotScope, SnapshotStats, SweepSession,
-    SynthesisConfig, SynthesisOutcome,
+    CacheStats, ExploreStats, Impact, SnapshotScope, SnapshotStats, SweepSession, SynthesisConfig,
+    SynthesisOutcome,
 };
 use impact_sched::{uniform_problem, BaselineScheduler, Scheduler, WaveScheduler};
 
@@ -423,109 +423,6 @@ pub fn warm_start_comparison(
         identical: batches_identical(&cold, &warm),
         resumed,
         warm_cache: warm_session.stats(),
-    }
-}
-
-/// One explorer's run on one `(benchmark, laxity)` cell of the search
-/// comparison: which strategy ran and what it produced.
-#[derive(Clone, Debug)]
-pub struct SearchPoint {
-    /// The strategy that produced this point.
-    pub explorer: ExplorerKind,
-    /// Its synthesis result (quality, history, wall-clock, counters).
-    pub result: JobResult,
-}
-
-impl SearchPoint {
-    /// Final power at the chosen supply, in mW.
-    pub fn power_mw(&self) -> f64 {
-        self.result.outcome.report.power_mw
-    }
-
-    /// The explorer counters of this run.
-    pub fn explore_stats(&self) -> ExploreStats {
-        self.result.outcome.cache_stats.explore
-    }
-}
-
-/// Every explorer's result on one `(benchmark, laxity)` cell, greedy — the
-/// oracle the refactor is pinned against — first. The quality-vs-time curve
-/// of `search_bench`.
-#[derive(Clone, Debug)]
-pub struct SearchComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Laxity factor of this cell.
-    pub laxity: f64,
-    /// One point per explorer, in [`ExplorerKind::all`] order.
-    pub points: Vec<SearchPoint>,
-}
-
-impl SearchComparison {
-    /// The greedy oracle's point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cell was built without the greedy explorer.
-    pub fn greedy(&self) -> &SearchPoint {
-        self.points
-            .iter()
-            .find(|p| p.explorer == ExplorerKind::Greedy)
-            .expect("search cells always include the greedy oracle")
-    }
-
-    /// Whether any non-greedy strategy strictly beat greedy's final power.
-    pub fn any_beats_greedy(&self) -> bool {
-        let greedy = self.greedy().power_mw();
-        self.points
-            .iter()
-            .filter(|p| p.explorer != ExplorerKind::Greedy)
-            .any(|p| p.power_mw() < greedy - 1e-9)
-    }
-
-    /// Whether every non-greedy strategy is at least as good as greedy —
-    /// the never-worse gate `search_bench` hard-fails on.
-    pub fn none_worse_than_greedy(&self) -> bool {
-        let greedy = self.greedy().power_mw();
-        self.points.iter().all(|p| p.power_mw() <= greedy + 1e-9)
-    }
-}
-
-/// Runs every explorer on one `(benchmark, laxity)` cell: cold (no shared
-/// session, so cross-strategy cache reuse cannot flatten the timing curve)
-/// and on a single worker (so per-job timing stays honest). `effort` is
-/// `(max_passes, max_sequence_length)`.
-pub fn search_cell(
-    cdfg: &Cdfg,
-    trace: &ExecutionTrace,
-    benchmark: &str,
-    laxity: f64,
-    effort: (usize, usize),
-    explorers: &[ExplorerKind],
-) -> SearchComparison {
-    let (passes, seq) = effort;
-    let jobs: Vec<SweepJob<'_>> = explorers
-        .iter()
-        .map(|&kind| {
-            let config = SynthesisConfig::power_optimized(laxity).with_effort(passes, seq);
-            let engine = config.engine.with_explorer(kind);
-            SweepJob::new(
-                format!("{}@{laxity:.1}", kind.name()),
-                cdfg,
-                trace,
-                config.with_engine(engine),
-            )
-        })
-        .collect();
-    let results = run_batch(&jobs, None, 1);
-    SearchComparison {
-        benchmark: benchmark.to_string(),
-        laxity,
-        points: explorers
-            .iter()
-            .zip(results)
-            .map(|(&explorer, result)| SearchPoint { explorer, result })
-            .collect(),
     }
 }
 

@@ -1,6 +1,9 @@
-//! Static audits of the search-policy layer, under the `verify` feature the
-//! bench crate turns on:
+//! Quality gates and static audits of the search-policy layer, under the
+//! `verify` feature the bench crate turns on:
 //!
+//! - on cold cells, no explorer ends on worse power than the greedy oracle,
+//!   at least one cell improves on it, and every outcome and Pareto-front
+//!   member audits clean,
 //! - every member of an `ExplorerKind::Pareto` front individually passes
 //!   the `impact_verify` design/schedule rules (not just the returned best),
 //! - `ExplorerKind::Restart`'s kick-and-revert machinery leaves a shared
@@ -14,6 +17,56 @@ use impact_core::verify::audit_session;
 use impact_core::{
     EngineConfig, Evaluator, ExplorerKind, Impact, SweepSession, SynthesisConfig, VerifyLevel,
 };
+
+/// Power tolerance of the greedy comparisons.
+const POWER_EPS: f64 = 1e-9;
+
+#[test]
+fn every_explorer_matches_or_beats_greedy_and_audits_clean() {
+    // Cold cells (10 passes, effort (2, 3)), every strategy on its own
+    // private session: gcd @ 2.0 and dealer @ 1.0 and 2.0 improve on
+    // greedy; gcd @ 1.0 does not.
+    let mut improving = Vec::new();
+    for bench in [impact_benchmarks::gcd(), impact_benchmarks::dealer()] {
+        let (cdfg, trace) = prepare(&bench, 10, DEFAULT_SEED);
+        for laxity in [1.0, 2.0] {
+            let config = SynthesisConfig::power_optimized(laxity).with_effort(2, 3);
+            let evaluator = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
+            // `ExplorerKind::all` lists the greedy oracle first.
+            let mut greedy = None;
+            for explorer in ExplorerKind::all() {
+                let cell = format!("{} {}@{laxity:.1}", bench.name, explorer.name());
+                let engine = config.engine.with_explorer(explorer);
+                let outcome = Impact::new(config.clone().with_engine(engine))
+                    .synthesize(&cdfg, &trace)
+                    .unwrap();
+                let violations = evaluator.audit_outcome(&outcome);
+                assert!(violations.is_empty(), "{cell}: {violations:?}");
+                for (index, member) in outcome.front.iter().enumerate() {
+                    let violations = evaluator.audit_design_point(member);
+                    assert!(
+                        violations.is_empty(),
+                        "{cell} front[{index}]: {violations:?}"
+                    );
+                }
+                let power = outcome.report.power_mw;
+                let greedy_power = *greedy.get_or_insert(power);
+                assert!(
+                    power <= greedy_power + POWER_EPS,
+                    "{cell}: {power} mW is worse than greedy's {greedy_power} mW"
+                );
+                if power < greedy_power - POWER_EPS {
+                    improving.push(cell);
+                }
+            }
+        }
+    }
+    println!("cells improving on greedy: {improving:?}");
+    assert!(
+        !improving.is_empty(),
+        "no explorer improved on greedy in any cell"
+    );
+}
 
 fn config_with(laxity: f64, explorer: ExplorerKind) -> SynthesisConfig {
     let config = SynthesisConfig::power_optimized(laxity).with_effort(2, 3);

@@ -32,14 +32,15 @@
 //! function of its key, so when both sides hold the same key the values are
 //! identical and merge order cannot influence later lookups.
 //!
-//! Computations never run under the lock, so parallel ranking threads can
-//! race to fill the same entry — both sides compute identical values, and the
-//! last store wins. Design points are stored behind `Arc`, so the per-level
-//! entries of the Vdd search and the fully-scaled entry share allocations and
-//! a hit clones a pointer, not the design. When a new entry would overflow a
-//! map's capacity bound the map is cleared and the triggering entry inserted
-//! into the fresh map (a store is always visible to the next lookup); the
-//! evictions are counted and the simple policy keeps hit paths branch-light.
+//! Computations never run under the lock, so synthesis runs sharing one
+//! session from several threads can race to fill the same entry — both
+//! sides compute identical values, and the last store wins. Design points
+//! are stored behind `Arc`, so the per-level entries of the Vdd search and
+//! the fully-scaled entry share allocations and a hit clones a pointer, not
+//! the design. When a new entry would overflow a map's capacity bound the
+//! map is cleared and the triggering entry inserted into the fresh map (a
+//! store is always visible to the next lookup); the evictions are counted
+//! and the simple policy keeps hit paths branch-light.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -267,11 +268,11 @@ impl CacheStats {
 
 /// Storage interface of an evaluation session.
 ///
-/// Implementations must be safe to share across the scoped worker threads of
-/// the ranking stage and of batch drivers (`Send + Sync`); every entry is a
-/// pure function of its key, so backends may drop entries at any time
-/// (capacity eviction) and may resolve concurrent stores of the same key in
-/// either order without affecting synthesis results.
+/// Implementations must be safe to share across the threads that run jobs
+/// against one session (`Send + Sync`); every entry is a pure function of
+/// its key, so backends may drop entries at any time (capacity eviction)
+/// and may resolve concurrent stores of the same key in either order
+/// without affecting synthesis results.
 pub trait CacheBackend: Send + Sync + fmt::Debug {
     /// Fetches a memoized design point.
     fn lookup_point(&self, key: &PointKey) -> Option<Arc<DesignPoint>>;
@@ -778,7 +779,7 @@ mod tests {
         let poisoner = Arc::clone(&cache);
         let result = std::thread::spawn(move || {
             let _guard = poisoner.inner.lock().unwrap();
-            panic!("ranking worker dies while holding the cache lock");
+            panic!("a batch worker dies while holding the cache lock");
         })
         .join();
         assert!(result.is_err(), "the worker must have panicked");

@@ -65,20 +65,18 @@ pub enum EvaluatorKind {
 }
 
 /// Tuning of the evaluation engine: which evaluator costs candidates,
-/// parallel candidate ranking, auditing and the search strategy. The default
-/// is the fully incremental engine. The sequential configuration is the
-/// brute-force evaluation loop (every candidate rescheduled and re-profiled
-/// from scratch, ranked on one thread): it runs the same code with the
-/// session and threading off, exists for differential testing and writes
+/// auditing and the search strategy. The default is the fully incremental
+/// engine. Every engine ranks candidates on the calling thread; parallelism
+/// belongs one level up, where whole synthesis jobs run side by side.
+/// The sequential configuration is the brute-force evaluation loop (every
+/// candidate rescheduled and re-profiled from scratch): it runs the same
+/// code with the session off, exists for differential testing and writes
 /// the benchmark's expected files. Every configuration produces
 /// bit-identical synthesis results.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineConfig {
     /// Which evaluator costs candidates (see [`EvaluatorKind`]).
     pub evaluator: EvaluatorKind,
-    /// Worker threads that rank candidate moves; `0` means one per
-    /// available CPU, `1` ranks on the calling thread.
-    pub ranking_threads: usize,
     /// Static invariant auditing of evaluator outputs (requires the
     /// `verify` cargo feature to have any effect).
     pub verify: VerifyLevel,
@@ -90,12 +88,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The incremental engine ([`EvaluatorKind::Incremental`]), ranking
-    /// parallelized over the available CPUs.
+    /// The incremental engine ([`EvaluatorKind::Incremental`]).
     pub fn incremental() -> Self {
         Self {
             evaluator: EvaluatorKind::Incremental,
-            ranking_threads: 0,
             verify: VerifyLevel::Off,
             explorer: ExplorerKind::Greedy,
         }
@@ -122,11 +118,10 @@ impl EngineConfig {
     }
 
     /// The brute-force reference engine ([`EvaluatorKind::Sequential`]):
-    /// no memoization, single-threaded ranking.
+    /// no memoization.
     pub fn sequential() -> Self {
         Self {
             evaluator: EvaluatorKind::Sequential,
-            ranking_threads: 1,
             ..Self::incremental()
         }
     }
@@ -147,13 +142,12 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy pinned to `threads` ranking workers (`0` = one per
-    /// available CPU). `fig13bench` pins ranking to one thread so its
-    /// steady workloads measure the flow without rank fan-out. Ranking is
-    /// deterministic under any thread count, so the pin changes wall-clock,
-    /// never results.
-    pub fn with_ranking_threads(mut self, threads: usize) -> Self {
-        self.ranking_threads = threads;
+    /// Returns the configuration unchanged, whatever the argument. Every
+    /// engine ranks candidates on the calling thread, so there is no
+    /// ranking thread count to pin; the builder remains so that callers
+    /// written against the old ranking fan-out (`fig13bench` among them)
+    /// keep compiling.
+    pub fn with_ranking_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -191,8 +185,7 @@ pub struct SynthesisConfig {
     pub vdd_scaling: bool,
     /// Power-estimator technology parameters.
     pub power: PowerConfig,
-    /// Evaluation-engine tuning (evaluator, parallel ranking, auditing,
-    /// search strategy).
+    /// Evaluation-engine tuning (evaluator, auditing, search strategy).
     pub engine: EngineConfig,
 }
 
@@ -321,7 +314,6 @@ mod tests {
             EngineConfig::default().evaluator,
             EvaluatorKind::Incremental
         );
-        assert_eq!(EngineConfig::default().ranking_threads, 0);
         assert_eq!(
             EngineConfig::full_rebuild().evaluator,
             EvaluatorKind::FullRebuild
@@ -332,7 +324,6 @@ mod tests {
         );
         let seq = EngineConfig::sequential();
         assert_eq!(seq.evaluator, EvaluatorKind::Sequential);
-        assert_eq!(seq.ranking_threads, 1);
         assert_eq!(seq.explorer, ExplorerKind::Greedy);
         // Each kind adds one layer to the one before it.
         assert!(EvaluatorKind::Sequential < EvaluatorKind::FullRebuild);

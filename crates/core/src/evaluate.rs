@@ -561,8 +561,8 @@ impl<'a> Evaluator<'a> {
     /// Full static audit of one evaluated design point, as data: design
     /// legality, fingerprint recompute, mux-site consistency, and the
     /// point's schedule against the scheduling problem rebuilt at the
-    /// point's supply — including this evaluator's ENC budget. The
-    /// Pareto-front gates of `search_bench` run every reported front member
+    /// point's supply — including this evaluator's ENC budget. The search
+    /// tests in `impact_bench` run every reported Pareto-front member
     /// through this. Pure and independent of
     /// [`VerifyLevel`](crate::VerifyLevel), like [`Self::audit_outcome`].
     #[cfg(feature = "verify")]

@@ -162,7 +162,7 @@ impl ExplorerKind {
     }
 
     /// The four kinds with their default parameters, in oracle-first order —
-    /// what `search_bench` sweeps.
+    /// what the search tests in `impact_bench` compare against greedy.
     pub fn all() -> [ExplorerKind; 4] {
         [
             ExplorerKind::Greedy,
@@ -336,16 +336,16 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
 
         // Fingerprint the working design once per step; every candidate's
         // digest and context are then patched from it through the move's
-        // delta.
+        // delta. Ranking and the walk probe in place on one copy of it.
         let parent_fingerprint = working.design.fingerprint();
-        let ranked = self.rank_candidates(working, &candidates, parent_fingerprint)?;
+        let mut scratch = working.design.clone();
+        let ranked =
+            self.rank_candidates(working, parent_fingerprint, &mut scratch, &candidates)?;
         self.stats.rank_probes += candidates.len() as u64;
 
         let mode = self.config().mode;
         let mut chosen: Vec<RankedCandidate> = Vec::new();
         let mut rest: &[(usize, f64)] = &ranked;
-        // The walk probes in place on one copy of the working design.
-        let mut scratch = working.design.clone();
         while chosen.len() < width && !rest.is_empty() {
             let mut probed = 0u64;
             let advanced = first_feasible(rest, |index| -> Result<_, SynthesisError> {
@@ -379,7 +379,7 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         }
         debug_assert_eq!(
             scratch, working.design,
-            "every probe of the walk must revert its move"
+            "every probe of the step must revert its move"
         );
         Ok(chosen)
     }
@@ -407,11 +407,12 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         Ok(point)
     }
 
-    /// Scores every applicable candidate at the reference supply and returns
-    /// `(candidate index, gain)` pairs sorted best-first.
+    /// Scores every applicable candidate at the reference supply, in
+    /// generation order on the calling thread, and returns `(candidate
+    /// index, gain)` pairs sorted best-first. Each probe applies its move to
+    /// `scratch`, a copy of the working design, and reverts it.
     ///
-    /// The ordering is deterministic and independent of the thread count:
-    /// higher gain first, and among equal gains the earliest-generated
+    /// Higher gain ranks first, and among equal gains the earliest-generated
     /// candidate wins (move generation orders candidates by preference, e.g.
     /// mutually exclusive sharing pairs first, so the tie-break preserves
     /// that intent — and matches the winner the historical
@@ -419,89 +420,26 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
     fn rank_candidates(
         &self,
         working: &DesignPoint,
-        candidates: &[Move],
         parent_fingerprint: DesignFingerprint,
+        scratch: &mut RtlDesign,
+        candidates: &[Move],
     ) -> Result<Vec<(usize, f64)>, SynthesisError> {
         let mode = self.config().mode;
-        let evaluator = self.evaluator;
         let working_reference_cost = reference_cost(working, mode);
-        let score =
-            |scratch: &mut RtlDesign, index: usize| -> Result<Option<f64>, SynthesisError> {
-                let Some(point) = evaluator.evaluate_candidate_in(
-                    &working.design,
-                    parent_fingerprint,
-                    scratch,
-                    &candidates[index],
-                    Some(impact_modlib::VDD_REFERENCE),
-                )?
-                else {
-                    return Ok(None);
-                };
-                Ok(Some(
-                    working_reference_cost - reference_cost(point.as_ref(), mode),
-                ))
-            };
-
-        // Strides of the candidate set: the calling thread scores stride 0
-        // while scoped workers score the others (with one thread nothing is
-        // spawned). Each stride probes in place on its own copy of the
-        // working design. Results land in per-index slots, so scheduling
-        // order cannot influence the outcome, and errors surface in stride
-        // order.
-        let threads = self.ranking_threads(candidates.len());
-        type ScoredChunk = Result<Vec<(usize, Option<f64>)>, SynthesisError>;
-        let stride = |offset: usize| -> ScoredChunk {
-            let mut scratch = working.design.clone();
-            let mut scored = Vec::with_capacity(candidates.len().div_ceil(threads));
-            for index in (offset..candidates.len()).step_by(threads) {
-                scored.push((index, score(&mut scratch, index)?));
-            }
-            debug_assert_eq!(
-                scratch, working.design,
-                "every probe of a stride must revert its move"
-            );
-            Ok(scored)
-        };
-        let chunks: Vec<ScoredChunk> = std::thread::scope(|scope| {
-            let stride = &stride;
-            let workers: Vec<_> = (1..threads)
-                .map(|offset| scope.spawn(move || stride(offset)))
-                .collect();
-            let mut chunks = vec![stride(0)];
-            chunks.extend(
-                workers
-                    .into_iter()
-                    .map(|worker| worker.join().expect("ranking worker panicked")),
-            );
-            chunks
-        });
-        let mut gains: Vec<Option<f64>> = vec![None; candidates.len()];
-        for chunk in chunks {
-            for (index, gain) in chunk? {
-                gains[index] = gain;
+        let mut ranked = Vec::with_capacity(candidates.len());
+        for (index, candidate) in candidates.iter().enumerate() {
+            if let Some(point) = self.evaluator.evaluate_candidate_in(
+                &working.design,
+                parent_fingerprint,
+                scratch,
+                candidate,
+                Some(impact_modlib::VDD_REFERENCE),
+            )? {
+                ranked.push((index, working_reference_cost - reference_cost(&point, mode)));
             }
         }
-
-        let mut ranked: Vec<(usize, f64)> = gains
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, gain)| gain.map(|gain| (index, gain)))
-            .collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         Ok(ranked)
-    }
-
-    /// Worker-thread count for one ranking stage.
-    fn ranking_threads(&self, candidate_count: usize) -> usize {
-        let engine = &self.config().engine;
-        let available = if engine.ranking_threads > 0 {
-            engine.ranking_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
-        available.min(candidate_count).max(1)
     }
 
     fn collect(&mut self, point: &DesignPoint) {
@@ -912,6 +850,55 @@ mod tests {
         assert_eq!(a.restarts, 4);
         assert_eq!(a.pareto_kept, 5);
         assert_eq!(a.pareto_dominated, 8);
+    }
+
+    #[test]
+    fn in_place_ranking_matches_scoring_each_candidate_on_its_own() {
+        // Ranking probes every candidate in place on one shared scratch copy
+        // of the working design. Its order must equal scoring each candidate
+        // on a fresh copy through the public move entry point, here on the
+        // sessionless evaluator, sorted by (gain desc, index asc).
+        for bench in [impact_benchmarks::gcd(), impact_benchmarks::dealer()] {
+            let cdfg = bench.compile().unwrap();
+            let trace = impact_behsim::simulate(&cdfg, &bench.input_sequences(8, 17)).unwrap();
+            let config = SynthesisConfig::power_optimized(2.0);
+            let mode = config.mode;
+            let evaluator = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
+            let sequential = crate::EngineConfig::sequential();
+            let reference = Evaluator::new(&cdfg, &trace, config.with_engine(sequential)).unwrap();
+            let mut kernel = SearchKernel::new(&cdfg, &evaluator);
+            let mut working = evaluator.initial_point().unwrap();
+            let mut steps = 0;
+            while steps < 4 {
+                let fingerprint = working.design.fingerprint();
+                let candidates = kernel.candidates(&working.design);
+                let mut scratch = working.design.clone();
+                let ranked = kernel
+                    .rank_candidates(&working, fingerprint, &mut scratch, &candidates)
+                    .unwrap();
+                assert_eq!(scratch, working.design, "every probe reverts its move");
+                let working_cost = reference_cost(&working, mode);
+                let mut expected: Vec<(usize, f64)> = candidates
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(index, mv)| {
+                        let point = reference
+                            .evaluate_move_at_vdd(&working.design, mv, impact_modlib::VDD_REFERENCE)
+                            .unwrap()?;
+                        Some((index, working_cost - reference_cost(&point, mode)))
+                    })
+                    .collect();
+                expected.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                assert!(!expected.is_empty(), "{} step {steps}", bench.name);
+                assert_eq!(ranked, expected, "{} step {steps}", bench.name);
+                steps += 1;
+                let Some(chosen) = kernel.ranked_step(&working, 1).unwrap().pop() else {
+                    break;
+                };
+                working = chosen.point;
+            }
+            assert!(steps >= 3, "{}: the walk commits moves", bench.name);
+        }
     }
 
     #[test]

@@ -172,9 +172,9 @@ pub fn generate(
     let mut moves = Vec::new();
 
     if config.mux_restructuring {
-        for site in design.mux_sites(cdfg) {
-            if site.fan_in() >= 2 && !design.is_restructured(site.sink) {
-                moves.push(Move::RestructureMux { sink: site.sink });
+        for sink in design.multi_source_sinks(cdfg) {
+            if !design.is_restructured(sink) {
+                moves.push(Move::RestructureMux { sink });
             }
         }
     }

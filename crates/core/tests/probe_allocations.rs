@@ -7,14 +7,14 @@
 //! looks the candidate up by its patched fingerprint and reverts the move.
 //!
 //! The counter is thread-local, so the test's figure is the run on this
-//! thread alone (ranking is pinned to one thread) and other tests running
-//! in parallel cannot disturb it. The count is deterministic.
+//! thread alone (the engine ranks on the calling thread) and other tests
+//! running in parallel cannot disturb it. The count is deterministic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use impact_behsim::simulate;
-use impact_core::{EngineConfig, Impact, SweepSession, SynthesisConfig};
+use impact_core::{Impact, SweepSession, SynthesisConfig};
 
 /// The system allocator, counting every allocation the current thread asks
 /// for (`alloc`, `alloc_zeroed` and `realloc`).
@@ -65,9 +65,7 @@ const BUDGET_PER_PROBE: f64 = 10.0;
 
 #[test]
 fn all_hit_probes_stay_within_the_allocation_budget() {
-    let config = SynthesisConfig::power_optimized(2.0)
-        .with_effort(2, 3)
-        .with_engine(EngineConfig::default().with_ranking_threads(1));
+    let config = SynthesisConfig::power_optimized(2.0).with_effort(2, 3);
     let engine = Impact::new(config);
     let mut over = Vec::new();
     for bench in impact_benchmarks::all_benchmarks() {

@@ -7,7 +7,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use impact_cdfg::{Cdfg, NodeId, OpClass, Operation, ValueRef, VarId};
+use impact_cdfg::{Cdfg, EdgeId, NodeId, OpClass, Operation, ValueRef, VarId};
 use impact_modlib::{ModuleId, ModuleLibrary};
 
 use crate::delta::{
@@ -348,10 +348,8 @@ impl RtlDesign {
     /// bindings instead of one [`Self::ops_on`] scan per unit.
     pub fn ops_by_unit(&self) -> Vec<Vec<NodeId>> {
         let mut ops = vec![Vec::new(); self.fus.len()];
-        for (index, binding) in self.op_binding.iter().enumerate() {
-            if let Some(fu) = binding {
-                ops[fu.index()].push(NodeId::new(index));
-            }
+        for (node, fu) in self.bound_ops() {
+            ops[fu.index()].push(node);
         }
         ops
     }
@@ -854,6 +852,55 @@ impl RtlDesign {
         sites
     }
 
+    /// The sinks of the multi-source mux sites (fan-in ≥ 2), in [`MuxSink`]
+    /// order: the sinks of the [`Self::mux_sites`] entries with two or more
+    /// sources, found by sorting every (sink, source) pair instead of
+    /// building the sites' source lists.
+    pub fn multi_source_sinks(&self, cdfg: &Cdfg) -> Vec<MuxSink> {
+        let mut max_ports = vec![0; self.fus.len()];
+        for (node_id, fu) in self.bound_ops() {
+            let arity = cdfg.node(node_id).operation.arity();
+            max_ports[fu.index()] = max_ports[fu.index()].max(arity);
+        }
+        let mut pairs: Vec<(MuxSink, SignalKey)> = Vec::with_capacity(2 * cdfg.node_count());
+        for (node_id, fu) in self.bound_ops() {
+            for port in 0..max_ports[fu.index()] {
+                if let Some(key) = self.port_key(cdfg, node_id, port) {
+                    let sink = MuxSink::FuInput {
+                        fu,
+                        port: port as u8,
+                    };
+                    pairs.push((sink, key));
+                }
+            }
+        }
+        for (node_id, node) in cdfg.nodes() {
+            if let Some(defined) = node.defines {
+                let sink = MuxSink::RegisterInput {
+                    reg: self.register_of(defined),
+                };
+                pairs.extend(self.writer_keys(cdfg, node_id).map(|key| (sink, key)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut sinks: Vec<MuxSink> = pairs
+            .windows(2)
+            .filter(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| pair[0].0)
+            .collect();
+        sinks.dedup();
+        sinks
+    }
+
+    /// Every bound operation with its unit, in node order.
+    fn bound_ops(&self) -> impl Iterator<Item = (NodeId, FuId)> + '_ {
+        self.op_binding
+            .iter()
+            .enumerate()
+            .filter_map(|(index, binding)| binding.map(|fu| (NodeId::new(index), fu)))
+    }
+
     /// The candidate's multi-source mux sites (fan-in ≥ 2, in [`MuxSink`]
     /// order) derived from its parent's: `parent` is the pre-move design's
     /// site list filtered the same way, and `delta` the move that turned
@@ -928,12 +975,9 @@ impl RtlDesign {
         for port in 0..max_ports {
             let mut by_key: BTreeMap<SignalKey, Vec<NodeId>> = BTreeMap::new();
             for &op in ops {
-                let node = cdfg.node(op);
-                let Some(&edge_id) = node.inputs.get(port) else {
-                    continue;
-                };
-                let key = self.signal_key(cdfg, cdfg.edge(edge_id).value);
-                by_key.entry(key).or_default().push(op);
+                if let Some(key) = self.port_key(cdfg, op, port) {
+                    by_key.entry(key).or_default().push(op);
+                }
             }
             if by_key.is_empty() {
                 continue;
@@ -961,22 +1005,8 @@ impl RtlDesign {
     ) -> Option<MuxSite> {
         let mut by_key: BTreeMap<SignalKey, Vec<NodeId>> = BTreeMap::new();
         for &node_id in writers {
-            let node = cdfg.node(node_id);
-            match self.fu_of(node_id) {
-                Some(fu) => {
-                    by_key
-                        .entry(SignalKey::FuOutput(fu))
-                        .or_default()
-                        .push(node_id);
-                }
-                None => {
-                    // Structural writers route existing signals: take the
-                    // source(s) of their data inputs.
-                    for &edge in &node.inputs {
-                        let key = self.signal_key(cdfg, cdfg.edge(edge).value);
-                        by_key.entry(key).or_default().push(node_id);
-                    }
-                }
+            for key in self.writer_keys(cdfg, node_id) {
+                by_key.entry(key).or_default().push(node_id);
             }
         }
         (by_key.len() >= 2).then(|| MuxSite {
@@ -984,6 +1014,33 @@ impl RtlDesign {
             sources: into_sources(by_key),
             width: register.width,
         })
+    }
+
+    /// The signal data port `port` of `op`'s unit reads when `op` runs, if
+    /// `op` has that input.
+    fn port_key(&self, cdfg: &Cdfg, op: NodeId, port: usize) -> Option<SignalKey> {
+        let &edge = cdfg.node(op).inputs.get(port)?;
+        Some(self.signal_key(cdfg, cdfg.edge(edge).value))
+    }
+
+    /// The signals a writer routes into its register: a bound operation
+    /// writes its unit's output; a structural writer routes the sources of
+    /// its data inputs.
+    fn writer_keys<'a>(
+        &'a self,
+        cdfg: &'a Cdfg,
+        writer: NodeId,
+    ) -> impl Iterator<Item = SignalKey> + 'a {
+        let fu = self.fu_of(writer);
+        let routed: &[EdgeId] = match fu {
+            Some(_) => &[],
+            None => &cdfg.node(writer).inputs,
+        };
+        fu.map(SignalKey::FuOutput).into_iter().chain(
+            routed
+                .iter()
+                .map(move |&edge| self.signal_key(cdfg, cdfg.edge(edge).value)),
+        )
     }
 
     fn signal_key(&self, _cdfg: &Cdfg, value: ValueRef) -> SignalKey {

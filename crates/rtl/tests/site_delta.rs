@@ -5,7 +5,8 @@
 //! applicable move of all six families derives the candidate's mux sites
 //! from the parent's ([`RtlDesign::derive_mux_sites`]) exactly as the
 //! candidate's own [`RtlDesign::mux_sites`], filtered to fan-in ≥ 2, lists
-//! them — same sites, same order.
+//! them — same sites, same order — and [`RtlDesign::multi_source_sinks`]
+//! lists their sinks.
 
 use impact_cdfg::{Cdfg, NodeId, VarId};
 use impact_modlib::{ModuleId, ModuleLibrary};
@@ -140,9 +141,16 @@ fn derived_sites_equal_the_full_enumeration_on_every_benchmark() {
                 let Ok(delta) = mv.apply(&cdfg, &library, &mut candidate) else {
                     continue;
                 };
+                let sites = multi_sites(&cdfg, &candidate);
                 assert_eq!(
                     derived_sites(&cdfg, &parent_sites, &candidate, &delta),
-                    multi_sites(&cdfg, &candidate),
+                    sites,
+                    "{} (seed {seed}): {mv:?}",
+                    bench.name
+                );
+                assert_eq!(
+                    candidate.multi_source_sinks(&cdfg),
+                    sites.iter().map(|site| site.sink).collect::<Vec<_>>(),
                     "{} (seed {seed}): {mv:?}",
                     bench.name
                 );
