@@ -822,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v2_is_pinned() {
+    fn snapshot_wire_format_v3_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
@@ -876,8 +876,6 @@ mod tests {
         let schedule = Arc::new(SchedulingResult {
             stg: impact_stg::Stg::new("pinned-stg", 10.0),
             enc: 3.0,
-            min_cycles: 2,
-            max_cycles: 4,
             blocks: vec![impact_sched::BlockOutcome {
                 nodes: Vec::new(),
                 digest: 42,
@@ -912,7 +910,7 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (966, 0x8bd4_aa13_e7ff_8056_688d_74e6_bfa5_c9e2)
+            (958, 0x01fe_20d9_1fc5_108f_cb28_be94_01b1_0fbe)
         );
         let name = b"pinned-stg";
         assert_eq!(

@@ -74,16 +74,7 @@ impl Move {
         library: &ModuleLibrary,
         design: &mut RtlDesign,
     ) -> Result<DesignDelta, RtlError> {
-        let mut delta = match self {
-            Move::RestructureMux { sink } => design.set_restructured_delta(*sink, true),
-            Move::SubstituteModule { fu, module } => {
-                design.substitute_module(library, *fu, *module)?
-            }
-            Move::ShareFus { keep, remove } => design.share_fus(*keep, *remove)?,
-            Move::SplitFu { fu, op } => design.split_fu(cdfg, *fu, &[*op])?,
-            Move::ShareRegisters { keep, remove } => design.share_registers(*keep, *remove)?,
-            Move::SplitRegister { reg, var } => design.split_register(cdfg, *reg, &[*var])?,
-        };
+        let mut delta = self.apply_unswept(cdfg, library, design)?;
         // Rebinding operations or variables can collapse a multi-source mux
         // site into a single-source one (e.g. sharing the two units that fed
         // a register input), stranding a restructuring annotation on a sink
@@ -101,6 +92,25 @@ impl Move {
             clear_stale_annotations(cdfg, design, &mut delta);
         }
         Ok(delta)
+    }
+
+    /// The move's own change, before stale annotations are swept.
+    fn apply_unswept(
+        &self,
+        cdfg: &Cdfg,
+        library: &ModuleLibrary,
+        design: &mut RtlDesign,
+    ) -> Result<DesignDelta, RtlError> {
+        match self {
+            Move::RestructureMux { sink } => Ok(design.set_restructured_delta(*sink, true)),
+            Move::SubstituteModule { fu, module } => {
+                design.substitute_module(library, *fu, *module)
+            }
+            Move::ShareFus { keep, remove } => design.share_fus(*keep, *remove),
+            Move::SplitFu { fu, op } => design.split_fu(cdfg, *fu, &[*op]),
+            Move::ShareRegisters { keep, remove } => design.share_registers(*keep, *remove),
+            Move::SplitRegister { reg, var } => design.split_register(cdfg, *reg, &[*var]),
+        }
     }
 
     /// Short human-readable description for reports and logs.
@@ -132,20 +142,17 @@ impl fmt::Display for Move {
 /// Clears restructuring annotations stranded on sinks that stopped being
 /// multi-source mux sites, folding the clears into `delta` so reverting it
 /// restores them. Cheap when the design carries no annotations (the common
-/// case while probing): the site enumeration only runs when one exists.
+/// case while probing): the sinks are only listed when one exists, and
+/// [`RtlDesign::multi_source_sinks`] lists them sorted without building a
+/// site.
 fn clear_stale_annotations(cdfg: &Cdfg, design: &mut RtlDesign, delta: &mut DesignDelta) {
     if design.restructured_sites().next().is_none() {
         return;
     }
-    let real: std::collections::HashSet<MuxSink> = design
-        .mux_sites(cdfg)
-        .into_iter()
-        .filter(|site| site.fan_in() >= 2)
-        .map(|site| site.sink)
-        .collect();
+    let real = design.multi_source_sinks(cdfg);
     let stale: Vec<MuxSink> = design
         .restructured_sites()
-        .filter(|sink| !real.contains(sink))
+        .filter(|sink| real.binary_search(sink).is_err())
         .collect();
     for sink in stale {
         let cleared = design.set_restructured_delta(sink, false);
@@ -331,6 +338,79 @@ mod tests {
         };
         split.apply(&cdfg, &lib, &mut design).unwrap();
         assert_eq!(design.ops_on(adders[0]).len(), 1);
+    }
+
+    /// The sweep as it was before `multi_source_sinks`: the whole-design
+    /// site enumeration and a hash set. Kept here as the oracle.
+    fn clear_stale_annotations_by_enumeration(
+        cdfg: &Cdfg,
+        design: &mut RtlDesign,
+        delta: &mut DesignDelta,
+    ) {
+        let real: std::collections::HashSet<MuxSink> = design
+            .mux_sites(cdfg)
+            .into_iter()
+            .filter(|site| site.fan_in() >= 2)
+            .map(|site| site.sink)
+            .collect();
+        let stale: Vec<MuxSink> = design
+            .restructured_sites()
+            .filter(|sink| !real.contains(sink))
+            .collect();
+        for sink in stale {
+            let cleared = design.set_restructured_delta(sink, false);
+            delta.restructured.extend(cleared.restructured);
+        }
+    }
+
+    #[test]
+    fn stale_annotation_sweeps_match_the_whole_design_enumeration() {
+        let lib = ModuleLibrary::standard();
+        let config = SynthesisConfig::power_optimized(2.0);
+        let mut checked = 0;
+        let mut cleared = 0;
+        for bench in impact_benchmarks::all_benchmarks() {
+            let cdfg = bench.compile().unwrap();
+            let excl = ExclusionInfo::compute(&cdfg);
+            let initial = RtlDesign::initial_parallel(&cdfg, &lib);
+            // The initial design has nothing to split; one shared unit and
+            // one shared register give the split families candidates too.
+            let mut shared = initial.clone();
+            for mv in generate(&cdfg, &lib, &initial, &config, &excl) {
+                if matches!(mv, Move::ShareFus { .. } | Move::ShareRegisters { .. }) {
+                    let _ = mv.apply(&cdfg, &lib, &mut shared);
+                }
+            }
+            for mut design in [initial, shared] {
+                for sink in design.multi_source_sinks(&cdfg) {
+                    design.set_restructured(sink, true);
+                }
+                for mv in generate(&cdfg, &lib, &design, &config, &excl) {
+                    if matches!(
+                        mv,
+                        Move::RestructureMux { .. } | Move::SubstituteModule { .. }
+                    ) {
+                        continue;
+                    }
+                    let mut oracle = design.clone();
+                    let Ok(mut expected) = mv.apply_unswept(&cdfg, &lib, &mut oracle) else {
+                        continue;
+                    };
+                    let unswept = expected.restructured.len();
+                    clear_stale_annotations_by_enumeration(&cdfg, &mut oracle, &mut expected);
+                    let mut swept = design.clone();
+                    let delta = mv.apply(&cdfg, &lib, &mut swept).unwrap();
+                    assert_eq!(delta, expected, "{}: {mv}", bench.name);
+                    assert_eq!(swept, oracle, "{}: {mv}", bench.name);
+                    checked += 1;
+                    cleared += expected.restructured.len() - unswept;
+                }
+            }
+        }
+        assert!(
+            checked > 0 && cleared > 0,
+            "{checked} moves, {cleared} cleared"
+        );
     }
 
     #[test]

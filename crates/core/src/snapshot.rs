@@ -21,6 +21,11 @@
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
 //!
+//! A schedule's body is its STG (per state: tag, operation list, exit
+//! probability), its ENC and its block outcomes; format 3 dropped the two
+//! cycle bounds format 2 carried. The whole-file digest mixes one 64-bit
+//! word per step into two lanes (see `digest_bytes`).
+//!
 //! Values that the cache shares by pointer are written once, into their
 //! table, and named everywhere else by their `u32` index: a schedule refers
 //! to its block schedules, a design point to its schedule, a context (in its
@@ -78,7 +83,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Tags of the shared-value tables, in the order they are written.
 const TABLE_BLOCKS: u8 = 0x81;
@@ -203,23 +208,44 @@ impl From<SnapshotRejection> for SnapshotError {
     }
 }
 
-/// Digest of a byte string: length-prefixed, fed to the workspace hasher in
-/// little-endian 64-bit words (final partial word zero-padded).
+/// Seeds of [`digest_bytes`]'s two lanes.
+const DIGEST_SEEDS: (u64, u64) = (0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
+/// Odd multipliers of [`digest_bytes`]'s two lanes.
+const DIGEST_MULTIPLIERS: (u64, u64) = (0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f);
+
+/// Digest of a byte string: a domain tag, the length, then the bytes as
+/// little-endian 64-bit words (final partial word zero-padded), each mixed
+/// into two lanes in one step.
+///
+/// A step xors the word into a lane, multiplies by the lane's odd constant
+/// and rotates; for a fixed word that is a bijection of the lane state. Two
+/// inputs of equal length that differ in one word therefore leave different
+/// lanes behind after that word, and every later step keeps them apart: any
+/// single flipped bit changes the digest. The rotation carries high bits
+/// into the low bits the next multiply spreads upward.
 fn digest_bytes(bytes: &[u8]) -> u128 {
-    let mut h = FingerprintHasher::new();
-    h.write_tag(0xC6);
-    h.write_u64(bytes.len() as u64);
+    let (mut lo, mut hi) = DIGEST_SEEDS;
+    let mut mix = |word: u64| {
+        lo = (lo ^ word)
+            .wrapping_mul(DIGEST_MULTIPLIERS.0)
+            .rotate_left(23);
+        hi = (hi ^ word)
+            .wrapping_mul(DIGEST_MULTIPLIERS.1)
+            .rotate_left(41);
+    };
+    mix(0xC6);
+    mix(bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        h.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
     }
     let remainder = chunks.remainder();
     if !remainder.is_empty() {
         let mut word = [0u8; 8];
         word[..remainder.len()].copy_from_slice(remainder);
-        h.write_u64(u64::from_le_bytes(word));
+        mix(u64::from_le_bytes(word));
     }
-    h.finish().as_u128()
+    (u128::from(hi) << 64) | u128::from(lo)
 }
 
 /// Digest of a set of workload ids (sorted, distinct).
@@ -366,8 +392,6 @@ impl Interner {
             w.put_tag(TAG_SCHEDULE);
             schedule.stg.encode(w);
             w.put_f64(schedule.enc);
-            w.put_u32(schedule.min_cycles);
-            w.put_u32(schedule.max_cycles);
             w.put_usize(blocks.len());
             for (outcome, block) in schedule.blocks.iter().zip(blocks) {
                 outcome.nodes.encode(w);
@@ -455,8 +479,6 @@ impl Shared {
             r.expect_tag(TAG_SCHEDULE)?;
             let stg = Decode::decode(r)?;
             let enc = r.take_f64()?;
-            let min_cycles = r.take_u32()?;
-            let max_cycles = r.take_u32()?;
             let count = r.take_len(1)?;
             let blocks = (0..count)
                 .map(|_| {
@@ -467,13 +489,7 @@ impl Shared {
                     })
                 })
                 .collect::<Result<_, DecodeError>>()?;
-            Ok(SchedulingResult {
-                stg,
-                enc,
-                min_cycles,
-                max_cycles,
-                blocks,
-            })
+            Ok(SchedulingResult { stg, enc, blocks })
         })?;
         let points = take_table(r, TABLE_POINTS, |r| {
             r.expect_tag(TAG_POINT)?;
@@ -1076,7 +1092,17 @@ mod tests {
                 }
             }
             reseal(&mut mutant);
-            decoded += usize::from(decode_snapshot(&mutant, SnapshotScope::Any).is_ok());
+            if let Ok(snapshot) = decode_snapshot(&mutant, SnapshotScope::Any) {
+                decoded += 1;
+                // Whatever graph a mutant decodes to names only states it
+                // has, so its analyses run without panicking.
+                let points = snapshot.points.values().map(|point| &point.schedule);
+                for schedule in snapshot.schedules.values().chain(points) {
+                    let _ = schedule.stg.validate();
+                    let _ = schedule.stg.min_cycles();
+                    let _ = schedule.stg.max_acyclic_cycles();
+                }
+            }
         }
         assert!(decoded < mutants, "mutations are rejected");
     }

@@ -4,12 +4,18 @@
 //! The composer is split from block scheduling: every basic block the
 //! traversal encounters is requested from a [`BlockSource`] (by default
 //! inline list scheduling, but callers can serve blocks from a digest-keyed
-//! cache or from a parent schedule being repaired), and the STG, the ENC and
-//! the cycle bounds are assembled from the block results. The traversal — and
-//! therefore the block order, the state numbering and every tail-placement
-//! decision — is deterministic given the problem, which is what makes
-//! composition over cached or repaired block schedules bit-identical to
-//! scheduling everything inline.
+//! cache or from a parent schedule being repaired), and the STG and the ENC
+//! are assembled from the block results. The traversal — and therefore the
+//! block order, the state numbering and every tail-placement decision — is
+//! deterministic given the problem, which is what makes composition over
+//! cached or repaired block schedules bit-identical to scheduling everything
+//! inline.
+//!
+//! Composition walks no graph: the cycle bounds
+//! ([`Stg::min_cycles`], [`Stg::max_acyclic_cycles`]) are computed on demand
+//! by whoever needs them. The builder appends to the STG's flat vectors,
+//! recycles the edge lists it routes and keeps its tail-placement scratch
+//! across calls, and the finished graph is shrunk to its exact size.
 
 use std::sync::Arc;
 
@@ -145,6 +151,11 @@ struct Builder<'p, 'a, 's> {
     first_state: Option<StateId>,
     source: &'s mut dyn BlockSource,
     blocks: Vec<BlockOutcome>,
+    /// Scratch of tail placement: the distinct tail states of the edges
+    /// being placed at, sorted.
+    tails: Vec<StateId>,
+    /// Scratch of tail placement: the units busy in one tail state.
+    busy_units: Vec<usize>,
 }
 
 fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> {
@@ -154,7 +165,7 @@ fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> 
 /// Composes the hierarchical schedule of `problem` from block schedules
 /// served by `source`: the composer walks the region tree, requests every
 /// basic block from the source, splices the block STGs together and derives
-/// the ENC and cycle bounds. With [`InlineBlocks`] this *is* the scheduler;
+/// the ENC. With [`InlineBlocks`] this *is* the scheduler;
 /// with a caching or repairing source only the blocks the source cannot
 /// serve are list-scheduled, and the composition is bit-identical either
 /// way.
@@ -180,6 +191,8 @@ pub fn compose(
         first_state: None,
         source,
         blocks: Vec::new(),
+        tails: Vec::new(),
+        busy_units: Vec::new(),
     };
     let result = builder.schedule_sequence(problem.cdfg.regions(), Vec::new(), 0)?;
     // Whatever probability mass is still dangling terminates the pass.
@@ -203,13 +216,11 @@ pub fn compose(
     } else {
         1.0
     };
-    let min_cycles = builder.stg.min_cycles().unwrap_or(0);
-    let max_cycles = builder.stg.max_acyclic_cycles();
+    builder.stg.shrink_to_fit();
+    builder.blocks.shrink_to_fit();
     Ok(SchedulingResult {
         stg: builder.stg,
         enc,
-        min_cycles,
-        max_cycles,
         blocks: builder.blocks,
     })
 }
@@ -380,25 +391,28 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                 entry: None,
             });
         }
-        let states = self.stg.add_chain(block.state_count);
+        let first = self.stg.add_chain(block.state_count).index();
         if self.first_state.is_none() {
-            self.first_state = Some(states[0]);
+            self.first_state = Some(StateId::new(first));
         }
         for op in &block.ops {
             self.stg.add_op(
-                states[op.state],
+                StateId::new(first + op.state),
                 ScheduledOp::new(op.node, op.start_ns, op.start_ns + op.delay_ns),
             );
         }
-        self.connect(&incoming, states[0]);
+        let mut outgoing = incoming;
+        self.connect(&outgoing, StateId::new(first));
+        outgoing.clear();
+        outgoing.push(PendingEdge {
+            from: StateId::new(first + block.state_count - 1),
+            guard: Guard::Always,
+            probability: 1.0,
+        });
         Ok(SeqResult {
-            outgoing: vec![PendingEdge {
-                from: *states.last().expect("at least one state"),
-                guard: Guard::Always,
-                probability: 1.0,
-            }],
+            outgoing,
             expected: block.state_count as f64,
-            entry: Some(states[0]),
+            entry: Some(StateId::new(first)),
         })
     }
 
@@ -411,21 +425,19 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         branch_base: usize,
     ) -> Result<SeqResult, SchedError> {
         let p = self.problem.profile.branch(branch_base).probability_taken();
-        let guard_edges = |edges: &[PendingEdge], taken: bool, prob: f64| -> Vec<PendingEdge> {
-            edges
-                .iter()
-                .map(|e| PendingEdge {
-                    from: e.from,
-                    guard: Guard::Branch {
-                        index: branch_base,
-                        taken,
-                    },
-                    probability: e.probability * prob,
-                })
-                .collect()
+        let guard_edge = |e: &PendingEdge, taken: bool, prob: f64| PendingEdge {
+            from: e.from,
+            guard: Guard::Branch {
+                index: branch_base,
+                taken,
+            },
+            probability: e.probability * prob,
         };
-        let then_incoming = guard_edges(&incoming, true, p);
-        let else_incoming = guard_edges(&incoming, false, 1.0 - p);
+        let then_incoming = incoming.iter().map(|e| guard_edge(e, true, p)).collect();
+        let mut else_incoming = incoming;
+        for e in &mut else_incoming {
+            *e = guard_edge(e, false, 1.0 - p);
+        }
         let then_base = branch_base + 1;
         let else_base = then_base + branch_count(then_regions);
 
@@ -510,14 +522,14 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                 probability: e.probability * p_continue,
             })
             .collect();
-        let exit_edges: Vec<PendingEdge> = header_out
-            .iter()
-            .map(|e| PendingEdge {
+        let mut exit_edges = header_out;
+        for e in &mut exit_edges {
+            *e = PendingEdge {
                 from: e.from,
                 guard: exit_guard.clone(),
                 probability: e.probability * (1.0 - p_continue),
-            })
-            .collect();
+            };
+        }
 
         let body_base = branch_base + branch_count(header);
         let body_result = self.schedule_sequence(body, body_incoming, body_base)?;
@@ -633,25 +645,25 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
 
     /// Returns `true` if `nodes` can be appended (chained) to every distinct
     /// tail state of `edges` without violating the clock or reusing a busy
-    /// functional unit.
-    fn can_place_at_tails(&self, edges: &[PendingEdge], nodes: &[NodeId]) -> bool {
-        let mut tails: Vec<StateId> = edges.iter().map(|e| e.from).collect();
-        tails.sort_unstable();
-        tails.dedup();
+    /// functional unit. Leaves those tail states, sorted, in `self.tails`.
+    fn can_place_at_tails(&mut self, edges: &[PendingEdge], nodes: &[NodeId]) -> bool {
+        self.tails.clear();
+        self.tails.extend(edges.iter().map(|e| e.from));
+        self.tails.sort_unstable();
+        self.tails.dedup();
         let clock = self.problem.config.clock_ns;
         let overhead = self.problem.config.chaining_overhead;
-        for &state in &tails {
+        let node_fu = &self.problem.node_fu;
+        for &state in &self.tails {
             let s = self.stg.state(state);
             let mut occupancy = s.occupancy_ns();
             // The busy-unit sets here are a handful of entries; a linear
             // probe beats hashing.
-            let mut used: Vec<usize> = s
-                .ops
-                .iter()
-                .filter_map(|op| self.problem.node_fu[op.node.index()])
-                .collect();
+            let used = &mut self.busy_units;
+            used.clear();
+            used.extend(s.ops.iter().filter_map(|op| node_fu[op.node.index()]));
             for &node in nodes {
-                if let Some(fu) = self.problem.node_fu[node.index()] {
+                if let Some(fu) = node_fu[node.index()] {
                     if used.contains(&fu) {
                         return false;
                     }
@@ -680,12 +692,9 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         if nodes.is_empty() || edges.is_empty() {
             return 0.0;
         }
+        let overhead = self.problem.config.chaining_overhead;
         if self.can_place_at_tails(edges, nodes) {
-            let mut tails: Vec<StateId> = edges.iter().map(|e| e.from).collect();
-            tails.sort_unstable();
-            tails.dedup();
-            let overhead = self.problem.config.chaining_overhead;
-            for state in tails {
+            for &state in &self.tails {
                 let mut occupancy = self.stg.state(state).occupancy_ns();
                 for &node in nodes {
                     let delay = self.problem.node_delays[node.index()];
@@ -705,7 +714,6 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         } else {
             let state = self.add_state();
             let mut occupancy = 0.0;
-            let overhead = self.problem.config.chaining_overhead;
             for &node in nodes {
                 let delay = self.problem.node_delays[node.index()];
                 let effective = if occupancy > 0.0 {
@@ -720,11 +728,12 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                 occupancy += effective;
             }
             self.connect(edges, state);
-            *edges = vec![PendingEdge {
+            edges.clear();
+            edges.push(PendingEdge {
                 from: state,
                 guard: Guard::Always,
                 probability: 1.0,
-            }];
+            });
             1.0
         }
     }
@@ -756,8 +765,9 @@ mod tests {
         for result in [&base, &wave] {
             assert!(result.stg.validate().is_ok());
             assert!(result.enc >= 1.0);
-            assert!(result.min_cycles >= 1);
-            assert!(result.max_cycles >= result.min_cycles);
+            let min_cycles = result.stg.min_cycles().unwrap();
+            assert!(min_cycles >= 1);
+            assert!(result.stg.max_acyclic_cycles() >= min_cycles);
         }
         assert!(wave.enc <= base.enc);
     }

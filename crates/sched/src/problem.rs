@@ -130,7 +130,13 @@ pub fn problem_digest(
     h.finish().as_u128()
 }
 
-/// Output of a scheduler: the STG plus its headline metrics.
+/// Output of a scheduler: the STG, its ENC and the block schedules it was
+/// composed from.
+///
+/// The cycle bounds are not part of it: nothing the search reads depends on
+/// them, so composition does not pay for the graph walks.
+/// [`Stg::min_cycles`] and [`Stg::max_acyclic_cycles`] compute them on
+/// demand.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SchedulingResult {
     /// The state transition graph.
@@ -138,11 +144,6 @@ pub struct SchedulingResult {
     /// Expected number of cycles of one pass, computed hierarchically from
     /// the measured branch probabilities and loop trip counts.
     pub enc: f64,
-    /// Minimum schedule length in cycles.
-    pub min_cycles: u32,
-    /// Longest acyclic schedule length in cycles (worst-case single visit of
-    /// every loop).
-    pub max_cycles: u32,
     /// The per-block schedules the STG was composed from, in traversal
     /// order. This is what [`repair`](crate::repair) reuses: a later problem
     /// that leaves a block's digest unchanged splices the recorded schedule

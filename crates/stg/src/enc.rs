@@ -132,29 +132,67 @@ impl Stg {
         best
     }
 
-    /// Maximum acyclic schedule length: the longest simple path (in states)
-    /// from the entry to any exiting state, ignoring loop back-edges beyond
-    /// the first traversal. This bounds the schedule length of a pass in
-    /// which every loop exits after at most one iteration.
+    /// Maximum acyclic schedule length: the number of states on the longest
+    /// path from the entry over positive-probability transitions, once the
+    /// back edges of a depth-first search from the entry are dropped. It
+    /// bounds the schedule length of a pass in which every loop exits after
+    /// at most one iteration.
+    ///
+    /// O(states + transitions): one iterative depth-first search drops each
+    /// transition into a state still on its stack and takes the longest path
+    /// of what remains in postorder.
+    ///
+    /// The contract: on a reducible graph — every back edge targets a state
+    /// that dominates its source, as when every loop is entered through its
+    /// header only — no simple path from the entry can take a back edge, so
+    /// this is the longest simple path from the entry. The schedules of the
+    /// benchmark designs are of this kind, and a test compares them with an
+    /// exhaustive search. On an irreducible graph the result is the longest
+    /// path that avoids this search's back edges, which is a simple path: a
+    /// lower bound of the longest one.
     pub fn max_acyclic_cycles(&self) -> u32 {
-        fn dfs(successors: &[Vec<usize>], state: usize, on_path: &mut [bool], depth: u32) -> u32 {
-            let mut best = depth;
-            on_path[state] = true;
-            for &next in &successors[state] {
-                if on_path[next] {
-                    continue;
-                }
-                best = best.max(dfs(successors, next, on_path, depth + 1));
-            }
-            on_path[state] = false;
-            best
+        /// Depth-first search marks.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            Unseen,
+            OnStack,
+            Done,
         }
-        if self.state_count() == 0 {
+        let n = self.state_count();
+        if n == 0 {
             return 0;
         }
         let successors = self.successors();
-        let mut on_path = vec![false; self.state_count()];
-        dfs(&successors, self.entry().index(), &mut on_path, 1)
+        let entry = self.entry().index();
+        let mut mark = vec![Mark::Unseen; n];
+        // The longest path, in states, from each finished state.
+        let mut longest = vec![0u32; n];
+        // Each open state with the position of its next successor to visit.
+        let mut stack = vec![(entry, 0usize)];
+        mark[entry] = Mark::OnStack;
+        while let Some((state, next)) = stack.last_mut() {
+            let state = *state;
+            if let Some(&to) = successors[state].get(*next) {
+                *next += 1;
+                if mark[to] == Mark::Unseen {
+                    mark[to] = Mark::OnStack;
+                    stack.push((to, 0));
+                }
+                continue;
+            }
+            // Every successor is finished now, except the targets of back
+            // edges, which are still on the stack.
+            let tail = successors[state]
+                .iter()
+                .filter(|&&to| mark[to] == Mark::Done)
+                .map(|&to| longest[to])
+                .max()
+                .unwrap_or(0);
+            longest[state] = tail + 1;
+            mark[state] = Mark::Done;
+            stack.pop();
+        }
+        longest[entry]
     }
 }
 
@@ -212,6 +250,53 @@ mod tests {
         assert!((stg.expected_cycles() - 2.5).abs() < 1e-9);
         assert_eq!(stg.min_cycles(), Some(2));
         assert_eq!(stg.max_acyclic_cycles(), 4);
+    }
+
+    /// Branch state, two one-state sides, next branch state, 64 times: the
+    /// graph has 2^64 simple paths, and its bounds take one walk each.
+    #[test]
+    fn a_chain_of_64_diamonds_is_bounded_in_linear_time() {
+        let mut stg = Stg::new("diamonds", 15.0);
+        let mut branch = stg.add_state();
+        for index in 0..64 {
+            let taken = stg.add_state();
+            let not_taken = stg.add_state();
+            let next = stg.add_state();
+            stg.add_transition(branch, taken, Guard::Branch { index, taken: true }, 0.5);
+            let guard = Guard::Branch {
+                index,
+                taken: false,
+            };
+            stg.add_transition(branch, not_taken, guard, 0.5);
+            stg.add_transition(taken, next, Guard::Always, 1.0);
+            stg.add_transition(not_taken, next, Guard::Always, 1.0);
+            branch = next;
+        }
+        stg.set_exit_probability(branch, 1.0);
+        assert_eq!(stg.state_count(), 193);
+        assert_eq!(stg.max_acyclic_cycles(), 129);
+        assert_eq!(stg.min_cycles(), Some(129));
+        assert!(stg.validate().is_ok());
+    }
+
+    #[test]
+    fn back_edges_and_zero_probability_edges_are_not_walked() {
+        // entry -> header <-> body, header -> tail; body -> far with
+        // probability 0 would lengthen the path if it were walked.
+        let mut stg = Stg::new("while", 15.0);
+        let entry = stg.add_state();
+        let header = stg.add_state();
+        let body = stg.add_state();
+        let tail = stg.add_state();
+        let far = stg.add_chain(5);
+        stg.add_transition(entry, header, Guard::Always, 1.0);
+        stg.add_transition(header, body, Guard::loop_back("l", true), 0.9);
+        stg.add_transition(header, tail, Guard::loop_back("l", false), 0.1);
+        stg.add_transition(body, header, Guard::Always, 1.0);
+        stg.add_transition(body, far, Guard::Always, 0.0);
+        stg.set_exit_probability(tail, 1.0);
+        assert_eq!(stg.max_acyclic_cycles(), 3);
+        assert_eq!(stg.min_cycles(), Some(3));
     }
 
     #[test]

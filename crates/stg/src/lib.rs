@@ -11,7 +11,14 @@
 //!   solved exactly from the transition probabilities,
 //! * the minimum schedule length (shortest path from entry to an exit),
 //! * the maximum acyclic schedule length (longest path ignoring back-edges),
+//!   both in time linear in the graph's size,
 //! * controller size estimates (state and transition counts).
+//!
+//! An [`Stg`] is stored flat: the operations of every state lie in one
+//! shared vector, state after state, each state keeps only where its
+//! operations end and its exit probability, and the transitions form one
+//! more vector. A [`State`] is a view borrowed from that storage, so building
+//! a graph allocates per vector, not per state.
 //!
 //! # Example
 //!

@@ -9,6 +9,13 @@ use impact_cdfg::NodeId;
 pub struct StateId(pub(crate) usize);
 
 impl StateId {
+    /// The id of the state with the given raw index, e.g. the `i`-th state
+    /// of a chain from [`Stg::add_chain`](crate::Stg::add_chain) is
+    /// `StateId::new(first.index() + i)`.
+    pub fn new(index: usize) -> Self {
+        Self(index)
+    }
+
     /// Raw index of the state.
     pub fn index(self) -> usize {
         self.0
@@ -51,17 +58,18 @@ impl ScheduledOp {
     }
 }
 
-/// A state (control step) of the STG.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct State {
+/// A state (control step) of the STG: a view of its operations and exit
+/// probability, borrowed from the graph's flat storage.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+pub struct State<'a> {
     /// Operations executed in this state.
-    pub ops: Vec<ScheduledOp>,
+    pub ops: &'a [ScheduledOp],
     /// Probability that the pass terminates after this state
     /// (0 for purely internal states).
     pub exit_probability: f64,
 }
 
-impl State {
+impl State<'_> {
     /// Latest finish time of any operation in the state, in nanoseconds.
     pub fn occupancy_ns(&self) -> f64 {
         self.ops.iter().map(|op| op.finish_ns).fold(0.0, f64::max)
@@ -84,8 +92,6 @@ use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 
 /// Version tag of [`ScheduledOp`]'s wire layout.
 const TAG_SCHEDULED_OP: u8 = 0x20;
-/// Version tag of [`State`]'s wire layout.
-const TAG_STATE: u8 = 0x21;
 
 // Snapshot codec: state ids are bare indices (no per-value version tag —
 // the enclosing composite versions the layout).
@@ -121,34 +127,21 @@ impl Decode for ScheduledOp {
     }
 }
 
-impl Encode for State {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_STATE);
-        self.ops.encode(w);
-        w.put_f64(self.exit_probability);
-    }
-}
-
-impl Decode for State {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_STATE)?;
-        Ok(Self {
-            ops: Decode::decode(r)?,
-            exit_probability: r.take_f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn occupancy_is_the_latest_finish() {
-        let mut s = State::default();
-        assert_eq!(s.occupancy_ns(), 0.0);
-        s.ops.push(ScheduledOp::new(NodeId::new(0), 0.0, 10.0));
-        s.ops.push(ScheduledOp::new(NodeId::new(1), 10.0, 13.5));
+        assert_eq!(State::default().occupancy_ns(), 0.0);
+        let ops = [
+            ScheduledOp::new(NodeId::new(0), 0.0, 10.0),
+            ScheduledOp::new(NodeId::new(1), 10.0, 13.5),
+        ];
+        let s = State {
+            ops: &ops,
+            exit_probability: 0.0,
+        };
         assert!((s.occupancy_ns() - 13.5).abs() < 1e-12);
         assert_eq!(s.op_count(), 2);
         assert!(s.contains(NodeId::new(1)));

@@ -89,9 +89,9 @@ pub fn verify_block_schedule(schedule: &BlockSchedule, clock_ns: Option<f64>) ->
 }
 
 /// Problem-independent invariants of a hierarchical scheduling result: the
-/// state-transition graph validates, ENC and cycle bounds are sane, every
-/// block's placed operations agree with its node list, and each block
-/// schedule is internally consistent under the STG's clock.
+/// state-transition graph validates, the ENC is a finite non-negative
+/// number, every block's placed operations agree with its node list, and
+/// each block schedule is internally consistent under the STG's clock.
 pub fn verify_schedule_artifact(result: &SchedulingResult) -> Vec<Violation> {
     let mut violations = Vec::new();
     if let Err(e) = result.stg.validate() {
@@ -106,16 +106,6 @@ pub fn verify_schedule_artifact(result: &SchedulingResult) -> Vec<Violation> {
             rules::SCHED_ENC,
             "schedule",
             format!("ENC {} is not a finite non-negative number", result.enc),
-        ));
-    }
-    if result.min_cycles > result.max_cycles {
-        violations.push(Violation::error(
-            rules::SCHED_ENC,
-            "schedule",
-            format!(
-                "minimum cycle count {} exceeds maximum {}",
-                result.min_cycles, result.max_cycles
-            ),
         ));
     }
     let clock = result.stg.clock_ns();

@@ -133,3 +133,32 @@ fn facade_prelude_exposes_the_full_flow() {
     let library = ModuleLibrary::standard();
     assert!(!library.is_empty());
 }
+
+#[test]
+fn a_chain_of_64_branches_synthesizes() {
+    // 64 sequential if/else statements: the STG has 2^64 simple paths from
+    // its entry, so no schedule may walk them one by one.
+    let mut source =
+        String::from("design branches { input a: 8, b: 8; output y: 8; var s: 8 = 0;\n");
+    for bound in 0..64 {
+        source.push_str(&format!(
+            "  if (a > {bound}) {{ s = s + b; }} else {{ s = s - b; }}\n"
+        ));
+    }
+    source.push_str("  y = s; }");
+    let cdfg = compile(&source).expect("the design compiles");
+    let inputs: Vec<Vec<i64>> = (0..8).map(|pass| vec![pass * 9, pass + 1]).collect();
+    let trace = simulate(&cdfg, &inputs).expect("the design simulates");
+    let outcome = Impact::new(SynthesisConfig::power_optimized(2.0).with_effort(1, 1))
+        .synthesize(&cdfg, &trace)
+        .expect("synthesis succeeds");
+    let stg = &outcome.schedule.stg;
+    assert!(stg.validate().is_ok());
+    assert!(outcome.report.enc <= outcome.report.enc_limit + 1e-6);
+    let longest = stg.max_acyclic_cycles();
+    assert!(
+        longest >= 64,
+        "every branch adds a state to the longest path"
+    );
+    assert!(stg.min_cycles().unwrap() <= longest);
+}
