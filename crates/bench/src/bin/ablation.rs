@@ -1,7 +1,8 @@
 //! Ablation of the IMPACT move families: how much of the power reduction is
 //! lost when multiplexer restructuring, module selection, resource sharing or
-//! register sharing is disabled. These are the design choices DESIGN.md calls
-//! out; the paper applies all of them simultaneously.
+//! register sharing is disabled. The paper applies all of them
+//! simultaneously; README's "Experiments" section lists this binary with the
+//! other experiments.
 
 use impact_bench::{prepare, run, DEFAULT_PASSES, DEFAULT_SEED};
 use impact_core::SynthesisConfig;

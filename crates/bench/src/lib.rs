@@ -500,18 +500,19 @@ mod tests {
     #[test]
     fn repair_comparison_reports_identical_results_across_generations() {
         // Full rebuild cold, whole-CDFG rescheduling over a shared session,
-        // and block-granular repair over a shared session agree bit-for-bit.
+        // and composition through the block layer over a shared session
+        // agree bit-for-bit.
         let (cold, _) = gcd_sweep(EngineConfig::full_rebuild(), false);
         let (memoized, _) = gcd_sweep(EngineConfig::full_reschedule(), true);
-        let (repaired, session) = gcd_sweep(EngineConfig::incremental(), true);
+        let (composed, session) = gcd_sweep(EngineConfig::incremental(), true);
         assert!(
-            batches_identical(&cold, &memoized) && batches_identical(&cold, &repaired),
+            batches_identical(&cold, &memoized) && batches_identical(&cold, &composed),
             "all three evaluator generations must agree"
         );
-        // The repaired sweep exercised the block layer, and the summary line
+        // The composed sweep exercised the block layer, and the summary line
         // renders it.
         let stats = session
-            .expect("the repaired sweep runs with a session")
+            .expect("the composed sweep runs with a session")
             .stats();
         assert!(stats.block.hits + stats.block.misses > 0);
         assert!(format_layer_stats(&stats).contains("block"));

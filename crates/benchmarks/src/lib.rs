@@ -13,7 +13,7 @@
 //!
 //! The exact X.25 and Dealer sources of [9, 10] are not publicly available;
 //! the versions here preserve their control structure (nested loops around
-//! skewed conditionals) as documented in `DESIGN.md`.
+//! skewed conditionals).
 //!
 //! Every [`Benchmark`] carries its behavioral source and a deterministic,
 //! seeded input-sequence generator playing the role of the paper's "typical

@@ -6,9 +6,9 @@
 //! * trace statistics (per-unit, per-register and per-mux-site activity),
 //!   keyed by structural *content* so candidate designs share them,
 //! * basic-block schedules keyed by
-//!   [`block_digest`](impact_sched::block_digest), shared by hierarchical
-//!   schedules that differ only in blocks a change touched (delta-aware
-//!   schedule repair),
+//!   [`block_digest`](impact_sched::block_digest), from which every
+//!   hierarchical schedule miss is composed, so schedules that differ only
+//!   in blocks a change touched share the rest,
 //! * per-design evaluation contexts (base delays, binding and power profile)
 //!   and whole hierarchical schedules per problem digest,
 //! * fully evaluated [`DesignPoint`]s per `(workload, design, vdd)` and the
@@ -234,8 +234,8 @@ pub struct CacheStats {
     pub trace_stats: LayerStats,
     /// Traffic on the per-design context map.
     pub context: LayerStats,
-    /// Traffic on the per-block schedule map (delta-aware repair and block
-    /// memoization).
+    /// Traffic on the per-block schedule map: one lookup per block of every
+    /// schedule composed on a schedule-memo miss.
     pub block: LayerStats,
     /// Traffic on the memoized-schedule map.
     pub schedule: LayerStats,

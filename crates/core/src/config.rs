@@ -57,10 +57,10 @@ pub enum EvaluatorKind {
     ///
     /// [`DesignDelta`]: impact_rtl::DesignDelta
     FullReschedule,
-    /// Adds schedule repair: a schedule-memo miss is composed from a
-    /// per-block layer keyed by [`block_digest`](impact_sched::block_digest),
-    /// and when the parent's schedule is cached only the blocks the move
-    /// touched are list-scheduled; the rest are spliced from the parent.
+    /// Adds the block layer: every schedule-memo miss is composed
+    /// ([`compose`](impact_sched::compose)) from a per-block layer keyed by
+    /// [`block_digest`](impact_sched::block_digest), so only the blocks no
+    /// earlier schedule of the session stored are list-scheduled.
     Incremental,
 }
 
@@ -107,8 +107,9 @@ impl EngineConfig {
         }
     }
 
-    /// The incremental engine with schedule *repair* disabled
-    /// ([`EvaluatorKind::FullReschedule`]): the oracle the repaired path is
+    /// The incremental engine without the block layer
+    /// ([`EvaluatorKind::FullReschedule`]): every schedule-memo miss is a
+    /// full hierarchical reschedule. The oracle the block layer is
     /// differentially tested against.
     pub fn full_reschedule() -> Self {
         Self {

@@ -35,8 +35,8 @@ use impact_rtl::{
     MuxTree, RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
-    BlockSchedule, BlockSource, ScheduleConfig, ScheduleDeltaProblem, Scheduler, SchedulingProblem,
-    SchedulingResult, WaveScheduler,
+    BlockSchedule, BlockSource, ScheduleConfig, Scheduler, SchedulingProblem, SchedulingResult,
+    WaveScheduler,
 };
 use impact_trace::{FuStats, RegStats, RtTraces};
 
@@ -114,7 +114,7 @@ impl DesignPoint {
 ///
 /// Every evaluation entry point returns the cache's shared `Arc` allocation
 /// of the point; clone it for an owned point. Which layers the evaluator
-/// patches, memoizes and repairs is set by
+/// patches and memoizes is set by
 /// [`EngineConfig::evaluator`](crate::EngineConfig::evaluator); every
 /// [`EvaluatorKind`] runs this one code path and returns bit-identical
 /// points.
@@ -237,13 +237,6 @@ impl<'a> Evaluator<'a> {
     /// The workload digest scoping this evaluator's cache keys.
     pub fn workload(&self) -> WorkloadId {
         self.workload
-    }
-
-    /// The entry `key` maps to in its cache layer, if cached. Always `None`
-    /// without a session.
-    fn cached<K: LayerKey>(&self, key: &K) -> Option<K::Value> {
-        let session = self.session.as_ref()?;
-        key.lookup(&**session.backend())
     }
 
     /// The memo helper every layer goes through: the entry `key` maps to in
@@ -498,7 +491,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Arc<DesignPoint>, SynthesisError> {
         self.try_memo(PointKey::new(self.workload, fingerprint, vdd), || {
             let context = self.context_for(design, fingerprint, lineage);
-            let schedule = self.schedule_with_context(&context, vdd, lineage)?;
+            let schedule = self.schedule_with_context(&context, vdd)?;
             // The full point (power at both supplies, area, design clone) is
             // built even when this evaluator's budget will reject it: a
             // budget check here would make the entry depend on the laxity
@@ -1072,19 +1065,13 @@ impl<'a> Evaluator<'a> {
     /// laxity factors) schedule once.
     ///
     /// On a memo miss under [`EvaluatorKind::Incremental`], the schedule is
-    /// composed from the session's per-block layer — and when `lineage` (the
-    /// move's parentage) is given and the parent's schedule at this level is
-    /// cached, untouched blocks are spliced from it directly
-    /// ([`impact_sched::repair_with_source`]), so only the blocks the move
-    /// perturbed are list-scheduled. The parent's context is fetched only on
-    /// that miss path (a cache hit — it was built when the parent was
-    /// evaluated), never on a memo hit. Every path is bit-identical to the
-    /// full reschedule.
+    /// composed ([`impact_sched::compose`]) through the session's per-block
+    /// layer, so only the blocks no earlier schedule stored are
+    /// list-scheduled. Every path is bit-identical to the full reschedule.
     fn schedule_with_context(
         &self,
         context: &DesignContext,
         vdd: f64,
-        lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Arc<SchedulingResult>, SynthesisError> {
         let factor = self.library.vdd().delay_factor(vdd);
         let kind = self.config.engine.evaluator;
@@ -1107,49 +1094,7 @@ impl<'a> Evaluator<'a> {
             if kind < EvaluatorKind::Incremental {
                 return Ok(Arc::new(WaveScheduler::new().schedule(&problem)?));
             }
-            let mut blocks = self;
-            let repaired = lineage.and_then(|lineage| {
-                // The parent's schedule key and the touched-node set come
-                // straight from the cached context — the parent problem is
-                // never materialized. `problem_digest` over the scaled
-                // delays matches `SchedulingProblem::digest` bit for bit,
-                // and the configs are equal by construction.
-                let parent_context =
-                    self.context_for(lineage.parent, lineage.parent_fingerprint, None);
-                let parent_key = ScheduleKey::new(
-                    self.workload,
-                    impact_sched::problem_digest(
-                        &problem.config,
-                        parent_context.base_delays.iter().map(|d| d * factor),
-                        parent_context.binding.iter().copied(),
-                    ),
-                );
-                let parent_schedule = self.cached(&parent_key)?;
-                let touched = (0..problem.node_delays.len())
-                    .map(|i| {
-                        parent_context
-                            .base_delays
-                            .get(i)
-                            .map(|d| (d * factor).to_bits())
-                            != Some(problem.node_delays[i].to_bits())
-                            || parent_context.binding.get(i).copied() != Some(problem.node_fu[i])
-                    })
-                    .collect();
-                let delta = ScheduleDeltaProblem {
-                    problem: &problem,
-                    touched,
-                };
-                Some(impact_sched::repair_with_source(
-                    &parent_schedule,
-                    &delta,
-                    &mut blocks,
-                ))
-            });
-            let result = match repaired {
-                Some(result) => result?,
-                None => impact_sched::compose(&problem, &mut blocks)?,
-            };
-            Ok(Arc::new(result))
+            Ok(Arc::new(impact_sched::compose(&problem, &mut &*self)?))
         })
     }
 
@@ -1167,13 +1112,12 @@ impl<'a> Evaluator<'a> {
 
 /// [`BlockSource`] over the session's shared block-schedule layer: blocks
 /// are fetched (or list-scheduled and stored) by `(workload, block digest)`,
-/// so repaired and fully composed schedules share per-block entries across
-/// designs, supply levels and sweep runs.
+/// so every composed schedule shares per-block entries with the schedules of
+/// other designs, supply levels and sweep runs.
 impl BlockSource for &Evaluator<'_> {
     fn block(
         &mut self,
         problem: &SchedulingProblem<'_>,
-        _index: usize,
         nodes: &[NodeId],
     ) -> Result<(u128, Arc<BlockSchedule>), impact_sched::SchedError> {
         let digest = impact_sched::block_digest(problem, nodes);

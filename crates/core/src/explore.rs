@@ -2,8 +2,8 @@
 //! the probe/commit kernel.
 //!
 //! The paper's IMPACT loop is a greedy best-candidate-per-pass descent.
-//! Delta evaluation and schedule repair made probing a candidate nearly
-//! free, so the search policy is a separate layer:
+//! Delta evaluation and block-layer composition made probing a candidate
+//! nearly free, so the search policy is a separate layer:
 //!
 //! * `SearchKernel` is the policy-free probe/commit kernel. It owns the
 //!   mechanics every strategy shares — candidate generation, the

@@ -1,18 +1,19 @@
 #![allow(clippy::unwrap_used)]
 
-//! Property tests of delta-aware schedule repair: for arbitrary move
-//! sequences, seeds, laxities and supply levels, the repaired engine (only
-//! the blocks a move touched are rescheduled, untouched blocks spliced from
-//! the parent schedule) is bit-identical — STG states, ENC and power — to
-//! the full-reschedule oracle (`EngineConfig::full_reschedule`) and to the
-//! brute-force sequential path.
+//! Property tests of the incremental engine's schedule path: for arbitrary
+//! move sequences, seeds, laxities and supply levels, the incremental engine
+//! (every schedule-memo miss composed through the session's block layer, so
+//! only blocks no earlier schedule stored are list-scheduled) is
+//! bit-identical — STG states, ENC and power — to the full-reschedule oracle
+//! (`EngineConfig::full_reschedule`) and to the brute-force sequential path.
+//! The block layer is the only difference between the two engines: every
+//! other cache layer sees exactly the oracle's traffic.
 
 use impact_behsim::simulate;
 use impact_cdfg::Cdfg;
 use impact_core::{EngineConfig, Evaluator, Impact, Move, SynthesisConfig};
 use impact_modlib::ModuleLibrary;
 use impact_rtl::RtlDesign;
-use impact_sched::{repair, uniform_problem, ScheduleDeltaProblem, Scheduler, WaveScheduler};
 use proptest::prelude::*;
 
 fn gcd_setup(passes: usize) -> (Cdfg, impact_behsim::ExecutionTrace) {
@@ -109,7 +110,7 @@ proptest! {
         let laxity = 1.0 + 0.2 * f64::from(laxity_steps);
         let (cdfg, trace) = gcd_setup(8);
         let config = SynthesisConfig::power_optimized(laxity);
-        let repaired = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
+        let incremental = Evaluator::new(&cdfg, &trace, config.clone()).unwrap();
         let oracle = Evaluator::new(
             &cdfg,
             &trace,
@@ -124,65 +125,36 @@ proptest! {
         .unwrap();
         // An arbitrary parent: the initial architecture after a seed-selected
         // move sequence.
-        let mut parent = RtlDesign::initial_parallel(&cdfg, repaired.library());
-        apply_sequence(&cdfg, repaired.library(), &mut parent, seed, depth);
-        let levels = repaired.library().vdd().levels().to_vec();
+        let mut parent = RtlDesign::initial_parallel(&cdfg, incremental.library());
+        apply_sequence(&cdfg, incremental.library(), &mut parent, seed, depth);
+        let levels = incremental.library().vdd().levels().to_vec();
         let vdd = levels[level_index % levels.len()];
-        // The parent must be in the repaired evaluator's cache first — that
-        // is the precondition under which candidate scheduling repairs
-        // instead of rescheduling.
+        // The parent is evaluated first, as the search kernel does, so its
+        // blocks are in the block layer when the candidates compose.
         prop_assert_eq!(
-            repaired.evaluate(&parent).unwrap(),
+            incremental.evaluate(&parent).unwrap(),
             brute.evaluate(&parent).unwrap()
         );
         // Every candidate move off this parent is costed identically by the
         // three paths, at a fixed level and under the full supply search.
         // DesignPoint equality covers the schedule bit-for-bit: STG states
-        // and transitions, ENC, cycle bounds, block records and power.
-        let moves = candidate_moves(&cdfg, repaired.library(), &parent);
+        // and transitions, ENC, block records and power.
+        let moves = candidate_moves(&cdfg, incremental.library(), &parent);
         let mut probe = seed;
         for _ in 0..4 {
             let mv = &moves[(probe as usize) % moves.len()];
             probe = next_seed(probe);
-            let spliced = repaired.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
+            let composed = incremental.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
             let rescheduled = oracle.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
             let cold = brute.evaluate_move_at_vdd(&parent, mv, vdd).unwrap();
-            prop_assert_eq!(&spliced, &rescheduled, "repair vs full reschedule at {}", vdd);
-            prop_assert_eq!(&spliced, &cold, "repair vs brute force at {}", vdd);
-            let spliced_full = repaired.evaluate_move(&parent, mv).unwrap();
+            prop_assert_eq!(&composed, &rescheduled, "incremental vs full reschedule at {}", vdd);
+            prop_assert_eq!(&composed, &cold, "incremental vs brute force at {}", vdd);
+            let composed_full = incremental.evaluate_move(&parent, mv).unwrap();
             let rescheduled_full = oracle.evaluate_move(&parent, mv).unwrap();
             let cold_full = brute.evaluate_move(&parent, mv).unwrap();
-            prop_assert_eq!(&spliced_full, &rescheduled_full);
-            prop_assert_eq!(&spliced_full, &cold_full);
+            prop_assert_eq!(&composed_full, &rescheduled_full);
+            prop_assert_eq!(&composed_full, &cold_full);
         }
-    }
-
-    #[test]
-    fn all_blocks_touched_degenerates_to_a_full_reschedule(
-        seed in 0u64..1_000_000,
-        scale_milli in 1001u64..3000,
-    ) {
-        // A delta marking every node touched (the projection of a move that
-        // perturbs nodes in every block, or of a supply change) must repair
-        // into exactly the oracle's schedule, block for block.
-        let (cdfg, trace) = gcd_setup(6);
-        let problem = uniform_problem(&cdfg, trace.profile());
-        let parent = WaveScheduler::new().schedule(&problem).unwrap();
-        let mut child = problem.clone();
-        let scale = scale_milli as f64 / 1000.0;
-        let mut lcg = seed;
-        for d in child.node_delays.iter_mut() {
-            lcg = next_seed(lcg);
-            // Scale plus a tiny per-node jitter so every delay's bits move.
-            *d = *d * scale + 0.001 * ((lcg % 97) as f64 + 1.0);
-        }
-        let delta = ScheduleDeltaProblem {
-            problem: &child,
-            touched: vec![true; child.node_delays.len()],
-        };
-        let repaired = repair(&parent, &delta).unwrap();
-        let oracle = WaveScheduler::new().schedule(&child).unwrap();
-        prop_assert_eq!(repaired, oracle);
     }
 }
 
@@ -196,7 +168,7 @@ proptest! {
         let laxity = 1.0 + 0.5 * f64::from(laxity_steps);
         let (cdfg, trace) = gcd_setup(10);
         let config = SynthesisConfig::power_optimized(laxity).with_effort(2, 3);
-        let spliced = Impact::new(config.clone().with_engine(EngineConfig::incremental()))
+        let composed = Impact::new(config.clone().with_engine(EngineConfig::incremental()))
             .synthesize(&cdfg, &trace)
             .unwrap();
         let oracle = Impact::new(config.clone().with_engine(EngineConfig::full_reschedule()))
@@ -205,14 +177,22 @@ proptest! {
         let brute = Impact::new(config.with_engine(EngineConfig::sequential()))
             .synthesize(&cdfg, &trace)
             .unwrap();
-        prop_assert_eq!(&spliced.report, &oracle.report);
-        prop_assert_eq!(&spliced.report, &brute.report);
-        prop_assert_eq!(&spliced.design, &oracle.design);
-        prop_assert_eq!(&spliced.design, &brute.design);
-        prop_assert_eq!(spliced.history.len(), oracle.history.len());
-        // The repaired engine actually exercises the block layer; the oracle
-        // never touches it.
-        prop_assert!(spliced.cache_stats.block.hits + spliced.cache_stats.block.misses > 0);
+        prop_assert_eq!(&composed.report, &oracle.report);
+        prop_assert_eq!(&composed.report, &brute.report);
+        prop_assert_eq!(&composed.design, &oracle.design);
+        prop_assert_eq!(&composed.design, &brute.design);
+        prop_assert_eq!(composed.history.len(), oracle.history.len());
+        // The incremental engine actually exercises the block layer; the
+        // oracle never touches it.
+        prop_assert!(composed.cache_stats.block.hits + composed.cache_stats.block.misses > 0);
         prop_assert_eq!(oracle.cache_stats.block.hits + oracle.cache_stats.block.misses, 0);
+        // Incremental is FullReschedule plus the block layer: every other
+        // layer sees the same lookups, hits and misses.
+        let (ours, theirs) = (&composed.cache_stats, &oracle.cache_stats);
+        prop_assert_eq!(ours.trace_stats, theirs.trace_stats);
+        prop_assert_eq!(ours.context, theirs.context);
+        prop_assert_eq!(ours.schedule, theirs.schedule);
+        prop_assert_eq!(ours.point, theirs.point);
+        prop_assert_eq!(ours.scaled, theirs.scaled);
     }
 }

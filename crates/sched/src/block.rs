@@ -55,8 +55,9 @@ impl BlockSchedule {
 /// The schedule of one basic block as recorded on a
 /// [`SchedulingResult`](crate::SchedulingResult): the nodes in traversal
 /// order, the content digest the schedule is keyed by, and the shared block
-/// schedule itself. This is the unit of reuse of delta-aware schedule repair
-/// ([`repair`](crate::repair)) and of block-level schedule memoization.
+/// schedule itself. Composition reads none of it back; the records exist for
+/// the audits (`impact_verify`'s schedule rules and the session's
+/// block-layer cross-check).
 #[derive(Clone, PartialEq, Debug)]
 pub struct BlockOutcome {
     /// The block's nodes, in the composer's traversal order.
@@ -370,6 +371,7 @@ impl Decode for BlockSchedule {
 mod tests {
     use super::*;
     use crate::problem::{uniform_problem, ScheduleConfig};
+    use crate::{Scheduler, WaveScheduler};
     use impact_behsim::simulate;
     use impact_cdfg::Region;
     use impact_hdl::compile;
@@ -515,6 +517,93 @@ mod tests {
         let sched = schedule_block(&problem, &[]).unwrap();
         assert_eq!(sched.state_count, 0);
         assert!(sched.ops.is_empty());
+    }
+
+    /// A design with several non-empty blocks: the code around the loop, the
+    /// loop header and both branch sides.
+    const BLOCKY: &str = "design d { input a: 8, b: 8; output y: 16; var s: 16 = 0; var i: 8;
+         for (i = 0; i < 4; i = i + 1) {
+           if (a > b) { s = s + a * 2; } else { s = s - b; }
+         }
+         y = s; }";
+
+    /// The non-empty blocks of `problem`'s design, as the composer requests
+    /// them.
+    fn nonempty_blocks(problem: &SchedulingProblem<'_>) -> Vec<Vec<NodeId>> {
+        let blocks: Vec<Vec<NodeId>> = WaveScheduler::new()
+            .schedule(problem)
+            .unwrap()
+            .blocks
+            .into_iter()
+            .map(|outcome| outcome.nodes)
+            .filter(|nodes| !nodes.is_empty())
+            .collect();
+        assert!(blocks.len() >= 4, "{} non-empty blocks", blocks.len());
+        blocks
+    }
+
+    #[test]
+    fn block_digests_track_the_delays_and_binding_of_their_own_nodes_only() {
+        let cdfg = compile(BLOCKY).unwrap();
+        let trace = simulate(&cdfg, &[vec![3, 1], vec![1, 3]]).unwrap();
+        let problem = uniform_problem(&cdfg, trace.profile());
+        let blocks = nonempty_blocks(&problem);
+        for block in &blocks {
+            let base = block_digest(&problem, block);
+            assert_eq!(base, block_digest(&problem.clone(), block));
+            for index in 0..problem.node_delays.len() {
+                let inside = block.iter().any(|n| n.index() == index);
+                // The lowest bit of the delay: the digest keys exact bits.
+                let mut nudged = problem.clone();
+                let delay = &mut nudged.node_delays[index];
+                *delay = f64::from_bits(delay.to_bits() ^ 1);
+                let mut rebound = problem.clone();
+                rebound.node_fu[index] = Some(991);
+                for (changed, what) in [(nudged, "delay bits"), (rebound, "binding")] {
+                    assert_eq!(
+                        block_digest(&changed, block) != base,
+                        inside,
+                        "node {index}'s {what} (inside the block: {inside})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_digests_track_the_block_scheduler_config_only() {
+        let cdfg = compile(BLOCKY).unwrap();
+        let trace = simulate(&cdfg, &[vec![3, 1], vec![1, 3]]).unwrap();
+        let problem = uniform_problem(&cdfg, trace.profile());
+        let blocks = nonempty_blocks(&problem);
+        let with = |change: fn(&mut ScheduleConfig)| {
+            let mut changed = problem.clone();
+            change(&mut changed.config);
+            changed
+        };
+        let read = [
+            ("the clock", with(|c| c.clock_ns = 21.5)),
+            ("the chaining flag", with(|c| c.chaining = !c.chaining)),
+            ("the chaining overhead", with(|c| c.chaining_overhead = 0.2)),
+        ];
+        // The composition knobs shape how blocks are put together, never a
+        // block's own schedule.
+        let ignored = [
+            (
+                "concurrent loops",
+                with(|c| c.concurrent_loops = !c.concurrent_loops),
+            ),
+            ("loop overlap", with(|c| c.loop_overlap = !c.loop_overlap)),
+        ];
+        for block in &blocks {
+            let base = block_digest(&problem, block);
+            for (what, changed) in &read {
+                assert_ne!(block_digest(changed, block), base, "{what}");
+            }
+            for (what, changed) in &ignored {
+                assert_eq!(block_digest(changed, block), base, "{what}");
+            }
+        }
     }
 
     #[test]

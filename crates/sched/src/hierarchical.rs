@@ -3,13 +3,12 @@
 //!
 //! The composer is split from block scheduling: every basic block the
 //! traversal encounters is requested from a [`BlockSource`] (by default
-//! inline list scheduling, but callers can serve blocks from a digest-keyed
-//! cache or from a parent schedule being repaired), and the STG and the ENC
-//! are assembled from the block results. The traversal — and therefore the
-//! block order, the state numbering and every tail-placement decision — is
-//! deterministic given the problem, which is what makes composition over
-//! cached or repaired block schedules bit-identical to scheduling everything
-//! inline.
+//! inline list scheduling; the evaluator serves blocks from its session's
+//! digest-keyed block layer), and the STG and the ENC are assembled from the
+//! block results. The traversal — and therefore the block order, the state
+//! numbering and every tail-placement decision — is deterministic given the
+//! problem, which is what makes composition over cached block schedules
+//! bit-identical to scheduling everything inline.
 //!
 //! Composition walks no graph: the cycle bounds
 //! ([`Stg::min_cycles`], [`Stg::max_acyclic_cycles`]) are computed on demand
@@ -29,15 +28,15 @@ use crate::problem::{ScheduleConfig, SchedulingProblem, SchedulingResult};
 
 /// Supplier of basic-block schedules to the hierarchical composer.
 ///
-/// The composer requests every block in traversal order (`index` counts the
-/// requests) and splices the results into the STG. Implementations must
-/// return exactly what [`schedule_block`] would produce for the problem and
-/// node list, together with the [`block_digest`] identifying that
-/// computation — block schedules are pure functions of their digest, so any
-/// source that honors the contract composes bit-identically to
+/// The composer requests every block in traversal order and splices the
+/// results into the STG. Implementations must return exactly what
+/// [`schedule_block`] would produce for the problem and node list, together
+/// with the [`block_digest`] identifying that computation — block schedules
+/// are pure functions of their digest, so any source that honors the
+/// contract (a digest-keyed cache, say) composes bit-identically to
 /// [`InlineBlocks`].
 pub trait BlockSource {
-    /// Produces the schedule of the `index`-th block of the traversal.
+    /// Produces the schedule of the block made of `nodes`.
     ///
     /// # Errors
     ///
@@ -46,7 +45,6 @@ pub trait BlockSource {
     fn block(
         &mut self,
         problem: &SchedulingProblem<'_>,
-        index: usize,
         nodes: &[NodeId],
     ) -> Result<(u128, Arc<BlockSchedule>), SchedError>;
 }
@@ -59,7 +57,6 @@ impl BlockSource for InlineBlocks {
     fn block(
         &mut self,
         problem: &SchedulingProblem<'_>,
-        _index: usize,
         nodes: &[NodeId],
     ) -> Result<(u128, Arc<BlockSchedule>), SchedError> {
         Ok((
@@ -165,10 +162,9 @@ fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> 
 /// Composes the hierarchical schedule of `problem` from block schedules
 /// served by `source`: the composer walks the region tree, requests every
 /// basic block from the source, splices the block STGs together and derives
-/// the ENC. With [`InlineBlocks`] this *is* the scheduler;
-/// with a caching or repairing source only the blocks the source cannot
-/// serve are list-scheduled, and the composition is bit-identical either
-/// way.
+/// the ENC. With [`InlineBlocks`] this *is* the scheduler; with a caching
+/// source only the blocks the source cannot serve are list-scheduled, and
+/// the composition is bit-identical either way.
 ///
 /// # Errors
 ///
@@ -377,8 +373,7 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         nodes: &[NodeId],
         incoming: Vec<PendingEdge>,
     ) -> Result<SeqResult, SchedError> {
-        let index = self.blocks.len();
-        let (digest, block) = self.source.block(self.problem, index, nodes)?;
+        let (digest, block) = self.source.block(self.problem, nodes)?;
         self.blocks.push(BlockOutcome {
             nodes: nodes.to_vec(),
             digest,

@@ -43,7 +43,6 @@ pub mod block;
 mod error;
 mod hierarchical;
 mod problem;
-mod repair;
 
 pub use block::{block_digest, schedule_block, BlockOutcome, BlockSchedule, PlacedOp};
 pub use error::SchedError;
@@ -53,4 +52,3 @@ pub use hierarchical::{
 pub use problem::{
     problem_digest, uniform_problem, ScheduleConfig, SchedulingProblem, SchedulingResult,
 };
-pub use repair::{repair, repair_with_source, ScheduleDeltaProblem};

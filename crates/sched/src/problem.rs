@@ -102,9 +102,9 @@ impl SchedulingProblem<'_> {
 
 /// [`SchedulingProblem::digest`] computed from streamed parts, for callers
 /// that know the per-node delays and binding without materializing a problem
-/// — e.g. an evaluator deriving a *parent* problem's schedule key from a
-/// cached context and a supply factor. Bit-identical to building the problem
-/// and digesting it.
+/// — e.g. an evaluator deriving a schedule key from a cached context and a
+/// supply factor, so a memo hit never builds the problem. Bit-identical to
+/// building the problem and digesting it.
 pub fn problem_digest(
     config: &ScheduleConfig,
     node_delays: impl Iterator<Item = f64>,
@@ -145,9 +145,10 @@ pub struct SchedulingResult {
     /// the measured branch probabilities and loop trip counts.
     pub enc: f64,
     /// The per-block schedules the STG was composed from, in traversal
-    /// order. This is what [`repair`](crate::repair) reuses: a later problem
-    /// that leaves a block's digest unchanged splices the recorded schedule
-    /// instead of list-scheduling the block again.
+    /// order. They are recorded for the audits: `impact_verify`'s schedule
+    /// rules check coverage, precedence, resources, the clock and each
+    /// block's digest against them, and the session audit cross-checks them
+    /// against the block layer. Composition never reads them back.
     pub blocks: Vec<crate::block::BlockOutcome>,
 }
 

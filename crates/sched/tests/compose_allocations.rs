@@ -63,16 +63,20 @@ static GLOBAL: Counting = Counting;
 
 /// Serves the blocks of an earlier composition of the same problem, in
 /// traversal order.
-struct Recorded<'r>(&'r [BlockOutcome]);
+struct Recorded<'r> {
+    blocks: &'r [BlockOutcome],
+    next: usize,
+}
 
 impl BlockSource for Recorded<'_> {
     fn block(
         &mut self,
         _problem: &SchedulingProblem<'_>,
-        index: usize,
         nodes: &[NodeId],
     ) -> Result<(u128, Arc<BlockSchedule>), SchedError> {
-        let outcome = &self.0[index];
+        let index = self.next;
+        self.next += 1;
+        let outcome = &self.blocks[index];
         assert_eq!(
             outcome.nodes, nodes,
             "the traversal requests block {index} again"
@@ -103,8 +107,12 @@ fn composing_from_recorded_blocks_allocates_at_most_half_as_before() {
         let problem = uniform_problem(&cdfg, trace.profile());
         let inline = compose(&problem, &mut InlineBlocks).unwrap();
 
+        let mut recorded = Recorded {
+            blocks: &inline.blocks,
+            next: 0,
+        };
         let start = allocations();
-        let composed = compose(&problem, &mut Recorded(&inline.blocks)).unwrap();
+        let composed = compose(&problem, &mut recorded).unwrap();
         let made = allocations() - start;
 
         assert_eq!(composed, inline, "{name}");

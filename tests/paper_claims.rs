@@ -1,7 +1,8 @@
 #![allow(clippy::unwrap_used)]
 
 //! Integration tests pinning the qualitative claims of the paper that the
-//! library must reproduce (see EXPERIMENTS.md for the quantitative record).
+//! library must reproduce. The binaries listed in README's "Experiments"
+//! section print the quantitative results.
 
 use impact::prelude::*;
 use impact::rtl::{MuxSource, MuxTree};
@@ -107,7 +108,7 @@ fn mux_networks_are_major_consumers_in_shared_cfi_designs() {
         .synthesize(&cdfg, &trace)
         .unwrap();
     // The paper quotes >40% for its technology; our analytical characterization
-    // gives a smaller but still significant share (recorded in EXPERIMENTS.md).
+    // gives a smaller but still significant share.
     assert!(
         outcome.report.breakdown.mux_share() > 0.05,
         "mux share {:.3} unexpectedly small after area optimization",
