@@ -43,7 +43,7 @@ fn every_explorer_matches_or_beats_greedy_and_audits_clean() {
                 let violations = evaluator.audit_outcome(&outcome);
                 assert!(violations.is_empty(), "{cell}: {violations:?}");
                 for (index, member) in outcome.front.iter().enumerate() {
-                    let violations = evaluator.audit_design_point(member);
+                    let violations = evaluator.audit_design_point(&member.design, &member.point);
                     assert!(
                         violations.is_empty(),
                         "{cell} front[{index}]: {violations:?}"
@@ -88,7 +88,7 @@ fn every_pareto_front_member_audits_clean() {
             assert!(!outcome.front.is_empty(), "{}: empty front", bench.name);
             let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
             for (index, member) in outcome.front.iter().enumerate() {
-                let violations = evaluator.audit_design_point(member);
+                let violations = evaluator.audit_design_point(&member.design, &member.point);
                 assert!(
                     violations.is_empty(),
                     "{} laxity {laxity} front[{index}]: {violations:?}",

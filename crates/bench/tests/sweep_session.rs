@@ -8,7 +8,9 @@ use impact_bench::{
     assemble_fig13, batches_identical, figure13_jobs, format_layer_stats, paper_laxities, prepare,
     run_batch, SweepJob, DEFAULT_SEED,
 };
-use impact_core::{EngineConfig, SweepSession};
+use impact_core::{
+    EngineConfig, ExplorerKind, Impact, SweepSession, SynthesisConfig, SynthesisOutcome,
+};
 use proptest::prelude::*;
 
 const EFFORT: (usize, usize) = (2, 3);
@@ -165,5 +167,51 @@ proptest! {
         }
         let replayed = run_batch(&jobs, Some(&merged), workers);
         prop_assert!(batches_identical(&cold, &replayed));
+    }
+}
+
+#[test]
+fn every_engine_walks_the_oracles_designs_under_every_explorer() {
+    // Equal reports can hide different designs: two designs of one
+    // fingerprint may differ in their empty resource slots, and a later
+    // split numbers its new resource after them. The search owns the
+    // designs it walks, so every engine, over a session that other runs
+    // filled, must hand out the very design, move history and Pareto front
+    // the sequential oracle does, under every explorer.
+    let kinds = [
+        EngineConfig::full_rebuild(),
+        EngineConfig::full_reschedule(),
+        EngineConfig::incremental(),
+    ];
+    let history = |outcome: &SynthesisOutcome| -> Vec<_> {
+        (outcome.history.iter())
+            .map(|r| (r.applied.clone(), r.gain.to_bits(), r.pass, r.strategy))
+            .collect()
+    };
+    for bench in impact_benchmarks::all_benchmarks() {
+        let (cdfg, trace) = prepare(&bench, 6, DEFAULT_SEED);
+        let session = SweepSession::new();
+        for explorer in ExplorerKind::all() {
+            let run = |engine: EngineConfig, session: Option<&SweepSession>| {
+                let config = SynthesisConfig::power_optimized(1.4)
+                    .with_effort(1, 2)
+                    .with_engine(engine.with_explorer(explorer));
+                let engine = Impact::new(config);
+                match session {
+                    Some(session) => engine.synthesize_with_session(&cdfg, &trace, session),
+                    None => engine.synthesize(&cdfg, &trace),
+                }
+                .expect("the benchmark designs synthesize")
+            };
+            let expected = run(EngineConfig::sequential(), None);
+            for engine in kinds {
+                let actual = run(engine, Some(&session));
+                let what = format!("{} {explorer:?} {:?}", bench.name, engine.evaluator);
+                assert_eq!(actual.report, expected.report, "{what}: report");
+                assert_eq!(actual.design, expected.design, "{what}: design");
+                assert_eq!(history(&actual), history(&expected), "{what}: history");
+                assert_eq!(actual.front, expected.front, "{what}: front");
+            }
+        }
     }
 }

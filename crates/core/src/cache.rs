@@ -36,8 +36,10 @@
 //! session from several threads can race to fill the same entry — both
 //! sides compute identical values, and the last store wins. Design points
 //! are stored behind `Arc`, so the per-level entries of the Vdd search and
-//! the fully-scaled entry share allocations and a hit clones a pointer, not
-//! the design. When a new entry would overflow a map's capacity bound the
+//! the fully-scaled entry share allocations and a hit clones a pointer. A
+//! point is an evaluation only (schedule, supply, power and area): the
+//! cache keys it by the design's fingerprint and holds no design. When a
+//! new entry would overflow a map's capacity bound the
 //! map is cleared and the triggering entry inserted into the fresh map (a
 //! store is always visible to the next lookup); the evictions are counted
 //! and the simple policy keeps hit paths branch-light.
@@ -822,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v3_is_pinned() {
+    fn snapshot_wire_format_v4_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
@@ -885,14 +887,7 @@ mod tests {
         snapshot
             .schedules
             .insert(ScheduleKey::new(workload, 7), Arc::clone(&schedule));
-        let mut cdfg = impact_cdfg::CdfgBuilder::new("pin");
-        let input = cdfg.input("a", 8);
-        cdfg.assign(impact_cdfg::ValueRef::Var(input), "y").unwrap();
         let point = DesignPoint {
-            design: impact_rtl::RtlDesign::initial_parallel(
-                &cdfg.finish().unwrap(),
-                &impact_modlib::ModuleLibrary::standard(),
-            ),
             schedule,
             vdd: 3.3,
             power: impact_power::PowerBreakdown::default(),
@@ -910,7 +905,7 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (958, 0x01fe_20d9_1fc5_108f_cb28_be94_01b1_0fbe)
+            (870, 0x55b5_f56b_ec85_6bc3_0a26_48ee_4867_b1b4)
         );
         let name = b"pinned-stg";
         assert_eq!(

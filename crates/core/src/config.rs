@@ -26,8 +26,9 @@ pub enum VerifyLevel {
     /// No auditing (the release default).
     #[default]
     Off,
-    /// Audit every freshly computed design point: design legality,
-    /// fingerprint recompute and schedule legality against its problem.
+    /// Audit every freshly computed design point while its design is at
+    /// hand: design legality, fingerprint recompute, the context against
+    /// the design, and schedule legality against its problem.
     Points,
     /// [`VerifyLevel::Points`] plus a whole-session cache-coherence audit
     /// when a synthesis run finishes.

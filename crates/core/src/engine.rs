@@ -14,7 +14,7 @@ use impact_sched::SchedulingResult;
 use crate::cache::CacheStats;
 use crate::config::SynthesisConfig;
 use crate::error::SynthesisError;
-use crate::evaluate::{DesignPoint, Evaluator};
+use crate::evaluate::{EvaluatedDesign, Evaluator};
 use crate::explore::SearchKernel;
 use crate::moves::Move;
 use crate::session::SweepSession;
@@ -70,7 +70,7 @@ pub struct SynthesisReport {
 /// the report plus the move history.
 #[derive(Clone, Debug)]
 pub struct SynthesisOutcome {
-    /// Final RT-level architecture.
+    /// Final RT-level architecture: the design the search walked to.
     pub design: RtlDesign,
     /// Final schedule.
     pub schedule: SchedulingResult,
@@ -78,10 +78,11 @@ pub struct SynthesisOutcome {
     pub report: SynthesisReport,
     /// Committed moves in application order.
     pub history: Vec<MoveRecord>,
-    /// Non-dominated power/area/latency front of the probed design space.
-    /// Empty for single-point strategies; filled by
+    /// Non-dominated power/area/latency front of the probed design space,
+    /// each member its design with its point. Empty for single-point
+    /// strategies; filled by
     /// [`ExplorerKind::Pareto`](crate::ExplorerKind::Pareto).
-    pub front: Vec<DesignPoint>,
+    pub front: Vec<EvaluatedDesign>,
     /// Evaluation-cache counters of the session the run used (only the
     /// run's search counters for the sequential engine configuration, which
     /// has no session; cumulative over every run of the session when
@@ -155,9 +156,9 @@ impl Impact {
     ) -> Result<SynthesisOutcome, SynthesisError> {
         let mut kernel = SearchKernel::new(cdfg, &evaluator);
 
-        let initial = evaluator.initial_point()?;
-        let initial_power_mw = initial.power_at_reference.total_mw();
-        let initial_area = initial.area;
+        let initial = evaluator.initial_design()?;
+        let initial_power_mw = initial.point.power_at_reference.total_mw();
+        let initial_area = initial.point.area;
 
         let exploration = self.config.engine.explorer.explore(&mut kernel, initial)?;
 
@@ -172,7 +173,10 @@ impl Impact {
         // so sweep drivers report cumulative numbers.
         let cache_stats = evaluator.record_explore(kernel.stats());
 
-        let current = exploration.best;
+        let EvaluatedDesign {
+            design,
+            point: current,
+        } = exploration.best;
         let report = SynthesisReport {
             power_mw: current.power.total_mw(),
             power_at_reference_mw: current.power_at_reference.total_mw(),
@@ -189,7 +193,7 @@ impl Impact {
             passes: exploration.passes,
         };
         Ok(SynthesisOutcome {
-            design: current.design,
+            design,
             schedule: (*current.schedule).clone(),
             report,
             history: exploration.history,

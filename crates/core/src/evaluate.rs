@@ -71,12 +71,12 @@ struct MoveLineage<'a> {
     delta: &'a DesignDelta,
 }
 
-/// A fully evaluated design: architecture, schedule, operating point and the
-/// resulting cost metrics.
+/// The evaluation of one design at one supply: its schedule, operating point
+/// and the resulting cost metrics. A point holds no architecture: the cache
+/// keys it by the design's fingerprint, and the search keeps the designs it
+/// walks next to their points ([`EvaluatedDesign`]).
 #[derive(Clone, PartialEq, Debug)]
 pub struct DesignPoint {
-    /// The RT-level architecture.
-    pub design: RtlDesign,
     /// Its schedule at the selected supply voltage. Shared: memoized
     /// schedules are handed out by pointer, so cloning a point (or serving a
     /// schedule-memo hit) never deep-copies the STG.
@@ -89,6 +89,16 @@ pub struct DesignPoint {
     pub power_at_reference: PowerBreakdown,
     /// Total area in equivalent gates.
     pub area: f64,
+}
+
+/// A design the search walked to, with its evaluation: the search owns the
+/// architecture, the cache only its [`DesignPoint`].
+#[derive(Clone, PartialEq, Debug)]
+pub struct EvaluatedDesign {
+    /// The RT-level architecture.
+    pub design: RtlDesign,
+    /// Its evaluation at the supply the search selected.
+    pub point: DesignPoint,
 }
 
 impl DesignPoint {
@@ -273,12 +283,19 @@ impl<'a> Evaluator<'a> {
     /// Propagates scheduling failures; the initial architecture is always
     /// feasible for laxity ≥ 1.
     pub fn initial_point(&self) -> Result<DesignPoint, SynthesisError> {
+        self.initial_design().map(|initial| initial.point)
+    }
+
+    /// [`Self::initial_point`] together with the architecture it evaluates:
+    /// where the search starts.
+    pub(crate) fn initial_design(&self) -> Result<EvaluatedDesign, SynthesisError> {
         let design = RtlDesign::initial_parallel(self.cdfg, &self.library);
-        self.evaluate(&design)?
-            .map(Arc::unwrap_or_clone)
-            .ok_or(SynthesisError::InfeasibleLaxity {
+        let point = self.evaluate(&design)?.map(Arc::unwrap_or_clone).ok_or(
+            SynthesisError::InfeasibleLaxity {
                 laxity: self.config.laxity,
-            })
+            },
+        )?;
+        Ok(EvaluatedDesign { design, point })
     }
 
     /// Snapshot of the evaluation-cache counters (cumulative over the whole
@@ -351,7 +368,7 @@ impl<'a> Evaluator<'a> {
         parent: &RtlDesign,
         candidate: &Move,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        self.evaluate_candidate(parent, parent.fingerprint(), candidate, None)
+        self.evaluate_candidate(parent, candidate, None)
     }
 
     /// [`Self::evaluate_move`] at one fixed supply voltage.
@@ -365,40 +382,49 @@ impl<'a> Evaluator<'a> {
         candidate: &Move,
         vdd: f64,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        self.evaluate_candidate(parent, parent.fingerprint(), candidate, Some(vdd))
+        self.evaluate_candidate(parent, candidate, Some(vdd))
     }
 
-    /// Move-aware evaluation with the parent's fingerprint supplied, so the
-    /// search kernel hashes its working design once per step instead of once
-    /// per candidate: the full supply search when `vdd` is `None`, one level
-    /// otherwise. Probes a copy of `parent` through
-    /// [`Self::evaluate_candidate_in`].
-    pub(crate) fn evaluate_candidate(
+    /// Move-aware evaluation of `candidate` on a copy of `parent`: the full
+    /// supply search when `vdd` is `None`, one level otherwise.
+    fn evaluate_candidate(
         &self,
         parent: &RtlDesign,
-        parent_fingerprint: DesignFingerprint,
         candidate: &Move,
         vdd: Option<f64>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
         let mut scratch = parent.clone();
-        self.evaluate_candidate_in(parent, parent_fingerprint, &mut scratch, candidate, vdd)
+        self.evaluate_candidate_in(
+            parent,
+            parent.fingerprint(),
+            &mut scratch,
+            candidate,
+            vdd,
+            |_, point| point,
+        )
     }
 
-    /// [`Self::evaluate_candidate`] on a caller's scratch copy of `parent`:
-    /// the move is applied to `scratch` in place, the candidate is looked up
-    /// (or evaluated) by its fingerprint, and the move is reverted before
-    /// the result is returned, on every path. `scratch` must equal `parent`
-    /// on entry and equals it again on return, so the search kernel copies
-    /// its working design once per stride of probes instead of once per
-    /// probe; a design is copied only into a point that is computed.
-    pub(crate) fn evaluate_candidate_in(
+    /// Move-aware evaluation on a caller's scratch copy of `parent`, with
+    /// the parent's fingerprint supplied, so the search kernel hashes its
+    /// working design once per step instead of once per candidate: the move
+    /// is applied to `scratch` in place, the candidate is looked up (or
+    /// evaluated) by its fingerprint, and the move is reverted before the
+    /// result is returned, on every path. `scratch` must equal `parent` on
+    /// entry and equals it again on return, so the search kernel copies its
+    /// working design once per stride of probes instead of once per probe.
+    ///
+    /// A feasible candidate is handed to `keep` together with its design,
+    /// while the move is still applied; `keep`'s value is returned. The
+    /// search copies the design there only for the candidates it chooses.
+    pub(crate) fn evaluate_candidate_in<T>(
         &self,
         parent: &RtlDesign,
         parent_fingerprint: DesignFingerprint,
         scratch: &mut RtlDesign,
         candidate: &Move,
         vdd: Option<f64>,
-    ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
+        keep: impl FnOnce(&RtlDesign, Arc<DesignPoint>) -> T,
+    ) -> Result<Option<T>, SynthesisError> {
         // A move that fails to apply leaves the design untouched.
         let Ok(delta) = candidate.apply(self.cdfg, &self.library, scratch) else {
             return Ok(None);
@@ -412,7 +438,8 @@ impl<'a> Evaluator<'a> {
         let result = match vdd {
             Some(vdd) => self.point_at(scratch, fingerprint, vdd, Some(&lineage)),
             None => self.evaluate_scaled(scratch, fingerprint, Some(&lineage)),
-        };
+        }
+        .map(|point| point.map(|point| keep(scratch, point)));
         scratch.revert_delta(&delta);
         result
     }
@@ -492,13 +519,13 @@ impl<'a> Evaluator<'a> {
         self.try_memo(PointKey::new(self.workload, fingerprint, vdd), || {
             let context = self.context_for(design, fingerprint, lineage);
             let schedule = self.schedule_with_context(&context, vdd)?;
-            // The full point (power at both supplies, area, design clone) is
-            // built even when this evaluator's budget will reject it: a
-            // budget check here would make the entry depend on the laxity
-            // factor and kill cross-laxity sharing. The extra arithmetic is
-            // small next to the scheduling pass above, and a run at a looser
-            // budget gets the finished point for free.
-            let point = Arc::new(self.point_from_schedule(&context, design, vdd, schedule));
+            // The full point (power at both supplies and area) is built even
+            // when this evaluator's budget will reject it: a budget check
+            // here would make the entry depend on the laxity factor and kill
+            // cross-laxity sharing. The extra arithmetic is small next to the
+            // scheduling pass above, and a run at a looser budget gets the
+            // finished point for free.
+            let point = Arc::new(self.point_from_schedule(&context, vdd, schedule));
             #[cfg(feature = "verify")]
             if self.config.engine.verify != crate::VerifyLevel::Off {
                 let violations =
@@ -551,16 +578,20 @@ impl<'a> Evaluator<'a> {
         violations
     }
 
-    /// Full static audit of one evaluated design point, as data: design
-    /// legality, fingerprint recompute, mux-site consistency, and the
-    /// point's schedule against the scheduling problem rebuilt at the
-    /// point's supply — including this evaluator's ENC budget. The search
-    /// tests in `impact_bench` run every reported Pareto-front member
-    /// through this. Pure and independent of
+    /// Full static audit of one evaluated design point, as data: legality
+    /// of `design`, the point's architecture, its fingerprint recompute and
+    /// context, mux-site consistency, and the point's schedule against the
+    /// scheduling problem rebuilt at the point's supply — including this
+    /// evaluator's ENC budget. The search tests in `impact_bench` run every
+    /// reported Pareto-front member through this. Pure and independent of
     /// [`VerifyLevel`](crate::VerifyLevel), like [`Self::audit_outcome`].
     #[cfg(feature = "verify")]
-    pub fn audit_design_point(&self, point: &DesignPoint) -> Vec<impact_verify::Violation> {
-        self.audit_recomputed(&point.design, point.vdd, &point.schedule, self.enc_limit)
+    pub fn audit_design_point(
+        &self,
+        design: &RtlDesign,
+        point: &DesignPoint,
+    ) -> Vec<impact_verify::Violation> {
+        self.audit_recomputed(design, point.vdd, &point.schedule, self.enc_limit)
     }
 
     /// [`Self::audit`] of a finished design against its recomputed
@@ -588,9 +619,12 @@ impl<'a> Evaluator<'a> {
     /// The static audit shared by the inline point audit (see
     /// [`VerifyLevel`](crate::VerifyLevel)) and the public audits: design
     /// legality, `fingerprint` against a recompute (the key the point is
-    /// stored under, so a patch that diverged is caught), mux-site
-    /// consistency of `context`, and `schedule` against the problem rebuilt
-    /// from `context` at `vdd`, under `enc_limit` when given.
+    /// stored under, so a patch that diverged is caught), `context` against
+    /// the design it is stored for (binding, resource ids, restructuring
+    /// flags and mux sites), and `schedule` against the problem rebuilt
+    /// from `context` at `vdd`, under `enc_limit` when given. A cached point
+    /// holds no design, so this is where its key and its context are checked
+    /// against one: when the point is computed.
     #[cfg(feature = "verify")]
     fn audit(
         &self,
@@ -603,6 +637,7 @@ impl<'a> Evaluator<'a> {
     ) -> Vec<impact_verify::Violation> {
         let mut violations = impact_verify::verify_design(self.cdfg, design);
         violations.extend(impact_verify::verify_fingerprint(design, fingerprint));
+        violations.extend(crate::verify::context_design_violations(context, design));
         violations.extend(impact_verify::verify_mux_sites(
             self.cdfg,
             design,
@@ -622,7 +657,6 @@ impl<'a> Evaluator<'a> {
     fn point_from_schedule(
         &self,
         context: &DesignContext,
-        design: &RtlDesign,
         vdd: f64,
         schedule: Arc<SchedulingResult>,
     ) -> DesignPoint {
@@ -639,7 +673,6 @@ impl<'a> Evaluator<'a> {
             ref_estimator.estimate_profiled(&context.profile, &schedule)
         };
         DesignPoint {
-            design: design.clone(),
             schedule,
             vdd,
             power,

@@ -29,7 +29,12 @@
 //!
 //! All strategies run over the same [`Evaluator`] and therefore share one
 //! [`SweepSession`](crate::SweepSession) cache: exploring more of the move
-//! space amortizes the way laxity sweeps already amortize evaluation.
+//! space amortizes the way laxity sweeps already amortize evaluation. The
+//! cache holds evaluations only; the kernel owns every design it walks —
+//! the working design it probes in place, and for each chosen candidate
+//! that design with the move applied — and carries them through sequences,
+//! beam nodes, restart kicks and the Pareto collector as
+//! [`EvaluatedDesign`]s.
 
 use std::sync::Arc;
 
@@ -41,7 +46,7 @@ use rand::prelude::*;
 use crate::config::{OptimizationMode, SynthesisConfig};
 use crate::engine::MoveRecord;
 use crate::error::SynthesisError;
-use crate::evaluate::{DesignPoint, Evaluator};
+use crate::evaluate::{DesignPoint, EvaluatedDesign, Evaluator};
 use crate::moves::{generate, Move};
 
 /// Strict-improvement tolerance shared by every strategy's "keep the better
@@ -143,10 +148,10 @@ pub enum ExplorerKind {
         seed: u64,
     },
     /// Greedy descent with a sweep collector: every feasible fully
-    /// evaluated probe (and the initial point) is kept, and the
-    /// non-dominated power/area/latency front of the probed space is
-    /// returned alongside the greedy best point, which stays bit-identical
-    /// to [`ExplorerKind::Greedy`]'s.
+    /// evaluated probe (and the initial design) is kept with its design,
+    /// and the non-dominated power/area/latency front of the probed space
+    /// is returned alongside the greedy best point, which stays
+    /// bit-identical to [`ExplorerKind::Greedy`]'s.
     Pareto,
 }
 
@@ -217,7 +222,7 @@ impl ExplorerKind {
     pub(crate) fn explore(
         self,
         kernel: &mut SearchKernel<'_, '_>,
-        initial: DesignPoint,
+        initial: EvaluatedDesign,
     ) -> Result<Exploration, SynthesisError> {
         match self {
             ExplorerKind::Greedy => greedy_descent(kernel, initial, "greedy"),
@@ -246,14 +251,14 @@ impl ExplorerKind {
 // ------------------------------------------------------------------ kernel
 
 /// A ranked candidate that survived full evaluation: the move, the resulting
-/// design point, and its gain relative to the working design it was probed
-/// from.
+/// design with its point, and its gain relative to the working design it was
+/// probed from.
 #[derive(Clone, Debug)]
 pub(crate) struct RankedCandidate {
     /// The move.
     pub mv: Move,
-    /// Fully evaluated (supply-scaled) result of applying it.
-    pub point: DesignPoint,
+    /// The design the move produced, fully evaluated (supply-scaled).
+    pub reached: EvaluatedDesign,
     /// Cost reduction versus the working design, in the units of the
     /// optimization mode (negative for uphill moves).
     pub gain: f64,
@@ -273,9 +278,10 @@ pub(crate) struct SearchKernel<'e, 'a> {
     evaluator: &'e Evaluator<'a>,
     exclusion: ExclusionInfo,
     stats: ExploreStats,
-    /// When set, every feasible full probe (and the initial point) is kept
-    /// for post-hoc dominance filtering — the Pareto strategy's collector.
-    collected: Option<Vec<DesignPoint>>,
+    /// When set, every feasible candidate of a ranked step (and the initial
+    /// design) is kept for post-hoc dominance filtering — the Pareto
+    /// strategy's collector.
+    collected: Option<Vec<EvaluatedDesign>>,
 }
 
 impl<'e, 'a> SearchKernel<'e, 'a> {
@@ -326,7 +332,7 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
     /// Propagates scheduler failures.
     pub fn ranked_step(
         &mut self,
-        working: &DesignPoint,
+        working: &EvaluatedDesign,
         width: usize,
     ) -> Result<Vec<RankedCandidate>, SynthesisError> {
         let candidates = self.candidates(&working.design);
@@ -348,21 +354,24 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         let mut rest: &[(usize, f64)] = &ranked;
         while chosen.len() < width && !rest.is_empty() {
             let mut probed = 0u64;
-            let advanced = first_feasible(rest, |index| -> Result<_, SynthesisError> {
+            let advanced = first_feasible(rest, |index| {
                 probed += 1;
-                Ok(self
-                    .evaluator
-                    .evaluate_candidate_in(
-                        &working.design,
-                        parent_fingerprint,
-                        &mut scratch,
-                        &candidates[index],
-                        None,
-                    )?
-                    .map(Arc::unwrap_or_clone))
+                // A chosen candidate's design is copied while its move is
+                // applied: one copy per feasible walk probe.
+                self.evaluator.evaluate_candidate_in(
+                    &working.design,
+                    parent_fingerprint,
+                    &mut scratch,
+                    &candidates[index],
+                    None,
+                    |design, point| EvaluatedDesign {
+                        design: design.clone(),
+                        point: Arc::unwrap_or_clone(point),
+                    },
+                )
             })?;
             self.stats.probes += probed;
-            let Some((index, point)) = advanced else {
+            let Some((index, reached)) = advanced else {
                 break;
             };
             let position = rest
@@ -370,11 +379,13 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
                 .position(|&(i, _)| i == index)
                 .expect("first_feasible returns an index from the ranked slice");
             rest = &rest[position + 1..];
-            self.collect(&point);
+            if let Some(collected) = &mut self.collected {
+                collected.push(reached.clone());
+            }
             chosen.push(RankedCandidate {
                 mv: candidates[index].clone(),
-                gain: working.cost(mode) - point.cost(mode),
-                point,
+                gain: working.point.cost(mode) - reached.point.cost(mode),
+                reached,
             });
         }
         debug_assert_eq!(
@@ -384,27 +395,28 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
         Ok(chosen)
     }
 
-    /// Fully evaluates one specific move against `working` (the restart
-    /// strategy's kick probe). Returns `None` when the move is inapplicable
-    /// or infeasible under the ENC budget.
+    /// Fully evaluates one specific move against `design` (the restart
+    /// strategy's kick probe) on a copy of it. Returns `None` when the move
+    /// is inapplicable or infeasible under the ENC budget.
     ///
     /// # Errors
     ///
     /// Propagates scheduler failures.
     pub fn probe_move(
         &mut self,
-        working: &DesignPoint,
+        design: &RtlDesign,
         mv: &Move,
     ) -> Result<Option<DesignPoint>, SynthesisError> {
         self.stats.probes += 1;
-        let point = self
-            .evaluator
-            .evaluate_candidate(&working.design, working.design.fingerprint(), mv, None)?
-            .map(Arc::unwrap_or_clone);
-        if let Some(point) = &point {
-            self.collect(point);
-        }
-        Ok(point)
+        let mut scratch = design.clone();
+        self.evaluator.evaluate_candidate_in(
+            design,
+            design.fingerprint(),
+            &mut scratch,
+            mv,
+            None,
+            |_, point| Arc::unwrap_or_clone(point),
+        )
     }
 
     /// Scores every applicable candidate at the reference supply, in
@@ -419,33 +431,28 @@ impl<'e, 'a> SearchKernel<'e, 'a> {
     /// first-strictly-greater scan selected).
     fn rank_candidates(
         &self,
-        working: &DesignPoint,
+        working: &EvaluatedDesign,
         parent_fingerprint: DesignFingerprint,
         scratch: &mut RtlDesign,
         candidates: &[Move],
     ) -> Result<Vec<(usize, f64)>, SynthesisError> {
         let mode = self.config().mode;
-        let working_reference_cost = reference_cost(working, mode);
+        let working_reference_cost = reference_cost(&working.point, mode);
         let mut ranked = Vec::with_capacity(candidates.len());
         for (index, candidate) in candidates.iter().enumerate() {
-            if let Some(point) = self.evaluator.evaluate_candidate_in(
+            if let Some(gain) = self.evaluator.evaluate_candidate_in(
                 &working.design,
                 parent_fingerprint,
                 scratch,
                 candidate,
                 Some(impact_modlib::VDD_REFERENCE),
+                |_, point| working_reference_cost - reference_cost(&point, mode),
             )? {
-                ranked.push((index, working_reference_cost - reference_cost(&point, mode)));
+                ranked.push((index, gain));
             }
         }
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         Ok(ranked)
-    }
-
-    fn collect(&mut self, point: &DesignPoint) {
-        if let Some(collected) = &mut self.collected {
-            collected.push(point.clone());
-        }
     }
 }
 
@@ -457,16 +464,16 @@ fn reference_cost(point: &DesignPoint, mode: OptimizationMode) -> f64 {
 }
 
 /// Walks a ranked candidate list and returns the first candidate that
-/// survives full evaluation, together with its design point. A top-ranked
+/// survives full evaluation, together with its evaluation. A top-ranked
 /// candidate whose full Vdd-scaled evaluation is infeasible no longer aborts
 /// the caller's sequence — lower-ranked feasible candidates get their turn.
-pub(crate) fn first_feasible<E>(
+pub(crate) fn first_feasible<T, E>(
     ranked: &[(usize, f64)],
-    mut evaluate: impl FnMut(usize) -> Result<Option<DesignPoint>, E>,
-) -> Result<Option<(usize, DesignPoint)>, E> {
+    mut evaluate: impl FnMut(usize) -> Result<Option<T>, E>,
+) -> Result<Option<(usize, T)>, E> {
     for &(index, _) in ranked {
-        if let Some(point) = evaluate(index)? {
-            return Ok(Some((index, point)));
+        if let Some(evaluated) = evaluate(index)? {
+            return Ok(Some((index, evaluated)));
         }
     }
     Ok(None)
@@ -477,31 +484,31 @@ pub(crate) fn first_feasible<E>(
 /// Result of one strategy run.
 #[derive(Clone, Debug)]
 pub(crate) struct Exploration {
-    /// The best design point found (what the engine reports).
-    pub best: DesignPoint,
+    /// The best design found (what the engine reports).
+    pub best: EvaluatedDesign,
     /// Committed moves leading to `best`, in application order.
     pub history: Vec<MoveRecord>,
     /// Improvement passes executed (of the descent that produced `best`).
     pub passes: usize,
     /// Non-dominated power/area/latency front of the probed space. Empty
     /// for single-point strategies; [`ExplorerKind::Pareto`] fills it.
-    pub front: Vec<DesignPoint>,
+    pub front: Vec<EvaluatedDesign>,
 }
 
-/// A move sequence under construction: each move with the point it reached
+/// A move sequence under construction: each move with the design it reached
 /// and its gain.
-type Sequence = Vec<(Move, DesignPoint, f64)>;
+type Sequence = Vec<(Move, EvaluatedDesign, f64)>;
 
 /// Improvement passes until one commits nothing (or the pass limit). A pass
 /// returns the move sequence it commits, empty for none; `strategy` is
 /// recorded into every committed move.
 fn descend(
     kernel: &mut SearchKernel<'_, '_>,
-    start: DesignPoint,
+    start: EvaluatedDesign,
     strategy: &'static str,
     mut pass_moves: impl FnMut(
         &mut SearchKernel<'_, '_>,
-        &DesignPoint,
+        &EvaluatedDesign,
     ) -> Result<Sequence, SynthesisError>,
 ) -> Result<Exploration, SynthesisError> {
     let mut current = start;
@@ -510,17 +517,19 @@ fn descend(
     for pass in 0..kernel.config().max_passes {
         passes = pass + 1;
         let sequence = pass_moves(kernel, &current)?;
-        let Some((_, last, _)) = sequence.last() else {
+        if sequence.is_empty() {
             break;
-        };
-        current = last.clone();
+        }
         kernel.stats.commits += sequence.len() as u64;
-        history.extend(sequence.into_iter().map(|(mv, _, gain)| MoveRecord {
-            applied: mv,
-            gain,
-            pass,
-            strategy,
-        }));
+        for (mv, reached, gain) in sequence {
+            history.push(MoveRecord {
+                applied: mv,
+                gain,
+                pass,
+                strategy,
+            });
+            current = reached;
+        }
     }
     Ok(Exploration {
         best: current,
@@ -535,7 +544,7 @@ fn descend(
 /// computed by one code path.
 fn greedy_descent(
     kernel: &mut SearchKernel<'_, '_>,
-    start: DesignPoint,
+    start: EvaluatedDesign,
     strategy: &'static str,
 ) -> Result<Exploration, SynthesisError> {
     descend(kernel, start, strategy, greedy_pass)
@@ -545,19 +554,19 @@ fn greedy_descent(
 /// moves, then keep the prefix with the best cumulative gain.
 fn greedy_pass(
     kernel: &mut SearchKernel<'_, '_>,
-    current: &DesignPoint,
+    current: &EvaluatedDesign,
 ) -> Result<Sequence, SynthesisError> {
-    let mut working = current.clone();
     let mut sequence: Sequence = Vec::new();
     let mut cumulative_gain = 0.0;
     let mut best_gain = 0.0;
     let mut best_prefix = 0usize;
     for _ in 0..kernel.config().max_sequence_length {
-        let mut step = kernel.ranked_step(&working, 1)?;
-        let Some(chosen) = step.pop() else { break };
+        let working = sequence.last().map_or(current, |(_, reached, _)| reached);
+        let Some(chosen) = kernel.ranked_step(working, 1)?.pop() else {
+            break;
+        };
         cumulative_gain += chosen.gain;
-        working = chosen.point.clone();
-        sequence.push((chosen.mv, chosen.point, chosen.gain));
+        sequence.push((chosen.mv, chosen.reached, chosen.gain));
         if cumulative_gain > best_gain + GAIN_EPS {
             best_gain = cumulative_gain;
             best_prefix = sequence.len();
@@ -577,7 +586,7 @@ struct BeamNode {
 /// seen across the whole beam.
 fn beam_pass(
     kernel: &mut SearchKernel<'_, '_>,
-    root: &DesignPoint,
+    root: &EvaluatedDesign,
     width: usize,
 ) -> Result<Sequence, SynthesisError> {
     let mut beam = vec![BeamNode {
@@ -593,12 +602,12 @@ fn beam_pass(
         // deterministic tie-break.
         let mut children: Vec<(usize, usize, BeamNode)> = Vec::new();
         for (parent, node) in beam.iter().enumerate() {
-            let working = node.seq.last().map_or(root, |(_, point, _)| point).clone();
-            let expansions = kernel.ranked_step(&working, width)?;
+            let working = node.seq.last().map_or(root, |(_, reached, _)| reached);
+            let expansions = kernel.ranked_step(working, width)?;
             for (rank, candidate) in expansions.into_iter().enumerate() {
                 let mut seq = node.seq.clone();
                 let child_gain = node.cumulative_gain + candidate.gain;
-                seq.push((candidate.mv, candidate.point, candidate.gain));
+                seq.push((candidate.mv, candidate.reached, candidate.gain));
                 children.push((
                     parent,
                     rank,
@@ -641,7 +650,7 @@ const KICK_ATTEMPTS: usize = 8;
 /// The restart strategy (see [`ExplorerKind::Restart`]).
 fn restart_search(
     kernel: &mut SearchKernel<'_, '_>,
-    initial: DesignPoint,
+    initial: EvaluatedDesign,
     restarts: usize,
     kicks: usize,
     seed: u64,
@@ -661,7 +670,7 @@ fn restart_search(
             continue;
         };
         let descent = greedy_descent(kernel, kicked, "restart")?;
-        if descent.best.cost(mode) < best.best.cost(mode) - GAIN_EPS {
+        if descent.best.point.cost(mode) < best.best.point.cost(mode) - GAIN_EPS {
             // The winning restart's history is the kick that escaped the
             // basin plus the descent that followed it.
             kernel.stats.commits += kick_records.len() as u64;
@@ -679,22 +688,23 @@ fn restart_search(
 }
 
 /// Perturbs `from` by up to `kicks` random feasible moves. Returns the
-/// kicked design point and the kick's history records, or `None` when no
+/// kicked design and the kick's history records, or `None` when no
 /// feasible perturbation was found. The scratch design the kick mutates is
-/// rolled back through [`RtlDesign::revert_delta`] before returning, which
-/// (debug-)asserts the exact pre-kick state is restored.
+/// copied out and then rolled back through [`RtlDesign::revert_delta`]
+/// before returning, which (debug-)asserts the exact pre-kick state is
+/// restored.
 fn kick(
     kernel: &mut SearchKernel<'_, '_>,
-    from: &DesignPoint,
+    from: &EvaluatedDesign,
     kicks: usize,
     rng: &mut StdRng,
-) -> Result<Option<(DesignPoint, Vec<MoveRecord>)>, SynthesisError> {
+) -> Result<Option<(EvaluatedDesign, Vec<MoveRecord>)>, SynthesisError> {
     let mode = kernel.config().mode;
     let mut scratch = from.design.clone();
     let before = scratch.fingerprint();
     let mut deltas: Vec<DesignDelta> = Vec::new();
     let mut records: Vec<MoveRecord> = Vec::new();
-    let mut point = from.clone();
+    let mut point = from.point.clone();
 
     for _ in 0..kicks {
         let candidates = kernel.candidates(&scratch);
@@ -704,7 +714,7 @@ fn kick(
         let mut advanced = None;
         for _ in 0..KICK_ATTEMPTS {
             let pick = rng.random_range(0..candidates.len());
-            if let Some(next) = kernel.probe_move(&point, &candidates[pick])? {
+            if let Some(next) = kernel.probe_move(&scratch, &candidates[pick])? {
                 advanced = Some((candidates[pick].clone(), next));
                 break;
             }
@@ -723,6 +733,13 @@ fn kick(
         point = next;
     }
 
+    if records.is_empty() {
+        return Ok(None);
+    }
+    let kicked = EvaluatedDesign {
+        design: scratch.clone(),
+        point,
+    };
     // Roll the scratch design back move by move — the transactional
     // exact-revert path the deltas exist for.
     for delta in deltas.iter().rev() {
@@ -734,11 +751,7 @@ fn kick(
         before,
         "reverting a kick must restore the exact pre-kick design"
     );
-
-    if records.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some((point, records)))
+    Ok(Some((kicked, records)))
 }
 
 /// Whether `a` dominates `b` on the (power, area, ENC) objectives: no worse
@@ -751,13 +764,14 @@ fn dominates(a: &DesignPoint, b: &DesignPoint) -> bool {
     no_worse && strictly_better
 }
 
-/// Dominance-filters a set of design points on (power, area, ENC). Returns
-/// the non-dominated front in deterministic order (power ascending, then
-/// area, then ENC) and the number of points discarded as dominated or as
-/// metric-duplicates.
-pub fn pareto_front(mut points: Vec<DesignPoint>) -> (Vec<DesignPoint>, u64) {
-    let offered = points.len();
-    points.sort_by(|a, b| {
+/// Dominance-filters a set of evaluated designs on their points' (power,
+/// area, ENC). Returns the non-dominated front in deterministic order (power
+/// ascending, then area, then ENC) and the number of designs discarded as
+/// dominated or as metric-duplicates.
+pub fn pareto_front(mut designs: Vec<EvaluatedDesign>) -> (Vec<EvaluatedDesign>, u64) {
+    let offered = designs.len();
+    designs.sort_by(|a, b| {
+        let (a, b) = (&a.point, &b.point);
         a.power
             .total_mw()
             .total_cmp(&b.power.total_mw())
@@ -767,13 +781,18 @@ pub fn pareto_front(mut points: Vec<DesignPoint>) -> (Vec<DesignPoint>, u64) {
     });
     // Points with identical objectives are interchangeable for the front;
     // keep the first (lowest supply after the sort above).
-    points.dedup_by(|a, b| {
+    designs.dedup_by(|a, b| {
+        let (a, b) = (&a.point, &b.point);
         a.power.total_mw() == b.power.total_mw() && a.area == b.area && a.enc() == b.enc()
     });
-    let front: Vec<DesignPoint> = points
+    let dominated: Vec<bool> = designs
         .iter()
-        .filter(|p| !points.iter().any(|q| dominates(q, p)))
-        .cloned()
+        .map(|p| designs.iter().any(|q| dominates(&q.point, &p.point)))
+        .collect();
+    let front: Vec<EvaluatedDesign> = designs
+        .into_iter()
+        .zip(dominated)
+        .filter_map(|(design, dominated)| (!dominated).then_some(design))
         .collect();
     let dominated = (offered - front.len()) as u64;
     (front, dominated)
@@ -867,7 +886,7 @@ mod tests {
             let sequential = crate::EngineConfig::sequential();
             let reference = Evaluator::new(&cdfg, &trace, config.with_engine(sequential)).unwrap();
             let mut kernel = SearchKernel::new(&cdfg, &evaluator);
-            let mut working = evaluator.initial_point().unwrap();
+            let mut working = evaluator.initial_design().unwrap();
             let mut steps = 0;
             while steps < 4 {
                 let fingerprint = working.design.fingerprint();
@@ -877,7 +896,7 @@ mod tests {
                     .rank_candidates(&working, fingerprint, &mut scratch, &candidates)
                     .unwrap();
                 assert_eq!(scratch, working.design, "every probe reverts its move");
-                let working_cost = reference_cost(&working, mode);
+                let working_cost = reference_cost(&working.point, mode);
                 let mut expected: Vec<(usize, f64)> = candidates
                     .iter()
                     .enumerate()
@@ -895,7 +914,7 @@ mod tests {
                 let Some(chosen) = kernel.ranked_step(&working, 1).unwrap().pop() else {
                     break;
                 };
-                working = chosen.point;
+                working = chosen.reached;
             }
             assert!(steps >= 3, "{}: the walk commits moves", bench.name);
         }
@@ -929,7 +948,11 @@ mod tests {
         assert_eq!(probed, vec![0, 1], "ranking order is respected");
         // When every candidate is infeasible the step (not the whole pass
         // machinery) reports exhaustion.
-        let none = first_feasible(&ranked, |_| -> Result<_, SynthesisError> { Ok(None) }).unwrap();
+        let none = first_feasible(
+            &ranked,
+            |_| -> Result<Option<DesignPoint>, SynthesisError> { Ok(None) },
+        )
+        .unwrap();
         assert!(none.is_none());
         // Errors propagate immediately.
         let err = first_feasible(

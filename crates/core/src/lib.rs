@@ -54,7 +54,7 @@ pub use cache::{
 pub use config::{EngineConfig, EvaluatorKind, OptimizationMode, SynthesisConfig, VerifyLevel};
 pub use engine::{Impact, MoveRecord, SynthesisOutcome, SynthesisReport};
 pub use error::SynthesisError;
-pub use evaluate::{DesignPoint, Evaluator};
+pub use evaluate::{DesignPoint, EvaluatedDesign, Evaluator};
 pub use explore::{pareto_front, ExploreStats, ExplorerKind, DEFAULT_BEAM_WIDTH};
 pub use fingerprint::{
     BlockKey, ContextKey, FuStatsKey, MuxStatsKey, PointKey, RegStatsKey, ScaledKey, ScheduleKey,

@@ -141,20 +141,14 @@ impl fmt::Display for Move {
 
 /// Clears restructuring annotations stranded on sinks that stopped being
 /// multi-source mux sites, folding the clears into `delta` so reverting it
-/// restores them. Cheap when the design carries no annotations (the common
-/// case while probing): the sinks are only listed when one exists, and
-/// [`RtlDesign::multi_source_sinks`] lists them sorted without building a
-/// site.
+/// restores them. O(move): only the annotated sinks in the move's site scope
+/// are checked ([`RtlDesign::stale_annotations`]), and nothing is listed
+/// when the design carries no annotations (the common case while probing).
 fn clear_stale_annotations(cdfg: &Cdfg, design: &mut RtlDesign, delta: &mut DesignDelta) {
     if design.restructured_sites().next().is_none() {
         return;
     }
-    let real = design.multi_source_sinks(cdfg);
-    let stale: Vec<MuxSink> = design
-        .restructured_sites()
-        .filter(|sink| real.binary_search(sink).is_err())
-        .collect();
-    for sink in stale {
+    for sink in design.stale_annotations(cdfg, delta) {
         let cleared = design.set_restructured_delta(sink, false);
         delta.restructured.extend(cleared.restructured);
     }
@@ -340,7 +334,7 @@ mod tests {
         assert_eq!(design.ops_on(adders[0]).len(), 1);
     }
 
-    /// The sweep as it was before `multi_source_sinks`: the whole-design
+    /// The sweep as it was before the site-scoped check: the whole-design
     /// site enumeration and a hash set. Kept here as the oracle.
     fn clear_stale_annotations_by_enumeration(
         cdfg: &Cdfg,

@@ -23,8 +23,11 @@
 //!
 //! A schedule's body is its STG (per state: tag, operation list, exit
 //! probability), its ENC and its block outcomes; format 3 dropped the two
-//! cycle bounds format 2 carried. The whole-file digest mixes one 64-bit
-//! word per step into two lanes (see `digest_bytes`).
+//! cycle bounds format 2 carried. A design point's body is its schedule
+//! reference, supply, two power breakdowns and area; format 4 dropped the
+//! design copy format 3 carried, since a point no longer holds one. The
+//! whole-file digest mixes one 64-bit word per step into two lanes (see
+//! `digest_bytes`).
 //!
 //! Values that the cache shares by pointer are written once, into their
 //! table, and named everywhere else by their `u32` index: a schedule refers
@@ -83,7 +86,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Tags of the shared-value tables, in the order they are written.
 const TABLE_BLOCKS: u8 = 0x81;
@@ -94,7 +97,7 @@ const TABLE_POINTS: u8 = 0x85;
 
 /// Version tags of the bodies whose layout this module owns.
 const TAG_SCHEDULE: u8 = 0x2C;
-const TAG_POINT: u8 = 0x43;
+const TAG_POINT: u8 = 0x45;
 const TAG_CONTEXT: u8 = 0x44;
 
 /// Bytes of the fixed prelude: magic, version and total length.
@@ -408,7 +411,6 @@ impl Interner {
         let schedule = self.schedule(&point.schedule);
         self.points.intern(point, |w| {
             w.put_tag(TAG_POINT);
-            point.design.encode(w);
             w.put_u32(schedule);
             w.put_f64(point.vdd);
             point.power.encode(w);
@@ -494,7 +496,6 @@ impl Shared {
         let points = take_table(r, TABLE_POINTS, |r| {
             r.expect_tag(TAG_POINT)?;
             Ok(DesignPoint {
-                design: Decode::decode(r)?,
                 schedule: take_ref(r, &schedules)?,
                 vdd: r.take_f64()?,
                 power: Decode::decode(r)?,

@@ -6,15 +6,21 @@
 //! [`DesignPoint`](crate::DesignPoint), evaluation context and block
 //! schedule in a session must be stored under a key that re-verifies
 //! against its contents, and the layers must agree with each other where
-//! they overlap (a context and a point of the same fingerprint describe
-//! the same design; a hierarchical schedule and the block layer agree on
+//! they overlap (a supply-search outcome is the point-layer entry of its
+//! design and supply; a hierarchical schedule and the block layer agree on
 //! every shared digest).
+//!
+//! Cached points and contexts hold no design, so what needs one — a
+//! point's fingerprint and a context's agreement with its design — is
+//! checked by the inline audit when the point is computed
+//! ([`VerifyLevel`](crate::VerifyLevel)), through
+//! `context_design_violations` among others.
 //!
 //! Everything here is read-only: audits take a [`CacheSnapshot`] (or a
 //! [`SweepSession`], which is exported to one) and return
 //! [`Violation`]s, never mutating the session.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use impact_modlib::VDD_REFERENCE;
 pub use impact_verify::{
@@ -24,10 +30,10 @@ pub use impact_verify::{
 
 use crate::cache::{CacheSnapshot, DesignContext};
 use crate::evaluate::ENC_EPS;
-use crate::fingerprint::{BlockKey, WorkloadId};
+use crate::fingerprint::{BlockKey, PointKey};
 use crate::session::SweepSession;
 use crate::snapshot::{decode_snapshot, SnapshotScope};
-use impact_rtl::DesignFingerprint;
+use impact_rtl::RtlDesign;
 
 /// Audits every cache layer of a live session. Equivalent to
 /// [`audit_snapshot`] over the session's exported contents.
@@ -55,26 +61,8 @@ pub fn audit_snapshot_bytes(bytes: &[u8]) -> Vec<Violation> {
 pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
     let mut violations = Vec::new();
 
-    // Points of a given (workload, fingerprint), for cross-layer checks.
-    let mut by_design: HashMap<(WorkloadId, DesignFingerprint), &crate::DesignPoint> =
-        HashMap::new();
-    for (key, point) in &snapshot.points {
-        by_design.insert((key.workload, key.design), point);
-    }
-
     for (key, point) in &snapshot.points {
         let location = format!("points[{:032x}@{}]", key.design.as_u128(), point.vdd);
-        let fingerprint = point.design.fingerprint();
-        if fingerprint != key.design {
-            violations.push(Violation::error(
-                rules::CACHE_POINT_KEY,
-                location.clone(),
-                format!(
-                    "key fingerprint does not re-verify: design hashes to {:032x}",
-                    fingerprint.as_u128()
-                ),
-            ));
-        }
         if point.vdd.to_bits() != key.vdd_bits {
             violations.push(Violation::error(
                 rules::CACHE_POINT_KEY,
@@ -98,12 +86,17 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
             continue;
         };
         let location = format!("scaled[{:032x}]", key.design.as_u128());
-        if point.design.fingerprint() != key.design {
-            violations.push(Violation::error(
-                rules::CACHE_SCALED_KEY,
-                location.clone(),
-                "supply-search outcome belongs to a different design than its key",
-            ));
+        // The search returns one of the design's per-level points, so where
+        // the point layer holds that level the two must agree.
+        let level = PointKey::new(key.workload, key.design, point.vdd);
+        if let Some(stored) = snapshot.points.get(&level) {
+            if !Arc::ptr_eq(stored, point) && **stored != **point {
+                violations.push(Violation::error(
+                    rules::CACHE_SCALED_KEY,
+                    location.clone(),
+                    "supply-search outcome differs from the point-layer entry of its design and supply",
+                ));
+            }
         }
         let budget = f64::from_bits(key.enc_limit_bits);
         if point.enc() > budget + ENC_EPS {
@@ -135,13 +128,6 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
                 .into_iter()
                 .map(|v| v.at(&location)),
         );
-        if let Some(point) = by_design.get(&(key.workload, key.design)) {
-            violations.extend(
-                context_point_violations(context, &point.design)
-                    .into_iter()
-                    .map(|v| v.at(&location)),
-            );
-        }
     }
 
     for (key, result) in &snapshot.schedules {
@@ -299,34 +285,43 @@ fn context_internal_violations(context: &DesignContext) -> Vec<Violation> {
     violations
 }
 
-/// Cross-layer coherence between a context and a cached point of the same
-/// fingerprint: the context must describe exactly that design.
-fn context_point_violations(
+/// Coherence between a context and the design it is stored for (the one
+/// whose fingerprint keys it): the context must describe exactly that
+/// design. Part of the inline audit.
+pub(crate) fn context_design_violations(
     context: &DesignContext,
-    design: &impact_rtl::RtlDesign,
+    design: &RtlDesign,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     if context.binding != design.scheduler_binding() {
         violations.push(Violation::error(
             rules::CACHE_CONTEXT,
             "context",
-            "binding disagrees with the cached design point of the same fingerprint",
+            "binding disagrees with the design of the same fingerprint",
         ));
     }
-    let fu_ids: Vec<_> = design.functional_units().map(|(id, _)| id).collect();
-    if context.fu_ids != fu_ids {
+    if !context
+        .fu_ids
+        .iter()
+        .copied()
+        .eq(design.functional_units().map(|(id, _)| id))
+    {
         violations.push(Violation::error(
             rules::CACHE_CONTEXT,
             "context",
-            "active unit list disagrees with the cached design point of the same fingerprint",
+            "active unit list disagrees with the design of the same fingerprint",
         ));
     }
-    let reg_ids: Vec<_> = design.registers().map(|(id, _)| id).collect();
-    if context.reg_ids != reg_ids {
+    if !context
+        .reg_ids
+        .iter()
+        .copied()
+        .eq(design.registers().map(|(id, _)| id))
+    {
         violations.push(Violation::error(
             rules::CACHE_CONTEXT,
             "context",
-            "active register list disagrees with the cached design point of the same fingerprint",
+            "active register list disagrees with the design of the same fingerprint",
         ));
     }
     for (index, (site, &restructured)) in context
@@ -339,7 +334,7 @@ fn context_point_violations(
             violations.push(Violation::error(
                 rules::CACHE_CONTEXT,
                 format!("site {index}"),
-                "restructuring flag disagrees with the cached design point of the same fingerprint",
+                "restructuring flag disagrees with the design of the same fingerprint",
             ));
         }
     }
@@ -352,7 +347,6 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::fingerprint::PointKey;
     use crate::{EngineConfig, Impact, SynthesisConfig, VerifyLevel};
 
     /// A session populated by two real gcd runs; every corruption test
@@ -405,15 +399,28 @@ mod tests {
             vdd_bits: (point.vdd + 0.5).to_bits(),
             ..key
         };
-        snapshot.points.insert(forged, point.clone());
-        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_POINT_KEY));
-
-        let forged = PointKey {
-            design: DesignFingerprint::from_u128(key.design.as_u128() ^ 1),
-            ..key
-        };
         snapshot.points.insert(forged, point);
         assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_POINT_KEY));
+    }
+
+    #[test]
+    fn outcomes_that_disagree_with_the_point_layer_trip_the_scaled_key_rule() {
+        let mut snapshot = populated_session().backend().export();
+        // An outcome whose design and supply the point layer also holds.
+        let key = *snapshot
+            .scaled
+            .iter()
+            .find(|(key, outcome)| {
+                outcome.as_ref().is_some_and(|point| {
+                    let level = PointKey::new(key.workload, key.design, point.vdd);
+                    snapshot.points.contains_key(&level)
+                })
+            })
+            .expect("some outcome is also a point-layer entry")
+            .0;
+        let outcome = snapshot.scaled.get_mut(&key).unwrap().as_mut().unwrap();
+        Arc::make_mut(outcome).area += 1.0;
+        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_SCALED_KEY));
     }
 
     #[test]
@@ -443,29 +450,47 @@ mod tests {
     }
 
     #[test]
-    fn context_point_disagreement_trips_the_context_rule() {
-        let mut snapshot = populated_session().backend().export();
-        // A context whose design also sits in the point layer (same
-        // workload and fingerprint), so the cross-layer check engages.
-        let key = *snapshot
-            .contexts
-            .keys()
-            .find(|k| {
-                snapshot
-                    .points
-                    .keys()
-                    .any(|p| p.workload == k.workload && p.design == k.design)
-            })
-            .unwrap();
-        let context = snapshot.contexts.get_mut(&key).unwrap();
-        let patched = Arc::make_mut(context);
-        let node = patched
+    fn a_corrupted_cached_context_fails_the_inline_audit() {
+        // A context stored under a design's fingerprint that binds one
+        // operation differently: the point computed from it schedules a
+        // problem that is not the design's, and the inline audit, which
+        // holds the design, rejects it.
+        let bench = impact_benchmarks::gcd();
+        let cdfg = bench.compile().unwrap();
+        let trace = impact_behsim::simulate(&cdfg, &bench.input_sequences(6, 11)).unwrap();
+        let config = SynthesisConfig::power_optimized(2.0)
+            .with_engine(EngineConfig::incremental().with_verify(VerifyLevel::Points));
+        let session = SweepSession::new();
+        let evaluator = crate::Evaluator::with_session(&cdfg, &trace, config, &session).unwrap();
+        let mut design = impact_rtl::RtlDesign::initial_parallel(&cdfg, evaluator.library());
+        let adders = design.units_of_class(impact_cdfg::OpClass::AddSub);
+        design.share_fus(adders[0], adders[1]).unwrap();
+        assert!(
+            evaluator.evaluate(&design).is_ok(),
+            "the clean context audits"
+        );
+
+        let fresh = SweepSession::new();
+        let evaluator =
+            crate::Evaluator::with_session(&cdfg, &trace, evaluator.config().clone(), &fresh)
+                .unwrap();
+        let key = crate::fingerprint::ContextKey::new(evaluator.workload(), design.fingerprint());
+        let mut context = (*session.backend().lookup_context(&key).unwrap()).clone();
+        let node = context
             .binding
             .iter()
             .position(Option::is_some)
             .expect("the context binds at least one operation");
-        patched.binding[node] = None;
-        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_CONTEXT));
+        context.binding[node] = None;
+        fresh.backend().store_context(key, Arc::new(context));
+        let Err(crate::SynthesisError::Verification(violations)) = evaluator.evaluate(&design)
+        else {
+            panic!("a corrupted context must fail the inline audit");
+        };
+        assert!(
+            violations.iter().any(|v| v.contains(rules::CACHE_CONTEXT)),
+            "{violations:?}"
+        );
     }
 
     #[test]

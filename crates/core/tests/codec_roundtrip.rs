@@ -126,7 +126,6 @@ proptest! {
             points.map(|p| &p.schedule).any(|s| **s == *point.schedule),
             "SchedulingResult: decode ∘ encode must be the identity"
         );
-        assert_value_roundtrip(&point.design, "RtlDesign");
         assert_value_roundtrip(&point.schedule.stg, "Stg");
         assert_value_roundtrip(&point.power, "PowerBreakdown");
     }

@@ -257,7 +257,7 @@ fn pareto_front_members_are_mutually_non_dominated_and_contain_the_best() {
             greedy.report.power_mw.to_bits(),
             "the Pareto best point is the greedy optimum (laxity {laxity})"
         );
-        let front = &outcome.front;
+        let front: Vec<_> = outcome.front.iter().map(|member| &member.point).collect();
         assert!(!front.is_empty(), "front is never empty (laxity {laxity})");
         assert!(
             front.iter().any(|p| {

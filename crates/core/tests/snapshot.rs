@@ -171,6 +171,14 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
+    // A writer of format v3, whose design points carried their designs.
+    let mut v3 = bytes.clone();
+    v3[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(
+        session.load_snapshot(&v3, SnapshotScope::Any),
+        Err(SnapshotRejection::Version)
+    );
+
     // A different file format altogether.
     let mut alien = bytes.clone();
     alien[..SNAPSHOT_MAGIC.len()].copy_from_slice(b"NOTCACHE");
@@ -187,7 +195,7 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    assert_eq!(session.stats().snapshot.rejected_version, 3);
+    assert_eq!(session.stats().snapshot.rejected_version, 4);
 }
 
 #[test]

@@ -893,6 +893,43 @@ impl RtlDesign {
         sinks
     }
 
+    /// The restructuring annotations `delta`, the move that produced this
+    /// design, left stranded: annotated sinks that are no longer
+    /// multi-source mux sites, in [`Self::restructured_sites`] order. Only
+    /// the sites in the move's site scope (the rule of
+    /// [`Self::derive_mux_sites`]) can have changed, so only the annotated
+    /// sinks among them are checked; every other annotation is as valid as
+    /// it was before the move.
+    pub fn stale_annotations(&self, cdfg: &Cdfg, delta: &DesignDelta) -> Vec<MuxSink> {
+        let scope = delta.site_scope(cdfg, self);
+        self.restructured_sites()
+            .filter(|&sink| scope.contains(sink) && !self.is_multi_source(cdfg, sink))
+            .collect()
+    }
+
+    /// Whether the site at `sink` has two or more distinct sources: whether
+    /// [`Self::multi_source_sinks`] lists it, decided for one sink.
+    fn is_multi_source(&self, cdfg: &Cdfg, sink: MuxSink) -> bool {
+        match sink {
+            MuxSink::FuInput { fu, port } => {
+                self.functional_unit(fu).is_ok()
+                    && two_distinct(
+                        self.ops_on_iter(fu)
+                            .filter_map(|op| self.port_key(cdfg, op, usize::from(port))),
+                    )
+            }
+            MuxSink::RegisterInput { reg } => self.register(reg).is_ok_and(|register| {
+                two_distinct(
+                    register
+                        .variables
+                        .iter()
+                        .flat_map(|&var| cdfg.definers_of(var))
+                        .flat_map(|&writer| self.writer_keys(cdfg, writer)),
+                )
+            }),
+        }
+    }
+
     /// Every bound operation with its unit, in node order.
     fn bound_ops(&self) -> impl Iterator<Item = (NodeId, FuId)> + '_ {
         self.op_binding
@@ -1086,6 +1123,14 @@ impl RtlDesign {
     }
 }
 
+/// Whether `keys` yields two distinct signals.
+fn two_distinct(mut keys: impl Iterator<Item = SignalKey>) -> bool {
+    let Some(first) = keys.next() else {
+        return false;
+    };
+    keys.any(|key| key != first)
+}
+
 /// A site's sources from its signal-key grouping, in key order.
 fn into_sources(by_key: BTreeMap<SignalKey, Vec<NodeId>>) -> Vec<SignalSource> {
     by_key
@@ -1096,11 +1141,12 @@ fn into_sources(by_key: BTreeMap<SignalKey, Vec<NodeId>>) -> Vec<SignalSource> {
 
 // ---------------------------------------------------------------- snapshot codec
 //
-// Persistent cache snapshots serialize whole designs (inside cached
-// `DesignPoint`s). Composites carry an explicit one-byte version tag — bump
-// it when a layout changes so old snapshots fail decoding (degrading to a
-// cache miss) instead of being misinterpreted. Identifier wrappers encode as
-// bare indices; the enclosing composite's tag versions them.
+// Persistent cache snapshots serialize mux sites (inside cached evaluation
+// contexts) and resource ids. Composites carry an explicit one-byte version
+// tag — bump it when a layout changes so old snapshots fail decoding
+// (degrading to a cache miss) instead of being misinterpreted. Identifier
+// wrappers encode as bare indices; the enclosing composite's tag versions
+// them.
 
 use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 
@@ -1128,10 +1174,6 @@ impl Decode for RegId {
     }
 }
 
-/// Version tag of [`FunctionalUnit`]'s wire layout.
-const TAG_FUNCTIONAL_UNIT: u8 = 0x12;
-/// Version tag of [`Register`]'s wire layout.
-const TAG_REGISTER: u8 = 0x13;
 /// Version tag of [`SignalKey`]'s wire layout.
 const TAG_SIGNAL_KEY: u8 = 0x14;
 /// Version tag of [`MuxSink`]'s wire layout.
@@ -1140,46 +1182,6 @@ const TAG_MUX_SINK: u8 = 0x15;
 const TAG_SIGNAL_SOURCE: u8 = 0x16;
 /// Version tag of [`MuxSite`]'s wire layout.
 const TAG_MUX_SITE: u8 = 0x17;
-/// Version tag of [`RtlDesign`]'s wire layout.
-const TAG_RTL_DESIGN: u8 = 0x18;
-
-impl Encode for FunctionalUnit {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_FUNCTIONAL_UNIT);
-        self.class.encode(w);
-        self.module.encode(w);
-        w.put_u8(self.width);
-    }
-}
-
-impl Decode for FunctionalUnit {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_FUNCTIONAL_UNIT)?;
-        Ok(Self {
-            class: Decode::decode(r)?,
-            module: Decode::decode(r)?,
-            width: r.take_u8()?,
-        })
-    }
-}
-
-impl Encode for Register {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_REGISTER);
-        self.variables.encode(w);
-        w.put_u8(self.width);
-    }
-}
-
-impl Decode for Register {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_REGISTER)?;
-        Ok(Self {
-            variables: Decode::decode(r)?,
-            width: r.take_u8()?,
-        })
-    }
-}
 
 impl Encode for SignalKey {
     fn encode(&self, w: &mut Encoder) {
@@ -1280,34 +1282,6 @@ impl Decode for MuxSite {
             sink: Decode::decode(r)?,
             sources: Decode::decode(r)?,
             width: r.take_u8()?,
-        })
-    }
-}
-
-impl Encode for RtlDesign {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_RTL_DESIGN);
-        self.fus.encode(w);
-        self.registers.encode(w);
-        self.op_binding.encode(w);
-        self.var_binding.encode(w);
-        // The restructured set iterates in hash order; sort for a
-        // deterministic encoding (same design -> same bytes).
-        let mut restructured: Vec<MuxSink> = self.restructured.iter().copied().collect();
-        restructured.sort_unstable();
-        restructured.encode(w);
-    }
-}
-
-impl Decode for RtlDesign {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_RTL_DESIGN)?;
-        Ok(Self {
-            fus: Decode::decode(r)?,
-            registers: Decode::decode(r)?,
-            op_binding: Decode::decode(r)?,
-            var_binding: Decode::decode(r)?,
-            restructured: Vec::<MuxSink>::decode(r)?.into_iter().collect(),
         })
     }
 }

@@ -127,6 +127,14 @@ impl Scheduler for WaveScheduler {
     }
 }
 
+/// The source of the stand-in edge an overlapped loop's body is scheduled
+/// with, next to the body's real incoming edges. It names no state: where
+/// the composer would connect it, [`Builder::connect`] records the route
+/// instead (destination, guard, probability factor), and the body's back
+/// edges are later routed the same way — through a leading branch, split by
+/// its probability.
+const ROUTE_PROBE: StateId = StateId::new(usize::MAX);
+
 /// A transition waiting for its destination state.
 #[derive(Clone, Debug)]
 struct PendingEdge {
@@ -153,6 +161,10 @@ struct Builder<'p, 'a, 's> {
     tails: Vec<StateId>,
     /// Scratch of tail placement: the units busy in one tail state.
     busy_units: Vec<usize>,
+    /// Routes the [`ROUTE_PROBE`] edges took, as (destination, guard,
+    /// probability factor), stacked: each overlapped loop reads the entries
+    /// its body appended and truncates them again.
+    routes: Vec<(StateId, Guard, f64)>,
 }
 
 fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> {
@@ -189,6 +201,7 @@ pub fn compose(
         blocks: Vec::new(),
         tails: Vec::new(),
         busy_units: Vec::new(),
+        routes: Vec::new(),
     };
     let result = builder.schedule_sequence(problem.cdfg.regions(), Vec::new(), 0)?;
     // Whatever probability mass is still dangling terminates the pass.
@@ -232,8 +245,12 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
 
     fn connect(&mut self, edges: &[PendingEdge], to: StateId) {
         for edge in edges {
-            self.stg
-                .add_transition(edge.from, to, edge.guard.clone(), edge.probability);
+            if edge.from == ROUTE_PROBE {
+                self.routes.push((to, edge.guard.clone(), edge.probability));
+            } else {
+                self.stg
+                    .add_transition(edge.from, to, edge.guard.clone(), edge.probability);
+            }
         }
     }
 
@@ -509,14 +526,24 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         // interned label.
         let continue_guard = Guard::loop_back(label, true);
         let exit_guard = Guard::loop_back(label, false);
-        let body_incoming: Vec<PendingEdge> = header_out
-            .iter()
-            .map(|e| PendingEdge {
-                from: e.from,
+        // An overlapped iteration re-enters the body where the header's
+        // edges enter it: the probe, last so the real edges' transitions
+        // keep their order, records those routes.
+        let header_nodes: Vec<NodeId> = impact_cdfg::region::collect_all_nodes(header);
+        let overlappable = self.problem.config.loop_overlap && !header_nodes.is_empty();
+        let mut body_incoming = Vec::with_capacity(header_out.len() + usize::from(overlappable));
+        body_incoming.extend(header_out.iter().map(|e| PendingEdge {
+            from: e.from,
+            guard: continue_guard.clone(),
+            probability: e.probability * p_continue,
+        }));
+        if overlappable {
+            body_incoming.push(PendingEdge {
+                from: ROUTE_PROBE,
                 guard: continue_guard.clone(),
-                probability: e.probability * p_continue,
-            })
-            .collect();
+                probability: 1.0,
+            });
+        }
         let mut exit_edges = header_out;
         for e in &mut exit_edges {
             *e = PendingEdge {
@@ -527,7 +554,11 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         }
 
         let body_base = branch_base + branch_count(header);
-        let body_result = self.schedule_sequence(body, body_incoming, body_base)?;
+        let routes_start = self.routes.len();
+        let mut body_result = self.schedule_sequence(body, body_incoming, body_base)?;
+        // A probe that crossed the body without entering a state stands for
+        // an iteration that runs none of it; it leaves no back edge.
+        body_result.outgoing.retain(|e| e.from != ROUTE_PROBE);
 
         if body_result.entry.is_none() {
             // Degenerate loop with an empty body: only the header repeats.
@@ -536,20 +567,16 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                 self.stg
                     .add_transition(e.from, header_entry, e.guard.clone(), e.probability);
             }
+            self.routes.truncate(routes_start);
             return Ok(SeqResult {
                 outgoing: exit_edges,
                 expected: (expected_iterations + 1.0) * header_result.expected + elp_extra,
                 entry: Some(header_entry),
             });
         }
-        let body_entry = body_result.entry.expect("checked above");
-
         // Implicit loop unrolling: try to replicate the header operations in
         // the body's tail states so the next iteration skips the header.
-        let header_nodes: Vec<NodeId> = impact_cdfg::region::collect_all_nodes(header);
-        let overlap = self.problem.config.loop_overlap
-            && !header_nodes.is_empty()
-            && self.can_place_at_tails(&body_result.outgoing, &header_nodes);
+        let overlap = overlappable && self.can_place_at_tails(&body_result.outgoing, &header_nodes);
 
         let mut outgoing = exit_edges;
         if overlap {
@@ -557,13 +584,13 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
             let extra = self.place_tail_ops(&mut body_out, &header_nodes);
             debug_assert_eq!(extra, 0.0, "placement feasibility was checked");
             for e in &body_out {
-                // Back to the body directly (header already executed here) …
-                self.stg.add_transition(
-                    e.from,
-                    body_entry,
-                    continue_guard.clone(),
-                    e.probability * p_continue,
-                );
+                // Back into the body the way the header entered it (the
+                // header already executed here) …
+                let back = e.probability * p_continue;
+                for (to, guard, factor) in &self.routes[routes_start..] {
+                    self.stg
+                        .add_transition(e.from, *to, guard.clone(), back * factor);
+                }
                 // … or leave the loop.
                 outgoing.push(PendingEdge {
                     from: e.from,
@@ -571,6 +598,7 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                     probability: e.probability * (1.0 - p_continue),
                 });
             }
+            self.routes.truncate(routes_start);
             let expected =
                 header_result.expected + elp_extra + expected_iterations * body_result.expected;
             Ok(SeqResult {
@@ -583,6 +611,7 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
                 self.stg
                     .add_transition(e.from, header_entry, e.guard.clone(), e.probability);
             }
+            self.routes.truncate(routes_start);
             let expected = (expected_iterations + 1.0) * header_result.expected
                 + elp_extra
                 + expected_iterations * body_result.expected;
@@ -643,7 +672,12 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
     /// functional unit. Leaves those tail states, sorted, in `self.tails`.
     fn can_place_at_tails(&mut self, edges: &[PendingEdge], nodes: &[NodeId]) -> bool {
         self.tails.clear();
-        self.tails.extend(edges.iter().map(|e| e.from));
+        self.tails.extend(
+            edges
+                .iter()
+                .map(|e| e.from)
+                .filter(|&from| from != ROUTE_PROBE),
+        );
         self.tails.sort_unstable();
         self.tails.dedup();
         let clock = self.problem.config.clock_ns;

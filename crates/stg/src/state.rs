@@ -12,7 +12,7 @@ impl StateId {
     /// The id of the state with the given raw index, e.g. the `i`-th state
     /// of a chain from [`Stg::add_chain`](crate::Stg::add_chain) is
     /// `StateId::new(first.index() + i)`.
-    pub fn new(index: usize) -> Self {
+    pub const fn new(index: usize) -> Self {
         Self(index)
     }
 

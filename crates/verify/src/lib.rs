@@ -189,14 +189,16 @@ pub mod rules {
     /// with the problem's clock.
     pub const SCHED_STG: &str = "sched-stg";
 
-    /// A cached design point's key does not re-verify against its contents
-    /// (fingerprint or supply level mismatch).
+    /// A cached design point is stored under another supply level than its
+    /// own. (A point holds no design; its fingerprint is re-verified, under
+    /// [`RTL_FINGERPRINT`], when the point is computed.)
     pub const CACHE_POINT_KEY: &str = "cache-point-key";
     /// A cached supply-search outcome violates the budget encoded in its
-    /// key or belongs to a different design.
+    /// key, or differs from the point-layer entry of its design and supply.
     pub const CACHE_SCALED_KEY: &str = "cache-scaled-key";
     /// A cached evaluation context is internally inconsistent or disagrees
-    /// with a cached design point of the same fingerprint.
+    /// with the design whose fingerprint keys it (checked when a point is
+    /// computed from it).
     pub const CACHE_CONTEXT: &str = "cache-context";
     /// A cached hierarchical schedule disagrees with the per-block cache
     /// layer that claims the same digest.

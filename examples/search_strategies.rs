@@ -43,19 +43,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The Pareto sweep's front: every point is feasible and non-dominated
-    // on (power, area, ENC).
+    // The Pareto sweep's front: every member is a design with its point,
+    // feasible and non-dominated on (power, area, ENC).
     let config = SynthesisConfig::power_optimized(2.0).with_effort(3, 5);
     let engine = config.engine.with_explorer(ExplorerKind::Pareto);
     let outcome = Impact::new(config.with_engine(engine)).synthesize(&cdfg, &trace)?;
     println!("\npareto front at laxity 2.0:");
-    for point in &outcome.front {
+    for member in &outcome.front {
+        let point = &member.point;
         println!(
-            "  power {:>8.4} mW  area {:>7.0}  enc {:>7.1}  vdd {:>4.2}",
+            "  power {:>8.4} mW  area {:>7.0}  enc {:>7.1}  vdd {:>4.2}  units {:>2}",
             point.power.total_mw(),
             point.area,
             point.enc(),
             point.vdd,
+            member.design.fu_count(),
         );
     }
     Ok(())
