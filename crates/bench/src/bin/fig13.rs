@@ -8,12 +8,14 @@
 //! ```
 //!
 //! `--paper` sweeps the full 1.0–3.0 laxity grid in 0.2 steps (slower); the
-//! default uses a coarser 5-point grid. Output is one table per benchmark
-//! with the `A-Power`, `I-Power` and `I-Area` series of the corresponding
-//! sub-figure.
+//! default uses a coarser 5-point grid. `--benchmark` picks one of the six
+//! designs by name and exits non-zero on a missing name or one that matches
+//! none. Output is one table per benchmark with the `A-Power`, `I-Power` and
+//! `I-Area` series of the corresponding sub-figure.
 
 use impact_bench::{
-    fail, figure13_series, paper_laxities, quick_laxities, BenchCli, DEFAULT_PASSES,
+    benchmark_named, fail, figure13_series, paper_laxities, quick_laxities, BenchCli,
+    DEFAULT_PASSES,
 };
 
 fn main() {
@@ -22,7 +24,11 @@ fn main() {
         .parsed("--passes")
         .unwrap_or_else(|message| fail(&message))
         .unwrap_or(DEFAULT_PASSES);
-    let only = cli.value("--benchmark");
+    let benches = match cli.parsed::<String>("--benchmark") {
+        Ok(Some(name)) => vec![benchmark_named(&name)],
+        Ok(None) => impact_benchmarks::all_benchmarks(),
+        Err(message) => fail(&message),
+    };
 
     let laxities = if cli.paper() {
         paper_laxities()
@@ -37,12 +43,7 @@ fn main() {
         passes
     );
 
-    for bench in impact_benchmarks::all_benchmarks() {
-        if let Some(name) = &only {
-            if !bench.name.eq_ignore_ascii_case(name) {
-                continue;
-            }
-        }
+    for bench in benches {
         let series = figure13_series(&bench, &laxities, passes);
         println!();
         println!(

@@ -6,18 +6,26 @@
 //!   every cached entry against its key (fingerprints, supply levels, ENC
 //!   budgets, block digests, context consistency).
 //! * `--snapshot-dir DIR` — audit every `*.impactcache` file in a
-//!   directory (the layout `sweep_bench --snapshot-dir` produces). Fails
-//!   when the directory holds no snapshots at all, so a misconfigured CI
-//!   path cannot pass vacuously.
-//! * default (optionally `--design NAME`, repeatable) — synthesize the
-//!   example designs over a shared session with the engine's inline audits
-//!   at [`VerifyLevel::Full`], then re-audit the finished outcomes, the
-//!   whole session cache and the snapshot round-trip as data.
+//!   directory (`<design>.impactcache`, as `SweepSession::save_to_file`
+//!   writes them). Fails when the directory holds no snapshots at all, so a
+//!   misconfigured path cannot pass vacuously.
+//! * default (optionally `--design NAME`, repeatable, any of the paper's
+//!   six designs) — synthesize the four example designs, or the named ones,
+//!   over a shared session with the engine's inline audits at
+//!   [`VerifyLevel::Full`], then re-audit the finished outcomes, the whole
+//!   session cache and the snapshot round-trip as data. A name that matches
+//!   no design fails before anything is synthesized.
+//!
+//! A flag given without its operand fails rather than running the default
+//! mode.
 //!
 //! Usage: `impact-verify [--smoke] [--design NAME] [--snapshot FILE]
 //! [--snapshot-dir DIR]`
 
-use impact_bench::{fail_if, prepare, quick_laxities, BenchCli, DEFAULT_EFFORT, DEFAULT_PASSES};
+use impact_bench::{
+    benchmark_named, example_designs, fail, fail_if, prepare, quick_laxities, BenchCli,
+    DEFAULT_EFFORT, DEFAULT_PASSES,
+};
 use impact_core::verify::{audit_session, audit_snapshot_bytes};
 use impact_core::{EngineConfig, Evaluator, Impact, SweepSession, SynthesisConfig, VerifyLevel};
 use impact_verify::Violation;
@@ -120,12 +128,18 @@ fn audit_design(
 fn main() {
     let cli = BenchCli::parse();
     let mut total = 0usize;
+    // A flag without its operand fails instead of falling through to the
+    // default mode, which would audit something else and pass.
+    let operand = |key: &str| {
+        cli.parsed::<String>(key)
+            .unwrap_or_else(|message| fail(&message))
+    };
 
-    if let Some(path) = cli.value("--snapshot") {
+    if let Some(path) = operand("--snapshot") {
         audit_file(std::path::Path::new(&path), &mut total);
-    } else if let Some(dir) = cli.value("--snapshot-dir") {
+    } else if let Some(dir) = operand("--snapshot-dir") {
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-            .unwrap_or_else(|error| panic!("snapshot directory `{dir}` is readable: {error}"))
+            .unwrap_or_else(|error| fail(&format!("snapshot directory `{dir}`: {error}")))
             .filter_map(Result::ok)
             .map(|entry| entry.path())
             .filter(|path| path.extension().is_some_and(|ext| ext == "impactcache"))
@@ -146,18 +160,25 @@ fn main() {
             (DEFAULT_PASSES, DEFAULT_EFFORT, quick_laxities())
         };
         // `--design` is repeatable; BenchCli::value only sees the first, so
-        // collect every occurrence here.
+        // collect every occurrence here, and resolve every name before the
+        // first synthesis.
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let wanted: Vec<String> = args
+        fail_if(
+            args.last().is_some_and(|arg| arg == "--design"),
+            "`--design` needs an operand",
+        );
+        let wanted: Vec<_> = args
             .windows(2)
             .filter(|pair| pair[0] == "--design")
-            .map(|pair| pair[1].clone())
+            .map(|pair| benchmark_named(&pair[1]))
             .collect();
-        for bench in impact_bench::example_designs() {
-            if !wanted.is_empty() && !wanted.iter().any(|name| name == bench.name) {
-                continue;
-            }
-            audit_design(&bench, &laxities, passes, effort, &mut total);
+        let designs = if wanted.is_empty() {
+            example_designs()
+        } else {
+            wanted
+        };
+        for bench in &designs {
+            audit_design(bench, &laxities, passes, effort, &mut total);
         }
     }
 

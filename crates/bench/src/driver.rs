@@ -1,8 +1,8 @@
 //! The batch job driver: many `(benchmark, configuration)` synthesis jobs
 //! scheduled over a scoped worker pool, optionally sharing one
-//! [`SweepSession`] — plus the CLI and report plumbing every bench binary
-//! shares ([`BenchCli`], [`example_designs`], [`report_json`],
-//! [`write_report`], [`fail`], [`fail_if`]).
+//! [`SweepSession`] — plus the CLI plumbing every bench binary shares
+//! ([`BenchCli`], [`example_designs`], [`benchmark_named`], [`fail`],
+//! [`fail_if`]).
 //!
 //! Every multi-run experiment goes through [`run_batch`]: one place that
 //! claims jobs off a shared queue, times each synthesis, and returns results
@@ -11,7 +11,6 @@
 //! parallel batches produce bit-identical reports to sequential ones — the
 //! pool only changes wall-clock.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -138,8 +137,7 @@ pub fn run_batch(
 }
 
 /// Parsed command line of a bench binary: the flags every driver shares
-/// (`--smoke`, `--paper`, `--out PATH`) plus typed access to
-/// binary-specific arguments.
+/// (`--smoke`, `--paper`) plus typed access to binary-specific arguments.
 #[derive(Clone, Debug)]
 pub struct BenchCli {
     args: Vec<String>,
@@ -171,15 +169,6 @@ impl BenchCli {
         self.flag("--paper")
     }
 
-    /// The mode label reports carry: `"smoke"` or `"full"`.
-    pub fn mode(&self) -> &'static str {
-        if self.smoke() {
-            "smoke"
-        } else {
-            "full"
-        }
-    }
-
     /// The operand following `key` (e.g. `--workers 4`), verbatim.
     pub fn value(&self, key: &str) -> Option<String> {
         self.args
@@ -204,11 +193,6 @@ impl BenchCli {
             .map(Some)
             .map_err(|_| format!("`{key}` got malformed operand `{operand}`"))
     }
-
-    /// The report path: `--out PATH` or the binary's default.
-    pub fn out_path(&self, default: &str) -> String {
-        self.value("--out").unwrap_or_else(|| default.to_string())
-    }
 }
 
 /// The example designs the benches and differential tests run on, smallest
@@ -222,44 +206,20 @@ pub fn example_designs() -> Vec<Benchmark> {
     ]
 }
 
-/// Assembles the report envelope the bench binaries share: scalar header
-/// fields (values are raw JSON), one or more named arrays of pre-rendered
-/// objects, and a `headline` object.
-pub fn report_json(
-    scalars: &[(&str, String)],
-    arrays: &[(&str, &[String])],
-    headline: &str,
-) -> String {
-    let mut out = String::from("{\n");
-    for (name, value) in scalars {
-        out.push_str(&format!("  \"{name}\": {value},\n"));
-    }
-    for (name, items) in arrays {
-        out.push_str(&format!("  \"{name}\": [\n"));
-        for (i, item) in items.iter().enumerate() {
-            out.push_str(&format!(
-                "    {item}{}\n",
-                if i + 1 < items.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-    }
-    out.push_str(&format!("  \"headline\": {headline}\n"));
-    out.push_str("}\n");
-    out
-}
-
-/// Writes a report to `path` and logs the destination.
-///
-/// # Panics
-///
-/// Panics when the path is not writable — bench reports are the product of
-/// the run, so failing to record them is a hard error.
-pub fn write_report(path: &str, json: &str) {
-    let mut file = std::fs::File::create(path).expect("bench output file is writable");
-    file.write_all(json.as_bytes())
-        .expect("bench output writes");
-    println!("wrote {path}");
+/// The benchmark called `name` (case-insensitive, any of the paper's six
+/// designs), or a non-zero exit that lists the known names: a misspelt
+/// filter must not select nothing and pass.
+pub fn benchmark_named(name: &str) -> Benchmark {
+    impact_benchmarks::by_name(name).unwrap_or_else(|| {
+        let known: Vec<&str> = impact_benchmarks::all_benchmarks()
+            .iter()
+            .map(|bench| bench.name)
+            .collect();
+        fail(&format!(
+            "unknown design `{name}`; known designs: {}",
+            known.join(", ")
+        ))
+    })
 }
 
 /// Exits non-zero with `FAIL: message`.

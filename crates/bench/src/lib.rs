@@ -1,27 +1,20 @@
 //! Experiment drivers regenerating the tables and figures of the IMPACT
 //! paper. The binaries in `src/bin/` print the series.
 //!
-//! Multi-run experiments (the Figure 13 laxity sweep and the warm-start
-//! comparison) are expressed as batches of [`SweepJob`]s over the
-//! [`run_batch`] driver, sharing one [`SweepSession`] where the runs cover
-//! the same workload.
-
-use std::path::Path;
+//! Multi-run experiments (the Figure 13 laxity sweep) are expressed as
+//! batches of [`SweepJob`]s over the [`run_batch`] driver, sharing one
+//! [`SweepSession`] where the runs cover the same workload.
 
 use impact_behsim::{simulate, ExecutionTrace};
 use impact_benchmarks::Benchmark;
 use impact_cdfg::Cdfg;
-use impact_core::{
-    CacheStats, ExploreStats, Impact, SnapshotScope, SnapshotStats, SweepSession, SynthesisConfig,
-    SynthesisOutcome,
-};
+use impact_core::{Impact, SweepSession, SynthesisConfig, SynthesisOutcome};
 use impact_sched::{uniform_problem, BaselineScheduler, Scheduler, WaveScheduler};
 
 mod driver;
 
 pub use driver::{
-    example_designs, fail, fail_if, report_json, run_batch, write_report, BenchCli, JobResult,
-    SweepJob,
+    benchmark_named, example_designs, fail, fail_if, run_batch, BenchCli, JobResult, SweepJob,
 };
 
 /// Number of input passes used by the experiment drivers ("typical input
@@ -259,193 +252,9 @@ pub fn batches_identical(a: &[JobResult], b: &[JobResult]) -> bool {
             .all(|(x, y)| x.outcome.report == y.outcome.report)
 }
 
-/// One-line rendering of the per-layer cache counters, for the bench
-/// summaries: `layer hits/misses (hit%)` from cheapest to most expensive to
-/// recompute.
-pub fn format_layer_stats(stats: &CacheStats) -> String {
-    let layer = |name: &str, layer: impact_core::LayerStats| {
-        format!(
-            "{name} {}/{} ({:.1}%)",
-            layer.hits,
-            layer.misses,
-            100.0 * layer.hit_rate()
-        )
-    };
-    format!(
-        "{} | {} | {} | {} | {} | {} | {} | {} | {}",
-        layer("stats", stats.trace_stats),
-        layer("context", stats.context),
-        layer("block", stats.block),
-        layer("schedule", stats.schedule),
-        layer("point", stats.point),
-        layer("scaled", stats.scaled),
-        format_merge_stats(&stats.merge),
-        format_snapshot_stats(&stats.snapshot),
-        format_explore_stats(&stats.explore),
-    )
-}
-
-/// One-line rendering of the explorer counters: full probes (plus the
-/// cheap reference-supply ranking probes), commits, exact reverts, the
-/// widest beam actually realized, restarts taken, and Pareto kept/dominated.
-pub fn format_explore_stats(stats: &ExploreStats) -> String {
-    format!(
-        "explore probes {} (rank {}) commits {} reverts {} beam {} restarts {} pareto {}/{}",
-        stats.probes,
-        stats.rank_probes,
-        stats.commits,
-        stats.reverts,
-        stats.beam_width,
-        stats.restarts,
-        stats.pareto_kept,
-        stats.pareto_dominated,
-    )
-}
-
-/// One-line rendering of the cumulative merge counters: `merge absorbed N
-/// dup N dropped N` (entries a session took in through `absorb` — snapshot
-/// loads and session merges — vs duplicate-skipped and capacity-dropped
-/// offers).
-pub fn format_merge_stats(stats: &impact_core::AbsorbStats) -> String {
-    format!(
-        "merge absorbed {} dup {} dropped {}",
-        stats.absorbed, stats.duplicates, stats.dropped
-    )
-}
-
-/// One-line rendering of the snapshot save/load counters, including the
-/// per-reason load rejections: `snapshot saves N loads N rejected N
-/// (version N, digest N, truncated N)`.
-pub fn format_snapshot_stats(stats: &SnapshotStats) -> String {
-    format!(
-        "snapshot saves {} loads {} rejected {} (version {}, digest {}, truncated {})",
-        stats.saves,
-        stats.loads,
-        stats.rejected(),
-        stats.rejected_version,
-        stats.rejected_digest,
-        stats.rejected_truncated,
-    )
-}
-
-/// One benchmark's cold-vs-warm-start comparison: a sweep over a fresh
-/// session, a snapshot save, a load into a second fresh session, and a rerun
-/// of the same sweep against the loaded entries. The warm rerun must
-/// reproduce the cold reports bit-for-bit and answer every design-point
-/// lookup from the snapshot.
-#[derive(Clone, Debug)]
-pub struct WarmStartComparison {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Number of laxity points swept.
-    pub laxity_points: usize,
-    /// Size of the encoded snapshot, in bytes.
-    pub snapshot_bytes: usize,
-    /// Entries the warm session absorbed from the snapshot.
-    pub absorbed: usize,
-    /// Whether the warm rerun reproduced the cold reports bit-for-bit.
-    pub identical: bool,
-    /// Whether a snapshot file from a previous process already existed and
-    /// was byte-identical to this run's fresh save (cross-process
-    /// determinism; always `false` without a snapshot path or on the first
-    /// run against one).
-    pub resumed: bool,
-    /// Cache counters of the warm session after the rerun (its `snapshot`
-    /// field carries the save/load counters of this comparison).
-    pub warm_cache: CacheStats,
-}
-
-impl WarmStartComparison {
-    /// Point-layer hit rate of the warm rerun.
-    pub fn point_hit_rate(&self) -> f64 {
-        self.warm_cache.point.hit_rate()
-    }
-
-    /// Whether the warm rerun answered every design-point lookup from the
-    /// snapshot (100 % point-layer hit rate).
-    pub fn fully_warm(&self) -> bool {
-        self.warm_cache.point.hits > 0 && self.warm_cache.point.misses == 0
-    }
-}
-
-/// Runs one benchmark's Figure 13 sweep cold, snapshots the session, reloads
-/// the snapshot into a fresh session and reruns the sweep warm. With a
-/// `snapshot_path` the bytes round-trip through the filesystem (atomic write,
-/// verified load) and `resumed` reports whether a pre-existing file from an
-/// earlier process was byte-identical to this run's save; without one the
-/// bytes stay in memory. `effort` is `(max_passes, max_sequence_length)`;
-/// both sweeps run one batch worker per CPU.
-///
-/// # Panics
-///
-/// Panics when the snapshot this run just saved fails verification — that is
-/// a codec bug, not an input problem — or when `snapshot_path` is not
-/// writable.
-pub fn warm_start_comparison(
-    bench: &Benchmark,
-    laxities: &[f64],
-    passes: usize,
-    effort: (usize, usize),
-    snapshot_path: Option<&Path>,
-) -> WarmStartComparison {
-    let (cdfg, trace) = prepare(bench, passes, DEFAULT_SEED);
-    let jobs = figure13_jobs(&cdfg, &trace, laxities, effort);
-
-    let cold_session = SweepSession::new();
-    let cold = run_batch(&jobs, Some(&cold_session), 0);
-    let bytes = cold_session.save_snapshot();
-
-    // Cross-process determinism check: a file left by a previous run must
-    // byte-match this run's save before we replace it.
-    let resumed = snapshot_path
-        .and_then(|path| std::fs::read(path).ok())
-        .is_some_and(|existing| existing == bytes);
-    if let Some(path) = snapshot_path {
-        impact_core::write_snapshot_bytes(path, &bytes).expect("snapshot path is writable");
-    }
-
-    let warm_session = SweepSession::new();
-    let merged = match snapshot_path {
-        Some(path) => warm_session
-            .load_from_file(path, SnapshotScope::Any)
-            .expect("a snapshot this run just wrote verifies and loads"),
-        None => warm_session
-            .load_snapshot(&bytes, SnapshotScope::Any)
-            .expect("a snapshot this run just saved verifies and loads"),
-    };
-    let warm = run_batch(&jobs, Some(&warm_session), 0);
-
-    WarmStartComparison {
-        benchmark: bench.name.to_string(),
-        laxity_points: laxities.len(),
-        snapshot_bytes: bytes.len(),
-        absorbed: merged.absorbed as usize,
-        identical: batches_identical(&cold, &warm),
-        resumed,
-        warm_cache: warm_session.stats(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impact_core::EngineConfig;
-
-    /// Runs gcd's Figure 13 jobs at laxities 1.0 and 2.0 (8 passes, effort
-    /// (1, 2)) under `engine`, cold or over one fresh shared session.
-    fn gcd_sweep(engine: EngineConfig, shared: bool) -> (Vec<JobResult>, Option<SweepSession>) {
-        let (cdfg, trace) = prepare(&impact_benchmarks::gcd(), 8, DEFAULT_SEED);
-        let jobs: Vec<SweepJob<'_>> = figure13_jobs(&cdfg, &trace, &[1.0, 2.0], (1, 2))
-            .into_iter()
-            .map(|mut job| {
-                job.config = job.config.with_engine(engine);
-                job
-            })
-            .collect();
-        let session = shared.then(SweepSession::new);
-        let results = run_batch(&jobs, session.as_ref(), 1);
-        (results, session)
-    }
 
     #[test]
     fn laxity_grids_span_one_to_three() {
@@ -455,67 +264,6 @@ mod tests {
         assert!((paper[10] - 3.0).abs() < 1e-12);
         let quick = quick_laxities();
         assert_eq!(quick.len(), 5);
-    }
-
-    #[test]
-    fn engine_comparison_reports_identical_results_and_counts_cache_traffic() {
-        // The brute-force sequential engine and the cold incremental engine
-        // agree bit-for-bit, and each incremental run's private cache is used.
-        let (sequential, _) = gcd_sweep(EngineConfig::sequential(), false);
-        let (incremental, _) = gcd_sweep(EngineConfig::incremental(), false);
-        assert!(
-            batches_identical(&sequential, &incremental),
-            "engines must agree bit-for-bit"
-        );
-        for result in &incremental {
-            let cache = result.outcome.cache_stats;
-            assert!(cache.hits + cache.misses > 0, "{}", result.label);
-            assert!(cache.hit_rate() > 0.0, "{}: {cache:?}", result.label);
-        }
-    }
-
-    #[test]
-    fn delta_comparison_reports_identical_results_across_generations() {
-        // Full rebuild cold and over a shared session, and the delta-patched
-        // incremental engine over a shared session, agree bit-for-bit.
-        let (cold, _) = gcd_sweep(EngineConfig::full_rebuild(), false);
-        let (shared, _) = gcd_sweep(EngineConfig::full_rebuild(), true);
-        let (delta, session) = gcd_sweep(EngineConfig::incremental(), true);
-        assert!(
-            batches_identical(&cold, &shared) && batches_identical(&cold, &delta),
-            "all three evaluator generations must agree"
-        );
-        // The delta sweep exercised the schedule-memo layer, and the summary
-        // line renders every layer.
-        let stats = session
-            .expect("the delta sweep runs with a session")
-            .stats();
-        assert!(stats.schedule.hits + stats.schedule.misses > 0);
-        let line = format_layer_stats(&stats);
-        for name in ["stats", "context", "schedule", "point", "scaled"] {
-            assert!(line.contains(name), "{line} must mention {name}");
-        }
-    }
-
-    #[test]
-    fn repair_comparison_reports_identical_results_across_generations() {
-        // Full rebuild cold, whole-CDFG rescheduling over a shared session,
-        // and composition through the block layer over a shared session
-        // agree bit-for-bit.
-        let (cold, _) = gcd_sweep(EngineConfig::full_rebuild(), false);
-        let (memoized, _) = gcd_sweep(EngineConfig::full_reschedule(), true);
-        let (composed, session) = gcd_sweep(EngineConfig::incremental(), true);
-        assert!(
-            batches_identical(&cold, &memoized) && batches_identical(&cold, &composed),
-            "all three evaluator generations must agree"
-        );
-        // The composed sweep exercised the block layer, and the summary line
-        // renders it.
-        let stats = session
-            .expect("the composed sweep runs with a session")
-            .stats();
-        assert!(stats.block.hits + stats.block.misses > 0);
-        assert!(format_layer_stats(&stats).contains("block"));
     }
 
     #[test]

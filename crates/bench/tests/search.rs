@@ -1,5 +1,4 @@
-//! Quality gates and static audits of the search-policy layer, under the
-//! `verify` feature the bench crate turns on:
+//! Quality gates and static audits of the search-policy layer:
 //!
 //! - on cold cells, no explorer ends on worse power than the greedy oracle,
 //!   at least one cell improves on it, and every outcome and Pareto-front

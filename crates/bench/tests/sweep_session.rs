@@ -5,8 +5,8 @@
 //! independent cold runs, under any worker count.
 
 use impact_bench::{
-    assemble_fig13, batches_identical, figure13_jobs, format_layer_stats, paper_laxities, prepare,
-    run_batch, SweepJob, DEFAULT_SEED,
+    assemble_fig13, batches_identical, figure13_jobs, paper_laxities, prepare, run_batch, SweepJob,
+    DEFAULT_SEED,
 };
 use impact_core::{
     EngineConfig, ExplorerKind, Impact, SweepSession, SynthesisConfig, SynthesisOutcome,
@@ -53,16 +53,24 @@ fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
                 "{}: {name} diverged from the sequential oracle",
                 bench.name
             );
-            // The fast paths were actually taken: a shared session answers
-            // from its layers, and the incremental engine reaches the
-            // schedule-memo and block layers.
+            // The fast paths were actually taken: every cold incremental
+            // job answers lookups from its own private cache, a shared
+            // session answers from its layers, and the incremental engine
+            // reaches the schedule-memo and block layers.
+            if engine == EngineConfig::incremental() && !shared {
+                for result in &results {
+                    let cache = result.outcome.cache_stats;
+                    let what = format!("{}: {name} {}", bench.name, result.label);
+                    assert!(cache.hits + cache.misses > 0, "{what}");
+                    assert!(cache.hit_rate() > 0.0, "{what}: {cache:?}");
+                }
+            }
             let Some(session) = session else { continue };
             let stats = session.stats();
             assert!(stats.hit_rate() > 0.0, "{}: {name} {stats:?}", bench.name);
             if engine == EngineConfig::incremental() {
-                let line = format_layer_stats(&stats);
                 for layer in [stats.schedule, stats.block] {
-                    assert!(layer.hits + layer.misses > 0, "{}: {line}", bench.name);
+                    assert!(layer.hits + layer.misses > 0, "{}: {stats:?}", bench.name);
                 }
             }
         }

@@ -16,11 +16,9 @@ pub enum OptimizationMode {
 
 /// How much static invariant auditing the engine performs while it runs.
 ///
-/// Auditing is implemented by the `impact_verify` checker and only compiled
-/// in when the `verify` cargo feature is enabled; without the feature every
-/// level behaves like [`VerifyLevel::Off`]. Intended for debug and CI
-/// builds — the checks re-verify artifacts the evaluator just produced, so
-/// they cost real time on top of every cache miss.
+/// Auditing is implemented by the `impact_verify` checker. Intended for
+/// debug and CI runs — the checks re-verify artifacts the evaluator just
+/// produced, so they cost real time on top of every cache miss.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum VerifyLevel {
     /// No auditing (the release default).
@@ -78,8 +76,7 @@ pub enum EvaluatorKind {
 pub struct EngineConfig {
     /// Which evaluator costs candidates (see [`EvaluatorKind`]).
     pub evaluator: EvaluatorKind,
-    /// Static invariant auditing of evaluator outputs (requires the
-    /// `verify` cargo feature to have any effect).
+    /// Static invariant auditing of evaluator outputs.
     pub verify: VerifyLevel,
     /// Search strategy run over the probe/commit kernel (see
     /// [`ExplorerKind`]). The default, [`ExplorerKind::Greedy`], is the
@@ -128,8 +125,7 @@ impl EngineConfig {
         }
     }
 
-    /// Returns a copy with a different auditing level (see [`VerifyLevel`];
-    /// requires the `verify` cargo feature to have any effect).
+    /// Returns a copy with a different auditing level (see [`VerifyLevel`]).
     pub fn with_verify(mut self, verify: VerifyLevel) -> Self {
         self.verify = verify;
         self

@@ -164,7 +164,6 @@ impl Impact {
 
         // At the full auditing level the whole session is checked for cache
         // coherence before the outcome is handed out.
-        #[cfg(feature = "verify")]
         if self.config.engine.verify == crate::VerifyLevel::Full {
             evaluator.audit_session()?;
         }

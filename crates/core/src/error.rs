@@ -21,9 +21,8 @@ pub enum SynthesisError {
     /// generation).
     Rtl(RtlError),
     /// Static invariant auditing found violations in a freshly produced
-    /// artifact (only raised with the `verify` cargo feature and a
-    /// [`VerifyLevel`](crate::VerifyLevel) above `Off`). Each string is one
-    /// rendered violation.
+    /// artifact (only raised at a [`VerifyLevel`](crate::VerifyLevel) above
+    /// `Off`). Each string is one rendered violation.
     Verification(Vec<String>),
 }
 

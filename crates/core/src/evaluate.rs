@@ -205,7 +205,6 @@ impl<'a> Evaluator<'a> {
         };
         // With auditing enabled, the CDFG itself is checked once up front —
         // per-point audits then only re-verify the derived artifacts.
-        #[cfg(feature = "verify")]
         if evaluator.config.engine.verify != crate::VerifyLevel::Off {
             let violations = impact_verify::verify_cdfg(cdfg);
             if !violations.is_empty() {
@@ -526,7 +525,6 @@ impl<'a> Evaluator<'a> {
             // scheduling pass above, and a run at a looser budget gets the
             // finished point for free.
             let point = Arc::new(self.point_from_schedule(&context, vdd, schedule));
-            #[cfg(feature = "verify")]
             if self.config.engine.verify != crate::VerifyLevel::Off {
                 let violations =
                     self.audit(&context, design, fingerprint, vdd, &point.schedule, None);
@@ -540,9 +538,8 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Whole-session cache-coherence audit (the `verify` cargo feature; run
-    /// by the engine at [`VerifyLevel::Full`](crate::VerifyLevel)).
-    #[cfg(feature = "verify")]
+    /// Whole-session cache-coherence audit (run by the engine at
+    /// [`VerifyLevel::Full`](crate::VerifyLevel)).
     pub(crate) fn audit_session(&self) -> Result<(), SynthesisError> {
         let Some(session) = &self.session else {
             return Ok(());
@@ -563,7 +560,6 @@ impl<'a> Evaluator<'a> {
     /// findings instead of failing, so drivers (the `impact-verify` binary,
     /// the true-negative tests) can report them. Runs regardless of
     /// [`VerifyLevel`](crate::VerifyLevel).
-    #[cfg(feature = "verify")]
     pub fn audit_outcome(
         &self,
         outcome: &crate::SynthesisOutcome,
@@ -585,7 +581,6 @@ impl<'a> Evaluator<'a> {
     /// evaluator's ENC budget. The search tests in `impact_bench` run every
     /// reported Pareto-front member through this. Pure and independent of
     /// [`VerifyLevel`](crate::VerifyLevel), like [`Self::audit_outcome`].
-    #[cfg(feature = "verify")]
     pub fn audit_design_point(
         &self,
         design: &RtlDesign,
@@ -596,7 +591,6 @@ impl<'a> Evaluator<'a> {
 
     /// [`Self::audit`] of a finished design against its recomputed
     /// fingerprint and context.
-    #[cfg(feature = "verify")]
     fn audit_recomputed(
         &self,
         design: &RtlDesign,
@@ -625,7 +619,6 @@ impl<'a> Evaluator<'a> {
     /// from `context` at `vdd`, under `enc_limit` when given. A cached point
     /// holds no design, so this is where its key and its context are checked
     /// against one: when the point is computed.
-    #[cfg(feature = "verify")]
     fn audit(
         &self,
         context: &DesignContext,

@@ -98,8 +98,8 @@ impl ExploreStats {
 
 // ------------------------------------------------------------ kind + codec
 
-/// Default beam width of [`ExplorerKind::Beam`] when none is given.
-pub const DEFAULT_BEAM_WIDTH: usize = 3;
+/// Default beam width of [`ExplorerKind::Beam`].
+const DEFAULT_BEAM_WIDTH: usize = 3;
 /// Default restart count of [`ExplorerKind::Restart`].
 const DEFAULT_RESTARTS: usize = 4;
 /// Default perturbation length (moves per kick) of
@@ -181,37 +181,6 @@ impl ExplorerKind {
             },
             ExplorerKind::Pareto,
         ]
-    }
-
-    /// Parses a CLI spelling: `greedy`, `beam`, `beam:K`, `restart`,
-    /// `restart:N`, `restart:N:K`, `restart:N:K:SEED`, `pareto`. Returns
-    /// `None` for anything else.
-    pub fn parse(spec: &str) -> Option<ExplorerKind> {
-        let mut parts = spec.split(':');
-        let head = parts.next()?;
-        let arg = |part: Option<&str>, default: usize| -> Option<usize> {
-            match part {
-                None => Some(default),
-                Some(text) => text.parse().ok(),
-            }
-        };
-        let kind = match head {
-            "greedy" => ExplorerKind::Greedy,
-            "beam" => ExplorerKind::Beam {
-                width: arg(parts.next(), DEFAULT_BEAM_WIDTH)?,
-            },
-            "restart" => ExplorerKind::Restart {
-                restarts: arg(parts.next(), DEFAULT_RESTARTS)?,
-                kicks: arg(parts.next(), DEFAULT_KICKS)?,
-                seed: match parts.next() {
-                    None => DEFAULT_RESTART_SEED,
-                    Some(text) => text.parse().ok()?,
-                },
-            },
-            "pareto" => ExplorerKind::Pareto,
-            _ => return None,
-        };
-        parts.next().is_none().then_some(kind)
     }
 
     /// Runs the strategy to completion from the evaluated initial design.
@@ -802,41 +771,6 @@ pub fn pareto_front(mut designs: Vec<EvaluatedDesign>) -> (Vec<EvaluatedDesign>,
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn explorer_kind_parses_cli_spellings() {
-        assert_eq!(ExplorerKind::parse("greedy"), Some(ExplorerKind::Greedy));
-        assert_eq!(
-            ExplorerKind::parse("beam"),
-            Some(ExplorerKind::Beam {
-                width: DEFAULT_BEAM_WIDTH
-            })
-        );
-        assert_eq!(
-            ExplorerKind::parse("beam:7"),
-            Some(ExplorerKind::Beam { width: 7 })
-        );
-        assert_eq!(
-            ExplorerKind::parse("restart:5:3:42"),
-            Some(ExplorerKind::Restart {
-                restarts: 5,
-                kicks: 3,
-                seed: 42
-            })
-        );
-        assert_eq!(
-            ExplorerKind::parse("restart"),
-            Some(ExplorerKind::Restart {
-                restarts: DEFAULT_RESTARTS,
-                kicks: DEFAULT_KICKS,
-                seed: DEFAULT_RESTART_SEED
-            })
-        );
-        assert_eq!(ExplorerKind::parse("pareto"), Some(ExplorerKind::Pareto));
-        assert_eq!(ExplorerKind::parse("beam:x"), None);
-        assert_eq!(ExplorerKind::parse("annealing"), None);
-        assert_eq!(ExplorerKind::parse("greedy:1"), None);
-    }
 
     #[test]
     fn explore_stats_accumulate_sums_and_maxes() {

@@ -44,7 +44,6 @@ mod fingerprint;
 mod moves;
 mod session;
 mod snapshot;
-#[cfg(feature = "verify")]
 pub mod verify;
 
 pub use cache::{
@@ -55,7 +54,7 @@ pub use config::{EngineConfig, EvaluatorKind, OptimizationMode, SynthesisConfig,
 pub use engine::{Impact, MoveRecord, SynthesisOutcome, SynthesisReport};
 pub use error::SynthesisError;
 pub use evaluate::{DesignPoint, EvaluatedDesign, Evaluator};
-pub use explore::{pareto_front, ExploreStats, ExplorerKind, DEFAULT_BEAM_WIDTH};
+pub use explore::{pareto_front, ExploreStats, ExplorerKind};
 pub use fingerprint::{
     BlockKey, ContextKey, FuStatsKey, MuxStatsKey, PointKey, RegStatsKey, ScaledKey, ScheduleKey,
     WorkloadId,

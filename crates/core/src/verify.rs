@@ -1,5 +1,4 @@
-//! Cache-coherence auditing of sweep sessions and snapshots (the `verify`
-//! cargo feature).
+//! Cache-coherence auditing of sweep sessions and snapshots.
 //!
 //! The artifact-level rules live in [`impact_verify`]; this module adds the
 //! rules that need the engine's crate-private cache keys: every

@@ -214,15 +214,6 @@ proptest! {
 }
 
 #[test]
-fn beam_explorer_width_defaults_are_exposed() {
-    let beam = ExplorerKind::Beam {
-        width: impact_core::DEFAULT_BEAM_WIDTH,
-    };
-    assert_eq!(beam, ExplorerKind::Beam { width: 3 });
-    assert_eq!(ExplorerKind::parse("beam").unwrap(), beam);
-}
-
-#[test]
 fn restart_explorer_never_loses_to_greedy_and_is_deterministic() {
     let (cdfg, trace) = setup("gcd");
     for laxity in [1.0, 2.0] {

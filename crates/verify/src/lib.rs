@@ -25,8 +25,7 @@
 //!
 //! Cache-coherence rules over [`impact_core`]'s sweep sessions reuse these
 //! functions and the same rule ids; they live in `impact_core::verify`
-//! (behind the `verify` feature) because cache keys are crate-private
-//! there.
+//! because cache keys are crate-private there.
 //!
 //! [`impact_core`]: https://docs.rs/impact_core
 
