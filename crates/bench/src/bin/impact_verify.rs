@@ -3,8 +3,11 @@
 //! Three modes, all exiting non-zero when any violation is found:
 //!
 //! * `--snapshot FILE` — decode one persistent cache snapshot and audit
-//!   every cached entry against its key (fingerprints, supply levels, ENC
-//!   budgets, block digests, context consistency).
+//!   every cached entry against its key and its own invariants (supply
+//!   levels, ENC budgets, context and block-schedule consistency, schedule
+//!   graphs and ENCs). A snapshot holds no design and no scheduling
+//!   problem, so fingerprints and each schedule's agreement with its
+//!   problem are checked only in the default mode, by the inline audits.
 //! * `--snapshot-dir DIR` — audit every `*.impactcache` file in a
 //!   directory (`<design>.impactcache`, as `SweepSession::save_to_file`
 //!   writes them). Fails when the directory holds no snapshots at all, so a

@@ -1,18 +1,21 @@
 //! True-negative audits: `impact_verify` must stay silent on every artifact a
-//! real synthesis run produces. Each example design is synthesized with the
-//! engine's inline audits enabled ([`VerifyLevel::Full`] would have failed the
-//! run), then the finished outcome, the shared session cache and the snapshot
-//! round-trip are re-audited as data and must report zero violations.
+//! real synthesis run produces. Each of the six benchmark designs — loops'
+//! overlapped loops and cordic included — is synthesized with the engine's
+//! inline audits enabled ([`VerifyLevel::Full`] would have failed the run),
+//! then the finished outcome, the shared session cache and the snapshot
+//! round-trip are re-audited and must report zero violations. Every
+//! schedule audit composes its problem again and compares the stored graph
+//! and ENC with that composition.
 
 #![allow(clippy::unwrap_used)]
 
-use impact_bench::{example_designs, prepare, DEFAULT_SEED};
+use impact_bench::{prepare, DEFAULT_SEED};
 use impact_core::verify::{audit_session, audit_snapshot_bytes};
 use impact_core::{EngineConfig, Evaluator, Impact, SweepSession, SynthesisConfig, VerifyLevel};
 
 #[test]
 fn real_synthesis_artifacts_audit_clean() {
-    for bench in example_designs() {
+    for bench in impact_benchmarks::all_benchmarks() {
         let (cdfg, trace) = prepare(&bench, 8, DEFAULT_SEED);
         let session = SweepSession::new();
         for config in [

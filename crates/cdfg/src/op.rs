@@ -90,41 +90,6 @@ pub enum OpClass {
     None,
 }
 
-// Snapshot codec: the class is one explicit discriminant byte. The mapping
-// is part of the wire format — variants must keep their numbers.
-impl impact_codec::Encode for OpClass {
-    fn encode(&self, w: &mut impact_codec::Encoder) {
-        w.put_u8(match self {
-            OpClass::AddSub => 0,
-            OpClass::Mul => 1,
-            OpClass::Div => 2,
-            OpClass::Compare => 3,
-            OpClass::Logic => 4,
-            OpClass::Shift => 5,
-            OpClass::None => 6,
-        });
-    }
-}
-
-impl impact_codec::Decode for OpClass {
-    fn decode(r: &mut impact_codec::Decoder<'_>) -> Result<Self, impact_codec::DecodeError> {
-        Ok(match r.take_u8()? {
-            0 => OpClass::AddSub,
-            1 => OpClass::Mul,
-            2 => OpClass::Div,
-            3 => OpClass::Compare,
-            4 => OpClass::Logic,
-            5 => OpClass::Shift,
-            6 => OpClass::None,
-            _ => {
-                return Err(impact_codec::DecodeError::Invalid(
-                    "unknown OpClass discriminant",
-                ))
-            }
-        })
-    }
-}
-
 impl Operation {
     /// All operation variants, useful for exhaustive iteration in tests and
     /// library characterization.

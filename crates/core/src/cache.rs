@@ -824,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v4_is_pinned() {
+    fn snapshot_wire_format_v5_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
@@ -837,10 +837,9 @@ mod tests {
             .scaled
             .insert(ScaledKey::new(workload, design.finish(), 2.5, true), None);
         snapshot.contexts.insert(context_key(1), sample_context());
-        let block = Arc::new(BlockSchedule::default());
         snapshot
             .block_schedules
-            .insert(BlockKey::new(workload, 42), Arc::clone(&block));
+            .insert(BlockKey::new(workload, 42), Arc::default());
         snapshot.fu_stats.insert(
             FuStatsKey {
                 workload,
@@ -878,11 +877,6 @@ mod tests {
         let schedule = Arc::new(SchedulingResult {
             stg: impact_stg::Stg::new("pinned-stg", 10.0),
             enc: 3.0,
-            blocks: vec![impact_sched::BlockOutcome {
-                nodes: Vec::new(),
-                digest: 42,
-                schedule: block,
-            }],
         });
         snapshot
             .schedules
@@ -905,7 +899,7 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (870, 0x55b5_f56b_ec85_6bc3_0a26_48ee_4867_b1b4)
+            (834, 0x7f3b_2dd8_dc83_65ff_5c5e_b3ed_e6c9_f9e6)
         );
         let name = b"pinned-stg";
         assert_eq!(

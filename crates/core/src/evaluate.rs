@@ -1145,12 +1145,11 @@ impl BlockSource for &Evaluator<'_> {
         &mut self,
         problem: &SchedulingProblem<'_>,
         nodes: &[NodeId],
-    ) -> Result<(u128, Arc<BlockSchedule>), impact_sched::SchedError> {
+    ) -> Result<Arc<BlockSchedule>, impact_sched::SchedError> {
         let digest = impact_sched::block_digest(problem, nodes);
-        let block = self.try_memo(BlockKey::new(self.workload, digest), || {
+        self.try_memo(BlockKey::new(self.workload, digest), || {
             impact_sched::schedule_block(problem, nodes).map(Arc::new)
-        })?;
-        Ok((digest, block))
+        })
     }
 }
 

@@ -21,24 +21,26 @@
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
 //!
-//! A schedule's body is its STG (per state: tag, operation list, exit
-//! probability), its ENC and its block outcomes; format 3 dropped the two
-//! cycle bounds format 2 carried. A design point's body is its schedule
+//! A schedule's body is its tag, its STG (per state: tag, operation list,
+//! exit probability) and its ENC. Format 3 dropped the two cycle bounds
+//! format 2 carried, and format 5 the block outcomes (node list, digest and
+//! block reference per block) formats 2 to 4 carried, since a schedule no
+//! longer records its blocks. A design point's body is its schedule
 //! reference, supply, two power breakdowns and area; format 4 dropped the
 //! design copy format 3 carried, since a point no longer holds one. The
 //! whole-file digest mixes one 64-bit word per step into two lanes (see
 //! `digest_bytes`).
 //!
 //! Values that the cache shares by pointer are written once, into their
-//! table, and named everywhere else by their `u32` index: a schedule refers
-//! to its block schedules, a design point to its schedule, a context (in its
-//! section) to its mux sites and depth lists, and the point, scaled,
-//! schedule and block layers to their values. Tables are interned by
-//! *content*, not by pointer, so equal cache contents always serialize to
-//! identical bytes however their values happen to share memory (the property
-//! the warm-start benches assert across processes): each table is numbered in
-//! order of first appearance while the sections are written, walking the
-//! layers in row order with each layer's keys sorted. Decoding builds one
+//! table, and named everywhere else by their `u32` index: a design point
+//! refers to its schedule, a context (in its section) to its mux sites and
+//! depth lists, and the point, scaled, schedule and block layers to their
+//! values. Tables are interned by *content*, not by pointer, so equal cache
+//! contents always serialize to identical bytes however their values happen
+//! to share memory (the property the warm-start tests assert across
+//! processes): each table is numbered in order of first appearance while the
+//! sections are written, walking the layers in row order with each layer's
+//! keys sorted. Decoding builds one
 //! `Arc` per table entry, so every value that refers to an entry shares it.
 //!
 //! Rejections are classified three ways — wrong magic/version/shape,
@@ -68,7 +70,7 @@ use std::sync::Arc;
 
 use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use impact_rtl::{FingerprintHasher, MuxSite};
-use impact_sched::{BlockOutcome, BlockSchedule, SchedulingResult};
+use impact_sched::{BlockSchedule, SchedulingResult};
 use impact_trace::{FuStats, RegStats};
 
 use crate::cache::{
@@ -86,7 +88,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Tags of the shared-value tables, in the order they are written.
 const TABLE_BLOCKS: u8 = 0x81;
@@ -96,7 +98,7 @@ const TABLE_SCHEDULES: u8 = 0x84;
 const TABLE_POINTS: u8 = 0x85;
 
 /// Version tags of the bodies whose layout this module owns.
-const TAG_SCHEDULE: u8 = 0x2C;
+const TAG_SCHEDULE: u8 = 0x2D;
 const TAG_POINT: u8 = 0x45;
 const TAG_CONTEXT: u8 = 0x44;
 
@@ -383,24 +385,10 @@ impl Interner {
     }
 
     fn schedule(&mut self, schedule: &Arc<SchedulingResult>) -> u32 {
-        if let Some(index) = self.schedules.known(schedule) {
-            return index;
-        }
-        let blocks: Vec<u32> = schedule
-            .blocks
-            .iter()
-            .map(|outcome| self.block(&outcome.schedule))
-            .collect();
         self.schedules.intern(schedule, |w| {
             w.put_tag(TAG_SCHEDULE);
             schedule.stg.encode(w);
             w.put_f64(schedule.enc);
-            w.put_usize(blocks.len());
-            for (outcome, block) in schedule.blocks.iter().zip(blocks) {
-                outcome.nodes.encode(w);
-                w.put_u128(outcome.digest);
-                w.put_u32(block);
-            }
         })
     }
 
@@ -479,19 +467,10 @@ impl Shared {
         let depths = take_table(r, TABLE_DEPTHS, Vec::<usize>::decode)?;
         let schedules = take_table(r, TABLE_SCHEDULES, |r| {
             r.expect_tag(TAG_SCHEDULE)?;
-            let stg = Decode::decode(r)?;
-            let enc = r.take_f64()?;
-            let count = r.take_len(1)?;
-            let blocks = (0..count)
-                .map(|_| {
-                    Ok(BlockOutcome {
-                        nodes: Decode::decode(r)?,
-                        digest: r.take_u128()?,
-                        schedule: take_ref(r, &blocks)?,
-                    })
-                })
-                .collect::<Result<_, DecodeError>>()?;
-            Ok(SchedulingResult { stg, enc, blocks })
+            Ok(SchedulingResult {
+                stg: Decode::decode(r)?,
+                enc: r.take_f64()?,
+            })
         })?;
         let points = take_table(r, TABLE_POINTS, |r| {
             r.expect_tag(TAG_POINT)?;
@@ -927,24 +906,9 @@ mod tests {
         session.backend().export()
     }
 
-    fn fresh_schedule(schedule: &SchedulingResult) -> Arc<SchedulingResult> {
-        let blocks = schedule
-            .blocks
-            .iter()
-            .map(|outcome| BlockOutcome {
-                schedule: Arc::new((*outcome.schedule).clone()),
-                ..outcome.clone()
-            })
-            .collect();
-        Arc::new(SchedulingResult {
-            blocks,
-            ..schedule.clone()
-        })
-    }
-
     fn fresh_point(point: &DesignPoint) -> Arc<DesignPoint> {
         Arc::new(DesignPoint {
-            schedule: fresh_schedule(&point.schedule),
+            schedule: Arc::new((*point.schedule).clone()),
             ..point.clone()
         })
     }
@@ -976,7 +940,7 @@ mod tests {
                 .collect(),
             contexts: contexts.collect(),
             schedules: (snapshot.schedules.iter())
-                .map(|(key, schedule)| (*key, fresh_schedule(schedule)))
+                .map(|(key, schedule)| (*key, Arc::new((**schedule).clone())))
                 .collect(),
             block_schedules: (snapshot.block_schedules.iter())
                 .map(|(key, block)| (*key, Arc::new((**block).clone())))
@@ -1139,11 +1103,17 @@ mod tests {
         reseal(&mut oversized);
         assert_eq!(reject(&oversized), Some(SnapshotRejection::Version));
 
-        // The first schedule's first block outcome names the first block
-        // index past the decoded block table.
-        let digest = shared.schedules[0].blocks[0].digest;
-        let at = find(&bytes, &digest.to_le_bytes()) + 16;
-        let undecoded = u32::try_from(shared.blocks.len()).unwrap();
+        // The first point of the point table, the last table, names the
+        // first schedule index past the decoded schedule table. Its
+        // reference follows the table's tag and count and the point's tag.
+        let mut tables = Interner::new();
+        snapshot.encode_sections(&mut tables, &mut Encoder::new());
+        let points_at = PRELUDE_LEN + 16 + tables.encoded_len() - tables.points.encoded_len();
+        let at = points_at + 1 + 8 + 1;
+        assert_eq!(bytes[at - 1], TAG_POINT);
+        let undecoded = u32::try_from(shared.schedules.len()).unwrap();
+        let reference = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert!(reference < undecoded, "the reference decodes as it is");
         assert_eq!(
             reject(&patched(&bytes, at, undecoded)),
             Some(SnapshotRejection::Version)

@@ -1,19 +1,21 @@
 //! Cache-coherence auditing of sweep sessions and snapshots.
 //!
 //! The artifact-level rules live in [`impact_verify`]; this module adds the
-//! rules that need the engine's crate-private cache keys: every
-//! [`DesignPoint`](crate::DesignPoint), evaluation context and block
-//! schedule in a session must be stored under a key that re-verifies
-//! against its contents, and the layers must agree with each other where
-//! they overlap (a supply-search outcome is the point-layer entry of its
-//! design and supply; a hierarchical schedule and the block layer agree on
-//! every shared digest).
+//! rules that need the engine's crate-private cache keys: a
+//! [`DesignPoint`](crate::DesignPoint) sits under its own supply level, a
+//! supply-search outcome respects the budget in its key and is the
+//! point-layer entry of its design and supply where the point layer holds
+//! one, and evaluation contexts and block schedules are internally
+//! consistent. A stored schedule is checked as an artifact (its graph
+//! validates, its ENC is finite): it names neither its problem nor the
+//! blocks it was composed from.
 //!
-//! Cached points and contexts hold no design, so what needs one — a
-//! point's fingerprint and a context's agreement with its design — is
-//! checked by the inline audit when the point is computed
-//! ([`VerifyLevel`](crate::VerifyLevel)), through
-//! `context_design_violations` among others.
+//! Cached points and contexts hold no design and cached schedules no
+//! problem, so what needs one — a point's fingerprint, a context's
+//! agreement with its design, a schedule's agreement with the composition
+//! of its problem — is checked by the inline audit when the point is
+//! computed ([`VerifyLevel`](crate::VerifyLevel)), through
+//! `context_design_violations` and [`verify_schedule`].
 //!
 //! Everything here is read-only: audits take a [`CacheSnapshot`] (or a
 //! [`SweepSession`], which is exported to one) and return
@@ -29,7 +31,7 @@ pub use impact_verify::{
 
 use crate::cache::{CacheSnapshot, DesignContext};
 use crate::evaluate::ENC_EPS;
-use crate::fingerprint::{BlockKey, PointKey};
+use crate::fingerprint::PointKey;
 use crate::session::SweepSession;
 use crate::snapshot::{decode_snapshot, SnapshotScope};
 use impact_rtl::RtlDesign;
@@ -136,20 +138,6 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
                 .into_iter()
                 .map(|v| v.at(&location)),
         );
-        // Where the hierarchical layer and the block layer claim the same
-        // digest, the stored block schedules must be identical.
-        for (index, outcome) in result.blocks.iter().enumerate() {
-            let block_key = BlockKey::new(key.workload, outcome.digest);
-            if let Some(stored) = snapshot.block_schedules.get(&block_key) {
-                if **stored != *outcome.schedule {
-                    violations.push(Violation::error(
-                        rules::CACHE_SCHEDULE,
-                        format!("{location} · block {index}"),
-                        "block layer stores a different schedule under this block's digest",
-                    ));
-                }
-            }
-        }
     }
 
     for (key, block) in &snapshot.block_schedules {
@@ -448,44 +436,60 @@ mod tests {
         assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_CONTEXT));
     }
 
-    #[test]
-    fn a_corrupted_cached_context_fails_the_inline_audit() {
-        // A context stored under a design's fingerprint that binds one
-        // operation differently: the point computed from it schedules a
-        // problem that is not the design's, and the inline audit, which
-        // holds the design, rejects it.
+    /// Evaluates gcd with two adders shared, audited inline at
+    /// [`VerifyLevel::Points`], in a clean session; then again in a fresh
+    /// session after `plant` stored entries there, given the clean session,
+    /// the fresh one, its evaluator and the design. Returns the violations
+    /// the second evaluation must fail with.
+    fn inline_audit_after(
+        plant: impl FnOnce(&SweepSession, &SweepSession, &crate::Evaluator<'_>, &RtlDesign),
+    ) -> Vec<String> {
         let bench = impact_benchmarks::gcd();
         let cdfg = bench.compile().unwrap();
         let trace = impact_behsim::simulate(&cdfg, &bench.input_sequences(6, 11)).unwrap();
         let config = SynthesisConfig::power_optimized(2.0)
             .with_engine(EngineConfig::incremental().with_verify(VerifyLevel::Points));
         let session = SweepSession::new();
-        let evaluator = crate::Evaluator::with_session(&cdfg, &trace, config, &session).unwrap();
-        let mut design = impact_rtl::RtlDesign::initial_parallel(&cdfg, evaluator.library());
+        let evaluator =
+            crate::Evaluator::with_session(&cdfg, &trace, config.clone(), &session).unwrap();
+        let mut design = RtlDesign::initial_parallel(&cdfg, evaluator.library());
         let adders = design.units_of_class(impact_cdfg::OpClass::AddSub);
         design.share_fus(adders[0], adders[1]).unwrap();
         assert!(
             evaluator.evaluate(&design).is_ok(),
-            "the clean context audits"
+            "the clean entries audit"
         );
 
+        // A fresh session holds the initial design's entries only, so what
+        // the shared design adds is planted before it is first read.
         let fresh = SweepSession::new();
-        let evaluator =
-            crate::Evaluator::with_session(&cdfg, &trace, evaluator.config().clone(), &fresh)
-                .unwrap();
-        let key = crate::fingerprint::ContextKey::new(evaluator.workload(), design.fingerprint());
-        let mut context = (*session.backend().lookup_context(&key).unwrap()).clone();
-        let node = context
-            .binding
-            .iter()
-            .position(Option::is_some)
-            .expect("the context binds at least one operation");
-        context.binding[node] = None;
-        fresh.backend().store_context(key, Arc::new(context));
+        let evaluator = crate::Evaluator::with_session(&cdfg, &trace, config, &fresh).unwrap();
+        plant(&session, &fresh, &evaluator, &design);
         let Err(crate::SynthesisError::Verification(violations)) = evaluator.evaluate(&design)
         else {
-            panic!("a corrupted context must fail the inline audit");
+            panic!("a planted entry must fail the inline audit");
         };
+        violations
+    }
+
+    #[test]
+    fn a_corrupted_cached_context_fails_the_inline_audit() {
+        // A context stored under a design's fingerprint that binds one
+        // operation differently: the point computed from it schedules a
+        // problem that is not the design's, and the inline audit, which
+        // holds the design, rejects it.
+        let violations = inline_audit_after(|clean, fresh, evaluator, design| {
+            let key =
+                crate::fingerprint::ContextKey::new(evaluator.workload(), design.fingerprint());
+            let mut context = (*clean.backend().lookup_context(&key).unwrap()).clone();
+            let node = context
+                .binding
+                .iter()
+                .position(Option::is_some)
+                .expect("the context binds at least one operation");
+            context.binding[node] = None;
+            fresh.backend().store_context(key, Arc::new(context));
+        });
         assert!(
             violations.iter().any(|v| v.contains(rules::CACHE_CONTEXT)),
             "{violations:?}"
@@ -493,27 +497,30 @@ mod tests {
     }
 
     #[test]
-    fn block_layer_disagreement_trips_the_schedule_rule() {
-        let mut snapshot = populated_session().backend().export();
-        // A block digest claimed by both a hierarchical schedule and the
-        // block layer; nudging the stored block makes them disagree without
-        // breaking the block's own internal invariants.
-        let block_key = snapshot
-            .schedules
-            .iter()
-            .find_map(|(key, result)| {
-                result.blocks.iter().find_map(|outcome| {
-                    let candidate = BlockKey::new(key.workload, outcome.digest);
-                    snapshot
-                        .block_schedules
-                        .contains_key(&candidate)
-                        .then_some(candidate)
-                })
-            })
-            .expect("the schedule and block layers share a digest");
-        let block = snapshot.block_schedules.get_mut(&block_key).unwrap();
-        Arc::make_mut(block).ops[0].start_ns += 0.25;
-        assert!(fired(&audit_snapshot(&snapshot), rules::CACHE_SCHEDULE));
+    fn a_legal_block_layer_entry_of_another_schedule_fails_the_inline_audit() {
+        // A block-layer entry with every operation one state later and one
+        // state more is legal on its own, so no session rule fires; but it is
+        // not the schedule of its block. The point composed from it holds a
+        // graph its problem does not compose to, and the inline audit, which
+        // composes the problem again, rejects it.
+        let violations = inline_audit_after(|clean, fresh, _, _| {
+            let known = fresh.backend().export().block_schedules;
+            let (key, block) = (clean.backend().export().block_schedules.into_iter())
+                .find(|(key, block)| !known.contains_key(key) && !block.ops.is_empty())
+                .expect("sharing two adders gives some block a new schedule");
+            let mut shifted = (*block).clone();
+            for op in &mut shifted.ops {
+                op.state += 1;
+                op.finish_state += 1;
+            }
+            shifted.state_count += 1;
+            fresh.backend().store_block(key, Arc::new(shifted));
+            assert_eq!(audit_session(fresh), vec![]);
+        });
+        assert!(
+            violations.iter().any(|v| v.contains(rules::SCHED_STG)),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -138,7 +138,7 @@ proptest! {
         // Every candidate move off this parent is costed identically by the
         // three paths, at a fixed level and under the full supply search.
         // DesignPoint equality covers the schedule bit-for-bit: STG states
-        // and transitions, ENC, block records and power.
+        // and transitions, ENC and power.
         let moves = candidate_moves(&cdfg, incremental.library(), &parent);
         let mut probe = seed;
         for _ in 0..4 {

@@ -171,13 +171,16 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    // A writer of format v3, whose design points carried their designs.
-    let mut v3 = bytes.clone();
-    v3[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
-    assert_eq!(
-        session.load_snapshot(&v3, SnapshotScope::Any),
-        Err(SnapshotRejection::Version)
-    );
+    // Writers of format v3, whose design points carried their designs, and
+    // of v4, whose schedules carried their block outcomes.
+    for old in [3u32, 4] {
+        let mut stale = bytes.clone();
+        stale[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+        assert_eq!(
+            session.load_snapshot(&stale, SnapshotScope::Any),
+            Err(SnapshotRejection::Version)
+        );
+    }
 
     // A different file format altogether.
     let mut alien = bytes.clone();
@@ -195,7 +198,7 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    assert_eq!(session.stats().snapshot.rejected_version, 4);
+    assert_eq!(session.stats().snapshot.rejected_version, 5);
 }
 
 #[test]

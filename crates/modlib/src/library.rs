@@ -25,22 +25,6 @@ impl fmt::Display for ModuleId {
     }
 }
 
-// Snapshot codec: a module id is a bare library index (no per-value version
-// tag — the enclosing composite versions the layout). Snapshots are only
-// meaningful against the same library contents; the workload digest scoping
-// every cache key pins the technology parameters.
-impl impact_codec::Encode for ModuleId {
-    fn encode(&self, w: &mut impact_codec::Encoder) {
-        w.put_usize(self.0);
-    }
-}
-
-impl impact_codec::Decode for ModuleId {
-    fn decode(r: &mut impact_codec::Decoder<'_>) -> Result<Self, impact_codec::DecodeError> {
-        Ok(Self(r.take_usize()?))
-    }
-}
-
 /// Errors returned by library lookups.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LibraryError {

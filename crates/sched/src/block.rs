@@ -1,7 +1,6 @@
 //! Resource- and clock-constrained list scheduling of one basic block.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use impact_cdfg::fingerprint::FingerprintHasher;
 use impact_cdfg::NodeId;
@@ -41,31 +40,6 @@ impl BlockSchedule {
     pub fn ops_in_state(&self, state: usize) -> Vec<&PlacedOp> {
         self.ops.iter().filter(|op| op.state == state).collect()
     }
-
-    /// Latest finish offset used in `state`, in nanoseconds.
-    pub fn occupancy(&self, state: usize) -> f64 {
-        self.ops
-            .iter()
-            .filter(|op| op.finish_state == state)
-            .map(|op| op.finish_ns)
-            .fold(0.0, f64::max)
-    }
-}
-
-/// The schedule of one basic block as recorded on a
-/// [`SchedulingResult`](crate::SchedulingResult): the nodes in traversal
-/// order, the content digest the schedule is keyed by, and the shared block
-/// schedule itself. Composition reads none of it back; the records exist for
-/// the audits (`impact_verify`'s schedule rules and the session's
-/// block-layer cross-check).
-#[derive(Clone, PartialEq, Debug)]
-pub struct BlockOutcome {
-    /// The block's nodes, in the composer's traversal order.
-    pub nodes: Vec<NodeId>,
-    /// [`block_digest`] of the block under the problem it was scheduled for.
-    pub digest: u128,
-    /// The block's schedule.
-    pub schedule: Arc<BlockSchedule>,
 }
 
 /// Content digest of everything [`schedule_block`] reads for one block:
@@ -371,7 +345,7 @@ impl Decode for BlockSchedule {
 mod tests {
     use super::*;
     use crate::problem::{uniform_problem, ScheduleConfig};
-    use crate::{Scheduler, WaveScheduler};
+    use crate::{compose, RecordingBlocks};
     use impact_behsim::simulate;
     use impact_cdfg::Region;
     use impact_hdl::compile;
@@ -530,12 +504,12 @@ mod tests {
     /// The non-empty blocks of `problem`'s design, as the composer requests
     /// them.
     fn nonempty_blocks(problem: &SchedulingProblem<'_>) -> Vec<Vec<NodeId>> {
-        let blocks: Vec<Vec<NodeId>> = WaveScheduler::new()
-            .schedule(problem)
-            .unwrap()
+        let mut recorded = RecordingBlocks::default();
+        compose(problem, &mut recorded).unwrap();
+        let blocks: Vec<Vec<NodeId>> = recorded
             .blocks
             .into_iter()
-            .map(|outcome| outcome.nodes)
+            .map(|(nodes, _)| nodes)
             .filter(|nodes| !nodes.is_empty())
             .collect();
         assert!(blocks.len() >= 4, "{} non-empty blocks", blocks.len());

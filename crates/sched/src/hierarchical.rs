@@ -8,7 +8,9 @@
 //! block results. The traversal — and therefore the block order, the state
 //! numbering and every tail-placement decision — is deterministic given the
 //! problem, which is what makes composition over cached block schedules
-//! bit-identical to scheduling everything inline.
+//! bit-identical to scheduling everything inline. The result keeps no record
+//! of its blocks: whoever needs them recomposes the problem through
+//! [`RecordingBlocks`].
 //!
 //! Composition walks no graph: the cycle bounds
 //! ([`Stg::min_cycles`], [`Stg::max_acyclic_cycles`]) are computed on demand
@@ -22,7 +24,7 @@ use impact_behsim::branch_count;
 use impact_cdfg::{NodeId, Region};
 use impact_stg::{Guard, ScheduledOp, StateId, Stg};
 
-use crate::block::{block_digest, schedule_block, BlockOutcome, BlockSchedule};
+use crate::block::{schedule_block, BlockSchedule};
 use crate::error::SchedError;
 use crate::problem::{ScheduleConfig, SchedulingProblem, SchedulingResult};
 
@@ -30,9 +32,9 @@ use crate::problem::{ScheduleConfig, SchedulingProblem, SchedulingResult};
 ///
 /// The composer requests every block in traversal order and splices the
 /// results into the STG. Implementations must return exactly what
-/// [`schedule_block`] would produce for the problem and node list, together
-/// with the [`block_digest`] identifying that computation — block schedules
-/// are pure functions of their digest, so any source that honors the
+/// [`schedule_block`] would produce for the problem and node list — block
+/// schedules are pure functions of their
+/// [`block_digest`](crate::block_digest), so any source that honors the
 /// contract (a digest-keyed cache, say) composes bit-identically to
 /// [`InlineBlocks`].
 pub trait BlockSource {
@@ -46,7 +48,7 @@ pub trait BlockSource {
         &mut self,
         problem: &SchedulingProblem<'_>,
         nodes: &[NodeId],
-    ) -> Result<(u128, Arc<BlockSchedule>), SchedError>;
+    ) -> Result<Arc<BlockSchedule>, SchedError>;
 }
 
 /// The default [`BlockSource`]: list-schedule every block inline.
@@ -58,11 +60,30 @@ impl BlockSource for InlineBlocks {
         &mut self,
         problem: &SchedulingProblem<'_>,
         nodes: &[NodeId],
-    ) -> Result<(u128, Arc<BlockSchedule>), SchedError> {
-        Ok((
-            block_digest(problem, nodes),
-            Arc::new(schedule_block(problem, nodes)?),
-        ))
+    ) -> Result<Arc<BlockSchedule>, SchedError> {
+        Ok(Arc::new(schedule_block(problem, nodes)?))
+    }
+}
+
+/// [`InlineBlocks`] that records every block it schedules. A
+/// [`SchedulingResult`] keeps only its STG and ENC, so the audits recompose
+/// a problem through this source to check each of its blocks.
+#[derive(Clone, Debug, Default)]
+pub struct RecordingBlocks {
+    /// Every block scheduled so far, as its node list and its schedule, in
+    /// the order the composer requested them.
+    pub blocks: Vec<(Vec<NodeId>, Arc<BlockSchedule>)>,
+}
+
+impl BlockSource for RecordingBlocks {
+    fn block(
+        &mut self,
+        problem: &SchedulingProblem<'_>,
+        nodes: &[NodeId],
+    ) -> Result<Arc<BlockSchedule>, SchedError> {
+        let block = InlineBlocks.block(problem, nodes)?;
+        self.blocks.push((nodes.to_vec(), Arc::clone(&block)));
+        Ok(block)
     }
 }
 
@@ -155,7 +176,6 @@ struct Builder<'p, 'a, 's> {
     stg: Stg,
     first_state: Option<StateId>,
     source: &'s mut dyn BlockSource,
-    blocks: Vec<BlockOutcome>,
     /// Scratch of tail placement: the distinct tail states of the edges
     /// being placed at, sorted.
     tails: Vec<StateId>,
@@ -176,7 +196,8 @@ fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> 
 /// basic block from the source, splices the block STGs together and derives
 /// the ENC. With [`InlineBlocks`] this *is* the scheduler; with a caching
 /// source only the blocks the source cannot serve are list-scheduled, and
-/// the composition is bit-identical either way.
+/// the composition is bit-identical either way. The result holds no copy of
+/// the blocks: the source is their only record.
 ///
 /// # Errors
 ///
@@ -198,7 +219,6 @@ pub fn compose(
         stg: Stg::new(problem.cdfg.name(), problem.config.clock_ns),
         first_state: None,
         source,
-        blocks: Vec::new(),
         tails: Vec::new(),
         busy_units: Vec::new(),
         routes: Vec::new(),
@@ -226,11 +246,9 @@ pub fn compose(
         1.0
     };
     builder.stg.shrink_to_fit();
-    builder.blocks.shrink_to_fit();
     Ok(SchedulingResult {
         stg: builder.stg,
         enc,
-        blocks: builder.blocks,
     })
 }
 
@@ -390,12 +408,7 @@ impl<'p, 'a, 's> Builder<'p, 'a, 's> {
         nodes: &[NodeId],
         incoming: Vec<PendingEdge>,
     ) -> Result<SeqResult, SchedError> {
-        let (digest, block) = self.source.block(self.problem, nodes)?;
-        self.blocks.push(BlockOutcome {
-            nodes: nodes.to_vec(),
-            digest,
-            schedule: block.clone(),
-        });
+        let block = self.source.block(self.problem, nodes)?;
         if block.state_count == 0 {
             return Ok(SeqResult {
                 outgoing: incoming,

@@ -44,10 +44,11 @@ mod error;
 mod hierarchical;
 mod problem;
 
-pub use block::{block_digest, schedule_block, BlockOutcome, BlockSchedule, PlacedOp};
+pub use block::{block_digest, schedule_block, BlockSchedule, PlacedOp};
 pub use error::SchedError;
 pub use hierarchical::{
-    compose, BaselineScheduler, BlockSource, InlineBlocks, Scheduler, WaveScheduler,
+    compose, BaselineScheduler, BlockSource, InlineBlocks, RecordingBlocks, Scheduler,
+    WaveScheduler,
 };
 pub use problem::{
     problem_digest, uniform_problem, ScheduleConfig, SchedulingProblem, SchedulingResult,

@@ -130,13 +130,14 @@ pub fn problem_digest(
     h.finish().as_u128()
 }
 
-/// Output of a scheduler: the STG, its ENC and the block schedules it was
-/// composed from.
+/// Output of a scheduler: the STG and its ENC.
 ///
 /// The cycle bounds are not part of it: nothing the search reads depends on
 /// them, so composition does not pay for the graph walks.
 /// [`Stg::min_cycles`] and [`Stg::max_acyclic_cycles`] compute them on
-/// demand.
+/// demand. Nor are the block schedules it was composed from: the audits get
+/// them by composing the problem again through
+/// [`RecordingBlocks`](crate::RecordingBlocks).
 #[derive(Clone, PartialEq, Debug)]
 pub struct SchedulingResult {
     /// The state transition graph.
@@ -144,12 +145,6 @@ pub struct SchedulingResult {
     /// Expected number of cycles of one pass, computed hierarchically from
     /// the measured branch probabilities and loop trip counts.
     pub enc: f64,
-    /// The per-block schedules the STG was composed from, in traversal
-    /// order. They are recorded for the audits: `impact_verify`'s schedule
-    /// rules check coverage, precedence, resources, the clock and each
-    /// block's digest against them, and the session audit cross-checks them
-    /// against the block layer. Composition never reads them back.
-    pub blocks: Vec<crate::block::BlockOutcome>,
 }
 
 /// Builds a fully-parallel scheduling problem with default characterization:

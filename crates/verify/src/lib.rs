@@ -1,11 +1,13 @@
 //! Static invariant checker for IMPACT artifacts.
 //!
 //! Every other layer of the workspace *produces* designs, schedules and
-//! cached evaluations; this crate checks finished artifacts **as data**,
-//! without re-deriving them through the code that produced them. Each check
-//! is a pure function that returns a list of [`Violation`]s (rule id,
-//! severity, location, message) and never panics on corrupt input — a
-//! corrupted artifact is a finding, not a crash.
+//! cached evaluations; this crate checks finished artifacts **as data**.
+//! Each check is a pure function that returns a list of [`Violation`]s (rule
+//! id, severity, location, message) and never panics on corrupt input — a
+//! corrupted artifact is a finding, not a crash. The one check that runs
+//! production code is [`verify_schedule`]: a schedule is only its STG and
+//! ENC, so the audit composes the problem again to get the blocks it checks
+//! as data and the graph and ENC the stored ones must equal.
 //!
 //! The rule catalog (see [`rules`]) spans three artifact families:
 //!
@@ -17,10 +19,10 @@
 //!   consistent in both directions, multiplexer-site annotations matching
 //!   the actual multi-source sites, the stored structural fingerprint
 //!   matching a recompute.
-//! - **Schedule legality** ([`verify_schedule`],
+//! - **Schedule legality** ([`verify_schedule`], [`verify_block`],
 //!   [`verify_schedule_artifact`]): data precedence, per-state resource
 //!   exclusivity under the binding, chained delays fitting the clock
-//!   period, per-block digests re-verifying against their contents, ENC
+//!   period, the stored STG and ENC equal to the problem's composition, ENC
 //!   within budget (± [`ENC_EPS`]).
 //!
 //! Cache-coherence rules over [`impact_core`]'s sweep sessions reuse these
@@ -37,7 +39,9 @@ use std::fmt;
 
 pub use cdfg::{structure_violation, verify_acyclic, verify_cdfg};
 pub use design::{verify_design, verify_fingerprint, verify_mux_sites};
-pub use schedule::{verify_block_schedule, verify_schedule, verify_schedule_artifact};
+pub use schedule::{
+    verify_block, verify_block_schedule, verify_schedule, verify_schedule_artifact,
+};
 
 /// Tolerance applied to ENC-budget comparisons, identical to the engine's
 /// read-time filter (`impact_core`'s `ENC_EPS`).
@@ -178,14 +182,13 @@ pub mod rules {
     /// binding, a chain past the period boundary, or chaining used while
     /// disabled.
     pub const SCHED_CLOCK: &str = "sched-clock";
-    /// The schedule's ENC is not a finite non-negative number or exceeds
-    /// the budget beyond [`ENC_EPS`](super::ENC_EPS).
+    /// The schedule's ENC is not a finite non-negative number, exceeds the
+    /// budget beyond [`ENC_EPS`](super::ENC_EPS), or differs from the ENC the
+    /// problem composes to.
     pub const SCHED_ENC: &str = "sched-enc";
-    /// A block outcome's stored digest does not re-verify against its node
-    /// list under the problem it claims to solve.
-    pub const SCHED_BLOCK_DIGEST: &str = "sched-block-digest";
-    /// The state-transition graph fails its own validation or disagrees
-    /// with the problem's clock.
+    /// The state-transition graph fails its own validation, disagrees with
+    /// the problem's clock, or differs from the graph the problem composes
+    /// to (or the problem does not compose).
     pub const SCHED_STG: &str = "sched-stg";
 
     /// A cached design point is stored under another supply level than its
@@ -199,9 +202,6 @@ pub mod rules {
     /// with the design whose fingerprint keys it (checked when a point is
     /// computed from it).
     pub const CACHE_CONTEXT: &str = "cache-context";
-    /// A cached hierarchical schedule disagrees with the per-block cache
-    /// layer that claims the same digest.
-    pub const CACHE_SCHEDULE: &str = "cache-schedule";
     /// A cached block schedule is internally inconsistent.
     pub const CACHE_BLOCK: &str = "cache-block";
     /// A snapshot file failed to decode (bad magic, version, digest,

@@ -15,10 +15,12 @@ use std::sync::Arc;
 use impact_cdfg::{Cdfg, CdfgBuilder, CdfgError, NodeId, Operation, ValueRef, VarId};
 use impact_modlib::ModuleLibrary;
 use impact_rtl::{DesignDelta, MuxSite, RtlDesign, SignalKey};
-use impact_sched::{uniform_problem, Scheduler, SchedulingResult, WaveScheduler};
+use impact_sched::{compose, uniform_problem, BlockSchedule, RecordingBlocks, SchedulingResult};
+use impact_stg::{ScheduledOp, Stg};
 use impact_verify::{
-    has_errors, rules, structure_violation, verify_acyclic, verify_cdfg, verify_design,
-    verify_fingerprint, verify_mux_sites, verify_schedule, Severity, Violation,
+    has_errors, rules, structure_violation, verify_acyclic, verify_block, verify_block_schedule,
+    verify_cdfg, verify_design, verify_fingerprint, verify_mux_sites, verify_schedule,
+    verify_schedule_artifact, Severity, Violation,
 };
 use proptest::prelude::*;
 
@@ -30,19 +32,23 @@ fn parallel_design(cdfg: &Cdfg) -> RtlDesign {
     RtlDesign::initial_parallel(cdfg, &ModuleLibrary::standard())
 }
 
+/// The blocks a schedule is composed from, in traversal order, each with
+/// its node list.
+type Blocks = Vec<(Vec<NodeId>, Arc<BlockSchedule>)>;
+
+/// The Wavesched schedule of `bench` under its uniform problem, with the
+/// blocks it was composed from.
 fn schedule_for(
     bench: &impact_benchmarks::Benchmark,
     cdfg: &Cdfg,
-) -> (impact_behsim::ExecutionTrace, SchedulingResult) {
+) -> (impact_behsim::ExecutionTrace, SchedulingResult, Blocks) {
     let trace = impact_behsim::simulate(cdfg, &bench.input_sequences(6, 7)).unwrap();
-    let result = {
-        let problem = uniform_problem(cdfg, trace.profile());
-        WaveScheduler::new().schedule(&problem).unwrap()
-    };
-    (trace, result)
+    let mut recording = RecordingBlocks::default();
+    let result = compose(&uniform_problem(cdfg, trace.profile()), &mut recording).unwrap();
+    (trace, result, recording.blocks)
 }
 
-fn schedule(cdfg: &Cdfg) -> (impact_behsim::ExecutionTrace, SchedulingResult) {
+fn schedule(cdfg: &Cdfg) -> (impact_behsim::ExecutionTrace, SchedulingResult, Blocks) {
     schedule_for(&impact_benchmarks::gcd(), cdfg)
 }
 
@@ -74,7 +80,7 @@ fn clean_artifacts_are_silent() {
         vec![]
     );
 
-    let (trace, result) = schedule(&cdfg);
+    let (trace, result, _) = schedule(&cdfg);
     let problem = uniform_problem(&cdfg, trace.profile());
     assert_eq!(verify_schedule(&problem, &result, Some(result.enc)), vec![]);
 }
@@ -308,83 +314,95 @@ proptest! {
 
 // ---------------------------------------------------------------- schedule rules
 
-/// One (block, op) position drawn from the schedule.
-fn placed_position(result: &SchedulingResult, pick: usize) -> (usize, usize) {
-    let placed: Vec<(usize, usize)> = result
-        .blocks
+/// One (block, op) position drawn from recorded blocks.
+fn placed_position(blocks: &Blocks, pick: usize) -> (usize, usize) {
+    let placed: Vec<(usize, usize)> = blocks
         .iter()
         .enumerate()
-        .flat_map(|(b, outcome)| (0..outcome.schedule.ops.len()).map(move |o| (b, o)))
+        .flat_map(|(b, (_, schedule))| (0..schedule.ops.len()).map(move |o| (b, o)))
         .collect();
     placed[pick % placed.len()]
+}
+
+/// `stg` rebuilt state by state, with `shift` ns added to the start offset
+/// of its `target`-th operation.
+fn shifted(stg: &Stg, target: usize, shift: f64) -> Stg {
+    let mut rebuilt = Stg::new(stg.design(), stg.clock_ns());
+    let mut seen = 0;
+    for state in stg.states() {
+        let id = rebuilt.add_state();
+        for op in state.ops {
+            let start = op.start_ns + if seen == target { shift } else { 0.0 };
+            seen += 1;
+            rebuilt.add_op(id, ScheduledOp::new(op.node, start, op.finish_ns));
+        }
+        rebuilt.set_exit_probability(id, state.exit_probability);
+    }
+    for t in stg.transitions() {
+        rebuilt.add_transition(t.from, t.to, t.guard.clone(), t.probability);
+    }
+    rebuilt.set_entry(stg.entry());
+    rebuilt
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn digest_corruption_trips_the_digest_rule(pick in 0usize..1000, bit in 0u32..128) {
-        let cdfg = gcd_cdfg();
-        let (trace, mut result) = schedule(&cdfg);
-        let problem = uniform_problem(&cdfg, trace.profile());
-        let block = pick % result.blocks.len();
-        result.blocks[block].digest ^= 1u128 << bit;
-        let violations = verify_schedule(&problem, &result, None);
-        prop_assert!(fired(&violations, rules::SCHED_BLOCK_DIGEST));
-    }
-
-    #[test]
     fn dropping_a_block_node_trips_the_coverage_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
-        let (trace, mut result) = schedule(&cdfg);
+        let (trace, _, mut blocks) = schedule(&cdfg);
         let problem = uniform_problem(&cdfg, trace.profile());
-        let block = (0..result.blocks.len())
-            .map(|b| (pick + b) % result.blocks.len())
-            .find(|&b| !result.blocks[b].nodes.is_empty())
+        let block = (0..blocks.len())
+            .map(|b| (pick + b) % blocks.len())
+            .find(|&b| !blocks[b].0.is_empty())
             .unwrap();
-        result.blocks[block].nodes.pop();
-        let violations = verify_schedule(&problem, &result, None);
+        let (nodes, schedule) = &mut blocks[block];
+        nodes.pop();
+        let violations = verify_block(&problem, nodes, schedule);
         prop_assert!(fired(&violations, rules::SCHED_COVERAGE));
     }
 
     #[test]
     fn duplicating_a_placement_trips_the_coverage_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
-        let (_, mut result) = schedule(&cdfg);
-        let (block, op) = placed_position(&result, pick);
-        let schedule = Arc::make_mut(&mut result.blocks[block].schedule);
+        let (_, result, mut blocks) = schedule(&cdfg);
+        let (block, op) = placed_position(&blocks, pick);
+        let schedule = Arc::make_mut(&mut blocks[block].1);
         let duplicate = schedule.ops[op].clone();
         schedule.ops.push(duplicate);
-        let violations = impact_verify::verify_schedule_artifact(&result);
+        let violations = verify_block_schedule(schedule, Some(result.stg.clock_ns()));
         prop_assert!(fired(&violations, rules::SCHED_COVERAGE));
     }
 
     #[test]
     fn clock_overruns_trip_the_clock_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
-        let (_, mut result) = schedule(&cdfg);
+        let (_, result, mut blocks) = schedule(&cdfg);
         let clock = result.stg.clock_ns();
-        let (block, op) = placed_position(&result, pick);
-        Arc::make_mut(&mut result.blocks[block].schedule).ops[op].finish_ns = clock + 1.0;
-        let violations = impact_verify::verify_schedule_artifact(&result);
+        let (block, op) = placed_position(&blocks, pick);
+        let schedule = Arc::make_mut(&mut blocks[block].1);
+        schedule.ops[op].finish_ns = clock + 1.0;
+        let violations = verify_block_schedule(schedule, Some(clock));
         prop_assert!(fired(&violations, rules::SCHED_CLOCK));
     }
 
     #[test]
     fn delay_corruption_trips_the_clock_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
-        let (trace, mut result) = schedule(&cdfg);
+        let (trace, _, mut blocks) = schedule(&cdfg);
         let problem = uniform_problem(&cdfg, trace.profile());
-        let (block, op) = placed_position(&result, pick);
-        Arc::make_mut(&mut result.blocks[block].schedule).ops[op].delay_ns += 2.5;
-        let violations = verify_schedule(&problem, &result, None);
+        let (block, op) = placed_position(&blocks, pick);
+        let (nodes, schedule) = &mut blocks[block];
+        Arc::make_mut(schedule).ops[op].delay_ns += 2.5;
+        let violations = verify_block(&problem, nodes, schedule);
         prop_assert!(fired(&violations, rules::SCHED_CLOCK));
     }
 
     #[test]
     fn enc_corruption_trips_the_enc_rule(numerator in 1u32..100) {
         let cdfg = gcd_cdfg();
-        let (trace, mut result) = schedule(&cdfg);
+        let (trace, mut result, _) = schedule(&cdfg);
         let problem = uniform_problem(&cdfg, trace.profile());
 
         // A budget below the (legal) ENC.
@@ -394,9 +412,35 @@ proptest! {
 
         // A non-finite ENC.
         result.enc = f64::NAN;
-        let violations = impact_verify::verify_schedule_artifact(&result);
+        let violations = verify_schedule_artifact(&result);
         prop_assert!(fired(&violations, rules::SCHED_ENC));
     }
+
+    #[test]
+    fn shifting_a_stored_operation_trips_the_stg_rule(pick in 0usize..1000) {
+        let cdfg = gcd_cdfg();
+        let (trace, mut result, _) = schedule(&cdfg);
+        let problem = uniform_problem(&cdfg, trace.profile());
+        let target = pick % result.stg.scheduled_op_count();
+        prop_assert_eq!(&shifted(&result.stg, target, 0.0), &result.stg);
+        // A graph that still validates, with one operation starting later
+        // than the problem's composition starts it.
+        result.stg = shifted(&result.stg, target, 0.5);
+        prop_assert_eq!(verify_schedule_artifact(&result), vec![]);
+        let violations = verify_schedule(&problem, &result, None);
+        prop_assert!(fired(&violations, rules::SCHED_STG), "{:?}", violations);
+    }
+}
+
+#[test]
+fn nudging_the_stored_enc_by_one_ulp_trips_the_enc_rule() {
+    let cdfg = gcd_cdfg();
+    let (trace, mut result, _) = schedule(&cdfg);
+    let problem = uniform_problem(&cdfg, trace.profile());
+    result.enc = f64::from_bits(result.enc.to_bits() + 1);
+    assert_eq!(verify_schedule_artifact(&result), vec![]);
+    let violations = verify_schedule(&problem, &result, None);
+    assert!(fired(&violations, rules::SCHED_ENC), "{violations:?}");
 }
 
 #[test]
@@ -405,15 +449,15 @@ fn forged_resource_sharing_trips_the_resource_rule() {
     // corruption needs a benchmark with wider blocks.
     let bench = impact_benchmarks::dealer();
     let cdfg = bench.compile().unwrap();
-    let (trace, result) = schedule_for(&bench, &cdfg);
+    let (trace, _, blocks) = schedule_for(&bench, &cdfg);
     let mut problem = uniform_problem(&cdfg, trace.profile());
     // Rebind two operations that overlap in time inside one block onto the
-    // same unit; the stored schedule now double-books it.
-    let (a, b) = result
-        .blocks
+    // same unit; the block's schedule now double-books it.
+    let (block, a, b) = blocks
         .iter()
-        .find_map(|outcome| {
-            let ops = &outcome.schedule.ops;
+        .enumerate()
+        .find_map(|(index, (_, schedule))| {
+            let ops = &schedule.ops;
             ops.iter()
                 .enumerate()
                 .flat_map(|(i, x)| ops.iter().skip(i + 1).map(move |y| (x, y)))
@@ -423,32 +467,34 @@ fn forged_resource_sharing_trips_the_resource_rule() {
                         && problem.node_fu[x.node.index()].is_some()
                         && problem.node_fu[y.node.index()].is_some()
                 })
-                .map(|(x, y)| (x.node, y.node))
+                .map(|(x, y)| (index, x.node, y.node))
         })
         .expect("the parallel schedule has concurrent operations");
     problem.node_fu[b.index()] = problem.node_fu[a.index()];
-    let violations = verify_schedule(&problem, &result, None);
+    let (nodes, schedule) = &blocks[block];
+    let violations = verify_block(&problem, nodes, schedule);
     assert!(fired(&violations, rules::SCHED_RESOURCES), "{violations:?}");
 }
 
 #[test]
 fn reordering_a_dependence_trips_the_precedence_rule() {
     let cdfg = gcd_cdfg();
-    let (trace, mut result) = schedule(&cdfg);
+    let (trace, _, mut blocks) = schedule(&cdfg);
     let problem = uniform_problem(&cdfg, trace.profile());
     // Push some producer's finish past its in-block consumer's start state.
-    let mutation = result.blocks.iter().enumerate().find_map(|(b, outcome)| {
-        outcome.schedule.ops.iter().find_map(|op| {
+    let mutation = blocks.iter().enumerate().find_map(|(b, (_, schedule))| {
+        schedule.ops.iter().find_map(|op| {
             cdfg.data_predecessors_iter(op.node)
-                .find(|pred| outcome.schedule.ops.iter().any(|p| p.node == *pred))
+                .find(|pred| schedule.ops.iter().any(|p| p.node == *pred))
                 .map(|pred| (b, pred, op.state))
         })
     });
     let (block, pred, consumer_state) = mutation.expect("gcd has in-block dependences");
-    let schedule = Arc::make_mut(&mut result.blocks[block].schedule);
+    let (nodes, schedule) = &mut blocks[block];
+    let schedule = Arc::make_mut(schedule);
     let pred_op = schedule.ops.iter_mut().find(|p| p.node == pred).unwrap();
     pred_op.finish_state = consumer_state + 1;
-    let violations = verify_schedule(&problem, &result, None);
+    let violations = verify_block(&problem, nodes, schedule);
     assert!(
         fired(&violations, rules::SCHED_PRECEDENCE),
         "{violations:?}"
@@ -458,7 +504,7 @@ fn reordering_a_dependence_trips_the_precedence_rule() {
 #[test]
 fn clock_mismatch_trips_the_stg_rule() {
     let cdfg = gcd_cdfg();
-    let (trace, result) = schedule(&cdfg);
+    let (trace, result, _) = schedule(&cdfg);
     let mut problem = uniform_problem(&cdfg, trace.profile());
     problem.config.clock_ns += 1.0;
     let violations = verify_schedule(&problem, &result, None);
