@@ -1,6 +1,6 @@
 //! Equivalence guarantees of the engine and its sweep-session cache layer:
-//! every engine configuration reproduces the brute-force sequential engine on
-//! every benchmark design, and a Figure 13 sweep over one shared session (and
+//! the incremental engine, cold and over a shared session, reproduces the
+//! brute-force sequential engine on every benchmark design, and a Figure 13 sweep over one shared session (and
 //! over merged, independently populated sessions) is bit-identical to
 //! independent cold runs, under any worker count.
 
@@ -17,22 +17,10 @@ const EFFORT: (usize, usize) = (2, 3);
 
 #[test]
 fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
-    // The oracle ladder: the full-rebuild, full-reschedule and incremental
-    // engines, cold and over a shared session, must all reproduce the
-    // brute-force sequential engine's sweep bit-for-bit, on all six designs
-    // the benchmark's expected files cover.
+    // The incremental engine, cold and over a shared session, must
+    // reproduce the brute-force sequential engine's sweep bit-for-bit, on
+    // all six designs the benchmark's expected files cover.
     let laxities = [1.2, 2.4];
-    let cases = [
-        ("full_rebuild cold", EngineConfig::full_rebuild(), false),
-        ("full_rebuild shared", EngineConfig::full_rebuild(), true),
-        (
-            "full_reschedule shared",
-            EngineConfig::full_reschedule(),
-            true,
-        ),
-        ("incremental cold", EngineConfig::incremental(), false),
-        ("incremental shared", EngineConfig::incremental(), true),
-    ];
     for bench in impact_benchmarks::all_benchmarks() {
         let (cdfg, trace) = prepare(&bench, 6, DEFAULT_SEED);
         let jobs_with = |engine: EngineConfig| -> Vec<SweepJob<'_>> {
@@ -45,33 +33,33 @@ fn every_engine_reproduces_the_sequential_oracle_on_every_example_design() {
                 .collect()
         };
         let oracle = run_batch(&jobs_with(EngineConfig::sequential()), None, 0);
-        for (name, engine, shared) in cases {
+        let jobs = jobs_with(EngineConfig::incremental());
+        for shared in [false, true] {
             let session = shared.then(SweepSession::new);
-            let results = run_batch(&jobs_with(engine), session.as_ref(), 0);
+            let results = run_batch(&jobs, session.as_ref(), 0);
+            let name = if shared { "shared" } else { "cold" };
             assert!(
                 batches_identical(&oracle, &results),
-                "{}: {name} diverged from the sequential oracle",
+                "{}: {name} incremental diverged from the sequential oracle",
                 bench.name
             );
-            // The fast paths were actually taken: every cold incremental
-            // job answers lookups from its own private cache, a shared
-            // session answers from its layers, and the incremental engine
-            // reaches the schedule-memo and block layers.
-            if engine == EngineConfig::incremental() && !shared {
+            // The fast paths were actually taken: every cold job answers
+            // lookups from its own private cache, and a shared session
+            // answers from its layers, the schedule-memo and block layers
+            // among them.
+            let Some(session) = session else {
                 for result in &results {
                     let cache = result.outcome.cache_stats;
                     let what = format!("{}: {name} {}", bench.name, result.label);
                     assert!(cache.hits + cache.misses > 0, "{what}");
                     assert!(cache.hit_rate() > 0.0, "{what}: {cache:?}");
                 }
-            }
-            let Some(session) = session else { continue };
+                continue;
+            };
             let stats = session.stats();
             assert!(stats.hit_rate() > 0.0, "{}: {name} {stats:?}", bench.name);
-            if engine == EngineConfig::incremental() {
-                for layer in [stats.schedule, stats.block] {
-                    assert!(layer.hits + layer.misses > 0, "{}: {stats:?}", bench.name);
-                }
+            for layer in [stats.schedule, stats.block] {
+                assert!(layer.hits + layer.misses > 0, "{}: {stats:?}", bench.name);
             }
         }
     }
@@ -183,14 +171,9 @@ fn every_engine_walks_the_oracles_designs_under_every_explorer() {
     // Equal reports can hide different designs: two designs of one
     // fingerprint may differ in their empty resource slots, and a later
     // split numbers its new resource after them. The search owns the
-    // designs it walks, so every engine, over a session that other runs
-    // filled, must hand out the very design, move history and Pareto front
-    // the sequential oracle does, under every explorer.
-    let kinds = [
-        EngineConfig::full_rebuild(),
-        EngineConfig::full_reschedule(),
-        EngineConfig::incremental(),
-    ];
+    // designs it walks, so the incremental engine, over a session that
+    // other runs filled, must hand out the very design, move history and
+    // Pareto front the sequential oracle does, under every explorer.
     let history = |outcome: &SynthesisOutcome| -> Vec<_> {
         (outcome.history.iter())
             .map(|r| (r.applied.clone(), r.gain.to_bits(), r.pass, r.strategy))
@@ -212,14 +195,12 @@ fn every_engine_walks_the_oracles_designs_under_every_explorer() {
                 .expect("the benchmark designs synthesize")
             };
             let expected = run(EngineConfig::sequential(), None);
-            for engine in kinds {
-                let actual = run(engine, Some(&session));
-                let what = format!("{} {explorer:?} {:?}", bench.name, engine.evaluator);
-                assert_eq!(actual.report, expected.report, "{what}: report");
-                assert_eq!(actual.design, expected.design, "{what}: design");
-                assert_eq!(history(&actual), history(&expected), "{what}: history");
-                assert_eq!(actual.front, expected.front, "{what}: front");
-            }
+            let actual = run(EngineConfig::incremental(), Some(&session));
+            let what = format!("{} {explorer:?}", bench.name);
+            assert_eq!(actual.report, expected.report, "{what}: report");
+            assert_eq!(actual.design, expected.design, "{what}: design");
+            assert_eq!(history(&actual), history(&expected), "{what}: history");
+            assert_eq!(actual.front, expected.front, "{what}: front");
         }
     }
 }

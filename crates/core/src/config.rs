@@ -33,45 +33,36 @@ pub enum VerifyLevel {
     Full,
 }
 
-/// Which evaluation engine costs candidate designs. The kinds are ordered:
-/// each keeps everything the kind before it memoizes and adds one layer, and
-/// all four synthesize bit-identical results. The first three are the
-/// oracles the layer of the next kind is differentially tested against.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// Which evaluation engine costs candidate designs. Both synthesize
+/// bit-identical results.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EvaluatorKind {
-    /// The brute-force reference: no session, so every probe rebuilds its
-    /// context and reschedules from scratch. It writes `fig13bench`'s
-    /// expected files.
+    /// The brute-force reference and the oracle of every equivalence test:
+    /// it never holds a session, so every probe rebuilds its fingerprint and
+    /// context from the whole design and schedules every block inline. It
+    /// writes `fig13bench`'s expected files.
     Sequential,
-    /// A session memoizes trace statistics, per-design contexts, design
-    /// points and supply-search outcomes by structural fingerprint, but
-    /// every candidate's fingerprint and context are rebuilt from the whole
-    /// design and every point miss pays a full reschedule.
-    FullRebuild,
-    /// Adds delta patching: a candidate's fingerprint and context are
-    /// patched from its parent's through the move's [`DesignDelta`], and
-    /// whole schedules are memoized by a `(delays, binding, clock)` digest,
-    /// so designs differing only in power-irrelevant ways schedule once.
-    /// Every schedule-memo miss pays a full hierarchical reschedule.
-    ///
-    /// [`DesignDelta`]: impact_rtl::DesignDelta
-    FullReschedule,
-    /// Adds the block layer: every schedule-memo miss is composed
+    /// The incremental engine: a session memoizes trace statistics, contexts,
+    /// schedules, design points and supply-search outcomes; a candidate's
+    /// fingerprint and context are patched from its parent's through the
+    /// move's [`DesignDelta`]; and every schedule-memo miss is composed
     /// ([`compose`](impact_sched::compose)) from a per-block layer keyed by
     /// [`block_digest`](impact_sched::block_digest), so only the blocks no
     /// earlier schedule of the session stored are list-scheduled.
+    ///
+    /// [`DesignDelta`]: impact_rtl::DesignDelta
     Incremental,
 }
 
 /// Tuning of the evaluation engine: which evaluator costs candidates,
-/// auditing and the search strategy. The default is the fully incremental
+/// auditing and the search strategy. The default is the incremental
 /// engine. Every engine ranks candidates on the calling thread; parallelism
 /// belongs one level up, where whole synthesis jobs run side by side.
 /// The sequential configuration is the brute-force evaluation loop (every
 /// candidate rescheduled and re-profiled from scratch): it runs the same
-/// code with the session off, exists for differential testing and writes
-/// the benchmark's expected files. Every configuration produces
-/// bit-identical synthesis results.
+/// code without a session, ignores any session it is handed, exists for
+/// differential testing and writes the benchmark's expected files. Both
+/// configurations produce bit-identical synthesis results.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineConfig {
     /// Which evaluator costs candidates (see [`EvaluatorKind`]).
@@ -95,29 +86,8 @@ impl EngineConfig {
         }
     }
 
-    /// The caching engine *without* move-delta shortcuts
-    /// ([`EvaluatorKind::FullRebuild`]): the oracle the delta engine is
-    /// differentially tested against.
-    pub fn full_rebuild() -> Self {
-        Self {
-            evaluator: EvaluatorKind::FullRebuild,
-            ..Self::incremental()
-        }
-    }
-
-    /// The incremental engine without the block layer
-    /// ([`EvaluatorKind::FullReschedule`]): every schedule-memo miss is a
-    /// full hierarchical reschedule. The oracle the block layer is
-    /// differentially tested against.
-    pub fn full_reschedule() -> Self {
-        Self {
-            evaluator: EvaluatorKind::FullReschedule,
-            ..Self::incremental()
-        }
-    }
-
     /// The brute-force reference engine ([`EvaluatorKind::Sequential`]):
-    /// no memoization.
+    /// no session, so no memoization.
     pub fn sequential() -> Self {
         Self {
             evaluator: EvaluatorKind::Sequential,
@@ -162,9 +132,11 @@ pub struct SynthesisConfig {
     /// Optimization objective.
     pub mode: OptimizationMode,
     /// Allowed ENC as a multiple of the minimum achievable ENC (the paper's
-    /// laxity factor, swept from 1.0 to 3.0 in Figure 13).
+    /// laxity factor, swept from 1.0 to 3.0 in Figure 13). Synthesis rejects
+    /// a laxity below 1.0 or NaN.
     pub laxity: f64,
-    /// Clock period in nanoseconds.
+    /// Clock period in nanoseconds. Scheduling rejects one that is not
+    /// finite and positive.
     pub clock_ns: f64,
     /// Maximum number of improvement passes.
     pub max_passes: usize,
@@ -312,21 +284,9 @@ mod tests {
             EngineConfig::default().evaluator,
             EvaluatorKind::Incremental
         );
-        assert_eq!(
-            EngineConfig::full_rebuild().evaluator,
-            EvaluatorKind::FullRebuild
-        );
-        assert_eq!(
-            EngineConfig::full_reschedule().evaluator,
-            EvaluatorKind::FullReschedule
-        );
         let seq = EngineConfig::sequential();
         assert_eq!(seq.evaluator, EvaluatorKind::Sequential);
         assert_eq!(seq.explorer, ExplorerKind::Greedy);
-        // Each kind adds one layer to the one before it.
-        assert!(EvaluatorKind::Sequential < EvaluatorKind::FullRebuild);
-        assert!(EvaluatorKind::FullRebuild < EvaluatorKind::FullReschedule);
-        assert!(EvaluatorKind::FullReschedule < EvaluatorKind::Incremental);
         let beam = EngineConfig::incremental().with_explorer(ExplorerKind::Beam { width: 3 });
         assert_eq!(beam.explorer, ExplorerKind::Beam { width: 3 });
         let c = SynthesisConfig::power_optimized(2.0).with_engine(seq);

@@ -83,10 +83,11 @@ pub struct SynthesisOutcome {
     /// strategies; filled by
     /// [`ExplorerKind::Pareto`](crate::ExplorerKind::Pareto).
     pub front: Vec<EvaluatedDesign>,
-    /// Evaluation-cache counters of the session the run used (only the
-    /// run's search counters for the sequential engine configuration, which
-    /// has no session; cumulative over every run of the session when
-    /// synthesized with a shared [`SweepSession`]).
+    /// Evaluation-cache counters of the session the run used: cumulative
+    /// over every run of the session when synthesized with a shared
+    /// [`SweepSession`]. The sequential engine configuration holds no
+    /// session, even when handed one, so it reports only the run's own
+    /// search counters.
     pub cache_stats: CacheStats,
 }
 
@@ -113,8 +114,9 @@ impl Impact {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesisError::InfeasibleLaxity`] for laxity below 1.0 and
-    /// propagates scheduler failures.
+    /// Returns [`SynthesisError::InfeasibleLaxity`] for a laxity below 1.0
+    /// or NaN, and propagates scheduler failures (a clock period that is not
+    /// finite and positive among them).
     pub fn synthesize(
         &self,
         cdfg: &Cdfg,
@@ -130,7 +132,9 @@ impl Impact {
     /// different benchmarks) shares contexts, trace statistics and design
     /// points. Results are bit-identical to [`Self::synthesize`] — the cache
     /// only memoizes pure functions — but a warm session skips most of the
-    /// cold cost.
+    /// cold cost. The sequential engine configuration
+    /// ([`EngineConfig::sequential`](crate::EngineConfig::sequential)) holds
+    /// no session and ignores `session`: it neither reads nor fills it.
     ///
     /// # Errors
     ///
@@ -359,13 +363,12 @@ mod tests {
     fn sequential_and_incremental_engines_agree_bit_for_bit() {
         let (cdfg, trace) = setup(impact_benchmarks::gcd(), 12);
         let config = quick(SynthesisConfig::power_optimized(2.0));
-        let sequential = Impact::new(
+        let oracle = Impact::new(
             config
                 .clone()
                 .with_engine(crate::EngineConfig::sequential()),
-        )
-        .synthesize(&cdfg, &trace)
-        .unwrap();
+        );
+        let sequential = oracle.synthesize(&cdfg, &trace).unwrap();
         let incremental = Impact::new(config.with_engine(crate::EngineConfig::incremental()))
             .synthesize(&cdfg, &trace)
             .unwrap();
@@ -389,6 +392,17 @@ mod tests {
             0
         );
         assert!(incremental.cache_stats.hits > 0);
+        // A session handed to the sequential engine is ignored: the same
+        // run, and the session keeps no entries and sees no traffic.
+        let session = SweepSession::new();
+        let handed = oracle
+            .synthesize_with_session(&cdfg, &trace, &session)
+            .unwrap();
+        assert_eq!(handed.report, sequential.report);
+        assert_eq!(handed.design, sequential.design);
+        assert_eq!(handed.cache_stats, sequential.cache_stats);
+        assert!(session.backend().export().is_empty(), "no entries");
+        assert_eq!(session.stats(), CacheStats::default(), "no traffic");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use impact_sched::SchedError;
 #[derive(Clone, PartialEq, Debug)]
 pub enum SynthesisError {
     /// The laxity factor is below 1.0, so even the fastest schedule cannot
-    /// satisfy the ENC constraint.
+    /// satisfy the ENC constraint, or it is NaN.
     InfeasibleLaxity {
         /// The requested laxity factor.
         laxity: f64,
@@ -29,6 +29,12 @@ pub enum SynthesisError {
 impl fmt::Display for SynthesisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SynthesisError::InfeasibleLaxity { laxity } if laxity.is_nan() => {
+                write!(
+                    f,
+                    "laxity factor is NaN; it must be a number of at least 1.0"
+                )
+            }
             SynthesisError::InfeasibleLaxity { laxity } => {
                 write!(f, "laxity factor {laxity} is below 1.0 and cannot be met")
             }
@@ -77,6 +83,8 @@ mod tests {
         let e = SynthesisError::InfeasibleLaxity { laxity: 0.5 };
         assert!(e.to_string().contains("0.5"));
         assert!(e.source().is_none());
+        let nan = SynthesisError::InfeasibleLaxity { laxity: f64::NAN }.to_string();
+        assert!(nan.contains("NaN") && !nan.contains("below"), "{nan}");
         let e = SynthesisError::from(SchedError::IncompleteProblem {
             nodes: 3,
             provided: 1,

@@ -16,11 +16,16 @@
 //! supply search is keyed by the ENC budget, because the selected supply
 //! depends on it.
 //!
-//! Every layer is reached through one memo helper. The sequential evaluator
-//! ([`EngineConfig::sequential`](crate::EngineConfig::sequential)) has no
-//! session, so the helper skips every lookup and drops every store: the same
-//! code recomputes everything per call, which reproduces the brute-force loop
-//! bit-identically — the cache only memoizes pure functions.
+//! Every layer is reached through one memo helper, and whether the evaluator
+//! holds a session is the one switch. With a session, a candidate's
+//! fingerprint and context are patched from its parent's and a schedule-memo
+//! miss is composed through the session's block layer. The sequential
+//! evaluator ([`EngineConfig::sequential`](crate::EngineConfig::sequential))
+//! holds none, so the helper skips every lookup and drops every store,
+//! fingerprints and contexts are rebuilt from the whole design and schedules
+//! are composed inline: the same code recomputes everything per call, which
+//! reproduces the brute-force loop bit-identically — the cache only memoizes
+//! pure functions.
 
 use std::sync::Arc;
 
@@ -35,8 +40,7 @@ use impact_rtl::{
     MuxTree, RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
-    BlockSchedule, BlockSource, ScheduleConfig, Scheduler, SchedulingProblem, SchedulingResult,
-    WaveScheduler,
+    BlockSchedule, BlockSource, InlineBlocks, ScheduleConfig, SchedulingProblem, SchedulingResult,
 };
 use impact_trace::{FuStats, RegStats, RtTraces};
 
@@ -59,12 +63,13 @@ pub(crate) const ENC_EPS: f64 = 1e-9;
 
 /// Provenance of a candidate design inside move-aware evaluation: its parent
 /// design, the parent's structural fingerprint and the move's change-set.
-/// From [`EvaluatorKind::FullReschedule`] on this is what turns full rebuilds
-/// into patches — the candidate's fingerprint is XOR-patched from the
-/// parent's, and its evaluation context is derived from the parent's
-/// context: the mux sites the move touched are enumerated again, every other
-/// site is shared with the parent by pointer, and only the touched profile
-/// entries are recomputed.
+/// An evaluator that holds a session turns full rebuilds into patches with
+/// it — the candidate's fingerprint is XOR-patched from the parent's, and
+/// its evaluation context is derived from the parent's context: the mux
+/// sites the move touched are enumerated again, every other site is shared
+/// with the parent by pointer, and only the touched profile entries are
+/// recomputed. The sequential evaluator ignores it and rebuilds both from
+/// the whole design.
 struct MoveLineage<'a> {
     parent: &'a RtlDesign,
     parent_fingerprint: DesignFingerprint,
@@ -123,11 +128,11 @@ impl DesignPoint {
 /// the fully-parallel architecture with the fastest modules at 5 V.
 ///
 /// Every evaluation entry point returns the cache's shared `Arc` allocation
-/// of the point; clone it for an owned point. Which layers the evaluator
-/// patches and memoizes is set by
-/// [`EngineConfig::evaluator`](crate::EngineConfig::evaluator); every
-/// [`EvaluatorKind`] runs this one code path and returns bit-identical
-/// points.
+/// of the point; clone it for an owned point.
+/// [`EngineConfig::evaluator`](crate::EngineConfig::evaluator) decides only
+/// whether the evaluator holds a session, and with it whether it patches and
+/// memoizes; both [`EvaluatorKind`]s run this one code path and return
+/// bit-identical points.
 #[derive(Clone, Debug)]
 pub struct Evaluator<'a> {
     cdfg: &'a Cdfg,
@@ -137,8 +142,9 @@ pub struct Evaluator<'a> {
     enc_min: f64,
     enc_limit: f64,
     /// Evaluation session; `None` (the sequential evaluator) makes the memo
-    /// helper compute every value afresh. Clones of the evaluator (and every
-    /// run handed the same external session) share one store.
+    /// helper compute every value afresh and turns off fingerprint patching,
+    /// context patching and the block layer. Clones of the evaluator (and
+    /// every run handed the same external session) share one store.
     session: Option<SweepSession>,
     /// Content digest scoping this evaluator's cache keys within the session.
     workload: WorkloadId,
@@ -150,23 +156,24 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesisError::InfeasibleLaxity`] for laxity below 1.0 and
-    /// propagates scheduling failures on the initial architecture.
+    /// Returns [`SynthesisError::InfeasibleLaxity`] for a laxity below 1.0
+    /// or NaN, and propagates scheduling failures on the initial
+    /// architecture (a clock period that is not finite and positive among
+    /// them).
     pub fn new(
         cdfg: &'a Cdfg,
         trace: &'a ExecutionTrace,
         config: SynthesisConfig,
     ) -> Result<Self, SynthesisError> {
-        let session = (config.engine.evaluator > EvaluatorKind::Sequential).then(SweepSession::new);
-        Self::build(cdfg, trace, config, session)
+        Self::build(cdfg, trace, config, None)
     }
 
     /// Creates an evaluator sharing an external [`SweepSession`]: later runs
     /// over the same workload reuse the contexts, trace statistics and design
     /// points of earlier ones, including runs at *different* laxity factors.
-    /// An external session implies caching: under
-    /// [`EvaluatorKind::Sequential`] the evaluator then runs like
-    /// [`EvaluatorKind::FullRebuild`].
+    /// The sequential evaluator ([`EvaluatorKind::Sequential`]) holds no
+    /// session and ignores `session`, since its results never depend on one:
+    /// it neither reads nor fills it.
     ///
     /// # Errors
     ///
@@ -177,20 +184,27 @@ impl<'a> Evaluator<'a> {
         config: SynthesisConfig,
         session: &SweepSession,
     ) -> Result<Self, SynthesisError> {
-        Self::build(cdfg, trace, config, Some(session.clone()))
+        Self::build(cdfg, trace, config, Some(session))
     }
 
+    /// The one place the engine's [`EvaluatorKind`] is read: the sequential
+    /// evaluator holds no session; the incremental one holds `shared`, or a
+    /// private session without one.
     fn build(
         cdfg: &'a Cdfg,
         trace: &'a ExecutionTrace,
         config: SynthesisConfig,
-        session: Option<SweepSession>,
+        shared: Option<&SweepSession>,
     ) -> Result<Self, SynthesisError> {
-        if config.laxity < 1.0 {
+        if config.laxity.is_nan() || config.laxity < 1.0 {
             return Err(SynthesisError::InfeasibleLaxity {
                 laxity: config.laxity,
             });
         }
+        let session = match config.engine.evaluator {
+            EvaluatorKind::Sequential => None,
+            EvaluatorKind::Incremental => Some(shared.cloned().unwrap_or_default()),
+        };
         let library = ModuleLibrary::standard();
         let workload = workload_id(cdfg, trace, &config);
         let mut evaluator = Self {
@@ -298,7 +312,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Snapshot of the evaluation-cache counters (cumulative over the whole
-    /// session when an external session is shared across runs).
+    /// session when an external session is shared across runs; all zero for
+    /// the sequential evaluator, which holds no session).
     pub fn cache_stats(&self) -> CacheStats {
         self.session
             .as_ref()
@@ -351,10 +366,10 @@ impl<'a> Evaluator<'a> {
 
     /// Applies `candidate` to a clone of `parent` and fully evaluates the
     /// result (supply search included). This is the move-aware entry point of
-    /// delta evaluation: from [`EvaluatorKind::FullReschedule`] on the
-    /// candidate's fingerprint is patched from the parent's and its
-    /// evaluation context is derived from the parent's, recomputing only the
-    /// entries the move touched — bit-identical to the full rebuild.
+    /// delta evaluation: with a session, the candidate's fingerprint is
+    /// patched from the parent's and its evaluation context is derived from
+    /// the parent's, recomputing only the entries the move touched —
+    /// bit-identical to the full rebuild the sequential evaluator runs.
     ///
     /// Returns `None` when the move is inapplicable to `parent` or the
     /// resulting design violates the ENC budget.
@@ -444,24 +459,23 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The candidate's structural fingerprint: patched from the parent's
-    /// digest from [`EvaluatorKind::FullReschedule`] on, recomputed from the
-    /// whole design otherwise (the oracle path).
+    /// digest when the evaluator holds a session, recomputed from the whole
+    /// design otherwise (the sequential oracle).
     fn candidate_fingerprint(
         &self,
         candidate: &RtlDesign,
         lineage: &MoveLineage<'_>,
     ) -> DesignFingerprint {
-        if self.config.engine.evaluator >= EvaluatorKind::FullReschedule {
-            let patched = RtlDesign::fingerprint_update(lineage.parent_fingerprint, lineage.delta);
-            debug_assert_eq!(
-                patched,
-                candidate.fingerprint(),
-                "patched fingerprints must match full recomputation"
-            );
-            patched
-        } else {
-            candidate.fingerprint()
+        if self.session.is_none() {
+            return candidate.fingerprint();
         }
+        let patched = RtlDesign::fingerprint_update(lineage.parent_fingerprint, lineage.delta);
+        debug_assert_eq!(
+            patched,
+            candidate.fingerprint(),
+            "patched fingerprints must match full recomputation"
+        );
+        patched
     }
 
     /// The supply search, memoized per ENC budget. The design's fingerprint
@@ -675,9 +689,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Fetches (or builds and memoizes) the reusable evaluation context of a
-    /// design. With a lineage, from [`EvaluatorKind::FullReschedule`] on, a
-    /// cache miss is served by patching the parent's context instead of
-    /// rebuilding.
+    /// design. With a lineage and a session, a cache miss is served by
+    /// patching the parent's context instead of rebuilding.
     fn context_for(
         &self,
         design: &RtlDesign,
@@ -685,8 +698,7 @@ impl<'a> Evaluator<'a> {
         lineage: Option<&MoveLineage<'_>>,
     ) -> Arc<DesignContext> {
         self.memo(ContextKey::new(self.workload, fingerprint), || {
-            let patches = self.config.engine.evaluator >= EvaluatorKind::FullReschedule;
-            Arc::new(match lineage.filter(|_| patches) {
+            Arc::new(match lineage.filter(|_| self.session.is_some()) {
                 Some(lineage) => {
                     let parent = self.context_for(lineage.parent, lineage.parent_fingerprint, None);
                     self.patch_context(&parent, lineage.parent, design, lineage.delta)
@@ -1085,25 +1097,26 @@ impl<'a> Evaluator<'a> {
 
     /// Schedules from a prebuilt context: base delays are scaled by the
     /// supply-dependent factor, so no trace or mux analysis happens per
-    /// level. From [`EvaluatorKind::FullReschedule`] on, the result is shared
-    /// through the session by a `(delays, binding, clock)` digest, so two
-    /// designs differing only in power-irrelevant ways (and any number of
-    /// laxity factors) schedule once.
-    ///
-    /// On a memo miss under [`EvaluatorKind::Incremental`], the schedule is
+    /// level. Without a session the schedule is composed inline, as
+    /// [`WaveScheduler`](impact_sched::WaveScheduler) does. With one, the
+    /// result is shared through the session by a `(delays, binding, clock)`
+    /// digest, so two designs differing only in power-irrelevant ways (and
+    /// any number of laxity factors) schedule once, and a memo miss is
     /// composed ([`impact_sched::compose`]) through the session's per-block
     /// layer, so only the blocks no earlier schedule stored are
-    /// list-scheduled. Every path is bit-identical to the full reschedule.
+    /// list-scheduled. Both paths are bit-identical.
     fn schedule_with_context(
         &self,
         context: &DesignContext,
         vdd: f64,
     ) -> Result<Arc<SchedulingResult>, SynthesisError> {
         let factor = self.library.vdd().delay_factor(vdd);
-        let kind = self.config.engine.evaluator;
-        if kind < EvaluatorKind::FullReschedule {
+        if self.session.is_none() {
             let problem = self.problem_for(context, factor);
-            return Ok(Arc::new(WaveScheduler::new().schedule(&problem)?));
+            return Ok(Arc::new(impact_sched::compose(
+                &problem,
+                &mut InlineBlocks,
+            )?));
         }
         // The memo key is digested straight from the context (streamed), so
         // a hit never materializes the scheduling problem's vectors.
@@ -1117,22 +1130,8 @@ impl<'a> Evaluator<'a> {
         );
         self.try_memo(key, || {
             let problem = self.problem_for(context, factor);
-            if kind < EvaluatorKind::Incremental {
-                return Ok(Arc::new(WaveScheduler::new().schedule(&problem)?));
-            }
             Ok(Arc::new(impact_sched::compose(&problem, &mut &*self)?))
         })
-    }
-
-    /// Effective delay of every node at the given supply-dependent factor:
-    /// module delay plus the mux stages each operand traverses, scaled.
-    pub fn effective_node_delays(&self, design: &RtlDesign, delay_factor: f64) -> Vec<f64> {
-        let context = self.context_for(design, design.fingerprint(), None);
-        context
-            .base_delays
-            .iter()
-            .map(|d| d * delay_factor)
-            .collect()
     }
 }
 
@@ -1285,9 +1284,80 @@ mod tests {
 
     #[test]
     fn laxity_below_one_is_rejected() {
-        let (cdfg, trace, _) = gcd_setup(2.0);
-        let err = Evaluator::new(&cdfg, &trace, SynthesisConfig::power_optimized(0.8)).unwrap_err();
-        assert!(matches!(err, SynthesisError::InfeasibleLaxity { .. }));
+        // So are a NaN laxity and every clock period that is not finite and
+        // positive: each is an error under both engines, never a panic and
+        // never a design at zero or negative power.
+        let (cdfg, trace, config) = gcd_setup(2.0);
+        let laxity = |laxity: f64| {
+            let config = SynthesisConfig {
+                laxity,
+                ..config.clone()
+            };
+            (config, SynthesisError::InfeasibleLaxity { laxity })
+        };
+        let clock = |clock_ns: f64| {
+            let error = impact_sched::SchedError::InvalidClock { clock_ns };
+            (config.clone().with_clock(clock_ns), error.into())
+        };
+        let hostile = [
+            laxity(0.8),
+            laxity(f64::NAN),
+            clock(0.0),
+            clock(-5.0),
+            clock(f64::INFINITY),
+            clock(f64::NAN),
+        ];
+        for (config, expected) in hostile {
+            for engine in [
+                crate::EngineConfig::sequential(),
+                crate::EngineConfig::incremental(),
+            ] {
+                let config = config.clone().with_engine(engine).with_effort(1, 1);
+                let what = format!("laxity {}, clock {}", config.laxity, config.clock_ns);
+                let err = Evaluator::new(&cdfg, &trace, config.clone()).unwrap_err();
+                assert_eq!(err.to_string(), expected.to_string(), "{what}");
+                let err = crate::Impact::new(config)
+                    .synthesize(&cdfg, &trace)
+                    .unwrap_err();
+                assert_eq!(err.to_string(), expected.to_string(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_schedule_memo_miss_moves_only_the_schedule_and_block_counters() {
+        // A miss is one `compose` through the block layer: a miss path that
+        // looked anything else up would move another layer's counters.
+        let (cdfg, trace, config) = gcd_setup(2.0);
+        let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
+        let mut design = RtlDesign::initial_parallel(&cdfg, evaluator.library());
+        let adders = design.units_of_class(impact_cdfg::OpClass::AddSub);
+        design.share_fus(adders[0], adders[1]).unwrap();
+        let context = evaluator.context_for(&design, design.fingerprint(), None);
+        let before = evaluator.cache_stats();
+        evaluator.schedule_with_context(&context, 3.3).unwrap();
+        let after = evaluator.cache_stats();
+        let schedule_misses = after.schedule.misses - before.schedule.misses;
+        let block_hits = after.block.hits - before.block.hits;
+        let block_misses = after.block.misses - before.block.misses;
+        assert_eq!(after.schedule.hits, before.schedule.hits);
+        assert_eq!(schedule_misses, 1, "{after:?}");
+        assert!(block_hits + block_misses > 0, "{after:?}");
+        assert_eq!(after.schedules, before.schedules + 1);
+        assert_eq!(
+            after.block_schedules as u64,
+            before.block_schedules as u64 + block_misses
+        );
+        let untouched = CacheStats {
+            hits: after.hits - block_hits,
+            misses: after.misses - schedule_misses - block_misses,
+            schedules: before.schedules,
+            block_schedules: before.block_schedules,
+            schedule: before.schedule,
+            block: before.block,
+            ..after
+        };
+        assert_eq!(untouched, before, "only the schedule and block layers move");
     }
 
     #[test]
@@ -1451,18 +1521,6 @@ mod tests {
                     seed = seed.wrapping_mul(31).wrapping_add(7);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn effective_delays_grow_when_the_supply_drops() {
-        let (cdfg, trace, config) = gcd_setup(2.0);
-        let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
-        let design = RtlDesign::initial_parallel(&cdfg, evaluator.library());
-        let at_5v = evaluator.effective_node_delays(&design, 1.0);
-        let slow = evaluator.effective_node_delays(&design, 2.0);
-        for (a, b) in at_5v.iter().zip(&slow) {
-            assert!(b >= a);
         }
     }
 

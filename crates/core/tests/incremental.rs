@@ -1,15 +1,16 @@
 #![allow(clippy::unwrap_used)]
 
 //! Property tests of the incremental evaluation engine: the Vdd binary
-//! search agrees with an exhaustive linear scan of the supply grid, cached
-//! and uncached evaluation are bit-identical, and the sequential and
-//! incremental engine configurations synthesize identical results.
+//! search agrees with an exhaustive linear scan of the supply grid, and
+//! cached and uncached evaluation are bit-identical. That the two engines
+//! synthesize identical results is `delta.rs`'s
+//! `delta_engine_synthesizes_identically_to_the_oracle_engine`.
 
 use std::sync::Arc;
 
 use impact_behsim::simulate;
 use impact_cdfg::{Cdfg, OpClass};
-use impact_core::{DesignPoint, EngineConfig, Evaluator, Impact, SynthesisConfig};
+use impact_core::{DesignPoint, EngineConfig, Evaluator, SynthesisConfig};
 use impact_rtl::RtlDesign;
 use proptest::prelude::*;
 
@@ -115,28 +116,5 @@ proptest! {
         prop_assert_eq!(&warm, &replay);
         prop_assert_eq!(&warm, &cold);
         prop_assert_eq!(cached.evaluate(&design).unwrap(), uncached.evaluate(&design).unwrap());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn engine_configurations_synthesize_identical_reports(laxity_steps in 0u32..5) {
-        let laxity = 1.0 + 0.5 * f64::from(laxity_steps);
-        let (cdfg, trace) = gcd_setup(10);
-        let config = SynthesisConfig::power_optimized(laxity).with_effort(2, 3);
-        let sequential = Impact::new(config.clone().with_engine(EngineConfig::sequential()))
-            .synthesize(&cdfg, &trace)
-            .unwrap();
-        let incremental = Impact::new(config.with_engine(EngineConfig::incremental()))
-            .synthesize(&cdfg, &trace)
-            .unwrap();
-        prop_assert_eq!(sequential.report.power_mw, incremental.report.power_mw);
-        prop_assert_eq!(sequential.report.area, incremental.report.area);
-        prop_assert_eq!(sequential.report.vdd, incremental.report.vdd);
-        prop_assert_eq!(sequential.report.enc, incremental.report.enc);
-        prop_assert_eq!(sequential.design, incremental.design);
-        prop_assert_eq!(sequential.history.len(), incremental.history.len());
     }
 }

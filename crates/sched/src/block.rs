@@ -79,13 +79,15 @@ pub fn block_digest(problem: &SchedulingProblem<'_>, nodes: &[NodeId]) -> u128 {
 ///
 /// # Errors
 ///
-/// Returns [`SchedError::DependenceCycle`] if the block's dependence graph is
-/// cyclic and [`SchedError::IncompleteProblem`] if the per-node tables are too
-/// short.
+/// Returns [`SchedError::InvalidClock`] if the clock period is not finite
+/// and positive, [`SchedError::DependenceCycle`] if the block's dependence
+/// graph is cyclic and [`SchedError::IncompleteProblem`] if the per-node
+/// tables are too short.
 pub fn schedule_block(
     problem: &SchedulingProblem<'_>,
     nodes: &[NodeId],
 ) -> Result<BlockSchedule, SchedError> {
+    SchedError::check_clock(problem.config.clock_ns)?;
     if nodes.is_empty() {
         return Ok(BlockSchedule::default());
     }
@@ -345,7 +347,7 @@ impl Decode for BlockSchedule {
 mod tests {
     use super::*;
     use crate::problem::{uniform_problem, ScheduleConfig};
-    use crate::{compose, RecordingBlocks};
+    use crate::{compose, RecordingBlocks, Scheduler};
     use impact_behsim::simulate;
     use impact_cdfg::Region;
     use impact_hdl::compile;
@@ -577,6 +579,33 @@ mod tests {
             for (what, changed) in &ignored {
                 assert_eq!(block_digest(changed, block), base, "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn clocks_that_are_not_finite_and_positive_are_rejected() {
+        // Each scheduler entry rejects them before it times a state; a zero
+        // period would overflow the multi-cycle span.
+        let cdfg = compile(BLOCKY).unwrap();
+        let trace = simulate(&cdfg, &[vec![3, 1], vec![1, 3]]).unwrap();
+        let problem = uniform_problem(&cdfg, trace.profile());
+        let blocks = nonempty_blocks(&problem);
+        for clock_ns in [0.0, -5.0, f64::INFINITY, f64::NAN] {
+            let mut hostile = problem.clone();
+            hostile.config.clock_ns = clock_ns;
+            let rejected = |result: Result<(), SchedError>| {
+                let error = result.unwrap_err();
+                let SchedError::InvalidClock { clock_ns: reported } = error else {
+                    panic!("clock {clock_ns}: {error}");
+                };
+                assert_eq!(reported.to_bits(), clock_ns.to_bits());
+            };
+            for block in blocks.iter().map(Vec::as_slice).chain([&[][..]]) {
+                rejected(schedule_block(&hostile, block).map(drop));
+            }
+            rejected(compose(&hostile, &mut crate::InlineBlocks).map(drop));
+            rejected(crate::WaveScheduler.schedule(&hostile).map(drop));
+            rejected(crate::BaselineScheduler.schedule(&hostile).map(drop));
         }
     }
 

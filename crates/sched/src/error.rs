@@ -35,6 +35,24 @@ pub enum SchedError {
         /// A node on the cycle.
         node: NodeId,
     },
+    /// The clock period is zero, negative, infinite or NaN: no state could
+    /// be timed against it.
+    InvalidClock {
+        /// The requested clock period in nanoseconds.
+        clock_ns: f64,
+    },
+}
+
+impl SchedError {
+    /// Accepts a clock period the schedulers can time states against:
+    /// finite and positive.
+    pub(crate) fn check_clock(clock_ns: f64) -> Result<(), SchedError> {
+        if clock_ns.is_finite() && clock_ns > 0.0 {
+            Ok(())
+        } else {
+            Err(SchedError::InvalidClock { clock_ns })
+        }
+    }
 }
 
 impl fmt::Display for SchedError {
@@ -55,6 +73,9 @@ impl fmt::Display for SchedError {
             ),
             SchedError::DependenceCycle { node } => {
                 write!(f, "dependence cycle detected within a basic block at node {node}")
+            }
+            SchedError::InvalidClock { clock_ns } => {
+                write!(f, "clock period {clock_ns} ns is not a finite positive number")
             }
         }
     }

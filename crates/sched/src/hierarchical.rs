@@ -93,8 +93,9 @@ pub trait Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns a [`SchedError`] when the problem is malformed (incomplete
-    /// per-node tables, cyclic intra-block dependences).
+    /// Returns a [`SchedError`] when the problem is malformed (a clock
+    /// period that is not finite and positive, incomplete per-node tables,
+    /// cyclic intra-block dependences).
     fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError>;
 }
 
@@ -201,12 +202,14 @@ fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> 
 ///
 /// # Errors
 ///
-/// Returns a [`SchedError`] when the problem is malformed (incomplete
-/// per-node tables, cyclic intra-block dependences).
+/// Returns a [`SchedError`] when the problem is malformed (a clock period
+/// that is not finite and positive, incomplete per-node tables, cyclic
+/// intra-block dependences).
 pub fn compose(
     problem: &SchedulingProblem<'_>,
     source: &mut dyn BlockSource,
 ) -> Result<SchedulingResult, SchedError> {
+    SchedError::check_clock(problem.config.clock_ns)?;
     let required = problem.cdfg.node_count();
     if problem.node_delays.len() < required || problem.node_fu.len() < required {
         return Err(SchedError::IncompleteProblem {
