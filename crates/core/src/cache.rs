@@ -128,7 +128,7 @@ pub struct DesignContext {
     pub(crate) fu_ids: Vec<impact_rtl::FuId>,
     /// Register ids in allocation order (one per `profile.regs` entry).
     pub(crate) reg_ids: Vec<impact_rtl::RegId>,
-    /// Every mux site with fan-in ≥ 2, in enumeration order (one per
+    /// Every mux site of the design, in enumeration order (one per
     /// `profile.muxes` entry).
     pub(crate) sites: Vec<Arc<MuxSite>>,
     /// Whether each site's tree was restructured, parallel to `sites`.
@@ -824,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v5_is_pinned() {
+    fn snapshot_wire_format_v6_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
@@ -835,7 +835,7 @@ mod tests {
         let mut snapshot = CacheSnapshot::default();
         snapshot
             .scaled
-            .insert(ScaledKey::new(workload, design.finish(), 2.5, true), None);
+            .insert(ScaledKey::new(workload, design.finish(), 2.5), None);
         snapshot.contexts.insert(context_key(1), sample_context());
         snapshot
             .block_schedules
@@ -875,7 +875,7 @@ mod tests {
         // One schedule that the schedule layer and a design point both
         // refer to: the bytes hold its STG once.
         let schedule = Arc::new(SchedulingResult {
-            stg: impact_stg::Stg::new("pinned-stg", 10.0),
+            stg: impact_stg::Stg::new(10.0),
             enc: 3.0,
         });
         snapshot
@@ -899,11 +899,12 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (834, 0x7f3b_2dd8_dc83_65ff_5c5e_b3ed_e6c9_f9e6)
+            (815, 0x0a17_7b0a_40e1_c936_80b0_0c15_a042_e7ce)
         );
-        let name = b"pinned-stg";
+        // The STG's clock period marks it: no other value here is 10.0.
+        let clock = 10.0f64.to_le_bytes();
         assert_eq!(
-            bytes.windows(name.len()).filter(|w| w == name).count(),
+            bytes.windows(clock.len()).filter(|w| *w == clock).count(),
             1,
             "the shared schedule is written once"
         );

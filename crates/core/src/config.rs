@@ -126,7 +126,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Knobs of one synthesis run.
+/// Knobs of one synthesis run. Every evaluation scales the supply voltage
+/// down into the slack the laxity leaves: the lowest level of the library's
+/// supply grid at which the design still meets its ENC budget.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SynthesisConfig {
     /// Optimization objective.
@@ -150,9 +152,6 @@ pub struct SynthesisConfig {
     pub resource_sharing: bool,
     /// Enable register sharing/splitting moves.
     pub register_sharing: bool,
-    /// Scale the supply voltage down into the slack left by the laxity
-    /// constraint.
-    pub vdd_scaling: bool,
     /// Power-estimator technology parameters.
     pub power: PowerConfig,
     /// Evaluation-engine tuning (evaluator, auditing, search strategy).
@@ -173,7 +172,6 @@ impl SynthesisConfig {
             module_selection: true,
             resource_sharing: true,
             register_sharing: true,
-            vdd_scaling: true,
             power: PowerConfig::default(),
             engine: EngineConfig::default(),
         }
@@ -210,12 +208,6 @@ impl SynthesisConfig {
     /// Disables register sharing and splitting (ablation).
     pub fn without_register_sharing(mut self) -> Self {
         self.register_sharing = false;
-        self
-    }
-
-    /// Disables supply-voltage scaling (ablation).
-    pub fn without_vdd_scaling(mut self) -> Self {
-        self.vdd_scaling = false;
         self
     }
 
@@ -268,13 +260,11 @@ mod tests {
             .without_mux_restructuring()
             .without_module_selection()
             .without_resource_sharing()
-            .without_register_sharing()
-            .without_vdd_scaling();
+            .without_register_sharing();
         assert!(!c.mux_restructuring);
         assert!(!c.module_selection);
         assert!(!c.resource_sharing);
         assert!(!c.register_sharing);
-        assert!(!c.vdd_scaling);
         assert!(SynthesisConfig::power_optimized(1.5).mux_restructuring);
     }
 

@@ -263,7 +263,7 @@ mod tests {
             outcome.report.power_at_reference_mw,
             outcome.report.initial_power_mw
         );
-        assert!(outcome.report.enc <= outcome.report.enc_limit + crate::evaluate::ENC_EPS);
+        assert!(outcome.report.enc <= outcome.report.enc_limit + impact_verify::ENC_EPS);
         assert!(outcome.report.vdd <= 5.0);
     }
 
@@ -274,7 +274,7 @@ mod tests {
             .synthesize(&cdfg, &trace)
             .unwrap();
         assert!(outcome.report.area < outcome.report.initial_area);
-        assert!(outcome.report.enc <= outcome.report.enc_limit + crate::evaluate::ENC_EPS);
+        assert!(outcome.report.enc <= outcome.report.enc_limit + impact_verify::ENC_EPS);
         assert!(!outcome.history.is_empty());
     }
 
@@ -330,7 +330,7 @@ mod tests {
             .synthesize(&cdfg, &trace)
             .unwrap();
         assert!(outcome.report.power_mw > 0.0);
-        assert!(outcome.report.enc <= outcome.report.enc_limit + crate::evaluate::ENC_EPS);
+        assert!(outcome.report.enc <= outcome.report.enc_limit + impact_verify::ENC_EPS);
     }
 
     #[test]

@@ -43,6 +43,7 @@ use impact_sched::{
     BlockSchedule, BlockSource, InlineBlocks, ScheduleConfig, SchedulingProblem, SchedulingResult,
 };
 use impact_trace::{FuStats, RegStats, RtTraces};
+use impact_verify::ENC_EPS;
 
 use crate::cache::{CacheStats, DesignContext, LayerKey, MuxEntry};
 use crate::config::{EvaluatorKind, OptimizationMode, SynthesisConfig};
@@ -54,12 +55,6 @@ use crate::fingerprint::{
 };
 use crate::moves::Move;
 use crate::session::SweepSession;
-
-/// Feasibility tolerance on the ENC budget: a design whose ENC exceeds the
-/// budget by at most this much still passes. One shared constant keeps the
-/// evaluator's read-time budget filter and the engine's tests from
-/// disagreeing at the boundary.
-pub(crate) const ENC_EPS: f64 = 1e-9;
 
 /// Provenance of a candidate design inside move-aware evaluation: its parent
 /// design, the parent's structural fingerprint and the move's change-set.
@@ -338,9 +333,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Fully evaluates a design: checks feasibility at the reference supply,
-    /// then (when enabled) scales the supply down as far as the ENC budget
-    /// allows. Returns `None` when the design violates the ENC budget even at
-    /// 5 V.
+    /// then scales the supply down as far as the ENC budget allows. Returns
+    /// `None` when the design violates the ENC budget even at 5 V.
     ///
     /// # Errors
     ///
@@ -487,20 +481,12 @@ impl<'a> Evaluator<'a> {
         fingerprint: DesignFingerprint,
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        let key = ScaledKey::new(
-            self.workload,
-            fingerprint,
-            self.enc_limit,
-            self.config.vdd_scaling,
-        );
+        let key = ScaledKey::new(self.workload, fingerprint, self.enc_limit);
         self.try_memo(key, || {
             let probe = |vdd: f64| self.point_at(design, fingerprint, vdd, lineage);
             let Some(reference_point) = probe(VDD_REFERENCE)? else {
                 return Ok(None);
             };
-            if !self.config.vdd_scaling {
-                return Ok(Some(reference_point));
-            }
             lowest_feasible_point(self.library.vdd().levels(), reference_point, probe).map(Some)
         })
     }
@@ -758,16 +744,6 @@ impl<'a> Evaluator<'a> {
         rt.signal_activity(key)
     }
 
-    /// The design's mux sites with fan-in ≥ 2 in enumeration order — the
-    /// only sites that contribute delays, power or area.
-    fn candidate_sites(&self, design: &RtlDesign) -> Vec<MuxSite> {
-        design
-            .mux_sites(self.cdfg)
-            .into_iter()
-            .filter(|site| site.fan_in() >= 2)
-            .collect()
-    }
-
     /// Depth of every source in a site's tree under the given construction.
     /// Restructured trees use the memoized activity statistics; balanced
     /// trees depend only on the fan-in, so no trace statistics are needed.
@@ -827,8 +803,8 @@ impl<'a> Evaluator<'a> {
     /// designs share almost all of the underlying trace traversals.
     fn build_context(&self, design: &RtlDesign) -> DesignContext {
         let rt = RtTraces::new(self.cdfg, design, self.trace);
-        let sites: Vec<Arc<MuxSite>> = self
-            .candidate_sites(design)
+        let sites: Vec<Arc<MuxSite>> = design
+            .mux_sites(self.cdfg)
             .into_iter()
             .map(Arc::new)
             .collect();
@@ -936,7 +912,7 @@ impl<'a> Evaluator<'a> {
             sites
                 .iter()
                 .map(|site| &**site)
-                .eq(&self.candidate_sites(design)),
+                .eq(&design.mux_sites(self.cdfg)),
             "derived mux sites must equal the full enumeration"
         );
         let site_depths: Vec<Arc<Vec<usize>>> = sites
@@ -1286,18 +1262,20 @@ mod tests {
     fn laxity_below_one_is_rejected() {
         // So are a NaN laxity and every clock period that is not finite and
         // positive: each is an error under both engines, never a panic and
-        // never a design at zero or negative power.
+        // never a design at zero or negative power. A tiny positive period
+        // (`None` below) fails as an operation too slow for it, before any
+        // state is placed: at 1e-6 ns every operation spans millions of them.
         let (cdfg, trace, config) = gcd_setup(2.0);
         let laxity = |laxity: f64| {
             let config = SynthesisConfig {
                 laxity,
                 ..config.clone()
             };
-            (config, SynthesisError::InfeasibleLaxity { laxity })
+            (config, Some(SynthesisError::InfeasibleLaxity { laxity }))
         };
         let clock = |clock_ns: f64| {
             let error = impact_sched::SchedError::InvalidClock { clock_ns };
-            (config.clone().with_clock(clock_ns), error.into())
+            (config.clone().with_clock(clock_ns), Some(error.into()))
         };
         let hostile = [
             laxity(0.8),
@@ -1306,6 +1284,7 @@ mod tests {
             clock(-5.0),
             clock(f64::INFINITY),
             clock(f64::NAN),
+            (config.clone().with_clock(1e-6), None),
         ];
         for (config, expected) in hostile {
             for engine in [
@@ -1314,12 +1293,28 @@ mod tests {
             ] {
                 let config = config.clone().with_engine(engine).with_effort(1, 1);
                 let what = format!("laxity {}, clock {}", config.laxity, config.clock_ns);
-                let err = Evaluator::new(&cdfg, &trace, config.clone()).unwrap_err();
-                assert_eq!(err.to_string(), expected.to_string(), "{what}");
-                let err = crate::Impact::new(config)
-                    .synthesize(&cdfg, &trace)
-                    .unwrap_err();
-                assert_eq!(err.to_string(), expected.to_string(), "{what}");
+                let errors = [
+                    Evaluator::new(&cdfg, &trace, config.clone()).unwrap_err(),
+                    crate::Impact::new(config)
+                        .synthesize(&cdfg, &trace)
+                        .unwrap_err(),
+                ];
+                for err in errors {
+                    match &expected {
+                        Some(expected) => {
+                            assert_eq!(err.to_string(), expected.to_string(), "{what}");
+                        }
+                        None => assert!(
+                            matches!(
+                                err,
+                                SynthesisError::Scheduling(
+                                    impact_sched::SchedError::OperationTooSlow { clock_ns, .. }
+                                ) if clock_ns == 1e-6
+                            ),
+                            "{what}: {err}"
+                        ),
+                    }
+                }
             }
         }
     }
@@ -1412,7 +1407,7 @@ mod tests {
     fn every_move(cdfg: &Cdfg, library: &ModuleLibrary, design: &RtlDesign) -> Vec<Move> {
         let mut moves = Vec::new();
         for site in design.mux_sites(cdfg) {
-            if site.fan_in() >= 2 && !design.is_restructured(site.sink) {
+            if !design.is_restructured(site.sink) {
                 moves.push(Move::RestructureMux { sink: site.sink });
             }
         }

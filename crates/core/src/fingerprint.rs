@@ -60,9 +60,9 @@ impl PointKey {
 }
 
 /// Key of the outcome of one full supply search. Unlike [`PointKey`] it
-/// carries the ENC budget and the scaling mode: the *search result* (which
-/// supply wins, or infeasibility) depends on both, even though the per-level
-/// points it probes do not.
+/// carries the ENC budget: the *search result* (which supply wins, or
+/// infeasibility) depends on it, even though the per-level points it probes
+/// do not.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ScaledKey {
     /// Workload the search ran under.
@@ -71,23 +71,14 @@ pub struct ScaledKey {
     pub(crate) design: DesignFingerprint,
     /// Bit pattern of the ENC budget the search was constrained to.
     pub(crate) enc_limit_bits: u64,
-    /// Whether supply scaling was enabled (`false` pins the reference
-    /// supply).
-    pub(crate) vdd_scaling: bool,
 }
 
 impl ScaledKey {
-    pub(crate) fn new(
-        workload: WorkloadId,
-        design: DesignFingerprint,
-        enc_limit: f64,
-        vdd_scaling: bool,
-    ) -> Self {
+    pub(crate) fn new(workload: WorkloadId, design: DesignFingerprint, enc_limit: f64) -> Self {
         Self {
             workload,
             design,
             enc_limit_bits: enc_limit.to_bits(),
-            vdd_scaling,
         }
     }
 }
@@ -322,7 +313,6 @@ impl Encode for ScaledKey {
         self.workload.encode(w);
         self.design.encode(w);
         w.put_u64(self.enc_limit_bits);
-        w.put_bool(self.vdd_scaling);
     }
 }
 
@@ -332,7 +322,6 @@ impl Decode for ScaledKey {
             workload: Decode::decode(r)?,
             design: Decode::decode(r)?,
             enc_limit_bits: r.take_u64()?,
-            vdd_scaling: r.take_bool()?,
         })
     }
 }

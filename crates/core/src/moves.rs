@@ -344,7 +344,6 @@ mod tests {
         let real: std::collections::HashSet<MuxSink> = design
             .mux_sites(cdfg)
             .into_iter()
-            .filter(|site| site.fan_in() >= 2)
             .map(|site| site.sink)
             .collect();
         let stale: Vec<MuxSink> = design

@@ -21,15 +21,18 @@
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
 //!
-//! A schedule's body is its tag, its STG (per state: tag, operation list,
-//! exit probability) and its ENC. Format 3 dropped the two cycle bounds
-//! format 2 carried, and format 5 the block outcomes (node list, digest and
-//! block reference per block) formats 2 to 4 carried, since a schedule no
-//! longer records its blocks. A design point's body is its schedule
-//! reference, supply, two power breakdowns and area; format 4 dropped the
-//! design copy format 3 carried, since a point no longer holds one. The
-//! whole-file digest mixes one 64-bit word per step into two lanes (see
-//! `digest_bytes`).
+//! A schedule's body is its tag, its STG and its ENC; the STG is its tag,
+//! clock period, states (per state: tag, operation list, exit probability),
+//! transitions and entry. Format 3 dropped the two cycle bounds format 2
+//! carried, format 5 the block outcomes (node list, digest and block
+//! reference per block) formats 2 to 4 carried, since a schedule no longer
+//! records its blocks, and format 6 the design name every STG carried. A
+//! design point's body is its schedule reference, supply, two power
+//! breakdowns and area; format 4 dropped the design copy format 3 carried,
+//! since a point no longer holds one. A supply-search key is the workload,
+//! the design fingerprint and the ENC budget; format 6 dropped the
+//! scaling flag formats 1 to 5 carried. The whole-file digest mixes one
+//! 64-bit word per step into two lanes (see `digest_bytes`).
 //!
 //! Values that the cache shares by pointer are written once, into their
 //! table, and named everywhere else by their `u32` index: a design point
@@ -88,7 +91,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Tags of the shared-value tables, in the order they are written.
 const TABLE_BLOCKS: u8 = 0x81;
@@ -1064,8 +1067,7 @@ mod tests {
                 let points = snapshot.points.values().map(|point| &point.schedule);
                 for schedule in snapshot.schedules.values().chain(points) {
                     let _ = schedule.stg.validate();
-                    let _ = schedule.stg.min_cycles();
-                    let _ = schedule.stg.max_acyclic_cycles();
+                    let _ = schedule.stg.expected_cycles();
                 }
             }
         }

@@ -23,14 +23,13 @@
 
 use std::sync::Arc;
 
-use impact_modlib::VDD_REFERENCE;
+use impact_verify::ENC_EPS;
 pub use impact_verify::{
     has_errors, rules, verify_block_schedule, verify_cdfg, verify_design, verify_fingerprint,
     verify_mux_sites, verify_schedule, verify_schedule_artifact, Severity, Violation,
 };
 
 use crate::cache::{CacheSnapshot, DesignContext};
-use crate::evaluate::ENC_EPS;
 use crate::fingerprint::PointKey;
 use crate::session::SweepSession;
 use crate::snapshot::{decode_snapshot, SnapshotScope};
@@ -103,20 +102,10 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
         if point.enc() > budget + ENC_EPS {
             violations.push(Violation::error(
                 rules::CACHE_SCALED_KEY,
-                location.clone(),
+                location,
                 format!(
                     "stored outcome has ENC {} above the key's budget {budget}",
                     point.enc()
-                ),
-            ));
-        }
-        if !key.vdd_scaling && point.vdd != VDD_REFERENCE {
-            violations.push(Violation::error(
-                rules::CACHE_SCALED_KEY,
-                location,
-                format!(
-                    "scaling-disabled outcome stored at {} V instead of the reference supply",
-                    point.vdd
                 ),
             ));
         }

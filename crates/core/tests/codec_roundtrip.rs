@@ -89,9 +89,7 @@ fn mutated_design(cdfg: &Cdfg, evaluator: &Evaluator<'_>, seed: u64) -> RtlDesig
     }
     if seed & 8 == 8 {
         for site in design.mux_sites(cdfg) {
-            if site.fan_in() >= 2 {
-                design.set_restructured(site.sink, true);
-            }
+            design.set_restructured(site.sink, true);
         }
     }
     design

@@ -29,7 +29,7 @@ fn setup(
 fn candidate_moves(cdfg: &Cdfg, library: &ModuleLibrary, design: &RtlDesign) -> Vec<Move> {
     let mut moves = Vec::new();
     for site in design.mux_sites(cdfg) {
-        if site.fan_in() >= 2 && !design.is_restructured(site.sink) {
+        if !design.is_restructured(site.sink) {
             moves.push(Move::RestructureMux { sink: site.sink });
         }
     }

@@ -171,9 +171,11 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    // Writers of format v3, whose design points carried their designs, and
-    // of v4, whose schedules carried their block outcomes.
-    for old in [3u32, 4] {
+    // Writers of format v3, whose design points carried their designs, of
+    // v4, whose schedules carried their block outcomes, and of v5, whose
+    // STGs carried their design's name and supply-search keys a scaling
+    // flag.
+    for old in [3u32, 4, 5] {
         let mut stale = bytes.clone();
         stale[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
         assert_eq!(
@@ -198,7 +200,7 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    assert_eq!(session.stats().snapshot.rejected_version, 5);
+    assert_eq!(session.stats().snapshot.rejected_version, 6);
 }
 
 #[test]

@@ -161,7 +161,7 @@ pub struct PowerProfile {
     pub regs: Vec<RegPowerProfile>,
     /// Total register bits (clock-network load).
     pub register_bits: f64,
-    /// One entry per mux site with fan-in of at least two.
+    /// One entry per mux site of the design.
     pub muxes: Vec<MuxPowerProfile>,
     /// Datapath area in equivalent gates (controller area comes from the
     /// schedule and is added per evaluation).
@@ -231,9 +231,7 @@ impl PowerProfile {
     /// [`Self::assemble`] over a caller-provided mux-site list: evaluation
     /// paths that already enumerated the design's sites (context building,
     /// delta patching) hand them in instead of re-enumerating. `sites` must
-    /// be (a filtering of) `design.mux_sites(cdfg)` in enumeration order;
-    /// sites with fan-in below two are skipped either way, so a pre-filtered
-    /// list produces a bit-identical profile.
+    /// be `design.mux_sites(cdfg)`, in its enumeration order.
     pub fn assemble_with_sites<S: Borrow<MuxSite>>(
         library: &ModuleLibrary,
         design: &RtlDesign,
@@ -253,7 +251,6 @@ impl PowerProfile {
         let muxes = sites
             .iter()
             .map(Borrow::borrow)
-            .filter(|site| site.fan_in() >= 2)
             .map(|site| {
                 let restructured = design.is_restructured(site.sink);
                 MuxPowerProfile::new(library, site, mux_stats(site, restructured))
@@ -264,9 +261,9 @@ impl PowerProfile {
 
     /// A profile from entries built elsewhere (a patched context copies the
     /// untouched ones from its parent's profile): one entry per active unit,
-    /// per active register and per site of `sites` with fan-in of at least
-    /// two. The totals are summed afresh, never adjusted, so the profile is
-    /// bit-identical to [`Self::assemble_with_sites`]'s.
+    /// per active register and per site of `sites`. The totals are summed
+    /// afresh, never adjusted, so the profile is bit-identical to
+    /// [`Self::assemble_with_sites`]'s.
     pub fn from_entries<S: Borrow<MuxSite>>(
         library: &ModuleLibrary,
         design: &RtlDesign,

@@ -119,7 +119,8 @@ pub struct SignalSource {
     pub ops: Vec<NodeId>,
 }
 
-/// A multiplexer site: a sink plus every source that can reach it.
+/// A multiplexer site: a sink plus every source that can reach it. The
+/// sites of a design ([`RtlDesign::mux_sites`]) each have two or more.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MuxSite {
     /// Where the tree sits.
@@ -827,9 +828,10 @@ impl RtlDesign {
         }
     }
 
-    /// Enumerates every multiplexer site of the datapath: one per
-    /// functional-unit data input port and one per register written from more
-    /// than one distinct source. Sites come in [`MuxSink`] order.
+    /// Enumerates every multiplexer site of the datapath: each
+    /// functional-unit data input port and each register input where two or
+    /// more distinct sources meet. A sink with one source needs no mux and
+    /// is not a site. Sites come in [`MuxSink`] order.
     pub fn mux_sites(&self, cdfg: &Cdfg) -> Vec<MuxSite> {
         // Group the bindings once: the per-unit (and per-register) scans over
         // the whole design were quadratic, and site enumeration runs once per
@@ -852,10 +854,9 @@ impl RtlDesign {
         sites
     }
 
-    /// The sinks of the multi-source mux sites (fan-in ≥ 2), in [`MuxSink`]
-    /// order: the sinks of the [`Self::mux_sites`] entries with two or more
-    /// sources, found by sorting every (sink, source) pair instead of
-    /// building the sites' source lists.
+    /// The sinks of the mux sites, in [`MuxSink`] order: the sinks of
+    /// [`Self::mux_sites`], found by sorting every (sink, source) pair
+    /// instead of building the sites' source lists.
     pub fn multi_source_sinks(&self, cdfg: &Cdfg) -> Vec<MuxSink> {
         let mut max_ports = vec![0; self.fus.len()];
         for (node_id, fu) in self.bound_ops() {
@@ -938,13 +939,12 @@ impl RtlDesign {
             .filter_map(|(index, binding)| binding.map(|fu| (NodeId::new(index), fu)))
     }
 
-    /// The candidate's multi-source mux sites (fan-in ≥ 2, in [`MuxSink`]
-    /// order) derived from its parent's: `parent` is the pre-move design's
-    /// site list filtered the same way, and `delta` the move that turned
-    /// that design into `self`. Only the sites of the resources whose sites
-    /// the move may have changed are enumerated again (the rule is
-    /// `DesignDelta::site_scope`); every other parent site is kept by
-    /// position. Equal to filtering [`Self::mux_sites`].
+    /// The candidate's mux sites (in [`MuxSink`] order) derived from its
+    /// parent's: `parent` is the pre-move design's [`Self::mux_sites`] list,
+    /// and `delta` the move that turned that design into `self`. Only the
+    /// sites of the resources whose sites the move may have changed are
+    /// enumerated again (the rule is `DesignDelta::site_scope`); every other
+    /// parent site is kept by position. Equal to [`Self::mux_sites`].
     pub fn derive_mux_sites<S: Borrow<MuxSite>>(
         &self,
         cdfg: &Cdfg,
@@ -971,10 +971,7 @@ impl RtlDesign {
                 fresh.extend(self.register_site(cdfg, reg, register, &writers));
             }
         }
-        let mut fresh = fresh
-            .into_iter()
-            .filter(|site| site.fan_in() >= 2)
-            .peekable();
+        let mut fresh = fresh.into_iter().peekable();
         let mut derived = Vec::with_capacity(parent.len() + 1);
         for (index, site) in parent.iter().enumerate() {
             let sink = site.borrow().sink;
@@ -994,8 +991,9 @@ impl RtlDesign {
         derived
     }
 
-    /// Appends the sites in front of one unit's data ports, in port order.
-    /// `ops` are the operations bound to the unit, in node order.
+    /// Appends the sites in front of one unit's data ports, in port order:
+    /// the ports two or more distinct sources reach. `ops` are the
+    /// operations bound to the unit, in node order.
     fn push_fu_sites(
         &self,
         cdfg: &Cdfg,
@@ -1016,7 +1014,7 @@ impl RtlDesign {
                     by_key.entry(key).or_default().push(op);
                 }
             }
-            if by_key.is_empty() {
+            if by_key.len() < 2 {
                 continue;
             }
             sites.push(MuxSite {
@@ -1094,11 +1092,10 @@ impl RtlDesign {
         self.datapath_area_with_sites(library, &self.mux_sites(cdfg))
     }
 
-    /// [`Self::datapath_area`] over a caller-provided mux-site list, so
-    /// evaluation paths that already enumerated the sites (context building,
-    /// delta patching) do not enumerate them again. Sites with fan-in below
-    /// two contribute zero mux area, so passing a list filtered to fan-in ≥ 2
-    /// yields a bit-identical total.
+    /// [`Self::datapath_area`] over a caller-provided mux-site list (the
+    /// design's [`Self::mux_sites`]), so evaluation paths that already
+    /// enumerated the sites (context building, delta patching) do not
+    /// enumerate them again.
     pub fn datapath_area_with_sites<S: Borrow<MuxSite>>(
         &self,
         library: &ModuleLibrary,
@@ -1458,7 +1455,7 @@ mod tests {
         let sites = design.mux_sites(&cdfg);
         assert!(sites
             .iter()
-            .any(|s| s.sink == MuxSink::RegisterInput { reg: rx } && s.fan_in() >= 2));
+            .any(|s| s.sink == MuxSink::RegisterInput { reg: rx }));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * **registers** holding the design's variables (several variables may share
 //!   one register),
 //! * **multiplexer trees** in front of every functional-unit input port and
-//!   every register that is written from more than one source — the
+//!   every register that more than one distinct source reaches — the
 //!   interconnect whose power the paper's mux-restructuring move attacks,
 //! * a **controller** derived from the STG (modelled in `impact-power`).
 //!

@@ -4,13 +4,17 @@
 //! from the initial architecture and after seeded move sequences, every
 //! applicable move of all six families derives the candidate's mux sites
 //! from the parent's ([`RtlDesign::derive_mux_sites`]) exactly as the
-//! candidate's own [`RtlDesign::mux_sites`], filtered to fan-in ≥ 2, lists
-//! them — same sites, same order — and [`RtlDesign::multi_source_sinks`]
-//! lists their sinks.
+//! candidate's own [`RtlDesign::mux_sites`] lists them — same sites, same
+//! order — and [`RtlDesign::multi_source_sinks`] lists their sinks. Every
+//! site listed has two or more distinct sources.
+
+use std::collections::BTreeSet;
 
 use impact_cdfg::{Cdfg, NodeId, VarId};
 use impact_modlib::{ModuleId, ModuleLibrary};
-use impact_rtl::{DerivedSite, DesignDelta, FuId, MuxSink, MuxSite, RegId, RtlDesign, RtlError};
+use impact_rtl::{
+    DerivedSite, DesignDelta, FuId, MuxSink, MuxSite, RegId, RtlDesign, RtlError, SignalKey,
+};
 
 /// One move of the six families.
 #[derive(Clone, Copy, Debug)]
@@ -44,7 +48,7 @@ impl Move {
 /// Every move applicable to `design`.
 fn every_move(cdfg: &Cdfg, library: &ModuleLibrary, design: &RtlDesign) -> Vec<Move> {
     let mut moves = Vec::new();
-    for site in multi_sites(cdfg, design) {
+    for site in design.mux_sites(cdfg) {
         if !design.is_restructured(site.sink) {
             moves.push(Move::Restructure(site.sink));
         }
@@ -82,14 +86,6 @@ fn every_move(cdfg: &Cdfg, library: &ModuleLibrary, design: &RtlDesign) -> Vec<M
         }
     }
     moves
-}
-
-fn multi_sites(cdfg: &Cdfg, design: &RtlDesign) -> Vec<MuxSite> {
-    design
-        .mux_sites(cdfg)
-        .into_iter()
-        .filter(|site| site.fan_in() >= 2)
-        .collect()
 }
 
 /// The derived list with every kept position resolved to the parent's site.
@@ -134,14 +130,23 @@ fn derived_sites_equal_the_full_enumeration_on_every_benchmark() {
                 let _ = moves[(pick as usize) % moves.len()].apply(&cdfg, &library, &mut parent);
                 pick = next_seed(pick);
             }
-            let parent_sites = multi_sites(&cdfg, &parent);
+            let parent_sites = parent.mux_sites(&cdfg);
             let mut checked = 0;
             for mv in every_move(&cdfg, &library, &parent) {
                 let mut candidate = parent.clone();
                 let Ok(delta) = mv.apply(&cdfg, &library, &mut candidate) else {
                     continue;
                 };
-                let sites = multi_sites(&cdfg, &candidate);
+                let sites = candidate.mux_sites(&cdfg);
+                for site in &sites {
+                    let keys: BTreeSet<SignalKey> =
+                        site.sources.iter().map(|source| source.key).collect();
+                    assert!(
+                        site.fan_in() >= 2 && keys.len() == site.fan_in(),
+                        "{} (seed {seed}): {mv:?} lists {site:?}",
+                        bench.name
+                    );
+                }
                 assert_eq!(
                     derived_sites(&cdfg, &parent_sites, &candidate, &delta),
                     sites,
@@ -166,7 +171,7 @@ fn an_empty_delta_keeps_every_parent_site() {
     let library = ModuleLibrary::standard();
     let cdfg = impact_benchmarks::dealer().compile().unwrap();
     let mut design = RtlDesign::initial_parallel(&cdfg, &library);
-    let sites = multi_sites(&cdfg, &design);
+    let sites = design.mux_sites(&cdfg);
     assert!(sites.len() >= 2, "dealer has wide mux sites");
     // Annotating a sink changes no site's content.
     let delta = design.set_restructured_delta(sites[0].sink, true);

@@ -35,12 +35,12 @@ pub struct BlockSchedule {
     pub state_count: usize,
 }
 
-impl BlockSchedule {
-    /// Operations placed in a given state (by their start state).
-    pub fn ops_in_state(&self, state: usize) -> Vec<&PlacedOp> {
-        self.ops.iter().filter(|op| op.state == state).collect()
-    }
-}
+/// The most clock periods one operation may span. A multi-cycle operation
+/// takes one state per period, so a tiny clock would otherwise place states
+/// without bound; [`schedule_block`] rejects a slower node before it places
+/// any. No library operation comes near it: the slowest, a serial divider at
+/// 255 bits, spans about 4,500 periods of a 15 ns clock at 1.2 V.
+pub(crate) const MAX_SPAN_PERIODS: u32 = 1 << 16;
 
 /// Content digest of everything [`schedule_block`] reads for one block:
 /// the node list (ids in order — the CDFG behind them is pinned by the
@@ -80,9 +80,10 @@ pub fn block_digest(problem: &SchedulingProblem<'_>, nodes: &[NodeId]) -> u128 {
 /// # Errors
 ///
 /// Returns [`SchedError::InvalidClock`] if the clock period is not finite
-/// and positive, [`SchedError::DependenceCycle`] if the block's dependence
-/// graph is cyclic and [`SchedError::IncompleteProblem`] if the per-node
-/// tables are too short.
+/// and positive, [`SchedError::IncompleteProblem`] if the per-node tables
+/// are too short, [`SchedError::OperationTooSlow`] if a node's delay spans
+/// more than 2^16 clock periods and [`SchedError::DependenceCycle`] if the
+/// block's dependence graph is cyclic.
 pub fn schedule_block(
     problem: &SchedulingProblem<'_>,
     nodes: &[NodeId],
@@ -100,6 +101,18 @@ pub fn schedule_block(
     }
 
     let clock = problem.config.clock_ns;
+    for &node in nodes {
+        let delay_ns = problem.node_delays[node.index()];
+        let periods = delay_ns / clock;
+        if periods > f64::from(MAX_SPAN_PERIODS) {
+            return Err(SchedError::OperationTooSlow {
+                node,
+                delay_ns,
+                clock_ns: clock,
+                states_needed: periods.ceil() as u32,
+            });
+        }
+    }
     let overhead = problem.config.chaining_overhead;
     let member: HashSet<NodeId> = nodes.iter().copied().collect();
 
@@ -377,7 +390,8 @@ mod tests {
         // Two independent adds on two different adders plus the two chained
         // output transfers all fit in a single state.
         assert_eq!(sched.state_count, 1);
-        assert_eq!(sched.ops_in_state(0).len(), block.len());
+        assert_eq!(sched.ops.len(), block.len());
+        assert!(sched.ops.iter().all(|op| op.state == 0));
     }
 
     #[test]
@@ -585,22 +599,32 @@ mod tests {
     #[test]
     fn clocks_that_are_not_finite_and_positive_are_rejected() {
         // Each scheduler entry rejects them before it times a state; a zero
-        // period would overflow the multi-cycle span.
+        // period would overflow the multi-cycle span. A tiny positive period
+        // is timed, but every node spans more than `MAX_SPAN_PERIODS` of it,
+        // so each non-empty block is rejected before it places a state.
         let cdfg = compile(BLOCKY).unwrap();
         let trace = simulate(&cdfg, &[vec![3, 1], vec![1, 3]]).unwrap();
         let problem = uniform_problem(&cdfg, trace.profile());
         let blocks = nonempty_blocks(&problem);
-        for clock_ns in [0.0, -5.0, f64::INFINITY, f64::NAN] {
+        for clock_ns in [0.0, -5.0, f64::INFINITY, f64::NAN, 1e-6] {
+            let valid = clock_ns.is_finite() && clock_ns > 0.0;
             let mut hostile = problem.clone();
             hostile.config.clock_ns = clock_ns;
             let rejected = |result: Result<(), SchedError>| {
                 let error = result.unwrap_err();
-                let SchedError::InvalidClock { clock_ns: reported } = error else {
-                    panic!("clock {clock_ns}: {error}");
+                let reported = match error {
+                    SchedError::InvalidClock { clock_ns } if !valid => clock_ns,
+                    SchedError::OperationTooSlow {
+                        clock_ns,
+                        states_needed,
+                        ..
+                    } if valid && states_needed > MAX_SPAN_PERIODS => clock_ns,
+                    _ => panic!("clock {clock_ns}: {error}"),
                 };
                 assert_eq!(reported.to_bits(), clock_ns.to_bits());
             };
-            for block in blocks.iter().map(Vec::as_slice).chain([&[][..]]) {
+            let empty = (!valid).then_some(&[][..]);
+            for block in blocks.iter().map(Vec::as_slice).chain(empty) {
                 rejected(schedule_block(&hostile, block).map(drop));
             }
             rejected(compose(&hostile, &mut crate::InlineBlocks).map(drop));

@@ -5,13 +5,16 @@ use std::fmt;
 
 use impact_cdfg::NodeId;
 
+use crate::block::MAX_SPAN_PERIODS;
+
 /// Errors reported by the schedulers.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SchedError {
-    /// An operation cannot fit in the clock period even alone in a state.
-    /// Its functional unit is too slow for the requested clock (for example
-    /// after aggressive Vdd scaling); the caller must either slow the clock,
-    /// pick a faster module or raise the supply voltage.
+    /// An operation's delay spans more than 2^16 clock periods, the most
+    /// one multi-cycle operation may take. [`schedule_block`](crate::schedule_block)
+    /// raises it before it places any state of the block, so a tiny clock
+    /// period fails at once instead of placing states without bound; the
+    /// caller must slow the clock, pick a faster module or raise the supply.
     OperationTooSlow {
         /// The offending node.
         node: NodeId,
@@ -19,7 +22,8 @@ pub enum SchedError {
         delay_ns: f64,
         /// The clock period in nanoseconds.
         clock_ns: f64,
-        /// The number of states a multi-cycle implementation would need.
+        /// The number of states a multi-cycle implementation would need
+        /// (saturating at `u32::MAX`).
         states_needed: u32,
     },
     /// The per-node delay or binding tables do not cover every node.
@@ -65,7 +69,7 @@ impl fmt::Display for SchedError {
                 states_needed,
             } => write!(
                 f,
-                "node {node} needs {delay_ns:.1} ns which exceeds the {clock_ns:.1} ns clock ({states_needed} states as a multi-cycle operation)"
+                "node {node} needs {delay_ns:.1} ns, {states_needed} periods of the {clock_ns} ns clock; an operation may span at most {MAX_SPAN_PERIODS}"
             ),
             SchedError::IncompleteProblem { nodes, provided } => write!(
                 f,

@@ -130,13 +130,12 @@ pub fn problem_digest(
     h.finish().as_u128()
 }
 
-/// Output of a scheduler: the STG and its ENC.
+/// Output of a scheduler: the STG and its ENC, which is all the power and
+/// area models read of a schedule (the ENC, and the STG's clock, state and
+/// transition counts).
 ///
-/// The cycle bounds are not part of it: nothing the search reads depends on
-/// them, so composition does not pay for the graph walks.
-/// [`Stg::min_cycles`] and [`Stg::max_acyclic_cycles`] compute them on
-/// demand. Nor are the block schedules it was composed from: the audits get
-/// them by composing the problem again through
+/// The block schedules it was composed from are not part of it: the audits
+/// get them by composing the problem again through
 /// [`RecordingBlocks`](crate::RecordingBlocks).
 #[derive(Clone, PartialEq, Debug)]
 pub struct SchedulingResult {

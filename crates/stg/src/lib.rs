@@ -4,15 +4,15 @@
 //! connecting the states via conditions to form a state transition graph"
 //! (Section 2.2). This crate owns that data structure: states containing
 //! scheduled (and possibly chained) operations, guarded probabilistic
-//! transitions between states, and the analyses the IMPACT cost function
-//! needs —
+//! transitions between states, and what the IMPACT cost function reads of
+//! them —
 //!
+//! * the clock period,
+//! * controller size estimates (state and transition counts),
 //! * the **expected number of cycles** (ENC) of one pass through the design,
-//!   solved exactly from the transition probabilities,
-//! * the minimum schedule length (shortest path from entry to an exit),
-//! * the maximum acyclic schedule length (longest path ignoring back-edges),
-//!   both in time linear in the graph's size,
-//! * controller size estimates (state and transition counts).
+//!   solved exactly from the transition probabilities — the scheduler
+//!   composes the ENC hierarchically, and tests check it against this
+//!   Markov-chain solution.
 //!
 //! An [`Stg`] is stored flat: the operations of every state lie in one
 //! shared vector, state after state, each state keeps only where its
@@ -28,7 +28,7 @@
 //!
 //! // A two-state machine that loops back to the first state with
 //! // probability 0.75 models a loop with an expected trip count of 3.
-//! let mut stg = Stg::new("demo", 15.0);
+//! let mut stg = Stg::new(15.0);
 //! let s0 = stg.add_state();
 //! let s1 = stg.add_state();
 //! stg.add_op(s0, ScheduledOp::new(NodeId::new(0), 0.0, 10.0));

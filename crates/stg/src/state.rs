@@ -50,12 +50,6 @@ impl ScheduledOp {
             finish_ns,
         }
     }
-
-    /// Returns `true` when the operation starts after another operation's
-    /// result inside the same state (i.e. it is chained).
-    pub fn is_chained(&self) -> bool {
-        self.start_ns > 0.0
-    }
 }
 
 /// A state (control step) of the STG: a view of its operations and exit
@@ -146,12 +140,6 @@ mod tests {
         assert_eq!(s.op_count(), 2);
         assert!(s.contains(NodeId::new(1)));
         assert!(!s.contains(NodeId::new(7)));
-    }
-
-    #[test]
-    fn chaining_detection() {
-        assert!(!ScheduledOp::new(NodeId::new(0), 0.0, 10.0).is_chained());
-        assert!(ScheduledOp::new(NodeId::new(1), 10.0, 21.0).is_chained());
     }
 
     #[test]

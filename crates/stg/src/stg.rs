@@ -122,7 +122,6 @@ struct StateSlot {
 /// borrowed [`State`] views.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Stg {
-    design: String,
     clock_ns: f64,
     ops: Vec<ScheduledOp>,
     states: Vec<StateSlot>,
@@ -131,21 +130,15 @@ pub struct Stg {
 }
 
 impl Stg {
-    /// Creates an empty STG for `design` with the given clock period.
-    pub fn new(design: impl Into<String>, clock_ns: f64) -> Self {
+    /// Creates an empty STG with the given clock period.
+    pub fn new(clock_ns: f64) -> Self {
         Self {
-            design: design.into(),
             clock_ns,
             ops: Vec::new(),
             states: Vec::new(),
             transitions: Vec::new(),
             entry: StateId(0),
         }
-    }
-
-    /// Design name.
-    pub fn design(&self) -> &str {
-        &self.design
     }
 
     /// Clock period in nanoseconds.
@@ -285,16 +278,6 @@ impl Stg {
             .collect()
     }
 
-    /// Average number of operations per state, a rough measure of datapath
-    /// utilization.
-    pub fn average_ops_per_state(&self) -> f64 {
-        if self.states.is_empty() {
-            0.0
-        } else {
-            self.scheduled_op_count() as f64 / self.states.len() as f64
-        }
-    }
-
     /// Checks structural invariants.
     ///
     /// # Errors
@@ -342,7 +325,7 @@ const TAG_GUARD: u8 = 0x22;
 /// Version tag of [`Transition`]'s wire layout.
 const TAG_TRANSITION: u8 = 0x23;
 /// Version tag of [`Stg`]'s wire layout.
-const TAG_STG: u8 = 0x24;
+const TAG_STG: u8 = 0x25;
 /// Version tag of one state inside an [`Stg`]'s wire layout.
 const TAG_STATE: u8 = 0x21;
 
@@ -410,7 +393,6 @@ impl Encode for Stg {
     /// bytes of one `Vec` of operations per state.
     fn encode(&self, w: &mut Encoder) {
         w.put_tag(TAG_STG);
-        w.put_str(&self.design);
         w.put_f64(self.clock_ns);
         w.put_usize(self.states.len());
         for state in self.states() {
@@ -433,7 +415,6 @@ impl Decode for Stg {
     /// indexes only states it has.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         r.expect_tag(TAG_STG)?;
-        let design = r.take_str()?.to_string();
         let clock_ns = r.take_f64()?;
         let state_count = r.take_len(MIN_STATE_LEN)?;
         let mut ops = Vec::new();
@@ -459,7 +440,6 @@ impl Decode for Stg {
             return Err(DecodeError::Invalid("STG entry names a missing state"));
         }
         Ok(Self {
-            design,
             clock_ns,
             ops,
             states,
@@ -477,7 +457,7 @@ mod tests {
     use impact_codec::{decode_from_slice, encode_to_vec};
 
     fn two_state() -> Stg {
-        let mut stg = Stg::new("t", 15.0);
+        let mut stg = Stg::new(15.0);
         let s0 = stg.add_state();
         let s1 = stg.add_state();
         stg.add_op(s0, ScheduledOp::new(NodeId::new(0), 0.0, 10.0));
@@ -496,7 +476,6 @@ mod tests {
         assert_eq!(stg.entry().index(), 0);
         assert_eq!(stg.state_of(NodeId::new(1)), Some(StateId(1)));
         assert_eq!(stg.state_of(NodeId::new(9)), None);
-        assert!((stg.average_ops_per_state() - 1.0).abs() < 1e-12);
         assert_eq!(stg.outgoing(StateId(0)).len(), 1);
     }
 
@@ -557,7 +536,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_probability_mass() {
-        let mut stg = Stg::new("bad", 15.0);
+        let mut stg = Stg::new(15.0);
         let s0 = stg.add_state();
         let s1 = stg.add_state();
         stg.add_transition(s0, s1, Guard::Always, 0.4);
@@ -570,10 +549,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_invalid() {
-        assert!(matches!(
-            Stg::new("e", 15.0).validate(),
-            Err(StgError::Empty)
-        ));
+        assert!(matches!(Stg::new(15.0).validate(), Err(StgError::Empty)));
     }
 
     #[test]
@@ -581,7 +557,7 @@ mod tests {
         let mut stg = two_state();
         stg.add_op(StateId(0), ScheduledOp::new(NodeId::new(2), 10.0, 12.0));
         stg.add_transition(StateId(1), StateId(0), Guard::loop_back("l", true), 0.0);
-        let empty = Stg::new("empty", 15.0);
+        let empty = Stg::new(15.0);
         for graph in [stg, empty] {
             let bytes = encode_to_vec(&graph);
             assert_eq!(decode_from_slice::<Stg>(&bytes).unwrap(), graph);
@@ -625,7 +601,7 @@ mod tests {
         }
 
         // An empty graph keeps entry 0, and only entry 0.
-        let mut empty = encode_to_vec(&Stg::new("e", 15.0));
+        let mut empty = encode_to_vec(&Stg::new(15.0));
         assert!(decode_from_slice::<Stg>(&empty).is_ok());
         let entry_at = empty.len() - 8;
         empty[entry_at..].copy_from_slice(&1u64.to_le_bytes());
@@ -637,12 +613,10 @@ mod tests {
     const TRANSITION_TAIL_LEN: usize = 8 + 8 + 2 + 8;
 
     /// The encoded bytes of an STG built the way tail placement builds one:
-    /// operations land in earlier states after later states exist. The
-    /// length and digest were taken when every state held its own `Vec` of
-    /// operations, so they show that the flat layout writes the same bytes.
+    /// operations land in earlier states after later states exist.
     #[test]
     fn stg_wire_bytes_are_pinned() {
-        let mut stg = Stg::new("pinned", 12.5);
+        let mut stg = Stg::new(12.5);
         let s0 = stg.add_state();
         let s1 = stg.add_state();
         let s2 = stg.add_state();
@@ -676,7 +650,7 @@ mod tests {
         }
         assert_eq!(
             (bytes.len(), h.finish().as_u128()),
-            (481, 0xc0be_28a5_e681_713b_511c_2775_8eed_e77f)
+            (467, 0x07d6_acc1_c3d9_8fa4_f0ce_4212_afc7_5c60)
         );
     }
 

@@ -135,7 +135,6 @@ pub fn verify_design(cdfg: &Cdfg, design: &RtlDesign) -> Vec<Violation> {
     let real_sites: HashSet<MuxSink> = design
         .mux_sites(cdfg)
         .into_iter()
-        .filter(|site| site.fan_in() >= 2)
         .map(|site| site.sink)
         .collect();
     for sink in design.restructured_sites() {
@@ -154,9 +153,9 @@ pub fn verify_design(cdfg: &Cdfg, design: &RtlDesign) -> Vec<Violation> {
 /// Audits a stored mux-site list (e.g. from a cached evaluation context)
 /// for consistency with the CDFG definers and the design's binding
 /// ([`rules::CDFG_MUX_CONSISTENT`]). Each stored site is checked on its own,
-/// and the whole list against the design's enumeration filtered to fan-in
-/// ≥ 2, which is what a context stores: a missing, extra, stale or
-/// misordered site is reported even when every site is plausible alone.
+/// and the whole list against the design's [`RtlDesign::mux_sites`], which
+/// is what a context stores: a missing, extra, stale or misordered site is
+/// reported even when every site is plausible alone.
 pub fn verify_mux_sites<S: Borrow<MuxSite>>(
     cdfg: &Cdfg,
     design: &RtlDesign,
@@ -246,11 +245,7 @@ fn site_list_violations<S: Borrow<MuxSite>>(
     design: &RtlDesign,
     sites: &[S],
 ) -> Vec<Violation> {
-    let expected: Vec<MuxSite> = design
-        .mux_sites(cdfg)
-        .into_iter()
-        .filter(|site| site.fan_in() >= 2)
-        .collect();
+    let expected = design.mux_sites(cdfg);
     let position: HashMap<MuxSink, usize> = expected
         .iter()
         .enumerate()

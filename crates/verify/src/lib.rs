@@ -43,8 +43,10 @@ pub use schedule::{
     verify_block, verify_block_schedule, verify_schedule, verify_schedule_artifact,
 };
 
-/// Tolerance applied to ENC-budget comparisons, identical to the engine's
-/// read-time filter (`impact_core`'s `ENC_EPS`).
+/// Tolerance applied to ENC-budget comparisons: a design whose ENC exceeds
+/// the budget by at most this much still passes. `impact_core`'s evaluator
+/// applies this same constant in its read-time budget filter, so the
+/// evaluator and the audits never disagree at the boundary.
 pub const ENC_EPS: f64 = 1e-9;
 
 /// Tolerance applied to time comparisons (nanoseconds), identical to the

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use impact_cdfg::{Cdfg, CdfgBuilder, CdfgError, NodeId, Operation, ValueRef, VarId};
 use impact_modlib::ModuleLibrary;
-use impact_rtl::{DesignDelta, MuxSite, RtlDesign, SignalKey};
+use impact_rtl::{DesignDelta, MuxSink, MuxSite, RtlDesign, SignalKey, SignalSource};
 use impact_sched::{compose, uniform_problem, BlockSchedule, RecordingBlocks, SchedulingResult};
 use impact_stg::{ScheduledOp, Stg};
 use impact_verify::{
@@ -52,13 +52,22 @@ fn schedule(cdfg: &Cdfg) -> (impact_behsim::ExecutionTrace, SchedulingResult, Bl
     schedule_for(&impact_benchmarks::gcd(), cdfg)
 }
 
-/// The multi-source sites of a design — the shape cached contexts store.
-fn multi_sites(cdfg: &Cdfg, design: &RtlDesign) -> Vec<MuxSite> {
-    design
-        .mux_sites(cdfg)
-        .into_iter()
-        .filter(|site| site.fan_in() >= 2)
-        .collect()
+/// A single-source sink of a fully-parallel design, which is no mux site:
+/// the first data port of a unit, which carries one operation.
+fn lone_port(cdfg: &Cdfg, design: &RtlDesign) -> MuxSite {
+    let (fu, unit) = design.functional_units().next().unwrap();
+    let [op] = design.ops_on(fu)[..] else {
+        panic!("{fu} carries one operation");
+    };
+    let key = match cdfg.edge(cdfg.node(op).inputs[0]).value {
+        ValueRef::Var(var) => SignalKey::Register(design.register_of(var)),
+        ValueRef::Const(value) => SignalKey::Constant(value),
+    };
+    MuxSite {
+        sink: MuxSink::FuInput { fu, port: 0 },
+        sources: vec![SignalSource { key, ops: vec![op] }],
+        width: unit.width,
+    }
 }
 
 fn fired(violations: &[Violation], rule: &str) -> bool {
@@ -76,7 +85,7 @@ fn clean_artifacts_are_silent() {
     assert_eq!(verify_design(&cdfg, &design), vec![]);
     assert_eq!(verify_fingerprint(&design, design.fingerprint()), vec![]);
     assert_eq!(
-        verify_mux_sites(&cdfg, &design, &multi_sites(&cdfg, &design)),
+        verify_mux_sites(&cdfg, &design, &design.mux_sites(&cdfg)),
         vec![]
     );
 
@@ -195,11 +204,7 @@ proptest! {
 fn annotating_a_single_source_sink_trips_the_mux_rule() {
     let cdfg = gcd_cdfg();
     let mut design = parallel_design(&cdfg);
-    let lone = design
-        .mux_sites(&cdfg)
-        .into_iter()
-        .find(|site| site.fan_in() < 2)
-        .expect("the parallel design has single-source sites");
+    let lone = lone_port(&cdfg, &design);
     design.set_restructured(lone.sink, true);
     let violations = verify_design(&cdfg, &design);
     assert!(
@@ -213,10 +218,11 @@ fn stale_fingerprints_trip_the_fingerprint_rule() {
     let cdfg = gcd_cdfg();
     let mut design = parallel_design(&cdfg);
     let stale = design.fingerprint();
-    let site = multi_sites(&cdfg, &design)
+    let site = design
+        .mux_sites(&cdfg)
         .into_iter()
         .next()
-        .expect("the parallel design has multi-source sites");
+        .expect("the parallel design has mux sites");
     design.set_restructured(site.sink, true);
     let violations = verify_fingerprint(&design, stale);
     assert!(fired(&violations, rules::RTL_FINGERPRINT));
@@ -231,7 +237,7 @@ proptest! {
     fn corrupted_mux_site_lists_trip_the_consistency_rule(pick in 0usize..1000) {
         let cdfg = gcd_cdfg();
         let design = parallel_design(&cdfg);
-        let clean = multi_sites(&cdfg, &design);
+        let clean = design.mux_sites(&cdfg);
         prop_assert!(clean.len() >= 2);
         let index = pick % clean.len();
         // Variants 4 and up are what a wrong site delta produces: each site
@@ -270,12 +276,7 @@ proptest! {
                 }
                 5 => {
                     // An extra site: a single-source sink of the design.
-                    let lone = design
-                        .mux_sites(&cdfg)
-                        .into_iter()
-                        .find(|site| site.fan_in() < 2)
-                        .unwrap();
-                    sites.push(lone);
+                    sites.push(lone_port(&cdfg, &design));
                 }
                 6 => {
                     // A stale source key: an operand's variable moved to
@@ -327,7 +328,7 @@ fn placed_position(blocks: &Blocks, pick: usize) -> (usize, usize) {
 /// `stg` rebuilt state by state, with `shift` ns added to the start offset
 /// of its `target`-th operation.
 fn shifted(stg: &Stg, target: usize, shift: f64) -> Stg {
-    let mut rebuilt = Stg::new(stg.design(), stg.clock_ns());
+    let mut rebuilt = Stg::new(stg.clock_ns());
     let mut seen = 0;
     for state in stg.states() {
         let id = rebuilt.add_state();

@@ -41,7 +41,7 @@ fn facade_modules_are_reachable() {
     let _ = impact::cdfg::CdfgBuilder::new("touch");
     let _ = impact::hdl::compile("design t { input a: 8; output y: 8; y = a; }").unwrap();
     let _ = impact::modlib::ModuleLibrary::standard();
-    let _ = impact::stg::Stg::new("touch", 15.0);
+    let _ = impact::stg::Stg::new(15.0);
     let _ = impact::trace::hamming_distance(3, 5, 8);
     let _ = impact::power::PowerConfig::default();
     let _ = impact::rtl::MuxSource::new("s", 0.5, 0.5);

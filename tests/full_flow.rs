@@ -155,10 +155,8 @@ fn a_chain_of_64_branches_synthesizes() {
     let stg = &outcome.schedule.stg;
     assert!(stg.validate().is_ok());
     assert!(outcome.report.enc <= outcome.report.enc_limit + 1e-6);
-    let longest = stg.max_acyclic_cycles();
     assert!(
-        longest >= 64,
-        "every branch adds a state to the longest path"
+        stg.state_count() >= 2 * 64,
+        "each side of each branch holds a state"
     );
-    assert!(stg.min_cycles().unwrap() <= longest);
 }

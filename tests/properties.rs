@@ -105,26 +105,24 @@ proptest! {
         }
     }
 
-    /// A linear chain of n states has ENC = n, minimum length n and maximum
-    /// length n, independent of how the (normalized) probabilities are given.
+    /// A linear chain of n states has ENC = n, independent of how the
+    /// (normalized) probabilities are given.
     #[test]
     fn linear_stg_expectation_is_its_length(n in 1usize..12, weight in 0.1f64..5.0) {
-        let mut stg = Stg::new("chain", 15.0);
+        let mut stg = Stg::new(15.0);
         let states: Vec<_> = (0..n).map(|_| stg.add_state()).collect();
         for w in states.windows(2) {
             stg.add_transition(w[0], w[1], Guard::Always, weight);
         }
         stg.set_exit_probability(states[n - 1], 1.0);
         prop_assert!((stg.expected_cycles() - n as f64).abs() < 1e-6);
-        prop_assert_eq!(stg.min_cycles(), Some(n as u32));
-        prop_assert_eq!(stg.max_acyclic_cycles(), n as u32);
     }
 
     /// A self-looping state with back-edge probability p has expected visit
     /// count 1/(1−p).
     #[test]
     fn geometric_loop_expectation(p in 0.05f64..0.95) {
-        let mut stg = Stg::new("loop", 15.0);
+        let mut stg = Stg::new(15.0);
         let s = stg.add_state();
         stg.add_transition(s, s, Guard::loop_back("l", true), p);
         stg.set_exit_probability(s, 1.0 - p);
