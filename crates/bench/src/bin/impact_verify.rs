@@ -4,10 +4,12 @@
 //!
 //! * `--snapshot FILE` — decode one persistent cache snapshot and audit
 //!   every cached entry against its key and its own invariants (supply
-//!   levels, ENC budgets, context and block-schedule consistency, schedule
-//!   graphs and ENCs). A snapshot holds no design and no scheduling
-//!   problem, so fingerprints and each schedule's agreement with its
-//!   problem are checked only in the default mode, by the inline audits.
+//!   levels, ENC budgets, context and block-schedule consistency, and each
+//!   schedule summary's numbers: a finite ENC, a finite positive clock, at
+//!   least one state). A snapshot holds no design, no scheduling problem
+//!   and no state transition graph, so fingerprints and each schedule's
+//!   agreement with its problem are checked only in the default mode, by
+//!   the inline audits, which compose the graphs again.
 //! * `--snapshot-dir DIR` — audit every `*.impactcache` file in a
 //!   directory (`<design>.impactcache`, as `SweepSession::save_to_file`
 //!   writes them). Fails when the directory holds no snapshots at all, so a

@@ -2,7 +2,8 @@
 //! sweep → snapshot → reload into a fresh session → rerun must reproduce
 //! bit-identical reports with a 100 % point-layer hit rate, both in memory
 //! and through the filesystem, where a second, independently built session
-//! must also save byte-identical snapshot bytes.
+//! must also save byte-identical snapshot bytes. The sweeps' snapshot sizes
+//! are pinned, so a change to what the cache stores shows in bytes.
 
 use std::path::Path;
 
@@ -28,13 +29,17 @@ impl WarmStart {
     }
 }
 
-/// Sweeps `bench` (laxities 1.2 and 2.4, 6 passes, effort (1, 2)) over a
-/// fresh session, saves its snapshot — to `path` when given, in memory
-/// otherwise — loads it into a second fresh session and reruns the sweep
-/// there.
+/// Laxities, passes and effort of every example design's sweep.
+const LAXITIES: [f64; 2] = [1.2, 2.4];
+const PASSES: usize = 6;
+const EFFORT: (usize, usize) = (1, 2);
+
+/// Sweeps `bench` over a fresh session, saves its snapshot — to `path` when
+/// given, in memory otherwise — loads it into a second fresh session and
+/// reruns the sweep there.
 fn warm_start(bench: &Benchmark, path: Option<&Path>) -> WarmStart {
-    let (cdfg, trace) = prepare(bench, 6, impact_bench::DEFAULT_SEED);
-    let jobs = figure13_jobs(&cdfg, &trace, &[1.2, 2.4], (1, 2));
+    let (cdfg, trace) = prepare(bench, PASSES, impact_bench::DEFAULT_SEED);
+    let jobs = figure13_jobs(&cdfg, &trace, &LAXITIES, EFFORT);
 
     let cold_session = SweepSession::new();
     let cold = run_batch(&jobs, Some(&cold_session), 0);
@@ -84,6 +89,30 @@ fn warm_start_replays_every_example_design_bit_identically() {
         assert_eq!(run.warm.snapshot.loads, 1);
         assert_eq!(run.warm.snapshot.rejected(), 0);
     }
+}
+
+#[test]
+fn example_sweep_snapshots_keep_their_pinned_sizes() {
+    // What a sweep's cache stores, in bytes: schedules as fixed-size
+    // summaries (format 7), points without designs. A change that stores
+    // more per entry, or more entries, moves these counts.
+    let pinned = [
+        ("gcd", 114_649),
+        ("x25_send", 559_673),
+        ("dealer", 590_110),
+        ("paulin", 259_130),
+    ];
+    let sizes: Vec<(&str, usize)> = example_designs()
+        .iter()
+        .map(|bench| {
+            let (cdfg, trace) = prepare(bench, PASSES, impact_bench::DEFAULT_SEED);
+            let jobs = figure13_jobs(&cdfg, &trace, &LAXITIES, EFFORT);
+            let session = SweepSession::new();
+            run_batch(&jobs, Some(&session), 0);
+            (bench.name, session.save_snapshot().len())
+        })
+        .collect();
+    assert_eq!(sizes, pinned);
 }
 
 #[test]

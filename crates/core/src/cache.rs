@@ -10,7 +10,8 @@
 //!   hierarchical schedule miss is composed, so schedules that differ only
 //!   in blocks a change touched share the rest,
 //! * per-design evaluation contexts (base delays, binding and power profile)
-//!   and whole hierarchical schedules per problem digest,
+//!   and hierarchical schedule summaries per problem digest (what the cost
+//!   model reads: ENC, clock, state and transition counts),
 //! * fully evaluated [`DesignPoint`]s per `(workload, design, vdd)` and the
 //!   outcome of the full supply search per `(workload, design, enc budget)`.
 //!
@@ -81,7 +82,7 @@ macro_rules! cache_layers {
             scaled: ScaledKey => Option<Arc<DesignPoint>>, lookup_scaled / store_scaled, MAX_POINTS, 2;
             /// Per-design evaluation contexts.
             contexts: ContextKey => Arc<DesignContext>, lookup_context / store_context, MAX_CONTEXTS, 3;
-            /// Memoized hierarchical schedules.
+            /// Memoized hierarchical schedule summaries.
             schedules: ScheduleKey => Arc<SchedulingResult>, lookup_schedule / store_schedule, MAX_SCHEDULES, 4;
             /// Memoized basic-block schedules.
             block_schedules: BlockKey => Arc<BlockSchedule>, lookup_block / store_block, MAX_BLOCKS, 5;
@@ -824,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v6_is_pinned() {
+    fn snapshot_wire_format_v7_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
@@ -872,11 +873,13 @@ mod tests {
                 selections_per_pass: 1.5,
             },
         );
-        // One schedule that the schedule layer and a design point both
-        // refer to: the bytes hold its STG once.
+        // One schedule summary that the schedule layer and a design point
+        // both refer to: the bytes hold it once.
         let schedule = Arc::new(SchedulingResult {
-            stg: impact_stg::Stg::new(10.0),
             enc: 3.0,
+            clock_ns: 10.0,
+            state_count: 2,
+            transition_count: 1,
         });
         snapshot
             .schedules
@@ -899,9 +902,9 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (815, 0x0a17_7b0a_40e1_c936_80b0_0c15_a042_e7ce)
+            (806, 0x38a9_e035_d0f7_5dfa_0267_c347_be16_da4d)
         );
-        // The STG's clock period marks it: no other value here is 10.0.
+        // The summary's clock period marks it: no other value here is 10.0.
         let clock = 10.0f64.to_le_bytes();
         assert_eq!(
             bytes.windows(clock.len()).filter(|w| *w == clock).count(),

@@ -9,7 +9,7 @@ use impact_behsim::ExecutionTrace;
 use impact_cdfg::Cdfg;
 use impact_power::PowerBreakdown;
 use impact_rtl::RtlDesign;
-use impact_sched::SchedulingResult;
+use impact_sched::Schedule;
 
 use crate::cache::CacheStats;
 use crate::config::SynthesisConfig;
@@ -72,8 +72,10 @@ pub struct SynthesisReport {
 pub struct SynthesisOutcome {
     /// Final RT-level architecture: the design the search walked to.
     pub design: RtlDesign,
-    /// Final schedule.
-    pub schedule: SchedulingResult,
+    /// Final schedule: the full state transition graph of the final design
+    /// at the selected supply, composed once when the run ends (the search
+    /// itself reads only schedule summaries). Its ENC is the report's.
+    pub schedule: Schedule,
     /// Headline metrics.
     pub report: SynthesisReport,
     /// Committed moves in application order.
@@ -180,6 +182,7 @@ impl Impact {
             design,
             point: current,
         } = exploration.best;
+        let schedule = evaluator.full_schedule(&design, &current)?;
         let report = SynthesisReport {
             power_mw: current.power.total_mw(),
             power_at_reference_mw: current.power_at_reference.total_mw(),
@@ -197,7 +200,7 @@ impl Impact {
         };
         Ok(SynthesisOutcome {
             design,
-            schedule: (*current.schedule).clone(),
+            schedule,
             report,
             history: exploration.history,
             front: exploration.front,

@@ -40,7 +40,8 @@ use impact_rtl::{
     MuxTree, RegId, Register, RtlDesign, SignalKey,
 };
 use impact_sched::{
-    BlockSchedule, BlockSource, InlineBlocks, ScheduleConfig, SchedulingProblem, SchedulingResult,
+    BlockSchedule, BlockSource, InlineBlocks, SchedError, Schedule, ScheduleConfig,
+    SchedulingProblem, SchedulingResult,
 };
 use impact_trace::{FuStats, RegStats, RtTraces};
 use impact_verify::ENC_EPS;
@@ -71,15 +72,19 @@ struct MoveLineage<'a> {
     delta: &'a DesignDelta,
 }
 
-/// The evaluation of one design at one supply: its schedule, operating point
-/// and the resulting cost metrics. A point holds no architecture: the cache
-/// keys it by the design's fingerprint, and the search keeps the designs it
-/// walks next to their points ([`EvaluatedDesign`]).
+/// The evaluation of one design at one supply: its schedule's summary,
+/// operating point and the resulting cost metrics. A point holds no
+/// architecture and no state transition graph: the cache keys it by the
+/// design's fingerprint, and the search keeps the designs it walks next to
+/// their points ([`EvaluatedDesign`]).
 #[derive(Clone, PartialEq, Debug)]
 pub struct DesignPoint {
-    /// Its schedule at the selected supply voltage. Shared: memoized
-    /// schedules are handed out by pointer, so cloning a point (or serving a
-    /// schedule-memo hit) never deep-copies the STG.
+    /// The summary of its schedule at the selected supply voltage: the ENC
+    /// and the STG's clock, state and transition counts, which is all the
+    /// power and area models read. Shared with the schedule layer's entry
+    /// by pointer. The graph itself is composed again where one is needed:
+    /// for the outcome of a run ([`SynthesisOutcome::schedule`](crate::SynthesisOutcome::schedule))
+    /// and by the audits.
     pub schedule: Arc<SchedulingResult>,
     /// Selected supply voltage in volts.
     pub vdd: f64,
@@ -493,7 +498,10 @@ impl<'a> Evaluator<'a> {
 
     /// Single-level evaluation with a precomputed fingerprint: the memoized
     /// point (laxity-independent) passed through this evaluator's ENC-budget
-    /// filter.
+    /// filter. A design with an operation too slow to schedule at this
+    /// supply ([`SchedError::OperationTooSlow`]) is infeasible here, like one
+    /// over the budget; only the initial architecture's reference point,
+    /// which [`Self::new`] computes without this filter, fails with it.
     fn point_at(
         &self,
         design: &RtlDesign,
@@ -501,8 +509,11 @@ impl<'a> Evaluator<'a> {
         vdd: f64,
         lineage: Option<&MoveLineage<'_>>,
     ) -> Result<Option<Arc<DesignPoint>>, SynthesisError> {
-        let point = self.raw_point_at(design, fingerprint, vdd, lineage)?;
-        Ok((point.enc() <= self.enc_limit + ENC_EPS).then_some(point))
+        match self.raw_point_at(design, fingerprint, vdd, lineage) {
+            Ok(point) => Ok((point.enc() <= self.enc_limit + ENC_EPS).then_some(point)),
+            Err(SynthesisError::Scheduling(SchedError::OperationTooSlow { .. })) => Ok(None),
+            Err(error) => Err(error),
+        }
     }
 
     /// Fetches (or computes and memoizes) the full evaluation of a design at
@@ -517,6 +528,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Arc<DesignPoint>, SynthesisError> {
         self.try_memo(PointKey::new(self.workload, fingerprint, vdd), || {
             let context = self.context_for(design, fingerprint, lineage);
+            // The schedule is audited in there when a `VerifyLevel` is on.
             let schedule = self.schedule_with_context(&context, vdd)?;
             // The full point (power at both supplies and area) is built even
             // when this evaluator's budget will reject it: a budget check
@@ -525,14 +537,8 @@ impl<'a> Evaluator<'a> {
             // scheduling pass above, and a run at a looser budget gets the
             // finished point for free.
             let point = Arc::new(self.point_from_schedule(&context, vdd, schedule));
-            if self.config.engine.verify != crate::VerifyLevel::Off {
-                let violations =
-                    self.audit(&context, design, fingerprint, vdd, &point.schedule, None);
-                if !violations.is_empty() {
-                    return Err(SynthesisError::Verification(
-                        violations.iter().map(ToString::to_string).collect(),
-                    ));
-                }
+            if self.verifies() {
+                verified(self.audit(&context, design, fingerprint))?;
             }
             Ok(point)
         })
@@ -544,89 +550,96 @@ impl<'a> Evaluator<'a> {
         let Some(session) = &self.session else {
             return Ok(());
         };
-        let violations = crate::verify::audit_session(session);
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(SynthesisError::Verification(
-                violations.iter().map(ToString::to_string).collect(),
-            ))
-        }
+        verified(crate::verify::audit_session(session))
+    }
+
+    /// Whether a [`VerifyLevel`](crate::VerifyLevel) is on.
+    fn verifies(&self) -> bool {
+        self.config.engine.verify != crate::VerifyLevel::Off
     }
 
     /// Full static audit of a finished synthesis outcome, as data: CDFG
-    /// well-formedness plus everything [`Self::audit_design_point`] checks,
-    /// against the ENC budget the run was constrained to. Pure: returns the
-    /// findings instead of failing, so drivers (the `impact-verify` binary,
-    /// the true-negative tests) can report them. Runs regardless of
-    /// [`VerifyLevel`](crate::VerifyLevel).
+    /// well-formedness, everything [`Self::audit_design_point`] checks of
+    /// the final design, and the outcome's full schedule against the problem
+    /// rebuilt at the reported supply ([`impact_verify::verify_schedule`]: its graph
+    /// and ENC equal to the problem's composition, the ENC within the
+    /// budget the run was constrained to and equal to the report's). Pure:
+    /// returns the findings instead of failing, so drivers (the
+    /// `impact-verify` binary, the true-negative tests) can report them.
+    /// Runs regardless of [`VerifyLevel`](crate::VerifyLevel).
     pub fn audit_outcome(
         &self,
         outcome: &crate::SynthesisOutcome,
     ) -> Vec<impact_verify::Violation> {
         let mut violations = impact_verify::verify_cdfg(self.cdfg);
-        violations.extend(self.audit_recomputed(
-            &outcome.design,
-            outcome.report.vdd,
-            &outcome.schedule,
-            outcome.report.enc_limit,
-        ));
+        let report = &outcome.report;
+        violations.extend(
+            self.audit_recomputed(&outcome.design, report.vdd, |problem| {
+                impact_verify::verify_schedule(problem, &outcome.schedule, Some(report.enc_limit))
+            }),
+        );
+        if report.enc.to_bits() != outcome.schedule.enc.to_bits() {
+            violations.push(impact_verify::Violation::error(
+                impact_verify::rules::SCHED_ENC,
+                "report",
+                format!(
+                    "reported ENC {} differs from the outcome schedule's {}",
+                    report.enc, outcome.schedule.enc
+                ),
+            ));
+        }
         violations
     }
 
     /// Full static audit of one evaluated design point, as data: legality
-    /// of `design`, the point's architecture, its fingerprint recompute and
-    /// context, mux-site consistency, and the point's schedule against the
-    /// scheduling problem rebuilt at the point's supply — including this
-    /// evaluator's ENC budget. The search tests in `impact_bench` run every
-    /// reported Pareto-front member through this. Pure and independent of
+    /// of `design`, its fingerprint recompute and context, mux-site
+    /// consistency, and the point's schedule summary
+    /// against the scheduling problem rebuilt at the point's supply
+    /// ([`impact_verify::verify_summary`]), including this evaluator's ENC
+    /// budget. The search tests in `impact_bench` run every reported
+    /// Pareto-front member through this. Pure and independent of
     /// [`VerifyLevel`](crate::VerifyLevel), like [`Self::audit_outcome`].
     pub fn audit_design_point(
         &self,
         design: &RtlDesign,
         point: &DesignPoint,
     ) -> Vec<impact_verify::Violation> {
-        self.audit_recomputed(design, point.vdd, &point.schedule, self.enc_limit)
+        self.audit_recomputed(design, point.vdd, |problem| {
+            impact_verify::verify_summary(problem, &point.schedule, Some(self.enc_limit))
+        })
     }
 
     /// [`Self::audit`] of a finished design against its recomputed
-    /// fingerprint and context.
+    /// fingerprint and context, plus `schedule`'s findings on the problem
+    /// rebuilt from that context at `vdd`.
     fn audit_recomputed(
         &self,
         design: &RtlDesign,
         vdd: f64,
-        schedule: &SchedulingResult,
-        enc_limit: f64,
+        schedule: impl FnOnce(&SchedulingProblem<'_>) -> Vec<impact_verify::Violation>,
     ) -> Vec<impact_verify::Violation> {
         let fingerprint = design.fingerprint();
         let context = self.context_for(design, fingerprint, None);
-        self.audit(
-            &context,
-            design,
-            fingerprint,
-            vdd,
-            schedule,
-            Some(enc_limit),
-        )
+        let mut violations = self.audit(&context, design, fingerprint);
+        let factor = self.library.vdd().delay_factor(vdd);
+        violations.extend(schedule(&self.problem_for(&context, factor)));
+        violations
     }
 
-    /// The static audit shared by the inline point audit (see
+    /// The design-side audit shared by the inline point audit (see
     /// [`VerifyLevel`](crate::VerifyLevel)) and the public audits: design
     /// legality, `fingerprint` against a recompute (the key the point is
-    /// stored under, so a patch that diverged is caught), `context` against
-    /// the design it is stored for (binding, resource ids, restructuring
-    /// flags and mux sites), and `schedule` against the problem rebuilt
-    /// from `context` at `vdd`, under `enc_limit` when given. A cached point
-    /// holds no design, so this is where its key and its context are checked
-    /// against one: when the point is computed.
+    /// stored under, so a patch that diverged is caught), and `context`
+    /// against the design it is stored for (binding, resource ids,
+    /// restructuring flags and mux sites). A cached point holds no design, so
+    /// this is where its key and its context are checked against one: when
+    /// the point is computed. Its schedule is audited where it is composed
+    /// or looked up ([`Self::schedule_with_context`]).
     fn audit(
         &self,
         context: &DesignContext,
         design: &RtlDesign,
         fingerprint: DesignFingerprint,
-        vdd: f64,
-        schedule: &SchedulingResult,
-        enc_limit: Option<f64>,
     ) -> Vec<impact_verify::Violation> {
         let mut violations = impact_verify::verify_design(self.cdfg, design);
         violations.extend(impact_verify::verify_fingerprint(design, fingerprint));
@@ -635,11 +648,6 @@ impl<'a> Evaluator<'a> {
             self.cdfg,
             design,
             &context.sites,
-        ));
-        let factor = self.library.vdd().delay_factor(vdd);
-        let problem = self.problem_for(context, factor);
-        violations.extend(impact_verify::verify_schedule(
-            &problem, schedule, enc_limit,
         ));
         violations
     }
@@ -803,22 +811,12 @@ impl<'a> Evaluator<'a> {
     /// designs share almost all of the underlying trace traversals.
     fn build_context(&self, design: &RtlDesign) -> DesignContext {
         let rt = RtTraces::new(self.cdfg, design, self.trace);
-        let sites: Vec<Arc<MuxSite>> = design
-            .mux_sites(self.cdfg)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let site_restructured: Vec<bool> = sites
-            .iter()
-            .map(|site| design.is_restructured(site.sink))
-            .collect();
-        let site_depths: Vec<Arc<Vec<usize>>> = sites
-            .iter()
-            .zip(&site_restructured)
-            .map(|(site, &restructured)| self.site_depths(&rt, design, site, restructured))
-            .collect();
-        let mut base_delays = design.node_module_delays(self.cdfg, &self.library);
-        self.add_site_delays(&mut base_delays, &sites, &site_depths, |_| true);
+        let SiteDelays {
+            sites,
+            site_restructured,
+            site_depths,
+            base_delays,
+        } = self.site_delays(&rt, design);
         let profile = PowerProfile::assemble_with_sites(
             &self.library,
             design,
@@ -836,6 +834,34 @@ impl<'a> Evaluator<'a> {
             sites,
             site_restructured,
             site_depths,
+        }
+    }
+
+    /// The part of [`Self::build_context`] scheduling reads: the design's mux
+    /// sites, enumerated once, with each site's tree shape, and the per-node
+    /// base delays they imply.
+    fn site_delays(&self, rt: &RtTraces<'_>, design: &RtlDesign) -> SiteDelays {
+        let sites: Vec<Arc<MuxSite>> = design
+            .mux_sites(self.cdfg)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let site_restructured: Vec<bool> = sites
+            .iter()
+            .map(|site| design.is_restructured(site.sink))
+            .collect();
+        let site_depths: Vec<Arc<Vec<usize>>> = sites
+            .iter()
+            .zip(&site_restructured)
+            .map(|(site, &restructured)| self.site_depths(rt, design, site, restructured))
+            .collect();
+        let mut base_delays = design.node_module_delays(self.cdfg, &self.library);
+        self.add_site_delays(&mut base_delays, &sites, &site_depths, |_| true);
+        SiteDelays {
+            sites,
+            site_restructured,
+            site_depths,
+            base_delays,
         }
     }
 
@@ -1062,37 +1088,59 @@ impl<'a> Evaluator<'a> {
     /// scaled by the supply-dependent factor, the context's binding and the
     /// run's Wavesched configuration.
     fn problem_for(&self, context: &DesignContext, factor: f64) -> SchedulingProblem<'a> {
+        self.problem(&context.base_delays, context.binding.clone(), factor)
+    }
+
+    /// The scheduling problem of base delays scaled by `factor` under a
+    /// binding, in the run's Wavesched configuration.
+    fn problem(
+        &self,
+        base_delays: &[f64],
+        binding: Vec<Option<usize>>,
+        factor: f64,
+    ) -> SchedulingProblem<'a> {
         SchedulingProblem {
             cdfg: self.cdfg,
-            node_delays: context.base_delays.iter().map(|d| d * factor).collect(),
-            node_fu: context.binding.clone(),
+            node_delays: base_delays.iter().map(|d| d * factor).collect(),
+            node_fu: binding,
             profile: self.trace.profile(),
             config: ScheduleConfig::wavesched().with_clock(self.config.clock_ns),
         }
     }
 
-    /// Schedules from a prebuilt context: base delays are scaled by the
-    /// supply-dependent factor, so no trace or mux analysis happens per
-    /// level. Without a session the schedule is composed inline, as
-    /// [`WaveScheduler`](impact_sched::WaveScheduler) does. With one, the
-    /// result is shared through the session by a `(delays, binding, clock)`
-    /// digest, so two designs differing only in power-irrelevant ways (and
-    /// any number of laxity factors) schedule once, and a memo miss is
-    /// composed ([`impact_sched::compose`]) through the session's per-block
-    /// layer, so only the blocks no earlier schedule stored are
-    /// list-scheduled. Both paths are bit-identical.
+    /// Schedules from a prebuilt context and returns the schedule's summary:
+    /// base delays are scaled by the supply-dependent factor, so no trace or
+    /// mux analysis happens per level. Without a session the schedule is
+    /// composed inline, as [`WaveScheduler`](impact_sched::WaveScheduler)
+    /// does. With one, the summary is shared through the session by a
+    /// `(delays, binding, clock)` digest, so two designs differing only in
+    /// power-irrelevant ways (and any number of laxity factors) schedule
+    /// once, and a memo miss is composed ([`impact_sched::compose`]) through
+    /// the session's per-block layer, so only the blocks no earlier schedule
+    /// stored are list-scheduled. Both paths are bit-identical.
+    ///
+    /// A composed graph lives only until its summary is taken. With a
+    /// [`VerifyLevel`](crate::VerifyLevel) on, it is audited first
+    /// ([`impact_verify::verify_schedule`]: validated and compared bit for
+    /// bit with an inline recomposition), and a summary served by the memo
+    /// is audited against that recomposition instead
+    /// ([`impact_verify::verify_summary`]).
     fn schedule_with_context(
         &self,
         context: &DesignContext,
         vdd: f64,
     ) -> Result<Arc<SchedulingResult>, SynthesisError> {
         let factor = self.library.vdd().delay_factor(vdd);
-        if self.session.is_none() {
+        let summarize = |source: &mut dyn BlockSource| -> Result<_, SynthesisError> {
             let problem = self.problem_for(context, factor);
-            return Ok(Arc::new(impact_sched::compose(
-                &problem,
-                &mut InlineBlocks,
-            )?));
+            let schedule = impact_sched::compose(&problem, source)?;
+            if self.verifies() {
+                verified(impact_verify::verify_schedule(&problem, &schedule, None))?;
+            }
+            Ok(Arc::new(schedule.summary()))
+        };
+        if self.session.is_none() {
+            return summarize(&mut InlineBlocks);
         }
         // The memo key is digested straight from the context (streamed), so
         // a hit never materializes the scheduling problem's vectors.
@@ -1104,10 +1152,51 @@ impl<'a> Evaluator<'a> {
                 context.binding.iter().copied(),
             ),
         );
-        self.try_memo(key, || {
+        let mut composed = false;
+        let summary = self.try_memo(key, || {
+            composed = true;
+            summarize(&mut &*self)
+        })?;
+        if self.verifies() && !composed {
             let problem = self.problem_for(context, factor);
-            Ok(Arc::new(impact_sched::compose(&problem, &mut &*self)?))
-        })
+            verified(impact_verify::verify_summary(&problem, &summary, None))?;
+        }
+        Ok(summary)
+    }
+
+    /// The full schedule of `design` at `point`'s supply: what a run hands
+    /// out with its final design. The search reads only summaries, so the
+    /// graph is composed here once, inline ([`InlineBlocks`]). Its problem
+    /// is derived from the design the way the sequential oracle derives it,
+    /// without the session: the run's last step neither reads nor fills the
+    /// cache, so a warm rerun leaves it holding exactly what it loaded. With
+    /// a [`VerifyLevel`](crate::VerifyLevel) on, the graph is audited like
+    /// every composed graph, and the point's summary must be its summary.
+    pub(crate) fn full_schedule(
+        &self,
+        design: &RtlDesign,
+        point: &DesignPoint,
+    ) -> Result<Schedule, SynthesisError> {
+        let oracle = Evaluator {
+            session: None,
+            ..self.clone()
+        };
+        let rt = RtTraces::new(self.cdfg, design, self.trace);
+        let problem = self.problem(
+            &oracle.site_delays(&rt, design).base_delays,
+            design.scheduler_binding(),
+            self.library.vdd().delay_factor(point.vdd),
+        );
+        let schedule = impact_sched::compose(&problem, &mut InlineBlocks)?;
+        if self.verifies() {
+            verified(impact_verify::verify_schedule(&problem, &schedule, None))?;
+            verified(impact_verify::verify_summary(
+                &problem,
+                &point.schedule,
+                None,
+            ))?;
+        }
+        Ok(schedule)
     }
 }
 
@@ -1141,6 +1230,26 @@ fn workload_id(cdfg: &Cdfg, trace: &ExecutionTrace, config: &SynthesisConfig) ->
     hasher.write_f64(config.clock_ns);
     config.power.fingerprint_into(&mut hasher);
     WorkloadId(hasher.finish().as_u128())
+}
+
+/// Fails with an inline audit's findings, if it has any.
+fn verified(violations: Vec<impact_verify::Violation>) -> Result<(), SynthesisError> {
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(SynthesisError::Verification(
+            violations.iter().map(ToString::to_string).collect(),
+        ))
+    }
+}
+
+/// What [`Evaluator::build_context`] derives from a design's mux sites before
+/// its power profile.
+struct SiteDelays {
+    sites: Vec<Arc<MuxSite>>,
+    site_restructured: Vec<bool>,
+    site_depths: Vec<Arc<Vec<usize>>>,
+    base_delays: Vec<f64>,
 }
 
 /// A parent context's per-resource profile entries, walked in step with a
@@ -1317,6 +1426,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_operation_too_slow_for_a_supply_level_makes_the_level_infeasible() {
+        // At a 0.0008 ns clock the 40 ns divider spans 50,000 periods at 5 V
+        // and more at every lower supply, past the 2^16 one operation may
+        // span from some level down; a slower divider passes it already at
+        // 5 V. Such a level is infeasible like one over the budget: both
+        // engines synthesize the design, to the same report.
+        let cdfg = impact_hdl::compile("design div { input a: 8, b: 8; output y: 8; y = a / b; }")
+            .unwrap();
+        let trace = simulate(&cdfg, &[vec![200, 7], vec![91, 3]]).unwrap();
+        let config = SynthesisConfig::power_optimized(1.5)
+            .with_clock(0.0008)
+            .with_effort(1, 1);
+        let reports = [
+            crate::EngineConfig::sequential(),
+            crate::EngineConfig::incremental(),
+        ]
+        .map(|engine| {
+            crate::Impact::new(config.clone().with_engine(engine))
+                .synthesize(&cdfg, &trace)
+                .unwrap()
+                .report
+        });
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!((reports[0].vdd, reports[0].enc), (4.4, 73_365.0));
     }
 
     #[test]
@@ -1517,6 +1653,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_stored_point_carries_the_summary_of_the_wave_schedulers_graph() {
+        // The schedule layer caches summaries and points hold them, composed
+        // through the block layer from patched contexts. On every benchmark
+        // design, each point the session stores must carry exactly the
+        // summary of the graph `WaveScheduler` composes for its design at
+        // its supply, from a context built from scratch.
+        use impact_sched::{Scheduler, WaveScheduler};
+        let bits = |s: &SchedulingResult| {
+            (
+                s.enc.to_bits(),
+                s.clock_ns.to_bits(),
+                s.state_count,
+                s.transition_count,
+            )
+        };
+        for bench in impact_benchmarks::all_benchmarks() {
+            let cdfg = bench.compile().unwrap();
+            let trace = simulate(&cdfg, &bench.input_sequences(4, 3)).unwrap();
+            let config = SynthesisConfig::power_optimized(2.0);
+            let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
+            let library = evaluator.library();
+            // Every move of the initial architecture, supply search included.
+            let parent = RtlDesign::initial_parallel(&cdfg, library);
+            let mut designs = std::collections::HashMap::new();
+            designs.insert(parent.fingerprint(), parent.clone());
+            for mv in every_move(&cdfg, library, &parent) {
+                let mut candidate = parent.clone();
+                if mv.apply(&cdfg, library, &mut candidate).is_ok() {
+                    evaluator.evaluate_move(&parent, &mv).unwrap();
+                    designs.insert(candidate.fingerprint(), candidate);
+                }
+            }
+            let points = evaluator
+                .session
+                .as_ref()
+                .unwrap()
+                .backend()
+                .export()
+                .points;
+            assert!(points.len() > designs.len(), "{}", bench.name);
+            let mut contexts = std::collections::HashMap::new();
+            for (key, point) in &points {
+                let context = contexts
+                    .entry(key.design)
+                    .or_insert_with(|| evaluator.build_context(&designs[&key.design]));
+                let factor = library.vdd().delay_factor(point.vdd);
+                let problem = evaluator.problem_for(context, factor);
+                let wave = WaveScheduler::new().schedule(&problem).unwrap();
+                assert_eq!(
+                    bits(&point.schedule),
+                    bits(&wave.summary()),
+                    "{} at {} V",
+                    bench.name,
+                    point.vdd
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_runs_final_schedule_neither_reads_nor_fills_the_cache() {
+        // The outcome's graph is composed without the session, so a warm
+        // rerun leaves the cache holding exactly what it loaded; and it
+        // summarizes to the point it is the schedule of.
+        let (cdfg, trace, config) = gcd_setup(2.0);
+        let evaluator = Evaluator::new(&cdfg, &trace, config).unwrap();
+        let mut design = RtlDesign::initial_parallel(&cdfg, evaluator.library());
+        let adders = design.units_of_class(impact_cdfg::OpClass::AddSub);
+        design.share_fus(adders[0], adders[1]).unwrap();
+        let point = evaluator.evaluate(&design).unwrap().unwrap();
+        let before = evaluator.cache_stats();
+        let schedule = evaluator.full_schedule(&design, &point).unwrap();
+        assert_eq!(evaluator.cache_stats(), before, "no cache traffic");
+        assert_eq!(schedule.summary(), *point.schedule);
+        assert!(point.vdd < VDD_REFERENCE, "composed at the point's supply");
     }
 
     /// A template point with its supply stamped, for driving the search core

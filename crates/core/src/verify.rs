@@ -6,16 +6,21 @@
 //! supply-search outcome respects the budget in its key and is the
 //! point-layer entry of its design and supply where the point layer holds
 //! one, and evaluation contexts and block schedules are internally
-//! consistent. A stored schedule is checked as an artifact (its graph
-//! validates, its ENC is finite): it names neither its problem nor the
-//! blocks it was composed from.
+//! consistent. A stored schedule is a summary (ENC, clock, state and
+//! transition counts) and is checked as numbers
+//! ([`verify_summary_artifact`]: a finite non-negative ENC, a finite
+//! positive clock, at least one state): it names neither its problem, its
+//! graph nor the blocks it was composed from.
 //!
 //! Cached points and contexts hold no design and cached schedules no
 //! problem, so what needs one — a point's fingerprint, a context's
 //! agreement with its design, a schedule's agreement with the composition
 //! of its problem — is checked by the inline audit when the point is
 //! computed ([`VerifyLevel`](crate::VerifyLevel)), through
-//! `context_design_violations` and [`verify_schedule`].
+//! `context_design_violations`, [`verify_schedule`] (every graph composed
+//! while the audit is on, validated and compared bit for bit with an inline
+//! recomposition) and [`verify_summary`] (a summary served by the cache,
+//! against that recomposition's).
 //!
 //! Everything here is read-only: audits take a [`CacheSnapshot`] (or a
 //! [`SweepSession`], which is exported to one) and return
@@ -26,7 +31,8 @@ use std::sync::Arc;
 use impact_verify::ENC_EPS;
 pub use impact_verify::{
     has_errors, rules, verify_block_schedule, verify_cdfg, verify_design, verify_fingerprint,
-    verify_mux_sites, verify_schedule, verify_schedule_artifact, Severity, Violation,
+    verify_mux_sites, verify_schedule, verify_schedule_artifact, verify_summary,
+    verify_summary_artifact, Severity, Violation,
 };
 
 use crate::cache::{CacheSnapshot, DesignContext};
@@ -57,7 +63,11 @@ pub fn audit_snapshot_bytes(bytes: &[u8]) -> Vec<Violation> {
 
 /// Audits the exported contents of a cache: key ↔ content coherence for
 /// design points, supply-search outcomes, contexts and block schedules,
-/// plus artifact-level legality of every stored schedule.
+/// plus artifact-level legality of every stored schedule summary — the
+/// schedule layer's and every point's — checked as numbers by
+/// [`verify_summary_artifact`]. A snapshot holds no graph, so graphs are
+/// validated where one exists: when it is composed under an inline audit,
+/// and in a run's outcome.
 pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
     let mut violations = Vec::new();
 
@@ -75,7 +85,7 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
             ));
         }
         violations.extend(
-            verify_schedule_artifact(&point.schedule)
+            verify_summary_artifact(&point.schedule)
                 .into_iter()
                 .map(|v| v.at(&location)),
         );
@@ -123,7 +133,7 @@ pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
     for (key, result) in &snapshot.schedules {
         let location = format!("schedules[{:032x}]", key.problem);
         violations.extend(
-            verify_schedule_artifact(result)
+            verify_summary_artifact(result)
                 .into_iter()
                 .map(|v| v.at(&location)),
         );
@@ -510,6 +520,70 @@ mod tests {
             violations.iter().any(|v| v.contains(rules::SCHED_STG)),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn a_block_layer_entry_with_an_operation_moved_inside_its_state_fails_the_inline_audit() {
+        // The entry keeps its state count and every operation's state; one
+        // operation starts and finishes later by the same amount, still
+        // inside its state and the clock period. It is legal on its own, so
+        // no session rule fires, and the schedule composed from it has every
+        // summary field of the right one: only its graph differs. The
+        // inline audit of the composed graph rejects it.
+        let violations = inline_audit_after(|clean, fresh, evaluator, _| {
+            let clock = evaluator.config().clock_ns;
+            let known = fresh.backend().export().block_schedules;
+            let (key, block) = (clean.backend().export().block_schedules.into_iter())
+                .find(|(key, block)| !known.contains_key(key) && !block.ops.is_empty())
+                .expect("sharing two adders gives some block a new schedule");
+            let mut moved = (*block).clone();
+            let op = (moved.ops.iter_mut())
+                .min_by(|a, b| a.finish_ns.total_cmp(&b.finish_ns))
+                .unwrap();
+            let shift = (clock - op.finish_ns) / 2.0;
+            assert!(shift > 0.0, "the operation has slack before the clock edge");
+            op.start_ns += shift;
+            op.finish_ns += shift;
+            assert_eq!(verify_block_schedule(&moved, Some(clock)), vec![]);
+            assert_eq!(moved.state_count, block.state_count);
+            fresh.backend().store_block(key, Arc::new(moved));
+            assert_eq!(audit_session(fresh), vec![]);
+        });
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains(rules::SCHED_STG) && v.contains("stored graph differs")),
+            "{violations:?}"
+        );
+        assert!(
+            !violations.iter().any(|v| v.contains(rules::SCHED_ENC)),
+            "the summary is right: {violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_corrupted_outcome_graph_fails_the_outcome_audit() {
+        // An outcome's graph is composed apart from the point its report
+        // reads, so the outcome audit recomposes it and checks the report.
+        let bench = impact_benchmarks::gcd();
+        let cdfg = bench.compile().unwrap();
+        let trace = impact_behsim::simulate(&cdfg, &bench.input_sequences(6, 11)).unwrap();
+        let config = SynthesisConfig::power_optimized(2.0).with_effort(2, 3);
+        let outcome = Impact::new(config.clone())
+            .synthesize(&cdfg, &trace)
+            .unwrap();
+        let evaluator = crate::Evaluator::new(&cdfg, &trace, config).unwrap();
+        assert_eq!(evaluator.audit_outcome(&outcome), vec![]);
+
+        let mut extra_state = outcome.clone();
+        extra_state.schedule.stg.add_state();
+        let violations = evaluator.audit_outcome(&extra_state);
+        assert!(fired(&violations, rules::SCHED_STG), "{violations:?}");
+
+        let mut other_enc = outcome;
+        other_enc.schedule.enc += 1.0;
+        let violations = evaluator.audit_outcome(&other_enc);
+        assert!(fired(&violations, rules::SCHED_ENC), "{violations:?}");
     }
 
     #[test]

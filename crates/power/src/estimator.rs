@@ -347,8 +347,9 @@ impl<'lib> PowerEstimator<'lib> {
     /// Estimates the average power of one design point.
     ///
     /// `traces` must view the same CDFG and RTL design; `schedule` provides
-    /// the expected number of cycles per pass and the controller size. This
-    /// rebuilds the [`PowerProfile`] from the traces on every call; callers
+    /// the expected number of cycles per pass, the clock period and the
+    /// controller size ([`Schedule::summary`](impact_sched::Schedule::summary)).
+    /// This rebuilds the [`PowerProfile`] from the traces on every call; callers
     /// evaluating one design at several supply levels should build the
     /// profile once and use [`Self::estimate_profiled`] instead.
     pub fn estimate(
@@ -371,7 +372,7 @@ impl<'lib> PowerEstimator<'lib> {
     ) -> PowerBreakdown {
         let vdd_sq = self.config.vdd * self.config.vdd;
         let enc = schedule.enc.max(1.0);
-        let pass_time_ns = enc * schedule.stg.clock_ns();
+        let pass_time_ns = enc * schedule.clock_ns;
 
         // Functional units: energy per activation is C·Vdd²·activity, plus a
         // reduced idle-switching term for every cycle the unit sits unused
@@ -403,8 +404,8 @@ impl<'lib> PowerEstimator<'lib> {
         }
 
         // Controller: switched every cycle, sized by states and transitions.
-        let states = schedule.stg.state_count() as f64;
-        let transitions = schedule.stg.transition_count() as f64;
+        let states = schedule.state_count as f64;
+        let transitions = schedule.transition_count as f64;
         let controller_energy_pj = enc
             * vdd_sq
             * (self.config.controller_cap_per_state_pf * states
@@ -427,16 +428,16 @@ impl<'lib> PowerEstimator<'lib> {
     /// Total area (datapath plus controller) in equivalent gates.
     pub fn area(&self, cdfg: &Cdfg, design: &RtlDesign, schedule: &SchedulingResult) -> f64 {
         let datapath = design.datapath_area(cdfg, self.library);
-        let controller = self.config.controller_area_per_state * schedule.stg.state_count() as f64
-            + self.config.controller_area_per_transition * schedule.stg.transition_count() as f64;
+        let controller = self.config.controller_area_per_state * schedule.state_count as f64
+            + self.config.controller_area_per_transition * schedule.transition_count as f64;
         datapath + controller
     }
 
     /// Total area from a precomputed profile (datapath area memoized, the
     /// schedule-dependent controller term recomputed per evaluation).
     pub fn area_profiled(&self, profile: &PowerProfile, schedule: &SchedulingResult) -> f64 {
-        let controller = self.config.controller_area_per_state * schedule.stg.state_count() as f64
-            + self.config.controller_area_per_transition * schedule.stg.transition_count() as f64;
+        let controller = self.config.controller_area_per_state * schedule.state_count as f64
+            + self.config.controller_area_per_transition * schedule.transition_count as f64;
         profile.datapath_area + controller
     }
 }
@@ -579,7 +580,7 @@ mod tests {
         let schedule = WaveScheduler::new()
             .schedule(&uniform_problem(&cdfg, trace.profile()))
             .unwrap();
-        (cdfg, trace, schedule)
+        (cdfg, trace, schedule.summary())
     }
 
     fn gcd_inputs() -> Vec<Vec<i64>> {
@@ -694,7 +695,7 @@ mod tests {
         let rt = RtTraces::new(&cdfg, &design, &trace);
         let estimator = PowerEstimator::new(&lib, PowerConfig::default());
         let normal = estimator.estimate(&cdfg, &design, &rt, &schedule);
-        let mut slow = schedule.clone();
+        let mut slow = schedule;
         slow.enc *= 2.0;
         let relaxed = estimator.estimate(&cdfg, &design, &rt, &slow);
         // Datapath power halves; only the per-cycle controller/clock terms stay.

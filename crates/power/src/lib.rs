@@ -36,7 +36,7 @@
 //! let schedule = WaveScheduler::new().schedule(&uniform_problem(&cdfg, trace.profile()))?;
 //! let rt = RtTraces::new(&cdfg, &design, &trace);
 //! let estimator = PowerEstimator::new(&library, PowerConfig::default());
-//! let breakdown = estimator.estimate(&cdfg, &design, &rt, &schedule);
+//! let breakdown = estimator.estimate(&cdfg, &design, &rt, &schedule.summary());
 //! assert!(breakdown.total_mw() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

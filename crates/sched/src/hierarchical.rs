@@ -12,6 +12,10 @@
 //! of its blocks: whoever needs them recomposes the problem through
 //! [`RecordingBlocks`].
 //!
+//! Composition returns the full [`Schedule`]. What the cost model reads of it
+//! is [`Schedule::summary`], and a caching caller keeps only that: the graph
+//! exists while a schedule is audited and in what a run hands out.
+//!
 //! Composition walks no graph: the ENC is composed from the regions' own
 //! expectations, not solved on the finished STG. The builder appends to the
 //! STG's flat vectors, recycles the edge lists it routes and keeps its
@@ -26,7 +30,7 @@ use impact_stg::{Guard, ScheduledOp, StateId, Stg};
 
 use crate::block::{schedule_block, BlockSchedule};
 use crate::error::SchedError;
-use crate::problem::{ScheduleConfig, SchedulingProblem, SchedulingResult};
+use crate::problem::{Schedule, ScheduleConfig, SchedulingProblem};
 
 /// Supplier of basic-block schedules to the hierarchical composer.
 ///
@@ -65,9 +69,9 @@ impl BlockSource for InlineBlocks {
     }
 }
 
-/// [`InlineBlocks`] that records every block it schedules. A
-/// [`SchedulingResult`] keeps only its STG and ENC, so the audits recompose
-/// a problem through this source to check each of its blocks.
+/// [`InlineBlocks`] that records every block it schedules. A [`Schedule`]
+/// keeps only its STG and ENC, so the audits recompose a problem through
+/// this source to check each of its blocks.
 #[derive(Clone, Debug, Default)]
 pub struct RecordingBlocks {
     /// Every block scheduled so far, as its node list and its schedule, in
@@ -89,14 +93,14 @@ impl BlockSource for RecordingBlocks {
 
 /// Common interface of the IMPACT schedulers.
 pub trait Scheduler {
-    /// Produces a schedule (STG plus metrics) for the given problem.
+    /// Produces the schedule (STG and ENC) of the given problem.
     ///
     /// # Errors
     ///
     /// Returns a [`SchedError`] when the problem is malformed (a clock
     /// period that is not finite and positive, incomplete per-node tables,
     /// cyclic intra-block dependences).
-    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError>;
+    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<Schedule, SchedError>;
 }
 
 /// Conventional basic-block scheduler: no chaining, strictly sequential
@@ -112,7 +116,7 @@ impl BaselineScheduler {
 }
 
 impl Scheduler for BaselineScheduler {
-    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> {
+    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<Schedule, SchedError> {
         let mut p = problem.clone();
         p.config = ScheduleConfig {
             chaining: false,
@@ -137,7 +141,7 @@ impl WaveScheduler {
 }
 
 impl Scheduler for WaveScheduler {
-    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> {
+    fn schedule(&self, problem: &SchedulingProblem<'_>) -> Result<Schedule, SchedError> {
         let mut p = problem.clone();
         p.config = ScheduleConfig {
             chaining: true,
@@ -188,7 +192,7 @@ struct Builder<'p, 'a, 's> {
     routes: Vec<(StateId, Guard, f64)>,
 }
 
-fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> {
+fn run(problem: &SchedulingProblem<'_>) -> Result<Schedule, SchedError> {
     compose(problem, &mut InlineBlocks)
 }
 
@@ -208,7 +212,7 @@ fn run(problem: &SchedulingProblem<'_>) -> Result<SchedulingResult, SchedError> 
 pub fn compose(
     problem: &SchedulingProblem<'_>,
     source: &mut dyn BlockSource,
-) -> Result<SchedulingResult, SchedError> {
+) -> Result<Schedule, SchedError> {
     SchedError::check_clock(problem.config.clock_ns)?;
     let required = problem.cdfg.node_count();
     if problem.node_delays.len() < required || problem.node_fu.len() < required {
@@ -249,7 +253,7 @@ pub fn compose(
         1.0
     };
     builder.stg.shrink_to_fit();
-    Ok(SchedulingResult {
+    Ok(Schedule {
         stg: builder.stg,
         enc,
     })
@@ -792,7 +796,7 @@ mod tests {
     use impact_behsim::simulate;
     use impact_hdl::compile;
 
-    fn schedule_both(src: &str, inputs: &[Vec<i64>]) -> (SchedulingResult, SchedulingResult) {
+    fn schedule_both(src: &str, inputs: &[Vec<i64>]) -> (Schedule, Schedule) {
         let cdfg = compile(src).unwrap();
         let trace = simulate(&cdfg, inputs).unwrap();
         let problem = uniform_problem(&cdfg, trace.profile());
@@ -812,6 +816,24 @@ mod tests {
             assert!(result.enc >= 1.0);
         }
         assert!(wave.enc <= base.enc);
+    }
+
+    #[test]
+    fn a_summary_is_the_enc_clock_and_counts_of_its_graph() {
+        let (base, wave) = schedule_both(
+            "design d { input a: 8; output y: 16; var s: 16 = 0; var i: 8;
+               for (i = 0; i < 4; i = i + 1) { if (a > 3) { s = s + a; } }
+               y = s; }",
+            &[vec![2], vec![9]],
+        );
+        for schedule in [&base, &wave] {
+            let summary = schedule.summary();
+            assert_eq!(summary.enc.to_bits(), schedule.enc.to_bits());
+            assert_eq!(summary.clock_ns, schedule.stg.clock_ns());
+            assert_eq!(summary.state_count, schedule.stg.state_count());
+            assert_eq!(summary.transition_count, schedule.stg.transition_count());
+            assert!(summary.transition_count > summary.state_count);
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! (chained delays, including the 10 % chaining overhead, must fit in the
 //! clock).
 //!
+//! Both return a [`Schedule`]: the STG and its ENC. What the power and area
+//! models read of it is [`Schedule::summary`], a [`SchedulingResult`] of
+//! four numbers, and that summary is what the evaluator caches.
+//!
 //! # Example
 //!
 //! ```
@@ -51,5 +55,5 @@ pub use hierarchical::{
     WaveScheduler,
 };
 pub use problem::{
-    problem_digest, uniform_problem, ScheduleConfig, SchedulingProblem, SchedulingResult,
+    problem_digest, uniform_problem, Schedule, ScheduleConfig, SchedulingProblem, SchedulingResult,
 };

@@ -130,20 +130,49 @@ pub fn problem_digest(
     h.finish().as_u128()
 }
 
-/// Output of a scheduler: the STG and its ENC, which is all the power and
-/// area models read of a schedule (the ENC, and the STG's clock, state and
-/// transition counts).
+/// What the power and area models read of a schedule: its ENC, and its
+/// STG's clock period, state count and transition count
+/// ([`Schedule::summary`]).
+///
+/// This is the value the evaluator caches and a design point holds: a
+/// fixed-size record, where the [`Schedule`] it summarizes carries a graph
+/// of every state, operation and transition.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SchedulingResult {
+    /// Expected number of cycles of one pass.
+    pub enc: f64,
+    /// Clock period of the STG in nanoseconds.
+    pub clock_ns: f64,
+    /// Number of STG states (the controller's size).
+    pub state_count: usize,
+    /// Number of STG transitions (the controller's size).
+    pub transition_count: usize,
+}
+
+/// Output of a scheduler: the STG and its ENC.
 ///
 /// The block schedules it was composed from are not part of it: the audits
 /// get them by composing the problem again through
 /// [`RecordingBlocks`](crate::RecordingBlocks).
 #[derive(Clone, PartialEq, Debug)]
-pub struct SchedulingResult {
+pub struct Schedule {
     /// The state transition graph.
     pub stg: Stg,
     /// Expected number of cycles of one pass, computed hierarchically from
     /// the measured branch probabilities and loop trip counts.
     pub enc: f64,
+}
+
+impl Schedule {
+    /// The four numbers the cost model reads of this schedule.
+    pub fn summary(&self) -> SchedulingResult {
+        SchedulingResult {
+            enc: self.enc,
+            clock_ns: self.stg.clock_ns(),
+            state_count: self.stg.state_count(),
+            transition_count: self.stg.transition_count(),
+        }
+    }
 }
 
 /// Builds a fully-parallel scheduling problem with default characterization:

@@ -80,47 +80,6 @@ impl State<'_> {
     }
 }
 
-// ---------------------------------------------------------------- snapshot codec
-
-use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-
-/// Version tag of [`ScheduledOp`]'s wire layout.
-const TAG_SCHEDULED_OP: u8 = 0x20;
-
-// Snapshot codec: state ids are bare indices (no per-value version tag —
-// the enclosing composite versions the layout).
-impl Encode for StateId {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_usize(self.0);
-    }
-}
-
-impl Decode for StateId {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self(r.take_usize()?))
-    }
-}
-
-impl Encode for ScheduledOp {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_SCHEDULED_OP);
-        self.node.encode(w);
-        w.put_f64(self.start_ns);
-        w.put_f64(self.finish_ns);
-    }
-}
-
-impl Decode for ScheduledOp {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_SCHEDULED_OP)?;
-        Ok(Self {
-            node: Decode::decode(r)?,
-            start_ns: r.take_f64()?,
-            finish_ns: r.take_f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

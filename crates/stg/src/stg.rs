@@ -316,145 +316,10 @@ impl Stg {
     }
 }
 
-// ---------------------------------------------------------------- snapshot codec
-
-use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-
-/// Version tag of [`Guard`]'s wire layout.
-const TAG_GUARD: u8 = 0x22;
-/// Version tag of [`Transition`]'s wire layout.
-const TAG_TRANSITION: u8 = 0x23;
-/// Version tag of [`Stg`]'s wire layout.
-const TAG_STG: u8 = 0x25;
-/// Version tag of one state inside an [`Stg`]'s wire layout.
-const TAG_STATE: u8 = 0x21;
-
-impl Encode for Guard {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_GUARD);
-        match self {
-            Guard::Always => w.put_u8(0),
-            Guard::Branch { index, taken } => {
-                w.put_u8(1);
-                w.put_usize(*index);
-                w.put_bool(*taken);
-            }
-            Guard::Loop { label, continues } => {
-                w.put_u8(2);
-                w.put_str(label);
-                w.put_bool(*continues);
-            }
-        }
-    }
-}
-
-impl Decode for Guard {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_GUARD)?;
-        Ok(match r.take_u8()? {
-            0 => Guard::Always,
-            1 => Guard::Branch {
-                index: r.take_usize()?,
-                taken: r.take_bool()?,
-            },
-            2 => Guard::Loop {
-                label: Arc::from(r.take_str()?),
-                continues: r.take_bool()?,
-            },
-            _ => return Err(DecodeError::Invalid("unknown Guard discriminant")),
-        })
-    }
-}
-
-impl Encode for Transition {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_TRANSITION);
-        self.from.encode(w);
-        self.to.encode(w);
-        self.guard.encode(w);
-        w.put_f64(self.probability);
-    }
-}
-
-impl Decode for Transition {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_TRANSITION)?;
-        Ok(Self {
-            from: Decode::decode(r)?,
-            to: Decode::decode(r)?,
-            guard: Decode::decode(r)?,
-            probability: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for Stg {
-    /// Per state its tag, its operation list and its exit probability: the
-    /// bytes of one `Vec` of operations per state.
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_STG);
-        w.put_f64(self.clock_ns);
-        w.put_usize(self.states.len());
-        for state in self.states() {
-            w.put_tag(TAG_STATE);
-            state.ops.encode(w);
-            w.put_f64(state.exit_probability);
-        }
-        self.transitions.encode(w);
-        self.entry.encode(w);
-    }
-}
-
-/// Bytes of the smallest encoded state: its tag, an empty operation list
-/// and its exit probability.
-const MIN_STATE_LEN: usize = 1 + 8 + 8;
-
-impl Decode for Stg {
-    /// Rejects an entry or transition endpoint that names a missing state
-    /// (an empty graph keeps entry 0), so every analysis of a decoded graph
-    /// indexes only states it has.
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_STG)?;
-        let clock_ns = r.take_f64()?;
-        let state_count = r.take_len(MIN_STATE_LEN)?;
-        let mut ops = Vec::new();
-        let mut states = Vec::with_capacity(state_count);
-        for _ in 0..state_count {
-            r.expect_tag(TAG_STATE)?;
-            for _ in 0..r.take_len(1)? {
-                ops.push(ScheduledOp::decode(r)?);
-            }
-            states.push(StateSlot {
-                ops_end: ops.len(),
-                exit_probability: r.take_f64()?,
-            });
-        }
-        ops.shrink_to_fit();
-        let missing = |state: StateId| state.0 >= state_count;
-        let transitions: Vec<Transition> = Decode::decode(r)?;
-        if transitions.iter().any(|t| missing(t.from) || missing(t.to)) {
-            return Err(DecodeError::Invalid("STG transition names a missing state"));
-        }
-        let entry = StateId::decode(r)?;
-        if missing(entry) && !(state_count == 0 && entry.0 == 0) {
-            return Err(DecodeError::Invalid("STG entry names a missing state"));
-        }
-        Ok(Self {
-            clock_ns,
-            ops,
-            states,
-            transitions,
-            entry,
-        })
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use impact_cdfg::fingerprint::FingerprintHasher;
-    use impact_codec::{decode_from_slice, encode_to_vec};
 
     fn two_state() -> Stg {
         let mut stg = Stg::new(15.0);
@@ -550,108 +415,6 @@ mod tests {
     #[test]
     fn empty_graph_is_invalid() {
         assert!(matches!(Stg::new(15.0).validate(), Err(StgError::Empty)));
-    }
-
-    #[test]
-    fn graphs_round_trip_through_the_codec() {
-        let mut stg = two_state();
-        stg.add_op(StateId(0), ScheduledOp::new(NodeId::new(2), 10.0, 12.0));
-        stg.add_transition(StateId(1), StateId(0), Guard::loop_back("l", true), 0.0);
-        let empty = Stg::new(15.0);
-        for graph in [stg, empty] {
-            let bytes = encode_to_vec(&graph);
-            assert_eq!(decode_from_slice::<Stg>(&bytes).unwrap(), graph);
-        }
-    }
-
-    /// A decoded graph must not name states it does not have: every
-    /// analysis indexes states by the entry and the transition endpoints.
-    #[test]
-    fn decoding_rejects_an_entry_or_endpoint_past_the_states() {
-        let bytes = encode_to_vec(&two_state());
-        let invalid = |bytes: &[u8]| {
-            matches!(
-                decode_from_slice::<Stg>(bytes),
-                Err(DecodeError::Invalid(_))
-            )
-        };
-        // The entry is the last field.
-        let entry_at = bytes.len() - 8;
-        let mut mutant = bytes.clone();
-        mutant[entry_at..].copy_from_slice(&7u64.to_le_bytes());
-        assert!(invalid(&mutant));
-        mutant[entry_at..].copy_from_slice(&1u64.to_le_bytes());
-        assert_eq!(
-            decode_from_slice::<Stg>(&mutant).unwrap().entry(),
-            StateId(1)
-        );
-
-        // The only transition's `from` follows the transition count and its
-        // tag; its `to` follows that.
-        let from_at = entry_at - TRANSITION_TAIL_LEN;
-        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        assert_eq!(
-            (bytes[from_at - 1], field(from_at), field(from_at + 8)),
-            (TAG_TRANSITION, 0, 1)
-        );
-        for at in [from_at, from_at + 8] {
-            let mut mutant = bytes.clone();
-            mutant[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
-            assert!(invalid(&mutant));
-        }
-
-        // An empty graph keeps entry 0, and only entry 0.
-        let mut empty = encode_to_vec(&Stg::new(15.0));
-        assert!(decode_from_slice::<Stg>(&empty).is_ok());
-        let entry_at = empty.len() - 8;
-        empty[entry_at..].copy_from_slice(&1u64.to_le_bytes());
-        assert!(invalid(&empty));
-    }
-
-    /// Bytes of `two_state`'s one transition from its `from` field on:
-    /// `from`, `to`, an unconditional guard and the probability.
-    const TRANSITION_TAIL_LEN: usize = 8 + 8 + 2 + 8;
-
-    /// The encoded bytes of an STG built the way tail placement builds one:
-    /// operations land in earlier states after later states exist.
-    #[test]
-    fn stg_wire_bytes_are_pinned() {
-        let mut stg = Stg::new(12.5);
-        let s0 = stg.add_state();
-        let s1 = stg.add_state();
-        let s2 = stg.add_state();
-        let s3 = stg.add_state();
-        let s4 = stg.add_state();
-        stg.add_op(s0, ScheduledOp::new(NodeId::new(0), 0.0, 4.5));
-        stg.add_op(s2, ScheduledOp::new(NodeId::new(3), 0.0, 9.0));
-        stg.add_op(s1, ScheduledOp::new(NodeId::new(1), 0.0, 6.0));
-        stg.add_op(s3, ScheduledOp::new(NodeId::new(5), 0.0, 3.0));
-        // Tail placement: chained onto s0 and s1 after later states exist.
-        stg.add_op(s0, ScheduledOp::new(NodeId::new(2), 4.5, 7.25));
-        stg.add_op(s1, ScheduledOp::new(NodeId::new(4), 6.0, 8.5));
-        stg.add_op(s0, ScheduledOp::new(NodeId::new(6), 7.25, 9.5));
-        let branch = |taken| Guard::Branch { index: 0, taken };
-        stg.add_transition(s0, s1, branch(true), 0.6);
-        stg.add_transition(s0, s2, branch(false), 0.4);
-        stg.add_transition(s1, s3, Guard::Always, 1.0);
-        stg.add_transition(s2, s3, Guard::Always, 0.75);
-        stg.set_exit_probability(s2, 0.25);
-        stg.add_transition(s3, s0, Guard::loop_back("l0", true), 0.8);
-        stg.add_transition(s3, s4, Guard::loop_back("l0", false), 0.2);
-        stg.set_exit_probability(s4, 1.0);
-        stg.set_entry(s0);
-        assert_eq!(stg.state(s0).op_count(), 3);
-        assert_eq!(stg.scheduled_op_count(), 7);
-
-        let bytes = encode_to_vec(&stg);
-        let mut h = FingerprintHasher::new();
-        for &byte in &bytes {
-            h.write_u64(u64::from(byte));
-        }
-        assert_eq!(
-            (bytes.len(), h.finish().as_u128()),
-            (467, 0x07d6_acc1_c3d9_8fa4_f0ce_4212_afc7_5c60)
-        );
     }
 
     #[test]

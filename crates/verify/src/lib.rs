@@ -4,10 +4,12 @@
 //! cached evaluations; this crate checks finished artifacts **as data**.
 //! Each check is a pure function that returns a list of [`Violation`]s (rule
 //! id, severity, location, message) and never panics on corrupt input — a
-//! corrupted artifact is a finding, not a crash. The one check that runs
-//! production code is [`verify_schedule`]: a schedule is only its STG and
-//! ENC, so the audit composes the problem again to get the blocks it checks
-//! as data and the graph and ENC the stored ones must equal.
+//! corrupted artifact is a finding, not a crash. The checks that run
+//! production code are [`verify_schedule`] and [`verify_summary`]: a schedule
+//! is only its STG and ENC, and a cached schedule only its summary (ENC,
+//! clock, state and transition counts), so the audit composes the problem
+//! again to get the blocks it checks as data and the graph and numbers the
+//! stored ones must equal.
 //!
 //! The rule catalog (see [`rules`]) spans three artifact families:
 //!
@@ -19,11 +21,12 @@
 //!   consistent in both directions, multiplexer-site annotations matching
 //!   the actual multi-source sites, the stored structural fingerprint
 //!   matching a recompute.
-//! - **Schedule legality** ([`verify_schedule`], [`verify_block`],
-//!   [`verify_schedule_artifact`]): data precedence, per-state resource
+//! - **Schedule legality** ([`verify_schedule`], [`verify_summary`],
+//!   [`verify_block`], [`verify_schedule_artifact`],
+//!   [`verify_summary_artifact`]): data precedence, per-state resource
 //!   exclusivity under the binding, chained delays fitting the clock
-//!   period, the stored STG and ENC equal to the problem's composition, ENC
-//!   within budget (± [`ENC_EPS`]).
+//!   period, a stored STG, or a stored summary, equal to the problem's
+//!   composition, ENC within budget (± [`ENC_EPS`]).
 //!
 //! Cache-coherence rules over [`impact_core`]'s sweep sessions reuse these
 //! functions and the same rule ids; they live in `impact_core::verify`
@@ -40,7 +43,8 @@ use std::fmt;
 pub use cdfg::{structure_violation, verify_acyclic, verify_cdfg};
 pub use design::{verify_design, verify_fingerprint, verify_mux_sites};
 pub use schedule::{
-    verify_block, verify_block_schedule, verify_schedule, verify_schedule_artifact,
+    verify_block, verify_block_schedule, verify_schedule, verify_schedule_artifact, verify_summary,
+    verify_summary_artifact,
 };
 
 /// Tolerance applied to ENC-budget comparisons: a design whose ENC exceeds
@@ -190,7 +194,9 @@ pub mod rules {
     pub const SCHED_ENC: &str = "sched-enc";
     /// The state-transition graph fails its own validation, disagrees with
     /// the problem's clock, or differs from the graph the problem composes
-    /// to (or the problem does not compose).
+    /// to (or the problem does not compose); or a schedule summary's clock
+    /// is not finite and positive, it counts no state, or its clock, state
+    /// or transition count differs from the composition's.
     pub const SCHED_STG: &str = "sched-stg";
 
     /// A cached design point is stored under another supply level than its

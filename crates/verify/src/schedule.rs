@@ -3,7 +3,10 @@
 use std::collections::HashMap;
 
 use impact_cdfg::NodeId;
-use impact_sched::{compose, BlockSchedule, RecordingBlocks, SchedulingProblem, SchedulingResult};
+use impact_sched::{
+    compose, BlockSchedule, RecordingBlocks, Schedule, SchedulingProblem, SchedulingResult,
+};
+use impact_stg::Stg;
 
 use crate::{rules, Violation, ENC_EPS, TIME_EPS};
 
@@ -88,65 +91,110 @@ pub fn verify_block_schedule(schedule: &BlockSchedule, clock_ns: Option<f64>) ->
     violations
 }
 
-/// Problem-independent invariants of a hierarchical scheduling result: the
-/// state-transition graph validates and the ENC is a finite non-negative
-/// number. A stored schedule names neither its problem nor its blocks, so
-/// this is what an audit of a snapshot can check.
-pub fn verify_schedule_artifact(result: &SchedulingResult) -> Vec<Violation> {
+/// Problem-independent invariants of a schedule summary: a finite
+/// non-negative ENC, a finite positive clock period and at least one state.
+/// A stored summary names neither its problem nor its graph, so this is what
+/// an audit of a cache or a snapshot can check of it.
+pub fn verify_summary_artifact(summary: &SchedulingResult) -> Vec<Violation> {
     let mut violations = Vec::new();
-    if let Err(e) = result.stg.validate() {
+    if !summary.enc.is_finite() || summary.enc < 0.0 {
+        violations.push(Violation::error(
+            rules::SCHED_ENC,
+            "schedule",
+            format!("ENC {} is not a finite non-negative number", summary.enc),
+        ));
+    }
+    if !summary.clock_ns.is_finite() || summary.clock_ns <= 0.0 {
+        violations.push(Violation::error(
+            rules::SCHED_STG,
+            "schedule",
+            format!(
+                "clock period {} ns is not a finite positive number",
+                summary.clock_ns
+            ),
+        ));
+    }
+    if summary.state_count == 0 {
+        violations.push(Violation::error(
+            rules::SCHED_STG,
+            "schedule",
+            "a schedule has at least one state",
+        ));
+    }
+    violations
+}
+
+/// Problem-independent invariants of a full schedule: its state-transition
+/// graph validates, and its summary passes [`verify_summary_artifact`].
+pub fn verify_schedule_artifact(schedule: &Schedule) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if let Err(e) = schedule.stg.validate() {
         violations.push(Violation::error(
             rules::SCHED_STG,
             "stg",
             format!("state-transition graph fails validation: {e}"),
         ));
     }
-    if !result.enc.is_finite() || result.enc < 0.0 {
+    violations.extend(verify_summary_artifact(&schedule.summary()));
+    violations
+}
+
+/// Audits a full schedule against the [`SchedulingProblem`] it claims to
+/// solve: everything [`verify_schedule_artifact`] checks, coverage of every
+/// schedulable operation, and its summary against the problem as
+/// [`verify_summary`] checks one — which composes the problem again, inline
+/// through [`RecordingBlocks`]. The stored STG must also equal that
+/// composition's graph bit for bit. A schedule composed from a block source
+/// that served a wrong block, legal on its own but not the problem's, fails
+/// that comparison even where every number of its summary is right.
+pub fn verify_schedule(
+    problem: &SchedulingProblem<'_>,
+    schedule: &Schedule,
+    enc_limit: Option<f64>,
+) -> Vec<Violation> {
+    let mut violations = verify_schedule_artifact(schedule);
+    violations.extend(coverage_violations(problem, &schedule.stg));
+    let composed = check_against_problem(problem, &schedule.summary(), enc_limit, &mut violations);
+    if composed.is_some_and(|composed| composed.stg != schedule.stg) {
         violations.push(Violation::error(
-            rules::SCHED_ENC,
-            "schedule",
-            format!("ENC {} is not a finite non-negative number", result.enc),
+            rules::SCHED_STG,
+            "stg",
+            "stored graph differs from the one the problem composes to",
         ));
     }
     violations
 }
 
-/// Audits a hierarchical schedule against the [`SchedulingProblem`] it
-/// claims to solve: everything [`verify_schedule_artifact`] checks, the
-/// STG's clock against the problem's, coverage of every schedulable
-/// operation and — when `enc_limit` is given — the ENC within budget
-/// (± [`ENC_EPS`]).
+/// Audits a schedule summary against the [`SchedulingProblem`] it claims to
+/// summarize: everything [`verify_summary_artifact`] checks, the clock
+/// against the problem's and — when `enc_limit` is given — the ENC within
+/// budget (± [`ENC_EPS`]).
 ///
-/// A schedule keeps no record of its blocks, so the audit composes the
-/// problem again, inline through [`RecordingBlocks`]: every block of that
-/// composition must pass [`verify_block`], and the stored STG and ENC must
-/// equal the composition's bit for bit. A schedule composed from a block
-/// source that served a wrong block, legal on its own but not the
-/// problem's, fails that comparison.
-pub fn verify_schedule(
+/// A summary keeps neither its graph nor its blocks, so the audit composes
+/// the problem again, inline through [`RecordingBlocks`]: every block of that
+/// composition must pass [`verify_block`], the composed schedule must pass
+/// [`verify_schedule_artifact`] and cover every schedulable operation, and
+/// the summary must equal the composition's field by field, bit for bit
+/// (the ENC under [`rules::SCHED_ENC`], the clock and the counts under
+/// [`rules::SCHED_STG`]).
+pub fn verify_summary(
     problem: &SchedulingProblem<'_>,
-    result: &SchedulingResult,
+    summary: &SchedulingResult,
     enc_limit: Option<f64>,
 ) -> Vec<Violation> {
-    let mut violations = verify_schedule_artifact(result);
-
-    let clock = problem.config.clock_ns;
-    if result.stg.clock_ns() != clock {
-        violations.push(Violation::error(
-            rules::SCHED_STG,
-            "stg",
-            format!(
-                "STG clock {} ns disagrees with the problem's {} ns",
-                result.stg.clock_ns(),
-                clock
-            ),
-        ));
+    let mut violations = verify_summary_artifact(summary);
+    if let Some(composed) = check_against_problem(problem, summary, enc_limit, &mut violations) {
+        violations.extend(verify_schedule_artifact(&composed));
+        violations.extend(coverage_violations(problem, &composed.stg));
     }
+    violations
+}
 
-    // Every operation that occupies a functional unit must be somewhere in
-    // the state-transition graph.
+/// Every operation that occupies a functional unit is somewhere in `stg`.
+fn coverage_violations(problem: &SchedulingProblem<'_>, stg: &Stg) -> Vec<Violation> {
+    let mut violations = Vec::new();
     for (id, node) in problem.cdfg.nodes() {
-        if node.operation.needs_functional_unit() && result.stg.state_of(id).is_none() {
+        if node.operation.needs_functional_unit() && stg.state_of(id).is_none() {
             violations.push(Violation::error(
                 rules::SCHED_COVERAGE,
                 format!("node {}", id.index()),
@@ -157,44 +205,43 @@ pub fn verify_schedule(
             ));
         }
     }
+    violations
+}
 
+/// The problem-side rules shared by [`verify_schedule`] and
+/// [`verify_summary`]: the summary's clock against the problem's, the
+/// budget, and the recomposition — every recomposed block against the
+/// problem, and the summary against the composition's. Returns the
+/// composition.
+fn check_against_problem(
+    problem: &SchedulingProblem<'_>,
+    summary: &SchedulingResult,
+    enc_limit: Option<f64>,
+    violations: &mut Vec<Violation>,
+) -> Option<Schedule> {
+    let clock = problem.config.clock_ns;
+    if summary.clock_ns != clock {
+        violations.push(Violation::error(
+            rules::SCHED_STG,
+            "stg",
+            format!(
+                "STG clock {} ns disagrees with the problem's {} ns",
+                summary.clock_ns, clock
+            ),
+        ));
+    }
     if let Some(limit) = enc_limit {
-        if result.enc > limit + ENC_EPS {
+        if summary.enc > limit + ENC_EPS {
             violations.push(Violation::error(
                 rules::SCHED_ENC,
                 "schedule",
-                format!("ENC {} exceeds the budget {limit}", result.enc),
+                format!("ENC {} exceeds the budget {limit}", summary.enc),
             ));
         }
     }
 
     let mut recorded = RecordingBlocks::default();
-    match compose(problem, &mut recorded) {
-        Ok(composed) => {
-            if composed.stg != result.stg {
-                violations.push(Violation::error(
-                    rules::SCHED_STG,
-                    "stg",
-                    "stored graph differs from the one the problem composes to",
-                ));
-            }
-            if composed.enc.to_bits() != result.enc.to_bits() {
-                violations.push(Violation::error(
-                    rules::SCHED_ENC,
-                    "schedule",
-                    format!(
-                        "stored ENC {} differs from the {} the problem composes to",
-                        result.enc, composed.enc
-                    ),
-                ));
-            }
-        }
-        Err(e) => violations.push(Violation::error(
-            rules::SCHED_STG,
-            "schedule",
-            format!("the problem does not compose: {e}"),
-        )),
-    }
+    let composed = compose(problem, &mut recorded);
     for (index, (nodes, block)) in recorded.blocks.iter().enumerate() {
         let prefix = format!("block {index}");
         violations.extend(
@@ -203,8 +250,45 @@ pub fn verify_schedule(
                 .map(|v| v.at(&prefix)),
         );
     }
-
-    violations
+    let composed = match composed {
+        Ok(composed) => composed,
+        Err(e) => {
+            violations.push(Violation::error(
+                rules::SCHED_STG,
+                "schedule",
+                format!("the problem does not compose: {e}"),
+            ));
+            return None;
+        }
+    };
+    let expected = composed.summary();
+    if expected.enc.to_bits() != summary.enc.to_bits() {
+        violations.push(Violation::error(
+            rules::SCHED_ENC,
+            "schedule",
+            format!(
+                "stored ENC {} differs from the {} the problem composes to",
+                summary.enc, expected.enc
+            ),
+        ));
+    }
+    let counts = |s: &SchedulingResult| (s.clock_ns.to_bits(), s.state_count, s.transition_count);
+    if counts(summary) != counts(&expected) {
+        violations.push(Violation::error(
+            rules::SCHED_STG,
+            "schedule",
+            format!(
+                "stored clock, states and transitions ({} ns, {}, {}) differ from the ({} ns, {}, {}) the problem composes to",
+                summary.clock_ns,
+                summary.state_count,
+                summary.transition_count,
+                expected.clock_ns,
+                expected.state_count,
+                expected.transition_count
+            ),
+        ));
+    }
+    Some(composed)
 }
 
 /// Audits one block schedule against the problem it was scheduled for and

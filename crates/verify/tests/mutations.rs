@@ -15,12 +15,14 @@ use std::sync::Arc;
 use impact_cdfg::{Cdfg, CdfgBuilder, CdfgError, NodeId, Operation, ValueRef, VarId};
 use impact_modlib::ModuleLibrary;
 use impact_rtl::{DesignDelta, MuxSink, MuxSite, RtlDesign, SignalKey, SignalSource};
-use impact_sched::{compose, uniform_problem, BlockSchedule, RecordingBlocks, SchedulingResult};
+use impact_sched::{
+    compose, uniform_problem, BlockSchedule, RecordingBlocks, Schedule, SchedulingResult,
+};
 use impact_stg::{ScheduledOp, Stg};
 use impact_verify::{
     has_errors, rules, structure_violation, verify_acyclic, verify_block, verify_block_schedule,
     verify_cdfg, verify_design, verify_fingerprint, verify_mux_sites, verify_schedule,
-    verify_schedule_artifact, Severity, Violation,
+    verify_schedule_artifact, verify_summary, verify_summary_artifact, Severity, Violation,
 };
 use proptest::prelude::*;
 
@@ -41,14 +43,14 @@ type Blocks = Vec<(Vec<NodeId>, Arc<BlockSchedule>)>;
 fn schedule_for(
     bench: &impact_benchmarks::Benchmark,
     cdfg: &Cdfg,
-) -> (impact_behsim::ExecutionTrace, SchedulingResult, Blocks) {
+) -> (impact_behsim::ExecutionTrace, Schedule, Blocks) {
     let trace = impact_behsim::simulate(cdfg, &bench.input_sequences(6, 7)).unwrap();
     let mut recording = RecordingBlocks::default();
     let result = compose(&uniform_problem(cdfg, trace.profile()), &mut recording).unwrap();
     (trace, result, recording.blocks)
 }
 
-fn schedule(cdfg: &Cdfg) -> (impact_behsim::ExecutionTrace, SchedulingResult, Blocks) {
+fn schedule(cdfg: &Cdfg) -> (impact_behsim::ExecutionTrace, Schedule, Blocks) {
     schedule_for(&impact_benchmarks::gcd(), cdfg)
 }
 
@@ -92,6 +94,9 @@ fn clean_artifacts_are_silent() {
     let (trace, result, _) = schedule(&cdfg);
     let problem = uniform_problem(&cdfg, trace.profile());
     assert_eq!(verify_schedule(&problem, &result, Some(result.enc)), vec![]);
+    let summary = result.summary();
+    assert_eq!(verify_summary_artifact(&summary), vec![]);
+    assert_eq!(verify_summary(&problem, &summary, Some(result.enc)), vec![]);
 }
 
 // ---------------------------------------------------------------- CDFG rules
@@ -442,6 +447,73 @@ fn nudging_the_stored_enc_by_one_ulp_trips_the_enc_rule() {
     assert_eq!(verify_schedule_artifact(&result), vec![]);
     let violations = verify_schedule(&problem, &result, None);
     assert!(fired(&violations, rules::SCHED_ENC), "{violations:?}");
+}
+
+/// A named corruption of a schedule summary and the rule it must trip.
+type Corruption = (&'static str, fn(&mut SchedulingResult), &'static str);
+
+#[test]
+fn corrupting_a_summary_field_trips_its_rule() {
+    // A cached schedule is its summary: each of its four numbers, nudged
+    // alone, must fail the audit that recomposes the problem, under the rule
+    // its field belongs to. So must a full schedule's graph.
+    let cdfg = gcd_cdfg();
+    let (trace, result, _) = schedule(&cdfg);
+    let problem = uniform_problem(&cdfg, trace.profile());
+    let clean = result.summary();
+    let fields: [Corruption; 4] = [
+        ("state count", |s| s.state_count += 1, rules::SCHED_STG),
+        ("transitions", |s| s.transition_count -= 1, rules::SCHED_STG),
+        ("clock", |s| s.clock_ns += 0.5, rules::SCHED_STG),
+        (
+            "ENC",
+            |s| s.enc = f64::from_bits(s.enc.to_bits() + 1),
+            rules::SCHED_ENC,
+        ),
+    ];
+    for (field, corrupt, rule) in fields {
+        let mut summary = clean;
+        corrupt(&mut summary);
+        assert_eq!(verify_summary_artifact(&summary), vec![], "{field}");
+        let violations = verify_summary(&problem, &summary, None);
+        assert!(fired(&violations, rule), "{field}: {violations:?}");
+    }
+
+    // The graph a run hands out, with its first transition dropped.
+    let mut stg = Stg::new(result.stg.clock_ns());
+    for state in result.stg.states() {
+        let id = stg.add_state();
+        for op in state.ops {
+            stg.add_op(id, op.clone());
+        }
+        stg.set_exit_probability(id, state.exit_probability);
+    }
+    for t in &result.stg.transitions()[1..] {
+        stg.add_transition(t.from, t.to, t.guard.clone(), t.probability);
+    }
+    stg.set_entry(result.stg.entry());
+    let corrupted = Schedule { stg, ..result };
+    let violations = verify_schedule(&problem, &corrupted, None);
+    assert!(fired(&violations, rules::SCHED_STG), "{violations:?}");
+
+    // Summaries that no schedule can have fail on their own.
+    let impossible: [Corruption; 5] = [
+        ("no state", |s| s.state_count = 0, rules::SCHED_STG),
+        ("zero clock", |s| s.clock_ns = 0.0, rules::SCHED_STG),
+        (
+            "infinite clock",
+            |s| s.clock_ns = f64::INFINITY,
+            rules::SCHED_STG,
+        ),
+        ("NaN ENC", |s| s.enc = f64::NAN, rules::SCHED_ENC),
+        ("negative ENC", |s| s.enc = -1.0, rules::SCHED_ENC),
+    ];
+    for (what, corrupt, rule) in impossible {
+        let mut summary = clean;
+        corrupt(&mut summary);
+        let violations = verify_summary_artifact(&summary);
+        assert!(fired(&violations, rule), "{what}: {violations:?}");
+    }
 }
 
 #[test]

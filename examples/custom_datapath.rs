@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = RtlDesign::initial_parallel(&cdfg, &library);
     let rt = RtTraces::new(&cdfg, &design, &trace);
     let estimator = PowerEstimator::new(&library, PowerConfig::default());
-    let breakdown = estimator.estimate(&cdfg, &design, &rt, &wave);
+    let breakdown = estimator.estimate(&cdfg, &design, &rt, &wave.summary());
     println!();
     println!("Fully parallel architecture at 5 V:");
     println!(
