@@ -1,7 +1,7 @@
 //! The workspace's binary snapshot codec: trait-driven encoding and decoding
-//! of the values the evaluation caches hold. (The snapshot layer in
+//! of the values the evaluation caches persist. (The snapshot layer in
 //! `impact_core` lays out the values that cache entries share — design
-//! points, contexts, hierarchical schedules — itself, from these parts.)
+//! points and schedule summaries — itself, from these parts.)
 //!
 //! The format is deliberately boring — SBOR-style trait derivation written by
 //! hand — so any crate can implement it for its own types without a proc

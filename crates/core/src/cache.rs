@@ -17,12 +17,19 @@
 //!
 //! Each layer is declared once, as one row of the `cache_layers!` table. The
 //! row names the layer's [`CacheSnapshot`] field, key and value types,
-//! [`CacheBackend`] lookup/store pair, capacity bound and snapshot section
-//! tag. The snapshot struct, its merge, the traffic counters, the in-memory
-//! store, the snapshot sections, [`DiskCache`](crate::DiskCache)'s
-//! forwarding and the key-to-layer mapping the evaluator's memo helper uses
-//! are generated from the table. A new layer is one new row, plus its two
-//! methods in the hand-written [`CacheBackend`] trait.
+//! [`CacheBackend`] lookup/store pair, capacity bound and, for a layer that
+//! snapshots persist, its section tag. The snapshot struct, its merge, the
+//! traffic counters, the in-memory store, the snapshot sections,
+//! [`DiskCache`](crate::DiskCache)'s forwarding and the key-to-layer mapping
+//! the evaluator's memo helper uses are generated from the table. A new
+//! layer is one new row, plus its two methods in the hand-written
+//! [`CacheBackend`] trait.
+//!
+//! The context layer has no section tag: it is session-local. Contexts are
+//! exported, absorbed and merged in memory like every other layer, but no
+//! snapshot holds one. A run that needs a context a snapshot did not carry
+//! rebuilds it from the design and the persisted trace statistics, or
+//! patches it from its parent's, as it would after an eviction.
 //!
 //! Storage lives behind the [`CacheBackend`] trait so sessions can swap the
 //! store: the in-process implementation is [`InMemoryCache`], an `Arc`-shared
@@ -66,13 +73,14 @@ use crate::snapshot::{self, SnapshotRejection, SnapshotScope, SnapshotStats};
 /// row to `callback!`, which expands them into per-layer code. A row reads
 ///
 /// ```text
-/// field: Key => Value, lookup / store, capacity, section tag;
+/// field: Key => Value, lookup / store, capacity[, section tag];
 /// ```
 ///
 /// naming the layer's [`CacheSnapshot`] field, key and value types,
-/// [`CacheBackend`] method pair, capacity bound and snapshot section tag. The
-/// snapshot wire format writes one section per row, in row order. The row's
-/// doc comment documents the snapshot field.
+/// [`CacheBackend`] method pair, capacity bound and, for a persisted layer,
+/// snapshot section tag. The snapshot wire format writes one section per
+/// tagged row, in row order; a row without a tag is session-local and never
+/// persisted. The row's doc comment documents the snapshot field.
 macro_rules! cache_layers {
     ($callback:ident) => {
         $callback! {
@@ -80,8 +88,9 @@ macro_rules! cache_layers {
             points: PointKey => Arc<DesignPoint>, lookup_point / store_point, MAX_POINTS, 1;
             /// Supply-search outcomes (`None` = infeasible under the key's budget).
             scaled: ScaledKey => Option<Arc<DesignPoint>>, lookup_scaled / store_scaled, MAX_POINTS, 2;
-            /// Per-design evaluation contexts.
-            contexts: ContextKey => Arc<DesignContext>, lookup_context / store_context, MAX_CONTEXTS, 3;
+            /// Per-design evaluation contexts. Session-local: exports carry
+            /// them, snapshot bytes never do.
+            contexts: ContextKey => Arc<DesignContext>, lookup_context / store_context, MAX_CONTEXTS;
             /// Memoized hierarchical schedule summaries.
             schedules: ScheduleKey => Arc<SchedulingResult>, lookup_schedule / store_schedule, MAX_SCHEDULES, 4;
             /// Memoized basic-block schedules.
@@ -353,7 +362,7 @@ pub trait CacheBackend: Send + Sync + fmt::Debug {
 /// Row callback of `cache_layers!`: the snapshot struct with one map per
 /// layer, its size and merge, and one traffic counter per layer.
 macro_rules! layer_maps {
-    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr $(, $tag:literal)?;)*) => {
         /// Portable copy of a backend's entries, produced by
         /// [`CacheBackend::export`] and consumed by [`CacheBackend::absorb`].
         /// Fields are public so external [`CacheBackend`] implementations
@@ -489,7 +498,7 @@ pub(crate) trait LayerKey: Sized {
 
 /// Row callback of `cache_layers!`: one [`LayerKey`] impl per key type.
 macro_rules! layer_keys {
-    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {$(
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr $(, $tag:literal)?;)*) => {$(
         impl LayerKey for $key {
             type Value = $value;
 
@@ -508,7 +517,7 @@ cache_layers!(layer_keys);
 /// Row callback of `cache_layers!`: [`InMemoryCache`]'s lookup and store
 /// methods, counting traffic and evictions.
 macro_rules! in_memory_methods {
-    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {$(
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr $(, $tag:literal)?;)*) => {$(
         fn $lookup(&self, key: &$key) -> Option<$value> {
             let mut inner = self.lock();
             let found = inner.maps.$field.get(key).cloned();
@@ -825,11 +834,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_format_v7_is_pinned() {
+    fn snapshot_wire_format_v8_is_pinned() {
         // A reordered layer or table, a changed tag or a new per-type layout
         // would still round-trip; only files written by older builds would
         // notice (and silently fall back to a cold start). The encoded length
-        // and the trailer digest of a fixed snapshot catch it here.
+        // and the trailer digest of a fixed snapshot catch it here. The
+        // snapshot holds a context too, which the bytes leave out.
         let workload = WorkloadId(1);
         let mut design = FingerprintHasher::new();
         design.write_u64(9);
@@ -902,7 +912,7 @@ mod tests {
                 bytes.len(),
                 u128::from_le_bytes(trailer.try_into().unwrap())
             ),
-            (806, 0x38a9_e035_d0f7_5dfa_0267_c347_be16_da4d)
+            (639, 0x6761_6c88_d023_ac07_31de_bccc_661d_fadf)
         );
         // The summary's clock period marks it: no other value here is 10.0.
         let clock = 10.0f64.to_le_bytes();
@@ -912,7 +922,8 @@ mod tests {
             "the shared schedule is written once"
         );
         let decoded = snapshot::decode_snapshot(&bytes, SnapshotScope::Any).unwrap();
-        assert_eq!(decoded.len(), 8);
+        assert_eq!(decoded.len(), 7);
+        assert!(decoded.contexts.is_empty(), "contexts are session-local");
         let shared = decoded.schedules.values().next().unwrap();
         let point = decoded.points.values().next().unwrap();
         assert!(Arc::ptr_eq(&point.schedule, shared), "and decoded shared");

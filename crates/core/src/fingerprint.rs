@@ -342,22 +342,6 @@ impl Decode for ScheduleKey {
     }
 }
 
-impl Encode for ContextKey {
-    fn encode(&self, w: &mut Encoder) {
-        self.workload.encode(w);
-        self.design.encode(w);
-    }
-}
-
-impl Decode for ContextKey {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            workload: Decode::decode(r)?,
-            design: Decode::decode(r)?,
-        })
-    }
-}
-
 macro_rules! impl_digest_key_codec {
     ($ty:ident) => {
         impl Encode for $ty {

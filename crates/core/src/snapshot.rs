@@ -13,13 +13,25 @@
 //!                                                  from corruption
 //! workload digest (u128)                16 bytes   digest over the sorted
 //!                                                  distinct WorkloadIds
-//! 5 × table of shared values, in dependency order — block schedules, mux
-//! sites, site depth lists, schedule summaries, design points:
+//! 3 × table of shared values, in dependency order — block schedules,
+//! schedule summaries, design points:
 //!   tag (u8) | entry count (u64) | entries, back to back
-//! 8 × section, one per cache layer in the order of the `cache_layers!` table:
+//! 7 × section, one per persisted cache layer in the order of the
+//! `cache_layers!` table:
 //!   tag (u8) | entry count (u64) | (key, value) pairs sorted by key
 //! whole-file digest (u128)              16 bytes   over everything above
 //! ```
+//!
+//! Every layer whose `cache_layers!` row carries a section tag is
+//! persisted. The context layer carries none, so a snapshot holds no
+//! evaluation context, and the workload digest covers the persisted
+//! layers' keys only. A context is a pure function of its key, and a warm
+//! rerun reads none (it answers from the point and supply-search layers),
+//! so a resumed run that needs one builds it as a cold run does: from the
+//! design and the persisted trace statistics, or patched from its parent's.
+//! Formats 1 to 7 wrote every context, and formats 2 to 7 two more tables
+//! for the mux sites and site depth lists contexts shared; in format 7
+//! they were 70 % of a Figure 13 sweep's snapshot.
 //!
 //! A schedule's body is a fixed-size record of the summary the cache holds
 //! ([`SchedulingResult`]): its tag, ENC, clock period, state count and
@@ -35,16 +47,15 @@
 //!
 //! Values that the cache shares by pointer are written once, into their
 //! table, and named everywhere else by their `u32` index: a design point
-//! refers to its schedule, a context (in its section) to its mux sites and
-//! depth lists, and the point, scaled, schedule and block layers to their
-//! values. Tables are interned by *content*, not by pointer, so equal cache
-//! contents always serialize to identical bytes however their values happen
-//! to share memory (the property the warm-start tests assert across
-//! processes): each table is numbered in order of first appearance while the
-//! sections are written, walking the layers in row order with each layer's
-//! keys sorted. Decoding builds one
-//! `Arc` per table entry, so every value that refers to an entry shares it;
-//! schedules of different problems with equal summaries share one entry.
+//! refers to its schedule, and the point, scaled, schedule and block layers
+//! to their values. Tables are interned by *content*, not by pointer, so
+//! equal cache contents always serialize to identical bytes however their
+//! values happen to share memory (the property the warm-start tests assert
+//! across processes): each table is numbered in order of first appearance
+//! while the sections are written, walking the layers in row order with
+//! each layer's keys sorted. Decoding builds one `Arc` per table entry, so
+//! every value that refers to an entry shares it; schedules of different
+//! problems with equal summaries share one entry.
 //!
 //! Rejections are classified three ways — wrong magic/version/shape,
 //! including a reference to a table entry that was not decoded
@@ -72,7 +83,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-use impact_rtl::{FingerprintHasher, MuxSite};
+use impact_rtl::FingerprintHasher;
 use impact_sched::{BlockSchedule, SchedulingResult};
 use impact_trace::{FuStats, RegStats};
 
@@ -91,19 +102,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMPCACHE";
 
 /// Version of the snapshot container format. Bump on any layout change —
 /// readers reject every other version to a cold start.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Tags of the shared-value tables, in the order they are written.
 const TABLE_BLOCKS: u8 = 0x81;
-const TABLE_SITES: u8 = 0x82;
-const TABLE_DEPTHS: u8 = 0x83;
 const TABLE_SCHEDULES: u8 = 0x84;
 const TABLE_POINTS: u8 = 0x85;
 
 /// Version tags of the bodies whose layout this module owns.
 const TAG_SCHEDULE: u8 = 0x2E;
 const TAG_POINT: u8 = 0x45;
-const TAG_CONTEXT: u8 = 0x44;
 
 /// Bytes of the fixed prelude: magic, version and total length.
 const PRELUDE_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 8;
@@ -358,8 +366,6 @@ impl<T> Table<T> {
 /// The shared-value tables of a snapshot being written.
 struct Interner {
     blocks: Table<BlockSchedule>,
-    sites: Table<MuxSite>,
-    depths: Table<Vec<usize>>,
     schedules: Table<SchedulingResult>,
     points: Table<DesignPoint>,
 }
@@ -368,8 +374,6 @@ impl Interner {
     fn new() -> Self {
         Self {
             blocks: Table::new(TABLE_BLOCKS),
-            sites: Table::new(TABLE_SITES),
-            depths: Table::new(TABLE_DEPTHS),
             schedules: Table::new(TABLE_SCHEDULES),
             points: Table::new(TABLE_POINTS),
         }
@@ -377,14 +381,6 @@ impl Interner {
 
     fn block(&mut self, block: &Arc<BlockSchedule>) -> u32 {
         self.blocks.intern(block, |w| block.encode(w))
-    }
-
-    fn site(&mut self, site: &Arc<MuxSite>) -> u32 {
-        self.sites.intern(site, |w| site.encode(w))
-    }
-
-    fn depth_list(&mut self, depths: &Arc<Vec<usize>>) -> u32 {
-        self.depths.intern(depths, |w| depths.encode(w))
     }
 
     fn schedule(&mut self, schedule: &Arc<SchedulingResult>) -> u32 {
@@ -413,19 +409,13 @@ impl Interner {
     }
 
     fn encoded_len(&self) -> usize {
-        self.blocks.encoded_len()
-            + self.sites.encoded_len()
-            + self.depths.encoded_len()
-            + self.schedules.encoded_len()
-            + self.points.encoded_len()
+        self.blocks.encoded_len() + self.schedules.encoded_len() + self.points.encoded_len()
     }
 
     /// Writes the tables in dependency order: an entry refers only to
     /// tables written before its own.
     fn write(&self, out: &mut Encoder) {
         self.blocks.write(out);
-        self.sites.write(out);
-        self.depths.write(out);
         self.schedules.write(out);
         self.points.write(out);
     }
@@ -434,8 +424,6 @@ impl Interner {
 /// The shared values of a snapshot being read: one `Arc` per table entry.
 struct Shared {
     blocks: Vec<Arc<BlockSchedule>>,
-    sites: Vec<Arc<MuxSite>>,
-    depths: Vec<Arc<Vec<usize>>>,
     schedules: Vec<Arc<SchedulingResult>>,
     points: Vec<Arc<DesignPoint>>,
 }
@@ -468,8 +456,6 @@ impl Shared {
     /// Reads what [`Interner::write`] wrote.
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let blocks = take_table(r, TABLE_BLOCKS, BlockSchedule::decode)?;
-        let sites = take_table(r, TABLE_SITES, MuxSite::decode)?;
-        let depths = take_table(r, TABLE_DEPTHS, Vec::<usize>::decode)?;
         let schedules = take_table(r, TABLE_SCHEDULES, |r| {
             r.expect_tag(TAG_SCHEDULE)?;
             Ok(SchedulingResult {
@@ -491,8 +477,6 @@ impl Shared {
         })?;
         Ok(Self {
             blocks,
-            sites,
-            depths,
             schedules,
             points,
         })
@@ -552,61 +536,6 @@ impl LayerValue for Arc<BlockSchedule> {
     }
 }
 
-/// A context is written inline; its parallel site lists become one run of
-/// `(site, restructured, depth list)` triples.
-impl LayerValue for Arc<DesignContext> {
-    fn put(&self, tables: &mut Interner, w: &mut Encoder) {
-        w.put_tag(TAG_CONTEXT);
-        self.base_delays.encode(w);
-        self.binding.encode(w);
-        self.profile.encode(w);
-        self.fu_ids.encode(w);
-        self.reg_ids.encode(w);
-        debug_assert_eq!(self.site_restructured.len(), self.sites.len());
-        debug_assert_eq!(self.site_depths.len(), self.sites.len());
-        w.put_usize(self.sites.len());
-        let triples = self
-            .sites
-            .iter()
-            .zip(&self.site_restructured)
-            .zip(&self.site_depths);
-        for ((site, &restructured), depths) in triples {
-            w.put_u32(tables.site(site));
-            w.put_bool(restructured);
-            w.put_u32(tables.depth_list(depths));
-        }
-    }
-
-    fn take(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_CONTEXT)?;
-        let base_delays = Decode::decode(r)?;
-        let binding = Decode::decode(r)?;
-        let profile = Decode::decode(r)?;
-        let fu_ids = Decode::decode(r)?;
-        let reg_ids = Decode::decode(r)?;
-        // A triple is two 4-byte references and a flag byte.
-        let count = r.take_len(9)?;
-        let mut sites = Vec::with_capacity(count);
-        let mut site_restructured = Vec::with_capacity(count);
-        let mut site_depths = Vec::with_capacity(count);
-        for _ in 0..count {
-            sites.push(take_ref(r, &shared.sites)?);
-            site_restructured.push(r.take_bool()?);
-            site_depths.push(take_ref(r, &shared.depths)?);
-        }
-        Ok(Arc::new(DesignContext {
-            base_delays,
-            binding,
-            profile,
-            fu_ids,
-            reg_ids,
-            sites,
-            site_restructured,
-            site_depths,
-        }))
-    }
-}
-
 /// Values no other entry shares are written inline with their own codec.
 macro_rules! inline_layer_values {
     ($($value:ty),*) => {$(
@@ -657,27 +586,37 @@ where
     Ok(map)
 }
 
-/// Row callback of `cache_layers!`: the snapshot's workload scan and its
-/// sections, one per layer under the row's tag, in row order.
+/// Row callback of `cache_layers!`: the snapshot's sections, one per tagged
+/// row under its tag, in row order. An untagged row is neither written nor
+/// read, and its keys stay out of the workload digest.
 macro_rules! snapshot_sections {
-    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr $(, $tag:literal)?;)*) => {
         impl CacheSnapshot {
-            /// The sorted distinct workload ids across every entry.
-            fn workloads(&self) -> BTreeSet<u128> {
+            /// Writes every section, interning shared values into `tables`
+            /// in the order they first appear, and returns the sorted
+            /// distinct workload ids of the entries written.
+            fn encode_sections(&self, tables: &mut Interner, out: &mut Encoder) -> BTreeSet<u128> {
                 let mut workloads = BTreeSet::new();
-                $(workloads.extend(self.$field.keys().map(|k| k.workload.as_u128()));)*
+                $($(
+                    encode_section(out, $tag, &self.$field, tables);
+                    workloads.extend(self.$field.keys().map(|k| k.workload.as_u128()));
+                )?)*
                 workloads
             }
 
-            /// Writes every section, interning shared values into `tables`
-            /// in the order they first appear.
-            fn encode_sections(&self, tables: &mut Interner, out: &mut Encoder) {
-                $(encode_section(out, $tag, &self.$field, tables);)*
-            }
-
-            /// Reads what [`Self::encode_sections`] wrote.
-            fn decode_sections(r: &mut Decoder<'_>, shared: &Shared) -> Result<Self, DecodeError> {
-                Ok(Self { $($field: decode_section(r, $tag, shared)?,)* })
+            /// Reads what [`Self::encode_sections`] wrote, with the workload
+            /// ids of the entries read.
+            fn decode_sections(
+                r: &mut Decoder<'_>,
+                shared: &Shared,
+            ) -> Result<(Self, BTreeSet<u128>), DecodeError> {
+                let mut snapshot = Self::default();
+                let mut workloads = BTreeSet::new();
+                $($(
+                    snapshot.$field = decode_section(r, $tag, shared)?;
+                    workloads.extend(snapshot.$field.keys().map(|k| k.workload.as_u128()));
+                )?)*
+                Ok((snapshot, workloads))
             }
         }
     };
@@ -690,14 +629,14 @@ cache_layers!(snapshot_sections);
 pub fn encode_snapshot(snapshot: &CacheSnapshot) -> Vec<u8> {
     let mut tables = Interner::new();
     let mut sections = Encoder::new();
-    snapshot.encode_sections(&mut tables, &mut sections);
+    let workloads = snapshot.encode_sections(&mut tables, &mut sections);
     // Prelude, workload digest, tables, sections and the 16-byte trailer.
     let len = PRELUDE_LEN + 16 + tables.encoded_len() + sections.len() + 16;
     let mut out = Encoder::with_capacity(len);
     out.put_raw(&SNAPSHOT_MAGIC);
     out.put_u32(SNAPSHOT_VERSION);
     out.put_u64(len as u64);
-    out.put_u128(workload_digest(&snapshot.workloads()));
+    out.put_u128(workload_digest(&workloads));
     tables.write(&mut out);
     // The bodies are in `out` now; free them before the sections follow.
     drop(tables);
@@ -709,13 +648,14 @@ pub fn encode_snapshot(snapshot: &CacheSnapshot) -> Vec<u8> {
 }
 
 /// Reads the workload digest, the tables and the sections: everything after
-/// the prelude and before the trailer.
-fn decode_body(r: &mut Decoder<'_>) -> Result<(u128, CacheSnapshot), DecodeError> {
-    let workloads = r.take_u128()?;
+/// the prelude and before the trailer. Returns the header's digest, the
+/// snapshot and the workload ids of its entries.
+fn decode_body(r: &mut Decoder<'_>) -> Result<(u128, CacheSnapshot, BTreeSet<u128>), DecodeError> {
+    let header = r.take_u128()?;
     let shared = Shared::decode(r)?;
-    let snapshot = CacheSnapshot::decode_sections(r, &shared)?;
+    let (snapshot, workloads) = CacheSnapshot::decode_sections(r, &shared)?;
     r.finish()?;
-    Ok((workloads, snapshot))
+    Ok((header, snapshot, workloads))
 }
 
 /// Decodes snapshot bytes, verifying magic, version, the trailer digest and
@@ -759,11 +699,10 @@ pub fn decode_snapshot(
     // Every byte is digest-verified from here on: a decode failure means the
     // writer's layout differs from ours under the same container version — a
     // versioning problem, not corruption.
-    let (header_workloads, snapshot) =
+    let (header_workloads, snapshot, workloads) =
         decode_body(&mut r).map_err(|_| SnapshotRejection::Version)?;
     // The header's workload digest must agree with the decoded keys, and the
     // decoded workloads must fit the requested scope.
-    let workloads = snapshot.workloads();
     if workload_digest(&workloads) != header_workloads {
         return Err(SnapshotRejection::Digest);
     }
@@ -855,7 +794,7 @@ impl DiskCache {
 /// Row callback of `cache_layers!`: lookup and store methods that forward to
 /// the wrapped [`InMemoryCache`].
 macro_rules! forward_to_inner {
-    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr, $tag:literal;)*) => {$(
+    ($($(#[$doc:meta])* $field:ident: $key:ty => $value:ty, $lookup:ident / $store:ident, $cap:expr $(, $tag:literal)?;)*) => {$(
         fn $lookup(&self, key: &$key) -> Option<$value> {
             self.inner.$lookup(key)
         }
@@ -920,24 +859,9 @@ mod tests {
         })
     }
 
-    /// A copy of `snapshot` in which no two values share an allocation.
+    /// A copy of `snapshot` in which no two persisted values share an
+    /// allocation.
     fn deep_copy(snapshot: &CacheSnapshot) -> CacheSnapshot {
-        let contexts = snapshot.contexts.iter().map(|(key, context)| {
-            let copy = DesignContext {
-                sites: context
-                    .sites
-                    .iter()
-                    .map(|site| Arc::new((**site).clone()))
-                    .collect(),
-                site_depths: context
-                    .site_depths
-                    .iter()
-                    .map(|depths| Arc::new((**depths).clone()))
-                    .collect(),
-                ..(**context).clone()
-            };
-            (*key, Arc::new(copy))
-        });
         CacheSnapshot {
             points: (snapshot.points.iter())
                 .map(|(key, point)| (*key, fresh_point(point)))
@@ -945,7 +869,6 @@ mod tests {
             scaled: (snapshot.scaled.iter())
                 .map(|(key, point)| (*key, point.as_deref().map(fresh_point)))
                 .collect(),
-            contexts: contexts.collect(),
             schedules: (snapshot.schedules.iter())
                 .map(|(key, schedule)| (*key, Arc::new(**schedule)))
                 .collect(),
@@ -998,23 +921,29 @@ mod tests {
             }
         }
         assert!(aliased > 0, "some outcome is also a point-layer entry");
-        // Equal sites and equal depth lists are one allocation across every
-        // context.
-        let mut sites: HashMap<Vec<u8>, &Arc<MuxSite>> = HashMap::new();
-        let mut depth_lists: HashMap<&Vec<usize>, &Arc<Vec<usize>>> = HashMap::new();
-        let mut references = 0;
-        for context in decoded.contexts.values() {
-            for site in &context.sites {
-                let first = *sites.entry(encode_to_vec(&**site)).or_insert(site);
-                assert!(Arc::ptr_eq(first, site));
-                references += 1;
-            }
-            for depths in &context.site_depths {
-                let first = *depth_lists.entry(&**depths).or_insert(depths);
-                assert!(Arc::ptr_eq(first, depths));
-            }
-        }
-        assert!(sites.len() < references, "contexts share sites");
+    }
+
+    #[test]
+    fn a_workload_whose_only_entries_are_contexts_stays_out_of_the_digest() {
+        // The header's workload digest covers the persisted layers only: a
+        // context of another workload is neither written nor digested, so
+        // the bytes decode, and load even under the one persisted workload.
+        let mut snapshot = gcd_snapshot();
+        let (key, context) = snapshot.contexts.iter().next().unwrap();
+        let (workload, context) = (key.workload, Arc::clone(context));
+        let other = ContextKey::new(WorkloadId(workload.as_u128() ^ 1), key.design);
+        snapshot.contexts.insert(other, context);
+        let bytes = encode_snapshot(&snapshot);
+        snapshot.contexts.clear();
+        assert!(
+            bytes == encode_snapshot(&snapshot),
+            "contexts write nothing"
+        );
+        let decoded = decode_snapshot(&bytes, SnapshotScope::Workload(workload)).unwrap();
+        assert!(decoded.contexts.is_empty());
+        let session = SweepSession::new();
+        let loaded = session.load_snapshot(&bytes, SnapshotScope::Workload(workload));
+        assert_eq!(loaded.unwrap().absorbed, snapshot.len() as u64);
     }
 
     /// Recomputes the trailer, so a mutated body passes the digest and

@@ -49,7 +49,9 @@ pub fn audit_session(session: &SweepSession) -> Vec<Violation> {
 
 /// Decodes and audits serialized snapshot bytes. A rejected decode (bad
 /// magic, version, digest or truncation) is reported as a single
-/// [`rules::CACHE_SNAPSHOT`] violation.
+/// [`rules::CACHE_SNAPSHOT`] violation. Snapshots hold no evaluation
+/// contexts, so this audits none; [`audit_session`] audits a live
+/// session's.
 pub fn audit_snapshot_bytes(bytes: &[u8]) -> Vec<Violation> {
     match decode_snapshot(bytes, SnapshotScope::Any) {
         Ok(snapshot) => audit_snapshot(&snapshot),
@@ -67,7 +69,9 @@ pub fn audit_snapshot_bytes(bytes: &[u8]) -> Vec<Violation> {
 /// schedule layer's and every point's — checked as numbers by
 /// [`verify_summary_artifact`]. A snapshot holds no graph, so graphs are
 /// validated where one exists: when it is composed under an inline audit,
-/// and in a run's outcome.
+/// and in a run's outcome. Contexts are session-local: a live session's
+/// export holds them and this audits them, while a decoded snapshot file
+/// holds none.
 pub fn audit_snapshot(snapshot: &CacheSnapshot) -> Vec<Violation> {
     let mut violations = Vec::new();
 

@@ -1,12 +1,13 @@
 #![allow(clippy::unwrap_used)]
 
 //! Round-trip tests for every domain codec impl, driven by real synthesis
-//! artifacts: for each cache layer's key and value type, `decode ∘ encode`
-//! is the identity and re-encoding the decoded value reproduces the original
-//! bytes (so snapshots of snapshots are stable). Design points, contexts and
-//! schedule summaries have no codec of their own — the snapshot format
-//! writes them as shared table entries — so they round trip through
-//! `encode_snapshot` and `decode_snapshot`.
+//! artifacts: for each persisted cache layer's key and value type,
+//! `decode ∘ encode` is the identity and re-encoding the decoded value
+//! reproduces the original bytes (so snapshots of snapshots are stable).
+//! Design points and schedule summaries have no codec of their own — the
+//! snapshot format writes them as shared table entries — so they round trip
+//! through `encode_snapshot` and `decode_snapshot`. Contexts are
+//! session-local: exported, never written.
 
 use impact_behsim::simulate;
 use impact_cdfg::{Cdfg, OpClass};
@@ -48,8 +49,7 @@ where
 }
 
 /// Round-trips a whole snapshot through the wire format. The decoded
-/// snapshot re-encodes to the original bytes, which covers the types without
-/// `PartialEq` (`DesignContext`).
+/// snapshot re-encodes to the original bytes.
 fn snapshot_roundtrip(snapshot: &CacheSnapshot) -> CacheSnapshot {
     let bytes = encode_snapshot(snapshot);
     let back = decode_snapshot(&bytes, SnapshotScope::Any)
@@ -151,11 +151,8 @@ fn every_cache_layer_round_trips_keys_and_values() {
         assert_value_roundtrip(k, "ScaledKey");
         assert_eq!(&back.scaled[k], v, "Option<Arc<DesignPoint>>");
     }
-    assert!(!export.contexts.is_empty());
-    for k in export.contexts.keys() {
-        assert_value_roundtrip(k, "ContextKey");
-        assert!(back.contexts.contains_key(k), "Arc<DesignContext>");
-    }
+    assert!(!export.contexts.is_empty(), "contexts are exported");
+    assert!(back.contexts.is_empty(), "but never persisted");
     assert!(!export.schedules.is_empty());
     for (k, v) in &export.schedules {
         assert_value_roundtrip(k, "ScheduleKey");

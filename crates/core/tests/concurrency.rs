@@ -6,11 +6,12 @@
 //! loads and `SweepSession::merge_from` rely on when the same entries arrive
 //! in arbitrary order and possibly more than once.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use impact_behsim::simulate;
 use impact_core::{
-    encode_snapshot, CacheBackend, CacheSnapshot, Impact, InMemoryCache, SweepSession,
+    encode_snapshot, CacheBackend, CacheSnapshot, ContextKey, Impact, InMemoryCache, SweepSession,
     SynthesisConfig,
 };
 use proptest::prelude::*;
@@ -31,6 +32,12 @@ fn populated_snapshot() -> &'static CacheSnapshot {
         }
         session.backend().export()
     })
+}
+
+/// The context layer's keys. Contexts are session-local, so the snapshot
+/// bytes these tests compare leave them out; their keys are compared apart.
+fn context_keys(snapshot: &CacheSnapshot) -> BTreeSet<ContextKey> {
+    snapshot.contexts.keys().copied().collect()
 }
 
 /// Splits a snapshot into two disjoint parts: entry `i` (counted across the
@@ -106,6 +113,7 @@ fn export_racing_absorb_never_tears() {
         encode_snapshot(snapshot),
         "after the race the merge converged on the full snapshot"
     );
+    assert_eq!(context_keys(&cache.export()), context_keys(snapshot));
 }
 
 #[test]
@@ -122,6 +130,7 @@ fn concurrent_absorbs_from_many_threads_converge() {
         }
     });
     assert_eq!(encode_snapshot(&cache.export()), encode_snapshot(snapshot));
+    assert_eq!(context_keys(&cache.export()), context_keys(snapshot));
 }
 
 proptest! {
@@ -158,5 +167,7 @@ proptest! {
         let bytes_ab = encode_snapshot(&ab.export());
         prop_assert_eq!(&bytes_ab, &encode_snapshot(&ba.export()));
         prop_assert_eq!(&bytes_ab, &encode_snapshot(snapshot));
+        prop_assert_eq!(context_keys(&ab.export()), context_keys(&ba.export()));
+        prop_assert_eq!(context_keys(&ab.export()), context_keys(snapshot));
     }
 }

@@ -174,8 +174,9 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
     // Writers of format v3, whose design points carried their designs, of
     // v4, whose schedules carried their block outcomes, of v5, whose STGs
     // carried their design's name and supply-search keys a scaling flag,
-    // and of v6, whose schedules carried their whole STG.
-    for old in [3u32, 4, 5, 6] {
+    // of v6, whose schedules carried their whole STG, and of v7, which
+    // persisted evaluation contexts.
+    for old in [3u32, 4, 5, 6, 7] {
         let mut stale = bytes.clone();
         stale[SNAPSHOT_MAGIC.len()..SNAPSHOT_MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
         assert_eq!(
@@ -200,7 +201,7 @@ fn foreign_versions_and_magics_are_rejected_as_version_mismatches() {
         Err(SnapshotRejection::Version)
     );
 
-    assert_eq!(session.stats().snapshot.rejected_version, 7);
+    assert_eq!(session.stats().snapshot.rejected_version, 8);
 }
 
 #[test]

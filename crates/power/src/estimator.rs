@@ -448,14 +448,6 @@ use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 
 /// Version tag of [`PowerBreakdown`]'s wire layout.
 const TAG_POWER_BREAKDOWN: u8 = 0x38;
-/// Version tag of [`FuPowerProfile`]'s wire layout.
-const TAG_FU_POWER_PROFILE: u8 = 0x39;
-/// Version tag of [`RegPowerProfile`]'s wire layout.
-const TAG_REG_POWER_PROFILE: u8 = 0x3A;
-/// Version tag of [`MuxPowerProfile`]'s wire layout.
-const TAG_MUX_POWER_PROFILE: u8 = 0x3B;
-/// Version tag of [`PowerProfile`]'s wire layout.
-const TAG_POWER_PROFILE: u8 = 0x3C;
 
 impl Encode for PowerBreakdown {
     fn encode(&self, w: &mut Encoder) {
@@ -477,90 +469,6 @@ impl Decode for PowerBreakdown {
             multiplexers_mw: r.take_f64()?,
             controller_mw: r.take_f64()?,
             clock_mw: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for FuPowerProfile {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_FU_POWER_PROFILE);
-        w.put_f64(self.capacitance_pf);
-        w.put_f64(self.activity);
-        w.put_f64(self.activations_per_pass);
-    }
-}
-
-impl Decode for FuPowerProfile {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_FU_POWER_PROFILE)?;
-        Ok(Self {
-            capacitance_pf: r.take_f64()?,
-            activity: r.take_f64()?,
-            activations_per_pass: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for RegPowerProfile {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_REG_POWER_PROFILE);
-        w.put_f64(self.capacitance_pf);
-        w.put_f64(self.activity);
-        w.put_f64(self.writes_per_pass);
-    }
-}
-
-impl Decode for RegPowerProfile {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_REG_POWER_PROFILE)?;
-        Ok(Self {
-            capacitance_pf: r.take_f64()?,
-            activity: r.take_f64()?,
-            writes_per_pass: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for MuxPowerProfile {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_MUX_POWER_PROFILE);
-        w.put_f64(self.capacitance_pf);
-        w.put_f64(self.tree_activity);
-        w.put_f64(self.selections_per_pass);
-    }
-}
-
-impl Decode for MuxPowerProfile {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_MUX_POWER_PROFILE)?;
-        Ok(Self {
-            capacitance_pf: r.take_f64()?,
-            tree_activity: r.take_f64()?,
-            selections_per_pass: r.take_f64()?,
-        })
-    }
-}
-
-impl Encode for PowerProfile {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_POWER_PROFILE);
-        self.fus.encode(w);
-        self.regs.encode(w);
-        w.put_f64(self.register_bits);
-        self.muxes.encode(w);
-        w.put_f64(self.datapath_area);
-    }
-}
-
-impl Decode for PowerProfile {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_POWER_PROFILE)?;
-        Ok(Self {
-            fus: Decode::decode(r)?,
-            regs: Decode::decode(r)?,
-            register_bits: r.take_f64()?,
-            muxes: Decode::decode(r)?,
-            datapath_area: r.take_f64()?,
         })
     }
 }

@@ -1136,153 +1136,6 @@ fn into_sources(by_key: BTreeMap<SignalKey, Vec<NodeId>>) -> Vec<SignalSource> {
         .collect()
 }
 
-// ---------------------------------------------------------------- snapshot codec
-//
-// Persistent cache snapshots serialize mux sites (inside cached evaluation
-// contexts) and resource ids. Composites carry an explicit one-byte version
-// tag — bump it when a layout changes so old snapshots fail decoding
-// (degrading to a cache miss) instead of being misinterpreted. Identifier
-// wrappers encode as bare indices; the enclosing composite's tag versions
-// them.
-
-use impact_codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-
-impl Encode for FuId {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_usize(self.0);
-    }
-}
-
-impl Decode for FuId {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self(r.take_usize()?))
-    }
-}
-
-impl Encode for RegId {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_usize(self.0);
-    }
-}
-
-impl Decode for RegId {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self(r.take_usize()?))
-    }
-}
-
-/// Version tag of [`SignalKey`]'s wire layout.
-const TAG_SIGNAL_KEY: u8 = 0x14;
-/// Version tag of [`MuxSink`]'s wire layout.
-const TAG_MUX_SINK: u8 = 0x15;
-/// Version tag of [`SignalSource`]'s wire layout.
-const TAG_SIGNAL_SOURCE: u8 = 0x16;
-/// Version tag of [`MuxSite`]'s wire layout.
-const TAG_MUX_SITE: u8 = 0x17;
-
-impl Encode for SignalKey {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_SIGNAL_KEY);
-        match self {
-            SignalKey::Register(reg) => {
-                w.put_u8(0);
-                reg.encode(w);
-            }
-            SignalKey::FuOutput(fu) => {
-                w.put_u8(1);
-                fu.encode(w);
-            }
-            SignalKey::Constant(value) => {
-                w.put_u8(2);
-                w.put_i64(*value);
-            }
-        }
-    }
-}
-
-impl Decode for SignalKey {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_SIGNAL_KEY)?;
-        Ok(match r.take_u8()? {
-            0 => SignalKey::Register(Decode::decode(r)?),
-            1 => SignalKey::FuOutput(Decode::decode(r)?),
-            2 => SignalKey::Constant(r.take_i64()?),
-            _ => return Err(DecodeError::Invalid("unknown SignalKey discriminant")),
-        })
-    }
-}
-
-impl Encode for MuxSink {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_MUX_SINK);
-        match self {
-            MuxSink::FuInput { fu, port } => {
-                w.put_u8(0);
-                fu.encode(w);
-                w.put_u8(*port);
-            }
-            MuxSink::RegisterInput { reg } => {
-                w.put_u8(1);
-                reg.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for MuxSink {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_MUX_SINK)?;
-        Ok(match r.take_u8()? {
-            0 => MuxSink::FuInput {
-                fu: Decode::decode(r)?,
-                port: r.take_u8()?,
-            },
-            1 => MuxSink::RegisterInput {
-                reg: Decode::decode(r)?,
-            },
-            _ => return Err(DecodeError::Invalid("unknown MuxSink discriminant")),
-        })
-    }
-}
-
-impl Encode for SignalSource {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_SIGNAL_SOURCE);
-        self.key.encode(w);
-        self.ops.encode(w);
-    }
-}
-
-impl Decode for SignalSource {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_SIGNAL_SOURCE)?;
-        Ok(Self {
-            key: Decode::decode(r)?,
-            ops: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for MuxSite {
-    fn encode(&self, w: &mut Encoder) {
-        w.put_tag(TAG_MUX_SITE);
-        self.sink.encode(w);
-        self.sources.encode(w);
-        w.put_u8(self.width);
-    }
-}
-
-impl Decode for MuxSite {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(TAG_MUX_SITE)?;
-        Ok(Self {
-            sink: Decode::decode(r)?,
-            sources: Decode::decode(r)?,
-            width: r.take_u8()?,
-        })
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
